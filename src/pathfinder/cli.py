@@ -246,6 +246,7 @@ def _path_record(index: int, run) -> dict:
         "l_star": run.l_star,
         "elbo_trace": [float(v) for v in run.elbo_trace],
         "scored_candidates": run.scored_candidates,
+        "disqualified": dict(run.disqualified),
         "n_logp": run.n_logp,
         "n_grad": run.n_grad,
         "lbfgs_n_logp": run.lbfgs_n_logp,
@@ -278,7 +279,7 @@ def main(argv=None) -> int:
     payload: dict = {"config": cfg.echo(), "target_dim": target.dim}
 
     if cfg.mode == "single":
-        run = run_single(target, opts, cfg.seed, path_index=0, workers=cfg.workers)
+        run = run_single(target, opts, cfg.seed, path_index=0)
         draws = run.draws
         payload.update(
             paths=[_path_record(0, run)],

@@ -16,7 +16,7 @@ import numpy as np
 from scipy.linalg import solve_triangular
 
 from .errors import CholeskyFailError
-from .inv_hessian import CompactFactors
+from .inv_hessian import CompactFactors, select_rows
 from .targets import LOG_2PI
 
 # One re-orthogonalization pass is applied if the thin QR loses orthonormality
@@ -30,7 +30,9 @@ class FactoredNormal:
 
     ``qmat`` has orthonormal columns, ``lt`` is the lower-triangular Cholesky
     factor of the small inner matrix, and ``logdet`` is the log determinant of
-    Sigma.  ``rank == 0`` encodes a purely diagonal covariance.
+    Sigma.  ``rank == 0`` encodes a purely diagonal covariance.  A stack of B
+    approximations with a common rank carries a leading axis of length B on
+    every field.
     """
 
     mu: np.ndarray        # (N,)
@@ -41,11 +43,11 @@ class FactoredNormal:
 
     @property
     def dim(self) -> int:
-        return self.mu.size
+        return self.mu.shape[-1]
 
     @property
     def rank(self) -> int:
-        return self.qmat.shape[1]
+        return self.qmat.shape[-1]
 
 
 @dataclass
@@ -55,6 +57,61 @@ class DrawBatch:
     draws: np.ndarray        # (M, N)
     logq: np.ndarray         # (M,)
     u_norms_sq: np.ndarray   # (M,) squared norms of the standard-normal inputs
+
+
+def build_many(factors: CompactFactors, thetas, grads):
+    """Construct the approximations at a stack of B trajectory points at once.
+
+    ``factors`` is a stack of B compact factors with a common pair count, and
+    ``thetas`` and ``grads`` are the (B, N) trajectory positions and their
+    log-density gradients; each mean takes one quasi-Newton step from its
+    point.  Returns the stacked FactoredNormal and a (B,) mask of rows whose
+    inner matrix is positive definite; rows outside the mask carry an
+    identity placeholder for ``lt`` and must not be used.
+    """
+    alpha = factors.alpha
+    B, N = alpha.shape
+    logdet_diag = np.sum(np.log(alpha), axis=1)
+    base_mu = thetas + alpha * grads
+    if factors.num_pairs == 0:
+        approx = FactoredNormal(
+            mu=base_mu, alpha=alpha, qmat=np.zeros((B, N, 0)),
+            lt=np.zeros((B, 0, 0)), logdet=logdet_diag,
+        )
+        return approx, np.ones(B, dtype=bool)
+
+    beta = factors.beta
+    gamma = factors.gamma
+    rank = factors.rank
+    eye = np.eye(rank)
+    inv_sqrt_alpha = 1.0 / np.sqrt(alpha)
+    qmat, rmat = np.linalg.qr(inv_sqrt_alpha[:, :, None] * beta, mode="reduced")
+    ortho_err = np.abs(qmat.transpose(0, 2, 1) @ qmat - eye).max(axis=(1, 2))
+    redo = ortho_err > QR_ORTHO_TOL
+    if np.any(redo):
+        q2, r2 = np.linalg.qr(qmat[redo], mode="reduced")
+        qmat[redo] = q2
+        rmat[redo] = r2 @ rmat[redo]
+
+    inner = eye + rmat @ gamma @ rmat.transpose(0, 2, 1)
+    inner = 0.5 * (inner + inner.transpose(0, 2, 1))
+    ok = np.ones(B, dtype=bool)
+    try:
+        lt = np.linalg.cholesky(inner)
+    except np.linalg.LinAlgError:
+        # One failing row spoils the stacked call; factor this stack row by row.
+        lt = np.broadcast_to(eye, inner.shape).copy()
+        for b in range(B):
+            try:
+                lt[b] = np.linalg.cholesky(inner[b:b + 1])[0]
+            except np.linalg.LinAlgError:
+                ok[b] = False
+
+    diag_lt = np.diagonal(lt, axis1=1, axis2=2)
+    logdet = logdet_diag + 2.0 * np.sum(np.log(diag_lt), axis=1)
+    gbeta = gamma @ (beta.transpose(0, 2, 1) @ grads[:, :, None])
+    mu = base_mu + (beta @ gbeta)[:, :, 0]
+    return FactoredNormal(mu=mu, alpha=alpha, qmat=qmat, lt=lt, logdet=logdet), ok
 
 
 def build(factors: CompactFactors, theta, grad) -> FactoredNormal:
@@ -67,56 +124,38 @@ def build(factors: CompactFactors, theta, grad) -> FactoredNormal:
     """
     theta = np.asarray(theta, dtype=float)
     grad = np.asarray(grad, dtype=float)
-    alpha = factors.alpha
-    logdet_diag = float(np.sum(np.log(alpha)))
-
-    if factors.num_pairs == 0:
-        mu = theta + alpha * grad
-        return FactoredNormal(
-            mu=mu, alpha=alpha, qmat=np.zeros((alpha.size, 0)),
-            lt=np.zeros((0, 0)), logdet=logdet_diag,
-        )
-
-    beta = factors.beta
-    gamma = factors.gamma
-    inv_sqrt_alpha = 1.0 / np.sqrt(alpha)
-    qmat, rmat = np.linalg.qr(inv_sqrt_alpha[:, None] * beta, mode="reduced")
-    ortho_err = np.abs(qmat.T @ qmat - np.eye(qmat.shape[1])).max()
-    if ortho_err > QR_ORTHO_TOL:
-        qmat, r2 = np.linalg.qr(qmat, mode="reduced")
-        rmat = r2 @ rmat
-
-    inner = np.eye(rmat.shape[0]) + rmat @ gamma @ rmat.T
-    inner = 0.5 * (inner + inner.T)
-    try:
-        lt = np.linalg.cholesky(inner)
-    except np.linalg.LinAlgError as exc:
-        raise CholeskyFailError("inner matrix not positive definite") from exc
-
-    logdet = logdet_diag + 2.0 * float(np.sum(np.log(np.diag(lt))))
-    mu = theta + alpha * grad + beta @ (gamma @ (beta.T @ grad))
-    return FactoredNormal(mu=mu, alpha=alpha, qmat=qmat, lt=lt, logdet=logdet)
+    approx, ok = build_many(select_rows(factors, None), theta[None], grad[None])
+    if not ok[0]:
+        raise CholeskyFailError("inner matrix not positive definite")
+    return select_rows(approx, 0)
 
 
-def sample(approx: FactoredNormal, num_draws: int, rng: np.random.Generator) -> DrawBatch:
-    """Draw ``num_draws`` samples, one fresh standard-normal N-vector each.
+def transform(approx: FactoredNormal, u) -> DrawBatch:
+    """Map (B, M, N) standard-normal inputs through a stack of B approximations.
 
     The log density of each draw follows directly from the squared norm of
     its standard-normal input, so no solve is needed here.
     """
-    if num_draws < 1:
-        raise ValueError("num_draws must be >= 1")
-    n = approx.dim
-    u = rng.standard_normal((num_draws, n))
-    u_norms_sq = np.einsum("ij,ij->i", u, u)
+    n = u.shape[2]
+    flat = u.reshape(-1, n)
+    u_norms_sq = np.einsum("ij,ij->i", flat, flat).reshape(u.shape[:2])
     if approx.rank > 0:
-        qtu = u @ approx.qmat                        # (M, 2J')
-        x = u + (qtu @ (approx.lt - np.eye(approx.rank)).T) @ approx.qmat.T
+        qtu = u @ approx.qmat                        # (B, M, 2J')
+        lt_minus_eye = approx.lt - np.eye(approx.rank)
+        x = u + (qtu @ lt_minus_eye.transpose(0, 2, 1)) @ approx.qmat.transpose(0, 2, 1)
     else:
         x = u
-    draws = approx.mu + np.sqrt(approx.alpha) * x
-    logq = -0.5 * (approx.logdet + u_norms_sq + n * LOG_2PI)
+    draws = approx.mu[:, None, :] + np.sqrt(approx.alpha)[:, None, :] * x
+    logq = -0.5 * (approx.logdet[:, None] + u_norms_sq + n * LOG_2PI)
     return DrawBatch(draws=draws, logq=logq, u_norms_sq=u_norms_sq)
+
+
+def sample(approx: FactoredNormal, num_draws: int, rng: np.random.Generator) -> DrawBatch:
+    """Draw ``num_draws`` samples, one fresh standard-normal N-vector each."""
+    if num_draws < 1:
+        raise ValueError("num_draws must be >= 1")
+    u = rng.standard_normal((num_draws, approx.dim))
+    return select_rows(transform(select_rows(approx, None), u[None]), 0)
 
 
 def eval_logq(approx: FactoredNormal, x) -> float:

@@ -2,17 +2,19 @@
 
 One run optimizes the log density from a random initialization, rebuilds a
 normal approximation at every trajectory point, scores each by Monte Carlo
-ELBO (embarrassingly parallel across points), and returns draws from the
-ELBO-maximizing approximation.  Runs never raise on pathological geometry:
-a run that cannot produce any valid approximation returns its last trajectory
-point as a single draw flagged with +inf approximation log density, which
-guarantees zero importance weight downstream.
+ELBO, and returns draws from the ELBO-maximizing approximation.  Candidates
+are independent of each other, so they are built, sampled and scored in
+stacked blocks: one factorization pass and one target call per block.
+
+Runs never raise on pathological geometry: a run that cannot produce any
+valid approximation returns its last trajectory point as a single draw
+flagged with +inf approximation log density, which guarantees zero
+importance weight downstream.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -20,11 +22,22 @@ import numpy as np
 
 from . import normal_approx
 from .elbo import elbo_estimate
-from .errors import AllFailedError, CholeskyFailError, NonFiniteError, SingularEError
-from .inv_hessian import alpha_recover, assemble_factors
+from .errors import AllFailedError, NonFiniteError
+from .inv_hessian import (
+    alpha_recover, assemble_factors, pair_counts, select_rows, stacked_factors, window,
+)
 from .lbfgs import LbfgsOptions, Termination, optimize
 from .seeding import STREAM_CANDIDATE, STREAM_FINAL, STREAM_INIT, substream
 from .targets import CounterView
+
+# Floats in one stacked (B, N, 2J') array of a scoring block.  Blocks bound
+# memory, not results: every candidate's arithmetic is the same at any B.
+BLOCK_FLOATS = 2**14
+
+# Why a candidate approximation was disqualified, in the order checked:
+# E with a non-positive diagonal, a non-positive-definite inner matrix, a
+# non-finite mean or log determinant, and (after sampling) a non-finite ELBO.
+DISQUALIFY_REASONS = ("singular_e", "cholesky", "nonfinite_approx", "nonfinite_elbo")
 
 
 @dataclass(frozen=True)
@@ -67,7 +80,9 @@ class PathfinderRun:
 
     A failed run carries exactly one draw (the last trajectory point) with
     ``logq == +inf``; otherwise ``l_star`` is the 1-based trajectory iteration
-    whose approximation won the ELBO argmax.  ``logp`` stays None until a
+    whose approximation won the ELBO argmax.  ``disqualified`` counts the
+    candidates dropped for each of DISQUALIFY_REASONS; all but
+    ``nonfinite_elbo`` were never sampled.  ``logp`` stays None until a
     pooling step evaluates target log densities for the draws.
     """
 
@@ -83,12 +98,9 @@ class PathfinderRun:
     scored_candidates: int
     lbfgs_n_logp: int
     lbfgs_n_grad: int
+    disqualified: dict = field(default_factory=lambda: dict.fromkeys(DISQUALIFY_REASONS, 0))
     logp: Optional[np.ndarray] = None
     approx: Optional[normal_approx.FactoredNormal] = None
-
-    @property
-    def counters(self):
-        return self.n_logp, self.n_grad
 
 
 def select_argmax(elbo_trace) -> int:
@@ -104,23 +116,64 @@ def select_argmax(elbo_trace) -> int:
     return int(np.argmax(masked)) + 1
 
 
-def _score_candidate(tally, recovery, trajectory, l, opts, seed, path_index):
-    """ELBO of the candidate at iteration l, or -inf if it fails anywhere."""
-    try:
-        factors = assemble_factors(recovery, l, opts.history_size)
-        approx = normal_approx.build(factors, trajectory.thetas[l], trajectory.grads[l])
-    except (CholeskyFailError, SingularEError):
-        return -np.inf, False
-    if not (np.isfinite(approx.logdet) and np.all(np.isfinite(approx.mu))):
-        return -np.inf, False
-    rng = substream(seed, path_index, STREAM_CANDIDATE, l)
-    batch = normal_approx.sample(approx, opts.elbo_draws, rng)
-    logp_vals = tally.logp_many(batch.draws)
-    return elbo_estimate(logp_vals, batch.logq).value, True
+def _blocks(counts, dim):
+    """Runs of consecutive candidates sharing a pair count, cut to BLOCK_FLOATS.
+
+    Yields (first, stop, num_pairs) with 0-based candidate positions.
+    Pair counts never decrease along a trajectory, so each count is one run.
+    """
+    starts = np.flatnonzero(np.diff(counts, prepend=-1))
+    stops = np.append(starts[1:], len(counts))
+    for first, stop in zip(starts.tolist(), stops.tolist()):
+        num_pairs = int(counts[first])
+        size = max(1, BLOCK_FLOATS // (dim * max(2 * num_pairs, 1)))
+        for lo in range(first, stop, size):
+            yield lo, min(lo + size, stop), num_pairs
+
+
+def _score_candidates(tally, recovery, trajectory, opts, seed, path_index):
+    """ELBO of every candidate 1..L (-inf where disqualified), the number
+    sampled, and the number disqualified for each reason.
+
+    Candidates are scored in stacked blocks; each still draws from its own
+    substream, so the scores do not depend on how the blocks are cut.
+    """
+    num_iters = recovery.num_iters
+    dim = tally.dim
+    elbo_trace = np.full(num_iters, -np.inf)
+    reasons = dict.fromkeys(DISQUALIFY_REASONS, 0)
+    scored = 0
+    for first, stop, num_pairs in _blocks(pair_counts(recovery, opts.history_size), dim):
+        iters = np.arange(first + 1, stop + 1)
+        factors, ok_e = stacked_factors(*window(recovery, iters, num_pairs))
+        reasons["singular_e"] += int(np.sum(~ok_e))
+        if not np.all(ok_e):
+            factors, iters = select_rows(factors, ok_e), iters[ok_e]
+        approx, ok_chol = normal_approx.build_many(
+            factors, trajectory.thetas[iters], trajectory.grads[iters])
+        finite = np.isfinite(approx.logdet) & np.all(np.isfinite(approx.mu), axis=1)
+        reasons["cholesky"] += int(np.sum(~ok_chol))
+        reasons["nonfinite_approx"] += int(np.sum(ok_chol & ~finite))
+        alive = ok_chol & finite
+        if not np.all(alive):
+            approx, iters = select_rows(approx, alive), iters[alive]
+        if iters.size == 0:
+            continue
+        scored += iters.size
+        u = np.stack([
+            substream(seed, path_index, STREAM_CANDIDATE, l).standard_normal((opts.elbo_draws, dim))
+            for l in iters.tolist()
+        ])
+        batch = normal_approx.transform(approx, u)
+        logp_vals = tally.logp_many(batch.draws.reshape(-1, dim)).reshape(batch.logq.shape)
+        values = np.array([elbo_estimate(lp, lq).value for lp, lq in zip(logp_vals, batch.logq)])
+        reasons["nonfinite_elbo"] += int(np.sum(~np.isfinite(values)))
+        elbo_trace[iters - 1] = values
+    return elbo_trace, scored, reasons
 
 
 def _failed_run(last_point, elbo_trace, tally, num_iters, termination,
-                scored=0, lbfgs_n_logp=None, lbfgs_n_grad=None):
+                scored=0, lbfgs_n_logp=None, lbfgs_n_grad=None, disqualified=None):
     return PathfinderRun(
         draws=np.asarray(last_point, dtype=float)[None, :],
         logq=np.array([np.inf]),
@@ -134,17 +187,16 @@ def _failed_run(last_point, elbo_trace, tally, num_iters, termination,
         scored_candidates=scored,
         lbfgs_n_logp=tally.n_logp if lbfgs_n_logp is None else lbfgs_n_logp,
         lbfgs_n_grad=tally.n_grad if lbfgs_n_grad is None else lbfgs_n_grad,
-        logp=None,
+        disqualified=disqualified or dict.fromkeys(DISQUALIFY_REASONS, 0),
     )
 
 
-def run_single(target, opts: PathfinderOptions, seed: int, path_index: int = 0,
-               workers: int = 1) -> PathfinderRun:
+def run_single(target, opts: PathfinderOptions, seed: int, path_index: int = 0) -> PathfinderRun:
     """Run one path against ``target`` under the given master seed.
 
     All randomness comes from substreams keyed by (path_index, purpose,
     candidate index), so results are bit-identical for a fixed
-    (target, opts, seed, path_index) regardless of ``workers``.
+    (target, opts, seed, path_index), however the candidates are blocked.
     """
     tally = CounterView(target)
     rng_init = substream(seed, path_index, STREAM_INIT)
@@ -162,29 +214,19 @@ def run_single(target, opts: PathfinderOptions, seed: int, path_index: int = 0,
     lbfgs_n_logp = tally.n_logp
     lbfgs_n_grad = tally.n_grad
 
-    recovery = alpha_recover(trajectory, opts.history_size)
-    candidates = range(1, num_iters + 1)
-
-    def score(l):
-        return _score_candidate(tally, recovery, trajectory, l, opts, seed, path_index)
-
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(score, candidates))
-    else:
-        results = [score(l) for l in candidates]
-
-    elbo_trace = np.array([value for value, _ in results])
-    scored = sum(1 for _, sampled in results if sampled)
+    recovery = alpha_recover(trajectory)
+    elbo_trace, scored, disqualified = _score_candidates(
+        tally, recovery, trajectory, opts, seed, path_index)
 
     try:
         l_star = select_argmax(elbo_trace)
     except AllFailedError:
         return _failed_run(trajectory.thetas[-1], elbo_trace, tally,
                            num_iters, trajectory.termination,
-                           scored, lbfgs_n_logp, lbfgs_n_grad)
+                           scored, lbfgs_n_logp, lbfgs_n_grad, disqualified)
 
-    # Rebuild the winner and draw a fresh batch of output draws.
+    # Rebuild the winner through the same stacked code, as a stack of one,
+    # and draw a fresh batch of output draws.
     factors = assemble_factors(recovery, l_star, opts.history_size)
     approx = normal_approx.build(factors, trajectory.thetas[l_star], trajectory.grads[l_star])
     rng_final = substream(seed, path_index, STREAM_FINAL)
@@ -203,5 +245,6 @@ def run_single(target, opts: PathfinderOptions, seed: int, path_index: int = 0,
         scored_candidates=scored,
         lbfgs_n_logp=lbfgs_n_logp,
         lbfgs_n_grad=lbfgs_n_grad,
+        disqualified=disqualified,
         approx=approx,
     )

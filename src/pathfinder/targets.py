@@ -8,6 +8,7 @@ target may be shared by concurrent workers.
 
 from __future__ import annotations
 
+import math
 import threading
 
 import numpy as np
@@ -24,7 +25,8 @@ class LogDensityTarget:
     Subclasses implement ``_logp_grad_impl`` (single point) and may override
     ``_logp_many_impl`` with a vectorized version.  Counters tick once per
     point evaluated: ``logp_grad`` increments both counters, log-density-only
-    evaluations increment only the log-density counter.
+    evaluations increment only the log-density counter.  The two are kept as
+    fused and log-density-only tallies, so each call makes one update.
     """
 
     def __init__(self, dim: int, name: str = ""):
@@ -32,34 +34,34 @@ class LogDensityTarget:
             raise BadParamsError(f"dim must be a positive integer, got {dim}")
         self.dim = int(dim)
         self.name = name or type(self).__name__
+        self._shape = (self.dim,)
         self._lock = threading.Lock()
-        self._n_logp = 0
-        self._n_grad = 0
+        self._n_fused = 0
+        self._n_logp_only = 0
 
     # -- counters ----------------------------------------------------------
 
     @property
     def eval_count_logp(self) -> int:
-        return self._n_logp
+        return self._n_fused + self._n_logp_only
 
     @property
     def eval_count_grad(self) -> int:
-        return self._n_grad
+        return self._n_fused
 
-    def _count(self, n_logp: int, n_grad: int) -> None:
+    def _count_logp_only(self, n: int) -> None:
         with self._lock:
-            self._n_logp += n_logp
-            self._n_grad += n_grad
+            self._n_logp_only += n
 
     # -- evaluation --------------------------------------------------------
 
     def _check_point(self, theta) -> np.ndarray:
         theta = np.asarray(theta, dtype=float)
-        if theta.shape != (self.dim,):
+        if theta.shape != self._shape:
             raise DimensionMismatchError(
                 f"{self.name}: expected point of shape ({self.dim},), got {theta.shape}"
             )
-        if not np.all(np.isfinite(theta)):
+        if not np.isfinite(theta).all():
             raise NonFiniteError(f"{self.name}: input point contains non-finite values")
         return theta
 
@@ -72,9 +74,10 @@ class LogDensityTarget:
         theta = self._check_point(theta)
         with np.errstate(all="ignore"):
             logp, grad = self._logp_grad_impl(theta)
-        self._count(1, 1)
+        with self._lock:
+            self._n_fused += 1
         grad = np.asarray(grad, dtype=float)
-        if not (np.isfinite(logp) and np.all(np.isfinite(grad))):
+        if not (math.isfinite(logp) and np.isfinite(grad).all()):
             raise NonFiniteError(f"{self.name}: non-finite log density or gradient")
         return float(logp), grad
 
@@ -83,7 +86,7 @@ class LogDensityTarget:
         theta = self._check_point(theta)
         with np.errstate(all="ignore"):
             logp, _ = self._logp_grad_impl(theta)
-        self._count(1, 0)
+        self._count_logp_only(1)
         if not np.isfinite(logp):
             raise NonFiniteError(f"{self.name}: non-finite log density")
         return float(logp)
@@ -101,7 +104,7 @@ class LogDensityTarget:
             )
         with np.errstate(all="ignore"):
             vals = self._logp_many_impl(points)
-        self._count(points.shape[0], 0)
+        self._count_logp_only(points.shape[0])
         vals = np.asarray(vals, dtype=float)
         return np.where(np.isfinite(vals), vals, -np.inf)
 
@@ -122,16 +125,15 @@ class CounterView:
 
     Delegates all math to the base target (whose global counters keep
     ticking) while keeping a private count of the evaluations routed through
-    this view.  Used to attribute costs to individual optimization paths;
-    views may themselves be shared by candidate-scoring threads, so the
-    tallies are lock-protected too.
+    this view.  Used to attribute costs to individual optimization paths.
+    A view belongs to one path and is used by one thread, so its tallies
+    need no lock.
     """
 
     def __init__(self, base: LogDensityTarget):
         self._base = base
-        self._lock = threading.Lock()
-        self.n_logp = 0
         self.n_grad = 0
+        self._n_logp_only = 0
 
     @property
     def dim(self) -> int:
@@ -142,6 +144,10 @@ class CounterView:
         return self._base.name
 
     @property
+    def n_logp(self) -> int:
+        return self.n_grad + self._n_logp_only
+
+    @property
     def eval_count_logp(self) -> int:
         return self.n_logp
 
@@ -149,23 +155,18 @@ class CounterView:
     def eval_count_grad(self) -> int:
         return self.n_grad
 
-    def _count(self, n_logp: int, n_grad: int) -> None:
-        with self._lock:
-            self.n_logp += n_logp
-            self.n_grad += n_grad
-
     def logp_grad(self, theta):
-        self._count(1, 1)
+        self.n_grad += 1
         return self._base.logp_grad(theta)
 
     def logp(self, theta):
-        self._count(1, 0)
+        self._n_logp_only += 1
         return self._base.logp(theta)
 
     def logp_many(self, points):
         points = np.asarray(points, dtype=float)
         vals = self._base.logp_many(points)
-        self._count(points.shape[0], 0)
+        self._n_logp_only += points.shape[0]
         return vals
 
 

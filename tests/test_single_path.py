@@ -116,15 +116,6 @@ class TestReproducibility:
         np.testing.assert_array_equal(a.elbo_trace, b.elbo_trace)
         assert a.l_star == b.l_star
 
-    def test_worker_count_does_not_change_output(self):
-        opts = PathfinderOptions()
-        outs = []
-        for workers in (1, 4):
-            target = make_target("eight_schools_noncentered")
-            outs.append(run_single(target, opts, seed=9, workers=workers))
-        np.testing.assert_array_equal(outs[0].draws, outs[1].draws)
-        np.testing.assert_array_equal(outs[0].elbo_trace, outs[1].elbo_trace)
-
     def test_distinct_paths_differ(self):
         target = make_target("std_normal", dim=3)
         r0 = run_single(target, PathfinderOptions(), seed=1, path_index=0)
