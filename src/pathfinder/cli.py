@@ -24,24 +24,16 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import AllPathsFailedError, BadParamsError, ConfigError, UnknownTargetError
-from .lbfgs import LbfgsOptions
 from .multipath import MultipathOptions, run_multi
-from .single_path import PathfinderOptions, run_single
+from .options import POSITIVE_INT, from_flat, kind_problem, settings, to_flat
+from .single_path import run_single
 from .targets import make_target
-
-# Fields that identify the run; these are echoed into the diagnostics JSON.
-ALGO_FIELDS = (
-    "target", "target_params", "dim", "mode", "seed",
-    "max_iters", "rel_tol", "history_size", "elbo_draws", "num_draws",
-    "init_radius", "num_paths", "num_resample",
-    "wolfe_c1", "wolfe_c2", "pair_eps", "grad_zero_tol",
-)
-# Execution-only fields: where to write and how many workers to use.
-EXEC_FIELDS = ("out", "diagnostics", "workers")
 
 
 @dataclass
 class RunConfig:
+    """One run: the target, the mode, the seed, where to write, and the options tree."""
+
     target: str = ""
     target_params: dict = field(default_factory=dict)
     dim: int | None = None
@@ -50,23 +42,14 @@ class RunConfig:
     out: str = "draws.csv"
     diagnostics: str = "diagnostics.json"
     workers: int = 1
-    max_iters: int = 1000
-    rel_tol: float = 1e-13
-    history_size: int = 6
-    elbo_draws: int = 5
-    num_draws: int = 100
-    init_radius: float = 2.0
-    num_paths: int = 20
-    num_resample: int = 100
-    wolfe_c1: float = 1e-4
-    wolfe_c2: float = 0.9
-    pair_eps: float = 2.2e-16
-    grad_zero_tol: float = 1e-12
+    options: MultipathOptions = field(default_factory=MultipathOptions)
 
     def echo(self) -> dict:
-        """Algorithmic fields only, for provenance in the diagnostics JSON."""
-        full = dataclasses.asdict(self)
-        return {k: full[k] for k in ALGO_FIELDS}
+        """What determines the output, keyed as in a config file: no paths, no workers."""
+        return {
+            "target": self.target, "target_params": self.target_params, "dim": self.dim,
+            "mode": self.mode, "seed": self.seed, **to_flat(self.options),
+        }
 
 
 def validate_config(raw: dict) -> RunConfig:
@@ -75,12 +58,13 @@ def validate_config(raw: dict) -> RunConfig:
     Unknown keys are rejected; every violated constraint is reported with its
     field name.
     """
-    known = {f.name for f in dataclasses.fields(RunConfig)}
-    unknown = sorted(set(raw) - known)
+    run_keys = {f.name for f in dataclasses.fields(RunConfig)} - {"options"}
+    declared = list(settings(MultipathOptions))
+    unknown = sorted(set(raw) - run_keys - {s.key for s in declared})
     if unknown:
         raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
 
-    cfg = RunConfig(**raw)
+    cfg = RunConfig(**{k: v for k, v in raw.items() if k in run_keys})
     problems = []
 
     if not cfg.target or not isinstance(cfg.target, str):
@@ -91,29 +75,16 @@ def validate_config(raw: dict) -> RunConfig:
         problems.append(f"mode: must be 'single' or 'multi', got {cfg.mode!r}")
     if not isinstance(cfg.seed, int) or isinstance(cfg.seed, bool) or not 0 <= cfg.seed < 2**64:
         problems.append(f"seed: must be an integer in [0, 2^64), got {cfg.seed!r}")
-    if cfg.dim is not None and (not isinstance(cfg.dim, int) or cfg.dim < 1):
-        problems.append(f"dim: must be a positive integer, got {cfg.dim!r}")
-    for name in ("max_iters", "history_size", "elbo_draws", "num_draws",
-                 "num_paths", "num_resample", "workers"):
-        value = getattr(cfg, name)
-        if not isinstance(value, int) or isinstance(value, bool) or value < 1:
-            problems.append(f"{name}: must be a positive integer, got {value!r}")
-    for name in ("rel_tol", "init_radius", "pair_eps", "grad_zero_tol"):
-        value = getattr(cfg, name)
-        if not isinstance(value, (int, float)) or value <= 0:
-            problems.append(f"{name}: must be a positive number, got {value!r}")
-    if not (isinstance(cfg.wolfe_c1, float) and isinstance(cfg.wolfe_c2, float)
-            and 0.0 < cfg.wolfe_c1 < cfg.wolfe_c2 < 1.0):
-        problems.append(
-            f"wolfe_c1/wolfe_c2: need 0 < c1 < c2 < 1, got {cfg.wolfe_c1!r}, {cfg.wolfe_c2!r}"
-        )
-    if (isinstance(cfg.num_resample, int) and isinstance(cfg.num_paths, int)
-            and isinstance(cfg.num_draws, int)
-            and cfg.num_resample > cfg.num_paths * cfg.num_draws):
-        problems.append(
-            f"num_resample: {cfg.num_resample} exceeds num_paths * num_draws "
-            f"= {cfg.num_paths * cfg.num_draws}"
-        )
+    if cfg.dim is not None:
+        problems.append(kind_problem("dim", POSITIVE_INT, cfg.dim))
+    problems.append(kind_problem("workers", POSITIVE_INT, cfg.workers))
+    problems += [kind_problem(s.key, s.kind, raw[s.key]) for s in declared if s.key in raw]
+    problems = [p for p in problems if p]
+    if not problems:
+        try:
+            cfg.options = from_flat(MultipathOptions, raw)
+        except ValueError as exc:  # a constraint between settings
+            problems.append(str(exc))
     if problems:
         raise ConfigError("; ".join(problems))
     return cfg
@@ -136,24 +107,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--diagnostics", help="output JSON path for diagnostics")
     parser.add_argument("--workers", type=int,
                         help="worker threads (fallback: env PATHFINDER_WORKERS, then 1)")
-    parser.add_argument("--max-iters", dest="max_iters", type=int, help="optimizer iteration cap")
-    parser.add_argument("--rel-tol", dest="rel_tol", type=float, help="optimizer relative tolerance")
-    parser.add_argument("--history-size", dest="history_size", type=int,
-                        help="quasi-Newton history size")
-    parser.add_argument("--elbo-draws", dest="elbo_draws", type=int,
-                        help="Monte Carlo draws per ELBO estimate")
-    parser.add_argument("--num-draws", dest="num_draws", type=int, help="draws per path")
-    parser.add_argument("--init-radius", dest="init_radius", type=float,
-                        help="uniform initialization half-width")
-    parser.add_argument("--paths", dest="num_paths", type=int, help="independent paths (multi mode)")
-    parser.add_argument("--resample-draws", dest="num_resample", type=int,
-                        help="resampled draws returned in multi mode")
-    parser.add_argument("--wolfe-c1", dest="wolfe_c1", type=float, help="sufficient-increase bound")
-    parser.add_argument("--wolfe-c2", dest="wolfe_c2", type=float, help="curvature bound")
-    parser.add_argument("--pair-eps", dest="pair_eps", type=float,
-                        help="curvature threshold for storing update pairs")
-    parser.add_argument("--grad-zero-tol", dest="grad_zero_tol", type=float,
-                        help="gradient norm treated as zero")
+    for s in settings(MultipathOptions):
+        parser.add_argument(s.flag, dest=s.key, type=int if s.kind == POSITIVE_INT else float,
+                            help=f"{s.help}; a {s.kind} (default {s.default})")
     return parser
 
 
@@ -197,23 +153,6 @@ def _build_target(cfg: RunConfig):
     if cfg.dim is not None:
         params.setdefault("dim", cfg.dim)
     return make_target(cfg.target, **params)
-
-
-def _options(cfg: RunConfig) -> PathfinderOptions:
-    return PathfinderOptions(
-        max_iters=cfg.max_iters,
-        rel_tol=cfg.rel_tol,
-        history_size=cfg.history_size,
-        elbo_draws=cfg.elbo_draws,
-        num_draws=cfg.num_draws,
-        init_radius=cfg.init_radius,
-        lbfgs=LbfgsOptions(
-            c1=cfg.wolfe_c1,
-            c2=cfg.wolfe_c2,
-            pair_eps=cfg.pair_eps,
-            grad_zero_tol=cfg.grad_zero_tol,
-        ),
-    )
 
 
 def _write_csv(path: str, draws: np.ndarray) -> None:
@@ -275,11 +214,10 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
-    opts = _options(cfg)
     payload: dict = {"config": cfg.echo(), "target_dim": target.dim}
 
     if cfg.mode == "single":
-        run = run_single(target, opts, cfg.seed, path_index=0)
+        run = run_single(target, cfg.options.single, cfg.seed, path_index=0)
         draws = run.draws
         payload.update(
             paths=[_path_record(0, run)],
@@ -291,11 +229,8 @@ def main(argv=None) -> int:
         )
         failed = run.failed
     else:
-        mopts = MultipathOptions(
-            num_paths=cfg.num_paths, num_resample=cfg.num_resample, single=opts
-        )
         try:
-            result = run_multi(target, mopts, cfg.seed, workers=cfg.workers)
+            result = run_multi(target, cfg.options, cfg.seed, workers=cfg.workers)
         except AllPathsFailedError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 1

@@ -3,7 +3,8 @@
 The optimizer maximizes log p directly.  Search directions are computed from
 the compact low-rank-plus-diagonal inverse Hessian representation without ever
 materializing an N x N matrix, and the backtracking line search halves the
-step until both Wolfe conditions hold.
+step until the sufficient-increase (Armijo) condition holds; no curvature
+condition is enforced.
 """
 
 from __future__ import annotations
@@ -17,37 +18,30 @@ import numpy as np
 from scipy.linalg import solve_triangular
 
 from .errors import LineSearchFailError, NonFiniteError, SingularEError
+from .options import POSITIVE, POSITIVE_INT, UNIT, check_settings, setting
+
+# Step halvings the line search tries before it gives up.
+MAX_HALVINGS = 60
 
 
 @dataclass(frozen=True)
 class LbfgsOptions:
-    """Tuning knobs for the optimizer.
+    """Tuning settings for the optimizer.
 
     ``pair_eps`` gates history updates: a pair (s, z) is stored only when
     s'z > pair_eps * ||z||^2, the curvature condition that keeps the inverse
     Hessian estimate positive definite.
     """
 
-    history_size: int = 6
-    rel_tol: float = 1e-13
-    max_iters: int = 1000
-    c1: float = 1e-4
-    c2: float = 0.9
-    pair_eps: float = 2.2e-16
-    grad_zero_tol: float = 1e-12
-    max_halvings: int = 60
+    history_size: int = setting(6, POSITIVE_INT, "quasi-Newton history size")
+    rel_tol: float = setting(1e-13, POSITIVE, "optimizer relative tolerance")
+    max_iters: int = setting(1000, POSITIVE_INT, "optimizer iteration cap")
+    c1: float = setting(1e-4, UNIT, "sufficient-increase bound", key="wolfe_c1")
+    pair_eps: float = setting(2.2e-16, POSITIVE, "curvature threshold for storing update pairs")
+    grad_zero_tol: float = setting(1e-12, POSITIVE, "gradient norm treated as zero")
 
     def __post_init__(self):
-        if not (0.0 < self.c1 < self.c2 < 1.0):
-            raise ValueError(f"need 0 < c1 < c2 < 1, got c1={self.c1}, c2={self.c2}")
-        if self.history_size < 1:
-            raise ValueError("history_size must be >= 1")
-        if self.max_iters < 1:
-            raise ValueError("max_iters must be >= 1")
-        if self.rel_tol <= 0.0:
-            raise ValueError("rel_tol must be positive")
-        if self.max_halvings < 1:
-            raise ValueError("max_halvings must be >= 1")
+        check_settings(self)
 
 
 class Termination(Enum):
@@ -62,15 +56,11 @@ class Trajectory:
     """Optimization path theta^(0:L') with gradients and log densities.
 
     ``logps`` is strictly increasing; all three arrays have L'+1 rows.
-    Evaluation counters cover every fused call the optimizer made, including
-    rejected line-search trials.
     """
 
     thetas: np.ndarray
     grads: np.ndarray
     logps: np.ndarray
-    n_logp_evals: int
-    n_grad_evals: int
     termination: Termination
 
     @property
@@ -84,7 +74,6 @@ class LineSearchResult(NamedTuple):
     theta: np.ndarray
     logp: float
     grad: np.ndarray
-    n_evals: int
 
 
 def search_direction(S, Z, alpha, grad) -> np.ndarray:
@@ -115,30 +104,22 @@ def search_direction(S, Z, alpha, grad) -> np.ndarray:
     return base + (alpha * (Z @ top)) + S @ bot
 
 
-def wolfe_line_search(target, theta, logp, grad, delta, c1, c2, max_halvings=60) -> LineSearchResult:
-    """Backtrack over steps 1, 1/2, 1/4, ... until both Wolfe conditions hold.
+def wolfe_line_search(target, theta, logp, grad, delta, c1) -> LineSearchResult:
+    """Backtrack over steps 1, 1/2, 1/4, ... to the first with sufficient increase.
 
-    Requires grad'delta > 0 (ascent direction).  An evaluation that raises
-    NonFiniteError counts as a failed check and the step is halved.
-
-    The curvature condition can be unsatisfiable on this grid: when the log
-    density is still steepening at the unit step the acceptable window lies
-    beyond 1, which halving can never reach, and below the first
-    sufficient-increase step the directional slope only moves further from
-    the curvature bound under a local quadratic model.  So the search accepts
-    the first step with sufficient increase outright; whenever the printed
-    both-condition search would have succeeded, that step is the same one.
-    A step accepted with the curvature condition unmet simply produces an
-    update pair that fails the curvature gate downstream, leaving the inverse
-    Hessian estimate intact.  LineSearchFailError is raised only when no step
-    yields a sufficient increase.
+    Requires grad'delta > 0 (ascent direction).  Only the sufficient-increase
+    (Armijo) condition logp(theta + step delta) >= logp + c1 step grad'delta
+    is enforced; the curvature condition is not.  An evaluation that raises
+    NonFiniteError counts as a failed check and the step is halved.  A step
+    that leaves the curvature unmet simply produces an update pair that fails
+    the curvature gate downstream, leaving the inverse Hessian estimate
+    intact.  LineSearchFailError is raised when no step of the first
+    MAX_HALVINGS + 1 yields a sufficient increase.
     """
     slope = float(grad @ delta)
     step = 1.0
-    n_evals = 0
-    for _ in range(max_halvings + 1):
+    for _ in range(MAX_HALVINGS + 1):
         candidate = theta + step * delta
-        n_evals += 1
         try:
             logp_new, grad_new = target.logp_grad(candidate)
         except NonFiniteError:
@@ -147,9 +128,9 @@ def wolfe_line_search(target, theta, logp, grad, delta, c1, c2, max_halvings=60)
         with np.errstate(over="ignore", invalid="ignore"):
             sufficient_increase = logp_new >= logp + c1 * step * slope
         if sufficient_increase:
-            return LineSearchResult(step, candidate, logp_new, grad_new, n_evals)
+            return LineSearchResult(step, candidate, logp_new, grad_new)
         step *= 0.5
-    raise LineSearchFailError(f"no acceptable step after {max_halvings} halvings")
+    raise LineSearchFailError(f"no acceptable step after {MAX_HALVINGS} halvings")
 
 
 # Denominator floor for the relative-improvement convergence test, guarding
@@ -168,7 +149,6 @@ def optimize(target, theta_init, opts: LbfgsOptions) -> Trajectory:
     """
     theta = np.asarray(theta_init, dtype=float)
     logp, grad = target.logp_grad(theta)  # NonFiniteError propagates: init must be finite
-    n_evals = 1
 
     thetas = [theta]
     grads = [grad]
@@ -177,7 +157,7 @@ def optimize(target, theta_init, opts: LbfgsOptions) -> Trajectory:
     if np.linalg.norm(grad) < opts.grad_zero_tol:
         return Trajectory(
             np.asarray(thetas), np.asarray(grads), np.asarray(logps),
-            n_evals, n_evals, Termination.ZERO_GRADIENT_AT_INIT,
+            Termination.ZERO_GRADIENT_AT_INIT,
         )
 
     s_hist: deque = deque(maxlen=opts.history_size)
@@ -201,15 +181,10 @@ def optimize(target, theta_init, opts: LbfgsOptions) -> Trajectory:
             termination = Termination.LINE_SEARCH_FAIL
             break
         try:
-            ls = wolfe_line_search(
-                target, thetas[-1], logps[-1], grads[-1], delta,
-                opts.c1, opts.c2, opts.max_halvings,
-            )
+            ls = wolfe_line_search(target, thetas[-1], logps[-1], grads[-1], delta, opts.c1)
         except LineSearchFailError:
-            n_evals += opts.max_halvings + 1
             termination = Termination.LINE_SEARCH_FAIL
             break
-        n_evals += ls.n_evals
 
         if ls.logp <= logps[-1]:
             # No representable increase left; keep the path strictly increasing.
@@ -234,7 +209,4 @@ def optimize(target, theta_init, opts: LbfgsOptions) -> Trajectory:
             z_hist.append(z_new)
             alpha = ((z_new @ z_new) / (s_new @ z_new)) * np.ones(theta.size)
 
-    return Trajectory(
-        np.asarray(thetas), np.asarray(grads), np.asarray(logps),
-        n_evals, n_evals, termination,
-    )
+    return Trajectory(np.asarray(thetas), np.asarray(grads), np.asarray(logps), termination)

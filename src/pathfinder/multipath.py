@@ -18,6 +18,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import AllPathsFailedError, NoFiniteWeightsError
+from .options import POSITIVE_INT, check_settings, setting
 from .seeding import STREAM_RESAMPLE, substream
 from .single_path import PathfinderOptions, PathfinderRun, run_single
 from .targets import CounterView
@@ -43,17 +44,17 @@ class MultipathOptions:
     must not exceed the pooled total.
     """
 
-    num_paths: int = 20
-    num_resample: int = 100
+    num_paths: int = setting(20, POSITIVE_INT, "independent paths (multi mode)", flag="--paths")
+    num_resample: int = setting(100, POSITIVE_INT, "resampled draws returned in multi mode",
+                                flag="--resample-draws")
     single: PathfinderOptions = field(default_factory=PathfinderOptions)
 
     def __post_init__(self):
-        if self.num_paths < 1 or self.num_resample < 1:
-            raise ValueError("num_paths and num_resample must be >= 1")
+        check_settings(self)
         if self.num_resample > self.num_paths * self.single.num_draws:
             raise ValueError(
-                f"num_resample={self.num_resample} exceeds pooled draw count "
-                f"{self.num_paths} * {self.single.num_draws}"
+                f"num_resample: {self.num_resample} exceeds num_paths * num_draws "
+                f"= {self.num_paths * self.single.num_draws}"
             )
 
 

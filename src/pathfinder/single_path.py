@@ -14,7 +14,6 @@ importance weight downstream.
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -27,6 +26,7 @@ from .inv_hessian import (
     alpha_recover, assemble_factors, pair_counts, select_rows, stacked_factors, window,
 )
 from .lbfgs import LbfgsOptions, Termination, optimize
+from .options import POSITIVE, POSITIVE_INT, check_settings, setting
 from .seeding import STREAM_CANDIDATE, STREAM_FINAL, STREAM_INIT, substream
 from .targets import CounterView
 
@@ -42,36 +42,20 @@ DISQUALIFY_REASONS = ("singular_e", "cholesky", "nonfinite_approx", "nonfinite_e
 
 @dataclass(frozen=True)
 class PathfinderOptions:
-    """Tuning parameters for one optimization path.
+    """Tuning settings for one optimization path.
 
-    ``max_iters``, ``rel_tol``, and ``history_size`` are shared with the
-    optimizer and pushed into the nested L-BFGS options; the remaining L-BFGS
-    knobs (Wolfe bounds, pair threshold) live in ``lbfgs``.
+    ELBO draws per candidate, output draws and the initialization half-width
+    are set here; the optimizer's settings, including the history size that
+    also bounds each candidate's pair count, live in ``lbfgs``.
     """
 
-    max_iters: int = 1000
-    rel_tol: float = 1e-13
-    history_size: int = 6
-    elbo_draws: int = 5
-    num_draws: int = 100
-    init_radius: float = 2.0
+    elbo_draws: int = setting(5, POSITIVE_INT, "Monte Carlo draws per ELBO estimate")
+    num_draws: int = setting(100, POSITIVE_INT, "draws per path")
+    init_radius: float = setting(2.0, POSITIVE, "uniform initialization half-width")
     lbfgs: LbfgsOptions = field(default_factory=LbfgsOptions)
 
     def __post_init__(self):
-        if min(self.max_iters, self.history_size, self.elbo_draws, self.num_draws) < 1:
-            raise ValueError("max_iters, history_size, elbo_draws, num_draws must be >= 1")
-        if self.rel_tol <= 0 or self.init_radius <= 0:
-            raise ValueError("rel_tol and init_radius must be positive")
-        object.__setattr__(
-            self,
-            "lbfgs",
-            dataclasses.replace(
-                self.lbfgs,
-                history_size=self.history_size,
-                rel_tol=self.rel_tol,
-                max_iters=self.max_iters,
-            ),
-        )
+        check_settings(self)
 
 
 @dataclass
@@ -143,7 +127,7 @@ def _score_candidates(tally, recovery, trajectory, opts, seed, path_index):
     elbo_trace = np.full(num_iters, -np.inf)
     reasons = dict.fromkeys(DISQUALIFY_REASONS, 0)
     scored = 0
-    for first, stop, num_pairs in _blocks(pair_counts(recovery, opts.history_size), dim):
+    for first, stop, num_pairs in _blocks(pair_counts(recovery, opts.lbfgs.history_size), dim):
         iters = np.arange(first + 1, stop + 1)
         factors, ok_e = stacked_factors(*window(recovery, iters, num_pairs))
         reasons["singular_e"] += int(np.sum(~ok_e))
@@ -227,7 +211,7 @@ def run_single(target, opts: PathfinderOptions, seed: int, path_index: int = 0) 
 
     # Rebuild the winner through the same stacked code, as a stack of one,
     # and draw a fresh batch of output draws.
-    factors = assemble_factors(recovery, l_star, opts.history_size)
+    factors = assemble_factors(recovery, l_star, opts.lbfgs.history_size)
     approx = normal_approx.build(factors, trajectory.thetas[l_star], trajectory.grads[l_star])
     rng_final = substream(seed, path_index, STREAM_FINAL)
     batch = normal_approx.sample(approx, opts.num_draws, rng_final)

@@ -1,12 +1,19 @@
 """Tests for the command-line front end."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import pathfinder
 from pathfinder import ConfigError
 from pathfinder.cli import main, validate_config
+
+from test_options import NON_DEFAULT
 
 
 def run_cli(tmp_path, *extra, check=0):
@@ -25,11 +32,11 @@ def read_csv(path):
 
 class TestValidateConfig:
     def test_defaults(self):
-        cfg = validate_config({"target": "std_normal"})
-        assert (cfg.history_size, cfg.elbo_draws, cfg.num_draws) == (6, 5, 100)
-        assert (cfg.num_paths, cfg.num_resample) == (20, 100)
-        assert cfg.max_iters == 1000 and cfg.rel_tol == 1e-13
-        assert cfg.mode == "multi" and cfg.seed == 0
+        echoed = validate_config({"target": "std_normal"}).echo()
+        assert (echoed["history_size"], echoed["elbo_draws"], echoed["num_draws"]) == (6, 5, 100)
+        assert (echoed["num_paths"], echoed["num_resample"]) == (20, 100)
+        assert echoed["max_iters"] == 1000 and echoed["rel_tol"] == 1e-13
+        assert echoed["mode"] == "multi" and echoed["seed"] == 0
 
     def test_unknown_keys_rejected(self):
         with pytest.raises(ConfigError, match="bogus"):
@@ -45,8 +52,9 @@ class TestValidateConfig:
             validate_config({"target": "std_normal", "seed": -1})
 
     def test_bad_wolfe_bounds(self):
-        with pytest.raises(ConfigError, match="wolfe"):
-            validate_config({"target": "std_normal", "wolfe_c1": 0.95, "wolfe_c2": 0.9})
+        with pytest.raises(ConfigError, match="wolfe_c1"):
+            validate_config({"target": "std_normal", "wolfe_c1": 1.5})
+        validate_config({"target": "std_normal", "wolfe_c1": 0.95})  # no c2 above it
 
     def test_target_required(self):
         with pytest.raises(ConfigError, match="target"):
@@ -134,11 +142,13 @@ class TestMain:
         assert code == 2
 
     def test_diagnostics_json_round_trip(self, tmp_path):
-        out1, diag1 = run_cli(
-            tmp_path, "--target", "std_normal", "--dim", "2", "--seed", "11",
-            "--paths", "3", "--num-draws", "30", "--resample-draws", "15",
-        )
+        # every setting off its default, so a key the echo dropped would show
+        first = tmp_path / "first.json"
+        first.write_text(json.dumps({"target": "std_normal", "dim": 2, "seed": 11,
+                                     **NON_DEFAULT}))
+        out1, diag1 = run_cli(tmp_path, "--config", str(first))
         payload = json.loads(diag1.read_text())
+        assert {k: payload["config"][k] for k in NON_DEFAULT} == NON_DEFAULT
         cfg_file = tmp_path / "echo.json"
         cfg_file.write_text(json.dumps(payload["config"]))
         out2 = tmp_path / "second.csv"
@@ -147,7 +157,7 @@ class TestMain:
                      "--diagnostics", str(diag2)])
         assert code == 0
         assert out2.read_bytes() == out1.read_bytes()
-        assert json.loads(diag2.read_text()) == payload
+        assert diag2.read_bytes() == diag1.read_bytes()
 
     def test_worker_count_does_not_change_bytes(self, tmp_path):
         outputs = []
@@ -172,3 +182,24 @@ class TestMain:
         values = np.array([[float(v) for v in row] for row in rows])
         assert values.shape == (10, 2)
         assert np.all(np.isfinite(values))
+
+
+def test_module_entry_point(tmp_path):
+    """``python -m pathfinder`` exits 2 without a traceback on a bad setting,
+    and 0 on a small valid run."""
+    src = str(Path(pathfinder.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+
+    def run(*args):
+        return subprocess.run(
+            [sys.executable, "-m", "pathfinder", "--target", "std_normal", "--dim", "2",
+             "--mode", "single", "--num-draws", "5", *args],
+            cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120)
+
+    bad = run("--init-radius", "inf")
+    assert bad.returncode == 2
+    assert "init_radius" in bad.stderr and "Traceback" not in bad.stderr
+    good = run("--seed", "1")
+    assert good.returncode == 0, good.stderr
+    assert len((tmp_path / "draws.csv").read_text().splitlines()) == 6

@@ -14,7 +14,7 @@ def trajectory_from_points(thetas, grads):
     thetas = np.asarray(thetas, float)
     grads = np.asarray(grads, float)
     logps = np.arange(len(thetas), dtype=float)  # strictly increasing stand-in
-    return Trajectory(thetas, grads, logps, len(thetas), len(thetas), Termination.MAX_ITER)
+    return Trajectory(thetas, grads, logps, Termination.MAX_ITER)
 
 
 def alpha_update_oracle(alpha_prev, s, z):

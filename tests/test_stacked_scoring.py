@@ -29,8 +29,7 @@ def short_trajectory(n, steps, seed):
         thetas.append(thetas[-1] + S[:, 0])
         grads.append(grads[-1] - Z[:, 0])
     thetas = np.array(thetas)
-    return Trajectory(thetas, np.array(grads), np.arange(steps + 1.0),
-                      steps + 1, steps + 1, Termination.MAX_ITER)
+    return Trajectory(thetas, np.array(grads), np.arange(steps + 1.0), Termination.MAX_ITER)
 
 
 @pytest.mark.parametrize("history_size", [1, 6])
