@@ -26,13 +26,14 @@ import numpy as np
 from .errors import AllPathsFailedError, BadParamsError, ConfigError, UnknownTargetError
 from .multipath import MultipathOptions, run_multi
 from .options import POSITIVE_INT, from_flat, kind_problem, settings, to_flat
-from .single_path import run_single
+from .single_path import PathfinderOptions, run_single
 from .targets import make_target
 
 
 @dataclass
 class RunConfig:
-    """One run: the target, the mode, the seed, where to write, and the options tree."""
+    """One run: the target, the mode, the seed, where to write, and the options
+    tree of what the mode runs (PathfinderOptions for single, which never resamples)."""
 
     target: str = ""
     target_params: dict = field(default_factory=dict)
@@ -42,7 +43,7 @@ class RunConfig:
     out: str = "draws.csv"
     diagnostics: str = "diagnostics.json"
     workers: int = 1
-    options: MultipathOptions = field(default_factory=MultipathOptions)
+    options: MultipathOptions | PathfinderOptions = field(default_factory=MultipathOptions)
 
     def echo(self) -> dict:
         """What determines the output, keyed as in a config file: no paths, no workers."""
@@ -77,12 +78,16 @@ def validate_config(raw: dict) -> RunConfig:
         problems.append(f"seed: must be an integer in [0, 2^64), got {cfg.seed!r}")
     if cfg.dim is not None:
         problems.append(kind_problem("dim", POSITIVE_INT, cfg.dim))
+        given = cfg.target_params.get("dim") if isinstance(cfg.target_params, dict) else None
+        if given is not None and given != cfg.dim:
+            problems.append(f"dim: {cfg.dim!r} conflicts with target_params dim {given!r}")
     problems.append(kind_problem("workers", POSITIVE_INT, cfg.workers))
     problems += [kind_problem(s.key, s.kind, raw[s.key]) for s in declared if s.key in raw]
     problems = [p for p in problems if p]
     if not problems:
         try:
-            cfg.options = from_flat(MultipathOptions, raw)
+            root = PathfinderOptions if cfg.mode == "single" else MultipathOptions
+            cfg.options = from_flat(root, raw)
         except ValueError as exc:  # a constraint between settings
             problems.append(str(exc))
     if problems:
@@ -217,7 +222,7 @@ def main(argv=None) -> int:
     payload: dict = {"config": cfg.echo(), "target_dim": target.dim}
 
     if cfg.mode == "single":
-        run = run_single(target, cfg.options.single, cfg.seed, path_index=0)
+        run = run_single(target, cfg.options, cfg.seed, path_index=0)
         draws = run.draws
         payload.update(
             paths=[_path_record(0, run)],

@@ -1,15 +1,15 @@
-"""Diagonal inverse-Hessian recovery and compact covariance factors.
+"""The one home of the compact inverse-Hessian form, and its diagonal recovery.
 
-Walks an optimization trajectory once to rebuild, for every iteration, the
-per-coordinate diagonal seed of the inverse Hessian estimate together with
-indicators of which position/gradient update pairs are usable.  The compact
-factors beta and gamma of the low-rank-plus-diagonal covariance
+``stacked_factors`` builds the Byrd-Nocedal-Schnabel (1994) factors of
 
     Sigma = diag(alpha) + beta @ gamma @ beta.T
 
-are then assembled for any iteration from the windowed pairs.  Factors are
-computed for stacks of iterations that share a pair count at once; the
-per-iteration functions are the stack-of-one case.
+and ``low_rank_product`` applies beta gamma beta'.  The optimizer's direction,
+each approximation's mean and its covariance factors all come from these.
+``alpha_recover`` walks a trajectory once to rebuild every iteration's
+diagonal seed and which update pairs are usable.  Factors are computed for
+stacks of iterations sharing a pair count; per-iteration functions are the
+stack-of-one case.
 """
 
 from __future__ import annotations
@@ -18,10 +18,8 @@ import dataclasses
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_triangular
 
 from .errors import SingularEError
-from .lbfgs import Trajectory
 
 # Pair acceptance threshold: s'z must exceed ALPHA_PAIR_EPS * ||z||^2, i.e.
 # the gradient change may not be more than 1e12 times the position change
@@ -92,8 +90,8 @@ class CompactFactors:
         return 2 * self.S.shape[-1]
 
 
-def alpha_recover(trajectory: Trajectory) -> AlphaRecovery:
-    """Recover per-coordinate diagonal inverse-Hessian seeds along a trajectory.
+def alpha_recover(trajectory) -> AlphaRecovery:
+    """Recover per-coordinate diagonal inverse-Hessian seeds along an ``lbfgs.Trajectory``.
 
     The seed starts at the all-ones vector.  For each accepted pair the
     diagonal is refreshed coordinate-wise from the quadratic forms
@@ -161,49 +159,58 @@ def window(recovery: AlphaRecovery, iters, num_pairs: int):
 def stacked_factors(S, Z, alpha):
     """Compact factors for a stack of (B, N, J') pair matrices and (B, N) seeds.
 
-    Returns the stacked CompactFactors and a (B,) mask of rows whose E has a
-    strictly positive diagonal.  Rows outside the mask carry placeholder
-    beta/gamma and must not be used.
+    Returns the stacked CompactFactors and a (B,) mask of rows whose E is
+    finite with a strictly positive diagonal.  Rows outside the mask carry
+    placeholder beta/gamma and must not be used.
     """
     B, N, J = S.shape
-    if J == 0:
-        return CompactFactors(
-            S=S, Z=Z, E=np.zeros((B, 0, 0)), eta=np.zeros((B, 0)),
-            beta=np.zeros((B, N, 0)), gamma=np.zeros((B, 0, 0)), alpha=alpha,
-        ), np.ones(B, dtype=bool)
+    with np.errstate(over="ignore", invalid="ignore"):  # spoils masked-out rows only
+        E = np.triu(S.transpose(0, 2, 1) @ Z)
+        eta = E.diagonal(0, 1, 2).copy()
+        ok = (eta > 0.0).all(1) & np.isfinite(E).all((1, 2))
+        # An upper-triangular E with a positive diagonal needs no pivoting,
+        # so the stacked LU inverse is exact triangular back substitution.
+        einv = np.linalg.inv(E if ok.all() else np.where(ok[:, None, None], E, np.eye(J)))
+        einv_t = einv.transpose(0, 2, 1)
 
-    E = np.triu(S.transpose(0, 2, 1) @ Z)
-    eta = np.diagonal(E, axis1=1, axis2=2).copy()
-    ok = np.all(eta > 0.0, axis=1)
-    eye = np.eye(J)
-    einv = solve_triangular(np.where(ok[:, None, None], E, eye), eye, lower=False)
-    einv_t = einv.transpose(0, 2, 1)
-
-    alpha_z = alpha[:, :, None] * Z
-    beta = np.concatenate([alpha_z, S], axis=2)
-    inner = Z.transpose(0, 2, 1) @ alpha_z
-    inner[:, np.arange(J), np.arange(J)] += eta
-    bottom_right = einv_t @ inner @ einv
-    bottom_right = 0.5 * (bottom_right + bottom_right.transpose(0, 2, 1))
+        alpha_z = alpha[:, :, None] * Z
+        beta = np.concatenate([alpha_z, S], axis=2)
+        inner = Z.transpose(0, 2, 1) @ alpha_z
+        inner.reshape(B, J * J)[:, ::J + 1] += eta   # the diagonals; a view, as inner is contiguous
+        bottom_right = einv_t @ inner @ einv
+        bottom_right = 0.5 * (bottom_right + bottom_right.transpose(0, 2, 1))
     gamma = np.zeros((B, 2 * J, 2 * J))
-    gamma[:, :J, J:] = -einv
-    gamma[:, J:, :J] = -einv_t
+    gamma[:, :J, J:] = minus_einv = -einv
+    gamma[:, J:, :J] = minus_einv.transpose(0, 2, 1)
     gamma[:, J:, J:] = bottom_right
     factors = CompactFactors(S=S, Z=Z, E=E, eta=eta, beta=beta, gamma=gamma, alpha=alpha)
     return factors, ok
 
 
 def factors_from_pairs(S, Z, alpha) -> CompactFactors:
-    """Build E, eta, beta, gamma for given (N, J') pair matrices and diagonal seed."""
-    S = np.asarray(S, dtype=float)
-    Z = np.asarray(Z, dtype=float)
+    """Compact factors for (N, J') pair matrices and a diagonal seed: a stack of one.
+
+    ``S`` may be None for no pairs.  Raises SingularEError when E is not
+    finite or has a non-positive diagonal.
+    """
     alpha = np.asarray(alpha, dtype=float)
-    if S.ndim != 2:
+    if np.ndim(S) != 2:
         S = Z = np.zeros((alpha.size, 0))
-    factors, ok = stacked_factors(S[None], Z[None], alpha[None])
+    factors, ok = stacked_factors(
+        np.asarray(S, dtype=float)[None], np.asarray(Z, dtype=float)[None], alpha[None])
     if not ok[0]:
-        raise SingularEError("accepted pairs must have positive s'z on the diagonal")
+        raise SingularEError("pair matrix E must be finite with a positive s'z diagonal")
     return select_rows(factors, 0)
+
+
+def low_rank_product(factors: CompactFactors, v) -> np.ndarray:
+    """beta gamma beta' v, so Sigma v = factors.alpha * v + this, in O(N J').
+
+    Takes one set of factors and an (N,) ``v``, or a stack of B and (B, N).
+    """
+    beta = factors.beta
+    gbv = factors.gamma @ (beta.swapaxes(-1, -2) @ v[..., None])
+    return (beta @ gbv)[..., 0]
 
 
 def assemble_factors(recovery: AlphaRecovery, l: int, history_size: int) -> CompactFactors:

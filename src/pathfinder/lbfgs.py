@@ -1,10 +1,10 @@
 """Limited-memory BFGS ascent on a log density, recording the full trajectory.
 
-The optimizer maximizes log p directly.  Search directions are computed from
-the compact low-rank-plus-diagonal inverse Hessian representation without ever
-materializing an N x N matrix, and the backtracking line search halves the
-step until the sufficient-increase (Armijo) condition holds; no curvature
-condition is enforced.
+The optimizer maximizes log p directly.  Search directions apply the
+low-rank-plus-diagonal inverse Hessian estimate, whose compact form lives in
+``inv_hessian`` alone, without ever materializing an N x N matrix.  The
+backtracking line search halves the step until the sufficient-increase
+(Armijo) condition holds; no curvature condition is enforced.
 """
 
 from __future__ import annotations
@@ -15,9 +15,9 @@ from enum import Enum
 from typing import NamedTuple
 
 import numpy as np
-from scipy.linalg import solve_triangular
 
-from .errors import LineSearchFailError, NonFiniteError, SingularEError
+from .errors import LineSearchFailError, NonFiniteError
+from .inv_hessian import factors_from_pairs, low_rank_product
 from .options import POSITIVE, POSITIVE_INT, UNIT, check_settings, setting
 
 # Step halvings the line search tries before it gives up.
@@ -77,31 +77,15 @@ class LineSearchResult(NamedTuple):
 
 
 def search_direction(S, Z, alpha, grad) -> np.ndarray:
-    """Ascent direction (diag(alpha) + beta gamma beta') grad from compact factors.
+    """Ascent direction Sigma grad, Sigma = diag(alpha) + beta gamma beta' from ``inv_hessian``.
 
-    S and Z are N x J' matrices of stored position/gradient updates satisfying
-    the curvature condition; alpha is the positive diagonal seed.  Cost is
-    O(N J'^2 + J'^3); no N x N intermediate is formed.
+    S and Z are N x J' matrices of stored position/gradient updates (None
+    for none); alpha is the positive diagonal seed.  Cost is O(N J'^2 + J'^3).
+    Raises SingularEError when the pairs give no valid E.
     """
-    alpha = np.asarray(alpha, dtype=float)
+    factors = factors_from_pairs(S, Z, alpha)
     grad = np.asarray(grad, dtype=float)
-    base = alpha * grad
-    if S is None or S.shape[1] == 0:
-        return base
-
-    E = np.triu(S.T @ Z)
-    diag = np.diag(E)
-    if np.any(diag == 0.0) or not np.all(np.isfinite(diag)):
-        raise SingularEError("pair matrix has a zero diagonal element")
-
-    u_top = Z.T @ base          # Z' diag(alpha) g
-    u_bot = S.T @ grad          # S' g
-    # gamma @ [u_top; u_bot] via triangular solves with E
-    einv_ubot = solve_triangular(E, u_bot, lower=False)
-    top = -einv_ubot
-    mid = diag * einv_ubot + Z.T @ (alpha * (Z @ einv_ubot))
-    bot = solve_triangular(E.T, mid - u_top, lower=True)
-    return base + (alpha * (Z @ top)) + S @ bot
+    return factors.alpha * grad + low_rank_product(factors, grad)
 
 
 def wolfe_line_search(target, theta, logp, grad, delta, c1) -> LineSearchResult:
@@ -169,11 +153,7 @@ def optimize(target, theta_init, opts: LbfgsOptions) -> Trajectory:
         if np.linalg.norm(grads[-1]) < opts.grad_zero_tol:
             termination = Termination.CONVERGED
             break
-        if s_hist:
-            S = np.stack(s_hist, axis=1)
-            Z = np.stack(z_hist, axis=1)
-        else:
-            S = Z = None
+        S, Z = (np.stack(s_hist, axis=1), np.stack(z_hist, axis=1)) if s_hist else (None, None)
         delta = search_direction(S, Z, alpha, grads[-1])
         with np.errstate(over="ignore", invalid="ignore"):
             ascent = np.all(np.isfinite(delta)) and grads[-1] @ delta > 0.0

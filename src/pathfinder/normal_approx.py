@@ -1,6 +1,7 @@
 """Factored normal approximations: build, sample, and evaluate in O(NJ) per draw.
 
-The covariance Sigma = diag(alpha) + beta gamma beta' is handled through a
+The covariance Sigma = diag(alpha) + beta gamma beta', whose compact factors
+come from ``inv_hessian`` (the one home of that form), is handled through a
 thin QR factorization of diag(alpha)^(-1/2) beta and a small Cholesky factor,
 giving Sigma = T T' with T = diag(alpha^(1/2)) [Q Ltilde  P].  The orthogonal
 complement P is never materialized: draws use the identity
@@ -16,7 +17,7 @@ import numpy as np
 from scipy.linalg import solve_triangular
 
 from .errors import CholeskyFailError
-from .inv_hessian import CompactFactors, select_rows
+from .inv_hessian import CompactFactors, low_rank_product, select_rows
 from .targets import LOG_2PI
 
 # One re-orthogonalization pass is applied if the thin QR loses orthonormality
@@ -62,10 +63,12 @@ class DrawBatch:
 def build_many(factors: CompactFactors, thetas, grads):
     """Construct the approximations at a stack of B trajectory points at once.
 
-    ``factors`` is a stack of B compact factors with a common pair count, and
-    ``thetas`` and ``grads`` are the (B, N) trajectory positions and their
-    log-density gradients; each mean takes one quasi-Newton step from its
-    point.  Returns the stacked FactoredNormal and a (B,) mask of rows whose
+    ``factors`` is a stack of B compact factors from
+    ``inv_hessian.stacked_factors`` with a common pair count, and ``thetas``
+    and ``grads`` are the (B, N) trajectory positions and their log-density
+    gradients.  Each mean takes one quasi-Newton step theta + Sigma grad from
+    its point, with the low-rank part from ``inv_hessian.low_rank_product``.
+    Returns the stacked FactoredNormal and a (B,) mask of rows whose
     inner matrix is positive definite; rows outside the mask carry an
     identity placeholder for ``lt`` and must not be used.
     """
@@ -80,12 +83,10 @@ def build_many(factors: CompactFactors, thetas, grads):
         )
         return approx, np.ones(B, dtype=bool)
 
-    beta = factors.beta
-    gamma = factors.gamma
     rank = factors.rank
     eye = np.eye(rank)
     inv_sqrt_alpha = 1.0 / np.sqrt(alpha)
-    qmat, rmat = np.linalg.qr(inv_sqrt_alpha[:, :, None] * beta, mode="reduced")
+    qmat, rmat = np.linalg.qr(inv_sqrt_alpha[:, :, None] * factors.beta, mode="reduced")
     ortho_err = np.abs(qmat.transpose(0, 2, 1) @ qmat - eye).max(axis=(1, 2))
     redo = ortho_err > QR_ORTHO_TOL
     if np.any(redo):
@@ -93,7 +94,9 @@ def build_many(factors: CompactFactors, thetas, grads):
         qmat[redo] = q2
         rmat[redo] = r2 @ rmat[redo]
 
-    inner = eye + rmat @ gamma @ rmat.transpose(0, 2, 1)
+    # With diag(alpha)^(-1/2) beta = Q R,
+    # Sigma = diag(alpha)^(1/2) (I + Q R gamma R' Q') diag(alpha)^(1/2).
+    inner = eye + (rmat @ factors.gamma) @ rmat.transpose(0, 2, 1)
     inner = 0.5 * (inner + inner.transpose(0, 2, 1))
     ok = np.ones(B, dtype=bool)
     try:
@@ -109,8 +112,7 @@ def build_many(factors: CompactFactors, thetas, grads):
 
     diag_lt = np.diagonal(lt, axis1=1, axis2=2)
     logdet = logdet_diag + 2.0 * np.sum(np.log(diag_lt), axis=1)
-    gbeta = gamma @ (beta.transpose(0, 2, 1) @ grads[:, :, None])
-    mu = base_mu + (beta @ gbeta)[:, :, 0]
+    mu = base_mu + low_rank_product(factors, grads)
     return FactoredNormal(mu=mu, alpha=alpha, qmat=qmat, lt=lt, logdet=logdet), ok
 
 

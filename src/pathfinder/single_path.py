@@ -31,7 +31,9 @@ from .seeding import STREAM_CANDIDATE, STREAM_FINAL, STREAM_INIT, substream
 from .targets import CounterView
 
 # Floats in one stacked (B, N, 2J') array of a scoring block.  Blocks bound
-# memory, not results: every candidate's arithmetic is the same at any B.
+# memory; they change no result where logp_many rows do not depend on the
+# batch, which holds for every target but logistic regression (a BLAS
+# product), whose results the fixed block size keeps reproducible.
 BLOCK_FLOATS = 2**14
 
 # Why a candidate approximation was disqualified, in the order checked:
@@ -180,7 +182,8 @@ def run_single(target, opts: PathfinderOptions, seed: int, path_index: int = 0) 
 
     All randomness comes from substreams keyed by (path_index, purpose,
     candidate index), so results are bit-identical for a fixed
-    (target, opts, seed, path_index), however the candidates are blocked.
+    (target, opts, seed, path_index); BLOCK_FLOATS says when the blocking
+    cannot change them either.
     """
     tally = CounterView(target)
     rng_init = substream(seed, path_index, STREAM_INIT)

@@ -332,7 +332,7 @@ class EightSchoolsCentered(LogDensityTarget):
         tau = points[:, 9]
         dev = effects - mu
         resid = EIGHT_SCHOOLS_Y - effects
-        lik = -0.5 * (resid * resid) @ _ES_INV_VAR
+        lik = -0.5 * np.einsum("ij,j->i", resid * resid, _ES_INV_VAR)
         prior_eff = -0.5 * np.einsum("ij,ij->i", dev, dev) * np.exp(-2.0 * tau) - 8.0 * tau
         prior_mu = -0.5 * (points[:, 8] / MU_PRIOR_SD) ** 2
         prior_tau = -np.log1p(np.exp(2.0 * tau) / TAU_PRIOR_SCALE**2) + tau
@@ -382,7 +382,7 @@ class EightSchoolsNonCentered(LogDensityTarget):
         s = np.exp(tau)[:, None]
         effects = mu + s * eta
         resid = EIGHT_SCHOOLS_Y - effects
-        lik = -0.5 * (resid * resid) @ _ES_INV_VAR
+        lik = -0.5 * np.einsum("ij,j->i", resid * resid, _ES_INV_VAR)
         prior_eta = -0.5 * np.einsum("ij,ij->i", eta, eta)
         prior_mu = -0.5 * (points[:, 8] / MU_PRIOR_SD) ** 2
         prior_tau = -np.log1p(np.exp(2.0 * tau) / TAU_PRIOR_SCALE**2) + tau

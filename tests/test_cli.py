@@ -105,6 +105,23 @@ class TestMain:
                 check=2)
         assert "num_resample" in capsys.readouterr().err
 
+    def test_resample_budget_applies_to_multi_mode_only(self, tmp_path, capsys):
+        args = ("--target", "std_normal", "--dim", "2", "--num-draws", "3")
+        out, diag = run_cli(tmp_path, *args, "--mode", "single")
+        assert len(read_csv(out)[1]) == 3
+        assert "num_resample" not in json.loads(diag.read_text())["config"]
+        run_cli(tmp_path, *args, "--mode", "multi", check=2)
+        assert "num_resample" in capsys.readouterr().err
+
+    def test_dim_conflict_with_target_params(self, tmp_path, capsys):
+        args = ("--target", "std_normal", "--mode", "single", "--num-draws", "5")
+        run_cli(tmp_path, *args, "--target-params", '{"dim": 3}', "--dim", "2", check=2)
+        err = capsys.readouterr().err
+        assert "dim" in err and "Traceback" not in err
+        assert not (tmp_path / "draws.csv").exists()
+        out, _ = run_cli(tmp_path, *args, "--target-params", '{"dim": 2}', "--dim", "2")
+        assert len(read_csv(out)[0]) == 2
+
     def test_missing_dim_reported(self, tmp_path, capsys):
         run_cli(tmp_path, "--target", "std_normal", check=2)
         assert "dim" in capsys.readouterr().err

@@ -1,11 +1,21 @@
 """Tests for diagonal seed recovery and compact factor assembly."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from pathfinder import LbfgsOptions, alpha_recover, assemble_factors, make_target, optimize
-from pathfinder.inv_hessian import ALPHA_PAIR_EPS, factors_from_pairs
-from pathfinder.lbfgs import Termination, Trajectory
+import pathfinder
+from pathfinder import (
+    LbfgsOptions, SingularEError, alpha_recover, assemble_factors, make_target, optimize,
+)
+from pathfinder.inv_hessian import (
+    ALPHA_PAIR_EPS, factors_from_pairs, low_rank_product, stacked_factors,
+)
+from pathfinder.lbfgs import Termination, Trajectory, search_direction
 
 from oracles import bfgs_recursive_sigma, dense_sigma, random_curvature_pairs
 
@@ -190,3 +200,56 @@ class TestAssembleFactors:
             assemble_factors(rec, 5, 6)
         with pytest.raises(IndexError):
             assemble_factors(rec, 0, 6)
+
+
+class TestCompactForm:
+    # S'Z overflows off the diagonal only: E = [[1, inf], [0, 1]].
+    S_OVER = np.array([[1e200, 0.0], [0.0, 1.0]])
+    Z_OVER = np.array([[1e-200, 1e200], [0.0, 1.0]])
+
+    def test_low_rank_product_matches_dense_sigma(self):
+        rng = np.random.default_rng(4)
+        stack = [random_curvature_pairs(rng, 7, 3) for _ in range(4)]
+        S = np.stack([s for s, _ in stack])
+        Z = np.stack([z for _, z in stack])
+        alpha = rng.uniform(0.5, 2.0, (4, 7))
+        v = rng.standard_normal((4, 7))
+        factors, ok = stacked_factors(S, Z, alpha)
+        assert ok.all()
+        stacked = low_rank_product(factors, v)
+        for b in range(4):
+            expected = (dense_sigma(S[b], Z[b], alpha[b]) - np.diag(alpha[b])) @ v[b]
+            np.testing.assert_allclose(stacked[b], expected, rtol=1e-10, atol=1e-12)
+            one = factors_from_pairs(S[b], Z[b], alpha[b])
+            np.testing.assert_array_equal(low_rank_product(one, v[b]), stacked[b])
+
+    def test_non_finite_e_raises(self):
+        with np.errstate(over="ignore"):
+            assert not np.all(np.isfinite(self.S_OVER.T @ self.Z_OVER))
+        with pytest.raises(SingularEError):
+            factors_from_pairs(self.S_OVER, self.Z_OVER, np.ones(2))
+        with pytest.raises(SingularEError):
+            search_direction(self.S_OVER, self.Z_OVER, np.ones(2), np.ones(2))
+
+    def test_non_finite_e_marks_only_its_row(self):
+        rng = np.random.default_rng(8)
+        good = [random_curvature_pairs(rng, 2, 2) for _ in range(2)]
+        S = np.stack([good[0][0], self.S_OVER, good[1][0]])
+        Z = np.stack([good[0][1], self.Z_OVER, good[1][1]])
+        alpha = rng.uniform(0.5, 2.0, (3, 2))
+        factors, ok = stacked_factors(S, Z, alpha)
+        assert ok.tolist() == [True, False, True]
+        alone, ok_alone = stacked_factors(S[[0, 2]], Z[[0, 2]], alpha[[0, 2]])
+        assert ok_alone.all()
+        for name in ("E", "beta", "gamma"):
+            np.testing.assert_array_equal(getattr(factors, name)[[0, 2]], getattr(alone, name))
+
+
+@pytest.mark.parametrize("module", ["pathfinder.lbfgs", "pathfinder.inv_hessian"])
+def test_module_imports_first_in_fresh_interpreter(module):
+    src = str(Path(pathfinder.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+    done = subprocess.run([sys.executable, "-c", f"import {module}"],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr

@@ -125,6 +125,31 @@ def test_failing_cholesky_disqualifies_only_that_candidate(monkeypatch):
     assert run.scored_candidates == clean.scored_candidates - len(broken)
 
 
+def test_overflowing_pair_products_disqualify_only_that_candidate(monkeypatch):
+    opts = PathfinderOptions()
+    clean = run_single(make_target("eight_schools_noncentered"), opts, seed=9)
+
+    def overflow_second_row(args, result):
+        S, Z, _ = result
+        if S.shape[0] < 3 or S.shape[2] < 2:
+            return []
+        # E keeps a positive finite diagonal while s_1'z_2 overflows, so
+        # only the finiteness check on E can catch it.
+        S[1, :, 0] *= 1e200
+        Z[1, :, 1] *= 1e200
+        return [int(args[1][1])]
+
+    broken = corrupting(monkeypatch, single_path, "window", overflow_second_row)
+    run = run_single(make_target("eight_schools_noncentered"), opts, seed=9)
+
+    assert broken
+    failed = np.array(broken) - 1
+    assert np.all(run.elbo_trace[failed] == -np.inf)
+    others = np.setdiff1d(np.arange(run.num_iters), failed)
+    np.testing.assert_array_equal(run.elbo_trace[others], clean.elbo_trace[others])
+    assert run.disqualified["singular_e"] == len(broken)
+
+
 def test_disqualification_counts_add_up(monkeypatch):
     def zero_a_pair(args, result):
         S, _, _ = result

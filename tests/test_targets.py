@@ -184,6 +184,19 @@ class TestGradients:
         single = np.array([target.logp(p) for p in pts])
         np.testing.assert_allclose(batch, single, atol=1e-11, rtol=1e-12)
 
+    # Logistic regression is left out: its BLAS matrix product is not row-stable.
+    @pytest.mark.parametrize(
+        "target", [t for t in all_targets() if not t.name.startswith("logistic_regression")],
+        ids=lambda t: t.name)
+    def test_batch_rows_do_not_depend_on_the_split(self, target):
+        # Candidates are scored in blocks of any size, so each row of a
+        # batched density must come out bitwise the same however it is split.
+        pts = random_points(target, 500, np.random.default_rng(5))
+        whole = target.logp_many(pts)
+        for size in (1, 7, 64):
+            parts = [target.logp_many(pts[i:i + size]) for i in range(0, len(pts), size)]
+            np.testing.assert_array_equal(np.concatenate(parts), whole)
+
 
 class TestCountersAndChecks:
     def test_counters_track_evaluations(self):
