@@ -6,9 +6,8 @@ pipeline, and writes draws as CSV plus diagnostics as JSON.  Exit codes:
 errors.  Configuration errors are reported as messages, never stack traces.
 
 The diagnostics JSON contains only deterministic content (the echoed
-algorithmic config and per-path results); wall time and worker count are
-execution details and go to stderr, so identical configs produce byte
-identical outputs at any worker count.
+algorithmic config and per-path results); wall time is an execution detail
+and goes to stderr, so identical configs produce byte identical outputs.
 """
 
 from __future__ import annotations
@@ -16,7 +15,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import os
 import sys
 import time
 from dataclasses import dataclass, field
@@ -42,11 +40,10 @@ class RunConfig:
     seed: int = 0
     out: str = "draws.csv"
     diagnostics: str = "diagnostics.json"
-    workers: int = 1
     options: MultipathOptions | PathfinderOptions = field(default_factory=MultipathOptions)
 
     def echo(self) -> dict:
-        """What determines the output, keyed as in a config file: no paths, no workers."""
+        """What determines the output, keyed as in a config file: no file paths."""
         return {
             "target": self.target, "target_params": self.target_params, "dim": self.dim,
             "mode": self.mode, "seed": self.seed, **to_flat(self.options),
@@ -81,7 +78,6 @@ def validate_config(raw: dict) -> RunConfig:
         given = cfg.target_params.get("dim") if isinstance(cfg.target_params, dict) else None
         if given is not None and given != cfg.dim:
             problems.append(f"dim: {cfg.dim!r} conflicts with target_params dim {given!r}")
-    problems.append(kind_problem("workers", POSITIVE_INT, cfg.workers))
     problems += [kind_problem(s.key, s.kind, raw[s.key]) for s in declared if s.key in raw]
     problems = [p for p in problems if p]
     if not problems:
@@ -110,8 +106,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--seed", type=int, help="master seed (64-bit, non-negative)")
     parser.add_argument("--out", help="output CSV path for draws")
     parser.add_argument("--diagnostics", help="output JSON path for diagnostics")
-    parser.add_argument("--workers", type=int,
-                        help="worker threads (fallback: env PATHFINDER_WORKERS, then 1)")
     for s in settings(MultipathOptions):
         parser.add_argument(s.flag, dest=s.key, type=int if s.kind == POSITIVE_INT else float,
                             help=f"{s.help}; a {s.kind} (default {s.default})")
@@ -142,14 +136,6 @@ def _merge_config(args: argparse.Namespace) -> dict:
             raw["target_params"] = json.loads(raw["target_params"])
         except json.JSONDecodeError as exc:
             raise ConfigError(f"target_params: invalid JSON: {exc.msg}") from exc
-
-    if "workers" not in raw:
-        env = os.environ.get("PATHFINDER_WORKERS")
-        if env is not None:
-            try:
-                raw["workers"] = int(env)
-            except ValueError as exc:
-                raise ConfigError(f"PATHFINDER_WORKERS: not an integer: {env!r}") from exc
     return raw
 
 
@@ -235,7 +221,7 @@ def main(argv=None) -> int:
         failed = run.failed
     else:
         try:
-            result = run_multi(target, cfg.options, cfg.seed, workers=cfg.workers)
+            result = run_multi(target, cfg.options, cfg.seed)
         except AllPathsFailedError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 1
@@ -264,7 +250,7 @@ def main(argv=None) -> int:
     elapsed = time.perf_counter() - start
     print(
         f"wrote {draws.shape[0]} draws to {cfg.out} and diagnostics to "
-        f"{cfg.diagnostics} ({elapsed:.2f}s, workers={cfg.workers})",
+        f"{cfg.diagnostics} ({elapsed:.2f}s)",
         file=sys.stderr,
     )
     if failed:

@@ -5,6 +5,11 @@ low-rank-plus-diagonal inverse Hessian estimate, whose compact form lives in
 ``inv_hessian`` alone, without ever materializing an N x N matrix.  The
 backtracking line search halves the step until the sufficient-increase
 (Armijo) condition holds; no curvature condition is enforced.
+
+Both are written once, as steppers: generators that yield the points they
+need evaluated and take each result back.  ``optimize`` and
+``wolfe_line_search`` run a stepper one ``logp_grad`` call at a time;
+``multipath`` runs one stepper per path and evaluates their points together.
 """
 
 from __future__ import annotations
@@ -88,6 +93,39 @@ def search_direction(S, Z, alpha, grad) -> np.ndarray:
     return factors.alpha * grad + low_rank_product(factors, grad)
 
 
+def drive(steps, target):
+    """Run a stepper to its end, one ``target.logp_grad`` call per trial point.
+
+    A stepper is a generator that yields trial points and is sent back
+    ``(logp, grad)`` for each, or None when the point was refused
+    (NonFiniteError); its return value is the result.
+    """
+    point = next(steps)
+    while True:
+        try:
+            result = target.logp_grad(point)
+        except NonFiniteError:
+            result = None
+        try:
+            point = steps.send(result)
+        except StopIteration as stop:
+            return stop.value
+
+
+def line_search_steps(theta, logp, grad, delta, c1):
+    """Stepper of ``wolfe_line_search``: yields its trial points in order."""
+    slope = float(grad @ delta)
+    step = 1.0
+    for _ in range(MAX_HALVINGS + 1):
+        candidate = theta + step * delta
+        result = yield candidate
+        # Python floats: an overflow or nan in the bound fails the check quietly.
+        if result is not None and result[0] >= logp + c1 * step * slope:
+            return LineSearchResult(step, candidate, *result)
+        step *= 0.5
+    raise LineSearchFailError(f"no acceptable step after {MAX_HALVINGS} halvings")
+
+
 def wolfe_line_search(target, theta, logp, grad, delta, c1) -> LineSearchResult:
     """Backtrack over steps 1, 1/2, 1/4, ... to the first with sufficient increase.
 
@@ -100,21 +138,7 @@ def wolfe_line_search(target, theta, logp, grad, delta, c1) -> LineSearchResult:
     intact.  LineSearchFailError is raised when no step of the first
     MAX_HALVINGS + 1 yields a sufficient increase.
     """
-    slope = float(grad @ delta)
-    step = 1.0
-    for _ in range(MAX_HALVINGS + 1):
-        candidate = theta + step * delta
-        try:
-            logp_new, grad_new = target.logp_grad(candidate)
-        except NonFiniteError:
-            step *= 0.5
-            continue
-        with np.errstate(over="ignore", invalid="ignore"):
-            sufficient_increase = logp_new >= logp + c1 * step * slope
-        if sufficient_increase:
-            return LineSearchResult(step, candidate, logp_new, grad_new)
-        step *= 0.5
-    raise LineSearchFailError(f"no acceptable step after {MAX_HALVINGS} halvings")
+    return drive(line_search_steps(theta, float(logp), grad, delta, c1), target)
 
 
 # Denominator floor for the relative-improvement convergence test, guarding
@@ -129,10 +153,19 @@ def optimize(target, theta_init, opts: LbfgsOptions) -> Trajectory:
     accepted pair the diagonal seed resets to the scalar ||z||^2 / (s'z).
     Terminates on relative log-density improvement below ``rel_tol``, at
     ``max_iters``, on line-search failure, or immediately when the initial
-    gradient norm is below ``grad_zero_tol``.
+    gradient norm is below ``grad_zero_tol``.  Raises NonFiniteError when the
+    initial point has a non-finite log density or gradient.
     """
+    return drive(optimize_steps(theta_init, opts), target)
+
+
+def optimize_steps(theta_init, opts: LbfgsOptions):
+    """Stepper of ``optimize``: yields theta_init, then each line search's trial points."""
     theta = np.asarray(theta_init, dtype=float)
-    logp, grad = target.logp_grad(theta)  # NonFiniteError propagates: init must be finite
+    result = yield theta
+    if result is None:
+        raise NonFiniteError("non-finite log density or gradient at the initial point")
+    logp, grad = result
 
     thetas = [theta]
     grads = [grad]
@@ -161,7 +194,7 @@ def optimize(target, theta_init, opts: LbfgsOptions) -> Trajectory:
             termination = Termination.LINE_SEARCH_FAIL
             break
         try:
-            ls = wolfe_line_search(target, thetas[-1], logps[-1], grads[-1], delta, opts.c1)
+            ls = yield from line_search_steps(thetas[-1], logps[-1], grads[-1], delta, opts.c1)
         except LineSearchFailError:
             termination = Termination.LINE_SEARCH_FAIL
             break

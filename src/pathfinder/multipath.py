@@ -1,6 +1,8 @@
-"""Multi-path pooling with Pareto-smoothed importance resampling.
+"""Multi-path Pathfinder: lockstep paths, pooled by Pareto-smoothed importance resampling.
 
-Independent single paths are pooled under an equally-weighted mixture
+The paths are independent, so their optimizers advance together: each round
+evaluates every active path's pending trial point in one batched target
+call.  The finished single paths are pooled under an equally-weighted mixture
 proposal in which every draw is scored against its own component density (the
 1/I mixture factors cancel between proposal and augmented target, so the raw
 log weight of a draw is simply log p - log q of its component).  The largest
@@ -11,16 +13,18 @@ from __future__ import annotations
 
 import logging
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Generator
 
 import numpy as np
 
-from .errors import AllPathsFailedError, NoFiniteWeightsError
+from .errors import AllPathsFailedError, NoFiniteWeightsError, NonFiniteError
+from .lbfgs import optimize_steps
 from .options import POSITIVE_INT, check_settings, setting
 from .seeding import STREAM_RESAMPLE, substream
-from .single_path import PathfinderOptions, PathfinderRun, run_single
+# run_single is not called here; it stays importable from this module, where
+# the benchmark's tracer (bench/layers.py) looks for it.
+from .single_path import PathfinderOptions, finish_run, initial_point, run_single  # noqa: F401
 from .targets import CounterView
 
 logger = logging.getLogger(__name__)
@@ -234,23 +238,62 @@ def pool_runs(runs: list, target) -> tuple[WeightedSample, int]:
     return pooled, view.n_logp
 
 
-def run_multi(target, opts: MultipathOptions, seed: int, workers: int = 1) -> MultipathResult:
-    """Run ``opts.num_paths`` independent paths, pool, smooth, and resample.
+@dataclass
+class _ActivePath:
+    """A path whose optimizer still runs, and the trial point it waits on."""
 
-    Paths execute concurrently when ``workers`` > 1; output is invariant to
-    scheduling because each path derives its own substreams from the master
-    seed.  Raises AllPathsFailedError when no path succeeds.
+    index: int
+    tally: CounterView
+    theta0: np.ndarray
+    steps: Generator
+    point: np.ndarray
+
+
+def _run_lockstep(target, opts: PathfinderOptions, seed: int, num_paths: int) -> list:
+    """Runs of paths 0..num_paths-1, their optimizers advanced in lockstep.
+
+    Each round sends every active path's pending trial point (its initial
+    point or a line-search step) to one ``target.logp_grad_many`` call and
+    hands each optimizer stepper its row.  A path is finished (scored and
+    sampled) as soon as its optimizer stops, which releases its trajectory.
+    Each run equals ``run_single(target, opts, seed, path_index=i)`` bit for
+    bit wherever the target's batched rows do not depend on the batch.
     """
+    def finish(path, trajectory):
+        runs[path.index] = finish_run(path.tally, path.theta0, trajectory, opts, seed, path.index)
 
-    def one_path(i):
-        return run_single(target, opts.single, seed, path_index=i)
+    runs = [None] * num_paths
+    active = []
+    for i in range(num_paths):
+        theta0 = initial_point(target.dim, opts, seed, i)
+        steps = optimize_steps(theta0, opts.lbfgs)
+        active.append(_ActivePath(i, CounterView(target), theta0, steps, next(steps)))
+    while active:
+        logps, grads, ok = target.logp_grad_many(np.stack([path.point for path in active]))
+        pending = []
+        for path, logp, grad, good in zip(active, logps.tolist(), grads, ok.tolist()):
+            path.tally.n_grad += 1  # the row's evaluation, already counted by the target
+            try:
+                # A stored gradient must own its memory: a row view would pin the batch.
+                path.point = path.steps.send((logp, grad.copy()) if good else None)
+            except StopIteration as stop:
+                finish(path, stop.value)
+            except NonFiniteError:  # raised for a refused initial point
+                finish(path, None)
+            else:
+                pending.append(path)
+        active = pending
+    return runs
 
-    indices = range(opts.num_paths)
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            runs = list(pool.map(one_path, indices))
-    else:
-        runs = [one_path(i) for i in indices]
+
+def run_multi(target, opts: MultipathOptions, seed: int) -> MultipathResult:
+    """Run ``opts.num_paths`` independent paths in lockstep, pool, smooth, and resample.
+
+    Each path derives its own substreams from the master seed, so the output
+    is a function of (target, opts, seed).  Raises AllPathsFailedError when
+    no path succeeds.
+    """
+    runs = _run_lockstep(target, opts.single, seed, opts.num_paths)
 
     if all(run.failed for run in runs):
         raise AllPathsFailedError(f"all {opts.num_paths} paths failed")

@@ -2,7 +2,8 @@
 
 Every random draw in the package comes from a generator keyed by
 ``(path index, stream id, item index)`` under a single master seed, so the
-output of a run never depends on scheduling or worker count.
+output of a run never depends on the order in which paths or candidates are
+processed.
 """
 
 import numpy as np

@@ -32,8 +32,12 @@ from .targets import CounterView
 
 # Floats in one stacked (B, N, 2J') array of a scoring block.  Blocks bound
 # memory; they change no result where logp_many rows do not depend on the
-# batch, which holds for every target but logistic regression (a BLAS
-# product), whose results the fixed block size keeps reproducible.
+# batch, which holds for every target but logistic regression, whose rows
+# are BLAS matrix products: the fixed block size keeps its results
+# reproducible.  The same holds for the lockstep optimizer's logp_grad_many
+# batches, so a logistic path run by ``run_multi`` is not bit-identical to
+# ``run_single`` with its path index, although ``run_multi`` output is
+# still a function of (target, options, seed).
 BLOCK_FLOATS = 2**14
 
 # Why a candidate approximation was disqualified, in the order checked:
@@ -177,6 +181,12 @@ def _failed_run(last_point, elbo_trace, tally, num_iters, termination,
     )
 
 
+def initial_point(dim: int, opts: PathfinderOptions, seed: int, path_index: int) -> np.ndarray:
+    """The path's uniform random start in [-init_radius, init_radius]^dim."""
+    rng_init = substream(seed, path_index, STREAM_INIT)
+    return rng_init.uniform(-opts.init_radius, opts.init_radius, dim)
+
+
 def run_single(target, opts: PathfinderOptions, seed: int, path_index: int = 0) -> PathfinderRun:
     """Run one path against ``target`` under the given master seed.
 
@@ -186,12 +196,23 @@ def run_single(target, opts: PathfinderOptions, seed: int, path_index: int = 0) 
     cannot change them either.
     """
     tally = CounterView(target)
-    rng_init = substream(seed, path_index, STREAM_INIT)
-    theta0 = rng_init.uniform(-opts.init_radius, opts.init_radius, tally.dim)
-
+    theta0 = initial_point(tally.dim, opts, seed, path_index)
     try:
         trajectory = optimize(tally, theta0, opts.lbfgs)
     except NonFiniteError:
+        trajectory = None
+    return finish_run(tally, theta0, trajectory, opts, seed, path_index)
+
+
+def finish_run(tally, theta0, trajectory, opts: PathfinderOptions, seed: int,
+               path_index: int) -> PathfinderRun:
+    """Score the candidates along an optimized path and draw from the winner.
+
+    ``tally`` is the path's CounterView, holding the optimizer's evaluations
+    so far; ``trajectory`` is None when the initial point ``theta0`` had a
+    non-finite log density or gradient.
+    """
+    if trajectory is None:
         return _failed_run(theta0, [], tally, 0, None)
 
     num_iters = trajectory.num_iters

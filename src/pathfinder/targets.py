@@ -1,15 +1,14 @@
 """Differentiable log-density targets with evaluation counters.
 
 Every target is an unnormalized (or normalized) log density on R^N exposing a
-fused ``logp_grad`` evaluation plus log-density-only evaluations.  Instances
-are immutable apart from their thread-safe evaluation counters, so a single
-target may be shared by concurrent workers.
+fused ``logp_grad`` evaluation, its batched form ``logp_grad_many``, and
+log-density-only evaluations.  Instances are immutable apart from their
+evaluation counters, plain integers that every evaluation adds to.
 """
 
 from __future__ import annotations
 
 import math
-import threading
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
@@ -23,10 +22,12 @@ class LogDensityTarget:
     """Base class: a differentiable log density on R^N.
 
     Subclasses implement ``_logp_grad_impl`` (single point) and may override
-    ``_logp_many_impl`` with a vectorized version.  Counters tick once per
-    point evaluated: ``logp_grad`` increments both counters, log-density-only
-    evaluations increment only the log-density counter.  The two are kept as
-    fused and log-density-only tallies, so each call makes one update.
+    ``_logp_many_impl`` and ``_logp_grad_many_impl`` with vectorized versions.
+    Counters tick once per point of the right shape handed in, whether or not
+    it is refused for being non-finite: fused evaluations increment both
+    counters, log-density-only evaluations only the log-density counter.  The
+    two are kept as fused and log-density-only tallies, so each call makes one
+    update.
     """
 
     def __init__(self, dim: int, name: str = ""):
@@ -35,7 +36,6 @@ class LogDensityTarget:
         self.dim = int(dim)
         self.name = name or type(self).__name__
         self._shape = (self.dim,)
-        self._lock = threading.Lock()
         self._n_fused = 0
         self._n_logp_only = 0
 
@@ -49,10 +49,6 @@ class LogDensityTarget:
     def eval_count_grad(self) -> int:
         return self._n_fused
 
-    def _count_logp_only(self, n: int) -> None:
-        with self._lock:
-            self._n_logp_only += n
-
     # -- evaluation --------------------------------------------------------
 
     def _check_point(self, theta) -> np.ndarray:
@@ -61,21 +57,31 @@ class LogDensityTarget:
             raise DimensionMismatchError(
                 f"{self.name}: expected point of shape ({self.dim},), got {theta.shape}"
             )
+        return theta
+
+    def _check_batch(self, points) -> np.ndarray:
+        points = np.asarray(points, dtype=float)
+        if points.ndim != 2 or points.shape[1] != self.dim:
+            raise DimensionMismatchError(
+                f"{self.name}: expected batch of shape (M, {self.dim}), got {points.shape}"
+            )
+        return points
+
+    def _refuse_non_finite(self, theta) -> None:
         if not np.isfinite(theta).all():
             raise NonFiniteError(f"{self.name}: input point contains non-finite values")
-        return theta
 
     def logp_grad(self, theta):
         """Return ``(log p(theta), grad log p(theta))``, counting one fused evaluation.
 
-        Raises NonFiniteError if either output is non-finite; callers in the
-        line search treat that as a rejected step.
+        Raises NonFiniteError if the input or either output is non-finite;
+        callers in the line search treat that as a rejected step.
         """
         theta = self._check_point(theta)
+        self._n_fused += 1
+        self._refuse_non_finite(theta)
         with np.errstate(all="ignore"):
             logp, grad = self._logp_grad_impl(theta)
-        with self._lock:
-            self._n_fused += 1
         grad = np.asarray(grad, dtype=float)
         if not (math.isfinite(logp) and np.isfinite(grad).all()):
             raise NonFiniteError(f"{self.name}: non-finite log density or gradient")
@@ -84,9 +90,10 @@ class LogDensityTarget:
     def logp(self, theta) -> float:
         """Log density only; increments only the log-density counter."""
         theta = self._check_point(theta)
+        self._n_logp_only += 1
+        self._refuse_non_finite(theta)
         with np.errstate(all="ignore"):
             logp, _ = self._logp_grad_impl(theta)
-        self._count_logp_only(1)
         if not np.isfinite(logp):
             raise NonFiniteError(f"{self.name}: non-finite log density")
         return float(logp)
@@ -97,16 +104,33 @@ class LogDensityTarget:
         Rows where the density is undefined or overflows come back as -inf
         instead of raising, which is what pooled-draw scoring wants.
         """
-        points = np.asarray(points, dtype=float)
-        if points.ndim != 2 or points.shape[1] != self.dim:
-            raise DimensionMismatchError(
-                f"{self.name}: expected batch of shape (M, {self.dim}), got {points.shape}"
-            )
+        points = self._check_batch(points)
         with np.errstate(all="ignore"):
             vals = self._logp_many_impl(points)
-        self._count_logp_only(points.shape[0])
+        self._n_logp_only += points.shape[0]
         vals = np.asarray(vals, dtype=float)
         return np.where(np.isfinite(vals), vals, -np.inf)
+
+    def logp_grad_many(self, points):
+        """Fused evaluation of an (M, N) batch, counting M fused evaluations.
+
+        Returns ``(logp (M,), grad (M, N), ok (M,))``.  A row whose input or
+        output is not finite is refused the way ``logp_grad`` refuses a point:
+        it is flagged False in ``ok`` and its values are meaningless; the other
+        rows are unaffected.  Most targets compute each row on its own, so a
+        row's bits do not depend on the batch it is in.  Logistic regression
+        does not: its rows are BLAS matrix products, whose rounding depends on
+        the batch.
+        """
+        points = self._check_batch(points)
+        self._n_fused += points.shape[0]
+        finite_in = np.isfinite(points).all(axis=1)
+        if not finite_in.all():
+            points = np.where(finite_in[:, None], points, 0.0)
+        with np.errstate(all="ignore"):
+            logp, grad = self._logp_grad_many_impl(points)
+        ok = finite_in & np.isfinite(logp) & np.isfinite(grad).all(axis=1)
+        return logp, grad, ok
 
     # -- implementation hooks ------------------------------------------------
 
@@ -119,15 +143,21 @@ class LogDensityTarget:
             out[i] = self._logp_grad_impl(row)[0]
         return out
 
+    def _logp_grad_many_impl(self, points):
+        logp = np.empty(points.shape[0])
+        grad = np.empty_like(points)
+        for i, row in enumerate(points):
+            logp[i], grad[i] = self._logp_grad_impl(row)
+        return logp, grad
+
 
 class CounterView:
-    """Per-worker tally over a shared target.
+    """Per-path tally over a shared target.
 
     Delegates all math to the base target (whose global counters keep
     ticking) while keeping a private count of the evaluations routed through
     this view.  Used to attribute costs to individual optimization paths.
-    A view belongs to one path and is used by one thread, so its tallies
-    need no lock.
+    It counts what the base counts, refused points included.
     """
 
     def __init__(self, base: LogDensityTarget):
@@ -155,19 +185,28 @@ class CounterView:
     def eval_count_grad(self) -> int:
         return self.n_grad
 
+    # Each method checks the shape first, so it counts exactly the points the
+    # base counts: the right shape, refused for being non-finite or not.
+
     def logp_grad(self, theta):
+        theta = self._base._check_point(theta)
         self.n_grad += 1
         return self._base.logp_grad(theta)
 
+    def logp_grad_many(self, points):
+        points = self._base._check_batch(points)
+        self.n_grad += points.shape[0]
+        return self._base.logp_grad_many(points)
+
     def logp(self, theta):
+        theta = self._base._check_point(theta)
         self._n_logp_only += 1
         return self._base.logp(theta)
 
     def logp_many(self, points):
-        points = np.asarray(points, dtype=float)
-        vals = self._base.logp_many(points)
+        points = self._base._check_batch(points)
         self._n_logp_only += points.shape[0]
-        return vals
+        return self._base.logp_many(points)
 
 
 # ---------------------------------------------------------------------------
@@ -326,6 +365,32 @@ class EightSchoolsCentered(LogDensityTarget):
         grad[9] = dev_ss * inv_s2 - 7.0 - 2.0 * s2_ratio / (1.0 + s2_ratio)
         return logp, grad
 
+    def _logp_grad_many_impl(self, points):
+        # _logp_grad_impl row by row: the same operations in the same order,
+        # with vecdot making the same BLAS dot call per row as ``@`` does.
+        effects = points[:, :8]
+        mu = points[:, 8]
+        tau = points[:, 9]
+        inv_s2 = np.exp(-2.0 * tau)
+        s2_ratio = np.exp(2.0 * tau) / TAU_PRIOR_SCALE**2
+
+        resid_y = (EIGHT_SCHOOLS_Y - effects) * _ES_INV_VAR
+        dev = effects - mu[:, None]
+        dev_ss = np.vecdot(dev, dev)
+        logp = (
+            -0.5 * np.vecdot(EIGHT_SCHOOLS_Y - effects, resid_y)
+            - 0.5 * dev_ss * inv_s2
+            - 7.0 * tau
+            - 0.5 * (mu / MU_PRIOR_SD) ** 2
+            - np.log1p(s2_ratio)
+            + _ES_CONST
+        )
+        grad = np.empty_like(points)
+        grad[:, :8] = resid_y - dev * inv_s2[:, None]
+        grad[:, 8] = np.sum(dev, axis=1) * inv_s2 - mu / MU_PRIOR_SD**2
+        grad[:, 9] = dev_ss * inv_s2 - 7.0 - 2.0 * s2_ratio / (1.0 + s2_ratio)
+        return logp, grad
+
     def _logp_many_impl(self, points):
         effects = points[:, :8]
         mu = points[:, 8:9]
@@ -375,6 +440,30 @@ class EightSchoolsNonCentered(LogDensityTarget):
         grad[9] = s * float(eta @ resid) + 1.0 - 2.0 * s2_ratio / (1.0 + s2_ratio)
         return logp, grad
 
+    def _logp_grad_many_impl(self, points):
+        # _logp_grad_impl row by row, as for the centered parameterization.
+        eta = points[:, :8]
+        mu = points[:, 8]
+        tau = points[:, 9]
+        s = np.exp(tau)
+        s2_ratio = s * s / TAU_PRIOR_SCALE**2
+        effects = mu[:, None] + s[:, None] * eta
+        resid = (EIGHT_SCHOOLS_Y - effects) * _ES_INV_VAR
+
+        logp = (
+            -0.5 * np.vecdot(EIGHT_SCHOOLS_Y - effects, resid)
+            - 0.5 * np.vecdot(eta, eta)
+            - 0.5 * (mu / MU_PRIOR_SD) ** 2
+            - np.log1p(s2_ratio)
+            + tau
+            + _ES_CONST
+        )
+        grad = np.empty_like(points)
+        grad[:, :8] = s[:, None] * resid - eta
+        grad[:, 8] = np.sum(resid, axis=1) - mu / MU_PRIOR_SD**2
+        grad[:, 9] = s * np.vecdot(eta, resid) + 1.0 - 2.0 * s2_ratio / (1.0 + s2_ratio)
+        return logp, grad
+
     def _logp_many_impl(self, points):
         eta = points[:, :8]
         mu = points[:, 8:9]
@@ -422,6 +511,21 @@ class LogisticRegression(LogDensityTarget):
             - self.dim * (np.log(self.prior_scale) + 0.5 * LOG_2PI)
         )
         grad = self.X.T @ (self.y - p) - beta / sc2
+        return logp, grad
+
+    def _logp_grad_many_impl(self, points):
+        # One (M, n) product gives every row's linear predictors; its BLAS
+        # rounding depends on the batch (see logp_grad_many).
+        T = points @ self.X.T
+        loglik = T @ self.y - np.sum(np.logaddexp(0.0, T), axis=1)
+        p = 1.0 / (1.0 + np.exp(-T))
+        sc2 = self.prior_scale**2
+        logp = (
+            loglik
+            - 0.5 * np.einsum("ij,ij->i", points, points) / sc2
+            - self.dim * (np.log(self.prior_scale) + 0.5 * LOG_2PI)
+        )
+        grad = (self.y - p) @ self.X - points / sc2
         return logp, grad
 
     def _logp_many_impl(self, points):

@@ -6,12 +6,18 @@ later calibration.
 """
 
 import itertools
+import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.spatial.distance import cdist
 
+import pathfinder
 from pathfinder import (
     MultipathOptions,
     PathfinderOptions,
@@ -283,22 +289,37 @@ def test_criterion_09_cost_accounting():
 
 
 def test_criterion_10_cli_determinism(tmp_path):
-    """Identical config and seed give byte-identical outputs at any worker count."""
-    outputs = []
-    for workers in ("1", "4", "8"):
-        out = tmp_path / f"draws_w{workers}.csv"
-        diag = tmp_path / f"diag_w{workers}.json"
-        code = main([
-            "--target", "eight_schools_noncentered", "--mode", "multi",
+    """One config gives byte-identical outputs in-process, from ``python -m
+    pathfinder`` in a fresh interpreter, and replayed from the echoed config."""
+    args = ["--target", "eight_schools_noncentered", "--mode", "multi",
             "--seed", "12345", "--paths", "5", "--num-draws", "40",
-            "--resample-draws", "30", "--workers", workers,
-            "--out", str(out), "--diagnostics", str(diag),
-        ])
-        assert code == 0
-        outputs.append((out.read_bytes(), diag.read_bytes()))
-    identical = outputs[0] == outputs[1] == outputs[2]
-    report(10, "CLI determinism across workers", identical,
-           f"csv+json identical over workers {{1,4,8}}: {identical}")
+            "--resample-draws", "30"]
+
+    def outputs(name):
+        return tmp_path / f"{name}.csv", tmp_path / f"{name}.json"
+
+    out, diag = outputs("main")
+    assert main([*args, "--out", str(out), "--diagnostics", str(diag)]) == 0
+
+    src = str(Path(pathfinder.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+    out, diag = outputs("subprocess")
+    proc = subprocess.run(
+        [sys.executable, "-m", "pathfinder", *args, "--out", str(out), "--diagnostics", str(diag)],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+
+    echoed = tmp_path / "echoed.json"
+    echoed.write_text(json.dumps(json.loads(outputs("main")[1].read_text())["config"]))
+    out, diag = outputs("replay")
+    assert main(["--config", str(echoed), "--out", str(out), "--diagnostics", str(diag)]) == 0
+
+    runs = [tuple(p.read_bytes() for p in outputs(name))
+            for name in ("main", "subprocess", "replay")]
+    identical = runs[0] == runs[1] == runs[2]
+    report(10, "CLI determinism", identical,
+           f"csv+json identical in-process, in a subprocess and on replay: {identical}")
 
 
 def test_criterion_11_wasserstein_evaluator():

@@ -61,9 +61,9 @@ class TestValidateConfig:
             validate_config({})
 
     def test_echo_excludes_execution_fields(self):
-        cfg = validate_config({"target": "std_normal", "workers": 4, "out": "x.csv"})
+        cfg = validate_config({"target": "std_normal", "out": "x.csv", "diagnostics": "d.json"})
         echoed = cfg.echo()
-        assert "workers" not in echoed and "out" not in echoed
+        assert "out" not in echoed and "diagnostics" not in echoed
         assert echoed["target"] == "std_normal"
 
 
@@ -152,11 +152,21 @@ class TestMain:
         assert payload["config"]["seed"] == 9  # flag beat the file
         assert payload["config"]["num_paths"] == 3
 
-    def test_env_fallback_for_workers(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("PATHFINDER_WORKERS", "not-an-int")
-        out = tmp_path / "d.csv"
-        code = main(["--target", "std_normal", "--dim", "2", "--out", str(out)])
-        assert code == 2
+    def test_workers_setting_is_rejected(self, tmp_path, monkeypatch, capsys):
+        # Paths run in lockstep on one thread; there is no worker count to set.
+        base = ["--target", "std_normal", "--dim", "2", "--out", str(tmp_path / "d.csv"),
+                "--diagnostics", str(tmp_path / "d.json")]
+        assert main([*base, "--workers", "2"]) == 2
+        err = capsys.readouterr().err
+        assert "--workers" in err and "Traceback" not in err
+        cfg_file = tmp_path / "cfg.json"
+        cfg_file.write_text(json.dumps({"workers": 2}))
+        assert main([*base, "--config", str(cfg_file)]) == 2
+        err = capsys.readouterr().err
+        assert "unknown config keys: workers" in err and "Traceback" not in err
+        assert not (tmp_path / "d.csv").exists()
+        monkeypatch.setenv("PATHFINDER_WORKERS", "not-an-int")  # no longer read
+        assert main([*base, "--paths", "2", "--num-draws", "10", "--resample-draws", "5"]) == 0
 
     def test_diagnostics_json_round_trip(self, tmp_path):
         # every setting off its default, so a key the echo dropped would show
@@ -176,15 +186,15 @@ class TestMain:
         assert out2.read_bytes() == out1.read_bytes()
         assert diag2.read_bytes() == diag1.read_bytes()
 
-    def test_worker_count_does_not_change_bytes(self, tmp_path):
+    def test_repeat_run_gives_identical_bytes(self, tmp_path):
         outputs = []
-        for workers in ("1", "2"):
-            out = tmp_path / f"w{workers}.csv"
-            diag = tmp_path / f"w{workers}.json"
+        for run in ("a", "b"):
+            out = tmp_path / f"{run}.csv"
+            diag = tmp_path / f"{run}.json"
             code = main([
                 "--target", "neal_funnel", "--dim", "2", "--seed", "4",
                 "--paths", "4", "--num-draws", "25", "--resample-draws", "10",
-                "--workers", workers, "--out", str(out), "--diagnostics", str(diag),
+                "--out", str(out), "--diagnostics", str(diag),
             ])
             assert code == 0
             outputs.append((out.read_bytes(), diag.read_bytes()))

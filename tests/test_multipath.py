@@ -5,6 +5,7 @@ import pytest
 
 from pathfinder import (
     AllPathsFailedError,
+    LbfgsOptions,
     MultipathOptions,
     NoFiniteWeightsError,
     PathfinderOptions,
@@ -17,7 +18,7 @@ from pathfinder import (
     run_single,
 )
 from pathfinder.multipath import KHAT_SENTINEL, tail_length
-from pathfinder.single_path import PathfinderRun
+from pathfinder.single_path import PathfinderRun, initial_point
 from pathfinder.targets import LogDensityTarget
 
 from oracles import gpd_sample
@@ -255,12 +256,12 @@ class TestRunMulti:
         with pytest.raises(AllPathsFailedError):
             run_multi(Plateau(), MultipathOptions(num_paths=3, num_resample=10), seed=0)
 
-    def test_deterministic_across_workers(self):
+    def test_repeat_run_is_bit_identical(self):
         outs = []
-        for workers in (1, 4):
+        for _ in range(2):
             target = make_target("neal_funnel", dim=3)
             opts = MultipathOptions(num_paths=4, num_resample=50)
-            outs.append(run_multi(target, opts, seed=7, workers=workers))
+            outs.append(run_multi(target, opts, seed=7))
         np.testing.assert_array_equal(outs[0].draws, outs[1].draws)
         np.testing.assert_array_equal(outs[0].indices, outs[1].indices)
         np.testing.assert_array_equal(outs[0].pooled.log_w_smoothed,
@@ -270,3 +271,78 @@ class TestRunMulti:
         with pytest.raises(ValueError):
             MultipathOptions(num_paths=2, num_resample=300,
                              single=PathfinderOptions(num_draws=100))
+
+
+class TestLockstep:
+    """``run_multi`` advances its paths together, one batched target call per
+    round; wherever a batched row equals the per-point evaluation, each path
+    must equal the path ``run_single`` runs alone."""
+
+    @pytest.mark.parametrize("name, params", [
+        ("std_normal", {"dim": 4}),
+        ("neal_funnel", {"dim": 5}),
+        ("eight_schools_centered", {}),
+        ("eight_schools_noncentered", {}),
+    ])
+    def test_each_path_equals_run_single(self, name, params):
+        opts = MultipathOptions(num_paths=5, num_resample=50, single=PathfinderOptions(
+            num_draws=40, lbfgs=LbfgsOptions(max_iters=150)))
+        target = make_target(name, **params)
+        res = run_multi(target, opts, seed=21)
+        for i, run in enumerate(res.runs):
+            alone = run_single(make_target(name, **params), opts.single, 21, path_index=i)
+            assert run.failed == alone.failed and run.l_star == alone.l_star
+            assert run.termination is alone.termination
+            for field in ("draws", "logq", "elbo_trace"):
+                np.testing.assert_array_equal(getattr(run, field), getattr(alone, field))
+            assert (run.n_logp, run.n_grad, run.lbfgs_n_logp, run.lbfgs_n_grad) == (
+                alone.n_logp, alone.n_grad, alone.lbfgs_n_logp, alone.lbfgs_n_grad)
+        assert target.eval_count_grad == res.n_grad
+        assert target.eval_count_logp == res.n_logp
+
+    def test_refused_points_fail_only_their_own_path(self):
+        # A narrow normal whose density is refused past theta_0 = 1.5: paths
+        # that start there fail at their first round, and trial points that
+        # overshoot into it are halved, while the batch carries on for the
+        # other paths.
+        class Walled(LogDensityTarget):
+            def __init__(self):
+                super().__init__(2, "walled")
+
+            def _logp_grad_impl(self, theta):
+                if theta[0] > 1.5:
+                    return -np.inf, np.full(2, np.nan)
+                return -50.0 * float(theta @ theta), -100.0 * theta
+
+        opts = MultipathOptions(num_paths=8, num_resample=20,
+                                single=PathfinderOptions(num_draws=10))
+        target = Walled()
+        res = run_multi(target, opts, seed=4)
+        starts = [initial_point(2, opts.single, 4, i) for i in range(8)]
+        refused = [start[0] > 1.5 for start in starts]
+        assert any(refused) and not all(refused)
+        for i, (run, start, bad) in enumerate(zip(res.runs, starts, refused)):
+            assert run.failed == bad
+            if bad:
+                np.testing.assert_array_equal(run.draws, start[None, :])
+                assert (run.termination, run.n_grad) == (None, 1)
+            alone = run_single(Walled(), opts.single, 4, path_index=i)
+            np.testing.assert_array_equal(run.draws, alone.draws)
+            assert (run.n_grad, run.n_logp) == (alone.n_grad, alone.n_logp)
+        assert target.eval_count_grad == res.n_grad
+        assert target.eval_count_logp == res.n_logp
+
+    def test_logistic_runs_repeat_bit_for_bit(self):
+        # Logistic rows are BLAS products that depend on the batch, so a path
+        # need not equal run_single; run_multi must still repeat exactly.
+        outs = []
+        for _ in range(2):
+            target = make_target("logistic_regression", n=40, p=4, data_seed=3)
+            opts = MultipathOptions(num_paths=4, num_resample=30,
+                                    single=PathfinderOptions(num_draws=25))
+            outs.append(run_multi(target, opts, seed=5))
+        assert outs[0].draws.tobytes() == outs[1].draws.tobytes()
+        assert outs[0].pooled.log_w_smoothed.tobytes() == outs[1].pooled.log_w_smoothed.tobytes()
+        for a, b in zip(outs[0].runs, outs[1].runs):
+            assert a.elbo_trace.tobytes() == b.elbo_trace.tobytes()
+            assert (a.n_grad, a.n_logp) == (b.n_grad, b.n_logp)

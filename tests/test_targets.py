@@ -189,13 +189,33 @@ class TestGradients:
         "target", [t for t in all_targets() if not t.name.startswith("logistic_regression")],
         ids=lambda t: t.name)
     def test_batch_rows_do_not_depend_on_the_split(self, target):
-        # Candidates are scored in blocks of any size, so each row of a
-        # batched density must come out bitwise the same however it is split.
+        # Candidates are scored in blocks of any size, and the lockstep
+        # optimizer batches however many paths are active, so each row of a
+        # batched evaluation must come out bitwise the same however it is split.
         pts = random_points(target, 500, np.random.default_rng(5))
         whole = target.logp_many(pts)
+        logp, grad, ok = target.logp_grad_many(pts)
         for size in (1, 7, 64):
             parts = [target.logp_many(pts[i:i + size]) for i in range(0, len(pts), size)]
             np.testing.assert_array_equal(np.concatenate(parts), whole)
+            fused = [target.logp_grad_many(pts[i:i + size]) for i in range(0, len(pts), size)]
+            for got, want in zip(zip(*fused), (logp, grad, ok)):
+                np.testing.assert_array_equal(np.concatenate(got), want)
+
+    @pytest.mark.parametrize("target", all_targets(), ids=lambda t: t.name)
+    def test_fused_batch_matches_logp_grad(self, target):
+        # Bit for bit except for logistic regression, whose rows are BLAS
+        # matrix products; lockstep paths equal run_single where this holds.
+        exact = not target.name.startswith("logistic_regression")
+        pts = random_points(target, 40, np.random.default_rng(8))
+        logp, grad, ok = target.logp_grad_many(pts)
+        assert ok.all()
+        for point, lp, g in zip(pts, logp, grad):
+            lp1, g1 = target.logp_grad(point)
+            assert abs(lp - lp1) <= 1e-12 * abs(lp1)
+            assert np.abs(g - g1).max() <= 1e-12 * np.abs(g1).max()
+            if exact:
+                assert lp == lp1 and np.array_equal(g, g1)
 
 
 class TestCountersAndChecks:
@@ -232,6 +252,39 @@ class TestCountersAndChecks:
         for th in threads:
             th.join()
         assert t.eval_count_logp == 1600 and t.eval_count_grad == 1600
+
+    def test_view_and_target_count_refused_points_alike(self):
+        # A point refused for being non-finite counts once on both tallies,
+        # per point and as a batch row; one of the wrong shape counts on neither.
+        t = make_target("std_normal", dim=2)
+        view = CounterView(t)
+        with pytest.raises(NonFiniteError):
+            view.logp_grad([np.inf, 0.0])
+        assert view.n_grad == t.eval_count_grad == 1
+        with pytest.raises(NonFiniteError):
+            view.logp([np.nan, 0.0])
+        assert view.n_logp == t.eval_count_logp == 2
+        view.logp_grad_many([[np.inf, 0.0], [1.0, 2.0]])
+        assert view.n_grad == t.eval_count_grad == 3
+        assert view.n_logp == t.eval_count_logp == 4
+        with pytest.raises(DimensionMismatchError):
+            view.logp_grad(np.zeros(3))
+        with pytest.raises(DimensionMismatchError):
+            view.logp_grad_many(np.zeros((2, 3)))
+        assert view.n_grad == t.eval_count_grad == 3
+
+    def test_non_finite_rows_are_flagged_alone(self):
+        # Row 1 has a non-finite input and row 3 overflows (the funnel's
+        # exp(-tau) at tau = -800); only they are flagged, each counted once.
+        t = make_target("neal_funnel", dim=2)
+        pts = np.array([[0.5, 1.0], [np.nan, 0.0], [-1.0, 0.2], [-800.0, 1.0], [2.0, -3.0]])
+        logp, grad, ok = t.logp_grad_many(pts)
+        assert ok.tolist() == [True, False, True, False, True]
+        assert t.eval_count_grad == t.eval_count_logp == 5
+        for i in (0, 2, 4):
+            lp1, g1 = t.logp_grad(pts[i])
+            assert logp[i] == lp1
+            np.testing.assert_array_equal(grad[i], g1)
 
     def test_dimension_mismatch(self):
         t = make_target("std_normal", dim=3)
