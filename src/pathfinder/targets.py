@@ -3,7 +3,10 @@
 Every target is an unnormalized (or normalized) log density on R^N exposing a
 fused ``logp_grad`` evaluation, its batched form ``logp_grad_many``, and
 log-density-only evaluations.  Instances are immutable apart from their
-evaluation counters, plain integers that every evaluation adds to.
+evaluation counters, plain integers that every evaluation adds to.  Calls
+from several threads count exactly only under a global interpreter lock,
+which does not switch threads inside an attribute's ``+=``; the package
+itself evaluates a target from one thread.
 """
 
 from __future__ import annotations
@@ -327,7 +330,34 @@ _ES_CONST = (
 )
 
 
-class EightSchoolsCentered(LogDensityTarget):
+def _row_dot(a, b):
+    """Dot product of each row pair of two (M, K) arrays.
+
+    Each row takes the BLAS dot that ``a[i] @ b[i]`` takes, so its bits do
+    not depend on the batch it is in.
+    """
+    return np.matmul(a[:, None, :], b[:, :, None])[:, 0, 0]
+
+
+class _EightSchools(LogDensityTarget):
+    """The eight-schools layout: eight school coordinates, mu, tau (log scale).
+
+    Each parameterization writes its fused density once, for a batch with
+    every row computed on its own; a single point is a batch of one.
+    """
+
+    tau_index = 9
+    mu_index = 8
+
+    def __init__(self, name: str):
+        super().__init__(10, name)
+
+    def _logp_grad_impl(self, theta):
+        logp, grad = self._logp_grad_many_impl(theta[None])
+        return logp[0], grad[0]
+
+
+class EightSchoolsCentered(_EightSchools):
     """Hierarchical meta-analysis posterior, centered parameterization.
 
     Coordinates: theta_1..theta_8 (school effects), mu, tau, where tau is the
@@ -335,39 +365,10 @@ class EightSchoolsCentered(LogDensityTarget):
     enters with its log-transform Jacobian so the density lives on all of R^10.
     """
 
-    tau_index = 9
-    mu_index = 8
-
     def __init__(self):
-        super().__init__(10, "eight_schools_centered")
-
-    def _logp_grad_impl(self, theta):
-        effects = theta[:8]
-        mu = theta[8]
-        tau = theta[9]
-        inv_s2 = np.exp(-2.0 * tau)
-        s2_ratio = np.exp(2.0 * tau) / TAU_PRIOR_SCALE**2
-
-        resid_y = (EIGHT_SCHOOLS_Y - effects) * _ES_INV_VAR
-        dev = effects - mu
-        dev_ss = float(dev @ dev)
-        logp = (
-            -0.5 * float((EIGHT_SCHOOLS_Y - effects) @ resid_y)
-            - 0.5 * dev_ss * inv_s2
-            - 7.0 * tau
-            - 0.5 * (mu / MU_PRIOR_SD) ** 2
-            - np.log1p(s2_ratio)
-            + _ES_CONST
-        )
-        grad = np.empty(10)
-        grad[:8] = resid_y - dev * inv_s2
-        grad[8] = float(np.sum(dev)) * inv_s2 - mu / MU_PRIOR_SD**2
-        grad[9] = dev_ss * inv_s2 - 7.0 - 2.0 * s2_ratio / (1.0 + s2_ratio)
-        return logp, grad
+        super().__init__("eight_schools_centered")
 
     def _logp_grad_many_impl(self, points):
-        # _logp_grad_impl row by row: the same operations in the same order,
-        # with vecdot making the same BLAS dot call per row as ``@`` does.
         effects = points[:, :8]
         mu = points[:, 8]
         tau = points[:, 9]
@@ -376,9 +377,9 @@ class EightSchoolsCentered(LogDensityTarget):
 
         resid_y = (EIGHT_SCHOOLS_Y - effects) * _ES_INV_VAR
         dev = effects - mu[:, None]
-        dev_ss = np.vecdot(dev, dev)
+        dev_ss = _row_dot(dev, dev)
         logp = (
-            -0.5 * np.vecdot(EIGHT_SCHOOLS_Y - effects, resid_y)
+            -0.5 * _row_dot(EIGHT_SCHOOLS_Y - effects, resid_y)
             - 0.5 * dev_ss * inv_s2
             - 7.0 * tau
             - 0.5 * (mu / MU_PRIOR_SD) ** 2
@@ -404,44 +405,17 @@ class EightSchoolsCentered(LogDensityTarget):
         return lik + prior_eff + prior_mu + prior_tau + _ES_CONST
 
 
-class EightSchoolsNonCentered(LogDensityTarget):
+class EightSchoolsNonCentered(_EightSchools):
     """Eight-schools posterior, non-centered parameterization.
 
     Coordinates: eta_1..eta_8 (standardized effects), mu, tau (log scale);
     the school effects are mu + exp(tau) * eta.
     """
 
-    tau_index = 9
-    mu_index = 8
-
     def __init__(self):
-        super().__init__(10, "eight_schools_noncentered")
-
-    def _logp_grad_impl(self, theta):
-        eta = theta[:8]
-        mu = theta[8]
-        tau = theta[9]
-        s = np.exp(tau)
-        s2_ratio = s * s / TAU_PRIOR_SCALE**2
-        effects = mu + s * eta
-        resid = (EIGHT_SCHOOLS_Y - effects) * _ES_INV_VAR
-
-        logp = (
-            -0.5 * float((EIGHT_SCHOOLS_Y - effects) @ resid)
-            - 0.5 * float(eta @ eta)
-            - 0.5 * (mu / MU_PRIOR_SD) ** 2
-            - np.log1p(s2_ratio)
-            + tau
-            + _ES_CONST
-        )
-        grad = np.empty(10)
-        grad[:8] = s * resid - eta
-        grad[8] = float(np.sum(resid)) - mu / MU_PRIOR_SD**2
-        grad[9] = s * float(eta @ resid) + 1.0 - 2.0 * s2_ratio / (1.0 + s2_ratio)
-        return logp, grad
+        super().__init__("eight_schools_noncentered")
 
     def _logp_grad_many_impl(self, points):
-        # _logp_grad_impl row by row, as for the centered parameterization.
         eta = points[:, :8]
         mu = points[:, 8]
         tau = points[:, 9]
@@ -451,8 +425,8 @@ class EightSchoolsNonCentered(LogDensityTarget):
         resid = (EIGHT_SCHOOLS_Y - effects) * _ES_INV_VAR
 
         logp = (
-            -0.5 * np.vecdot(EIGHT_SCHOOLS_Y - effects, resid)
-            - 0.5 * np.vecdot(eta, eta)
+            -0.5 * _row_dot(EIGHT_SCHOOLS_Y - effects, resid)
+            - 0.5 * _row_dot(eta, eta)
             - 0.5 * (mu / MU_PRIOR_SD) ** 2
             - np.log1p(s2_ratio)
             + tau
@@ -461,7 +435,7 @@ class EightSchoolsNonCentered(LogDensityTarget):
         grad = np.empty_like(points)
         grad[:, :8] = s[:, None] * resid - eta
         grad[:, 8] = np.sum(resid, axis=1) - mu / MU_PRIOR_SD**2
-        grad[:, 9] = s * np.vecdot(eta, resid) + 1.0 - 2.0 * s2_ratio / (1.0 + s2_ratio)
+        grad[:, 9] = s * _row_dot(eta, resid) + 1.0 - 2.0 * s2_ratio / (1.0 + s2_ratio)
         return logp, grad
 
     def _logp_many_impl(self, points):

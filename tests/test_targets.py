@@ -13,7 +13,7 @@ from pathfinder import (
     UnknownTargetError,
     make_target,
 )
-from pathfinder.targets import TARGET_NAMES, CounterView
+from pathfinder.targets import TARGET_NAMES, CounterView, _row_dot
 
 from oracles import fd_gradient
 
@@ -217,6 +217,15 @@ class TestGradients:
             if exact:
                 assert lp == lp1 and np.array_equal(g, g1)
 
+    def test_row_dot_takes_the_single_point_dot(self):
+        # The eight-schools densities keep the per-point `@` bits through it,
+        # strided row slices included.
+        pts = np.random.default_rng(5).normal(0.0, 10.0, (500, 10))
+        a, b = pts[:, :8], pts[:, 1:9]
+        expected = np.array([x.copy() @ y.copy() for x, y in zip(a, b)])
+        assert np.array_equal(_row_dot(a, b), expected)
+        assert np.array_equal(_row_dot(a[:1], b[:1]), expected[:1])
+
 
 class TestCountersAndChecks:
     def test_counters_track_evaluations(self):
@@ -239,6 +248,7 @@ class TestCountersAndChecks:
         assert (t.eval_count_logp, t.eval_count_grad) == (4, 1)
 
     def test_concurrent_counting_is_exact(self):
+        # Exact under the global interpreter lock, as the targets module states.
         t = make_target("std_normal", dim=2)
         x = np.ones(2)
 
