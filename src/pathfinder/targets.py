@@ -2,11 +2,14 @@
 
 Every target is an unnormalized (or normalized) log density on R^N exposing a
 fused ``logp_grad`` evaluation, its batched form ``logp_grad_many``, and
-log-density-only evaluations.  Instances are immutable apart from their
-evaluation counters, plain integers that every evaluation adds to.  Calls
-from several threads count exactly only under a global interpreter lock,
-which does not switch threads inside an attribute's ``+=``; the package
-itself evaluates a target from one thread.
+log-density-only evaluations.  Eight schools and logistic regression write
+their fused density once, for a batch, and evaluate a point as a batch of
+one.  Building a target rejects a non-finite or non-numeric parameter, or a
+size that is not a positive integer, with a BadParamsError naming it.
+Instances are immutable apart from their evaluation counters, plain integers
+that every evaluation adds to.  Calls from several threads count exactly only
+under a global interpreter lock, which does not switch threads inside an
+attribute's ``+=``; the package itself evaluates a target from one thread.
 """
 
 from __future__ import annotations
@@ -21,11 +24,30 @@ from .errors import BadParamsError, DimensionMismatchError, NonFiniteError, Unkn
 LOG_2PI = float(np.log(2.0 * np.pi))
 
 
+def _finite_array(target: str, name: str, value) -> np.ndarray:
+    """``value`` as a float array; BadParamsError naming it unless it holds only finite numbers."""
+    try:
+        arr = np.asarray(value)
+        if arr.dtype.kind in "biuf" and np.isfinite(arr).all():
+            return arr.astype(float)
+    except ValueError:  # ragged nesting
+        pass
+    raise BadParamsError(f"{target}: {name} must hold finite numbers")
+
+
+def _count(target: str, name: str, value, least: int = 1) -> int:
+    """``value`` as an int; BadParamsError naming it unless it is an integer >= ``least``."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
+        raise BadParamsError(f"{target}: {name} must be an integer >= {least}, got {value!r}")
+    return int(value)
+
+
 class LogDensityTarget:
     """Base class: a differentiable log density on R^N.
 
-    Subclasses implement ``_logp_grad_impl`` (single point) and may override
-    ``_logp_many_impl`` and ``_logp_grad_many_impl`` with vectorized versions.
+    Subclasses implement the fused density for a point (``_logp_grad_impl``)
+    or a batch (``_logp_grad_many_impl``), each defaulting to the other, and
+    may override ``_logp_many_impl`` with a vectorized log density.
     Counters tick once per point of the right shape handed in, whether or not
     it is refused for being non-finite: fused evaluations increment both
     counters, log-density-only evaluations only the log-density counter.  The
@@ -138,13 +160,11 @@ class LogDensityTarget:
     # -- implementation hooks ------------------------------------------------
 
     def _logp_grad_impl(self, theta):
-        raise NotImplementedError
+        logp, grad = self._logp_grad_many_impl(theta[None])
+        return logp[0], grad[0]
 
     def _logp_many_impl(self, points):
-        out = np.empty(points.shape[0])
-        for i, row in enumerate(points):
-            out[i] = self._logp_grad_impl(row)[0]
-        return out
+        return self._logp_grad_many_impl(points)[0]
 
     def _logp_grad_many_impl(self, points):
         logp = np.empty(points.shape[0])
@@ -235,8 +255,8 @@ class MultivariateNormal(LogDensityTarget):
     """N(mu, cov) with a dense SPD covariance."""
 
     def __init__(self, mu, cov):
-        mu = np.asarray(mu, dtype=float)
-        cov = np.asarray(cov, dtype=float)
+        mu = _finite_array("mvn", "mu", mu)
+        cov = _finite_array("mvn", "cov", cov)
         if mu.ndim != 1:
             raise BadParamsError("mvn: mu must be a vector")
         if cov.shape != (mu.size, mu.size):
@@ -352,10 +372,6 @@ class _EightSchools(LogDensityTarget):
     def __init__(self, name: str):
         super().__init__(10, name)
 
-    def _logp_grad_impl(self, theta):
-        logp, grad = self._logp_grad_many_impl(theta[None])
-        return logp[0], grad[0]
-
 
 class EightSchoolsCentered(_EightSchools):
     """Hierarchical meta-analysis posterior, centered parameterization.
@@ -453,64 +469,51 @@ class EightSchoolsNonCentered(_EightSchools):
 
 
 class LogisticRegression(LogDensityTarget):
-    """Bayesian logistic regression with independent normal(0, prior_scale) priors."""
+    """Bayesian logistic regression with independent normal(0, prior_scale) priors.
+
+    With labels folded into ``Xs = (1 - 2y) X`` and margins ``u = Xs beta``,
+    the log likelihood is ``-sum softplus(u)`` and its gradient
+    ``-sigma(u) Xs``, both from one ``e = exp(-|u|)``: the stable softplus
+    ``max(u, 0) + log1p(e)`` and ``sigma(u) = where(u >= 0, 1, e) / (1 + e)``.
+    The density is written for a batch; a point is a batch of one.
+    """
 
     def __init__(self, X, y, prior_scale: float = 1.0):
-        X = np.asarray(X, dtype=float)
-        y = np.asarray(y, dtype=float)
-        if X.ndim != 2:
-            raise BadParamsError("logistic_regression: X must be a 2-d matrix")
-        if y.shape != (X.shape[0],):
-            raise BadParamsError(
-                f"logistic_regression: y length {y.shape} does not match X rows {X.shape[0]}"
-            )
+        X = _finite_array("logistic_regression", "X", X)
+        y = _finite_array("logistic_regression", "y", y)
+        prior_scale = _finite_array("logistic_regression", "prior_scale", prior_scale)
+        if X.ndim != 2 or y.shape != X.shape[:1]:
+            raise BadParamsError(f"logistic_regression: X {X.shape} needs one row per y {y.shape}")
         if not np.all((y == 0.0) | (y == 1.0)):
             raise BadParamsError("logistic_regression: y entries must be 0 or 1")
-        if prior_scale <= 0:
-            raise BadParamsError("logistic_regression: prior_scale must be positive")
+        if prior_scale.ndim != 0 or prior_scale <= 0:
+            raise BadParamsError("logistic_regression: prior_scale must be a positive number")
         super().__init__(X.shape[1], f"logistic_regression({X.shape[0]}x{X.shape[1]})")
         self.X = X
         self.y = y
         self.prior_scale = float(prior_scale)
+        self._Xs = (1.0 - 2.0 * y)[:, None] * X
+        self._sc2 = self.prior_scale**2
+        self._log_norm = self.dim * (np.log(self.prior_scale) + 0.5 * LOG_2PI)
 
-    def _logp_grad_impl(self, beta):
-        t = self.X @ beta
-        # y*t - log(1 + exp(t)), stably
-        loglik = float(np.sum(self.y * t - np.logaddexp(0.0, t)))
-        p = 1.0 / (1.0 + np.exp(-t))
-        sc2 = self.prior_scale**2
-        logp = (
-            loglik
-            - 0.5 * (beta @ beta) / sc2
-            - self.dim * (np.log(self.prior_scale) + 0.5 * LOG_2PI)
-        )
-        grad = self.X.T @ (self.y - p) - beta / sc2
-        return logp, grad
-
-    def _logp_grad_many_impl(self, points):
-        # One (M, n) product gives every row's linear predictors; its BLAS
-        # rounding depends on the batch (see logp_grad_many).
-        T = points @ self.X.T
-        loglik = T @ self.y - np.sum(np.logaddexp(0.0, T), axis=1)
-        p = 1.0 / (1.0 + np.exp(-T))
-        sc2 = self.prior_scale**2
-        logp = (
-            loglik
-            - 0.5 * np.einsum("ij,ij->i", points, points) / sc2
-            - self.dim * (np.log(self.prior_scale) + 0.5 * LOG_2PI)
-        )
-        grad = (self.y - p) @ self.X - points / sc2
-        return logp, grad
+    def _forward(self, points):
+        """Margins ``U``, ``e = exp(-|U|)`` and each row's log density; the
+        rounding of the (M, n) product ``U`` depends on the batch."""
+        U = points @ self._Xs.T
+        e = np.abs(U)
+        np.exp(np.negative(e, out=e), out=e)
+        prior = 0.5 * np.einsum("ij,ij->i", points, points) / self._sc2 + self._log_norm
+        return U, e, -np.log1p(e).sum(axis=1) - np.maximum(U, 0.0).sum(axis=1) - prior
 
     def _logp_many_impl(self, points):
-        T = points @ self.X.T
-        loglik = T @ self.y - np.sum(np.logaddexp(0.0, T), axis=1)
-        sc2 = self.prior_scale**2
-        return (
-            loglik
-            - 0.5 * np.einsum("ij,ij->i", points, points) / sc2
-            - self.dim * (np.log(self.prior_scale) + 0.5 * LOG_2PI)
-        )
+        return self._forward(points)[2]
+
+    def _logp_grad_many_impl(self, points):
+        U, e, logp = self._forward(points)
+        sigma = np.where(U >= 0.0, 1.0, e)
+        e += 1.0
+        sigma /= e
+        return logp, -(sigma @ self._Xs) - points / self._sc2
 
 
 # ---------------------------------------------------------------------------
@@ -527,11 +530,14 @@ TARGET_NAMES = (
 )
 
 
-def _make_std_normal(params):
-    dim = params.pop("dim", None)
-    if dim is None:
-        raise BadParamsError("std_normal: 'dim' is required")
-    return StdNormal(int(dim))
+def _make_sized(cls, name):
+    def make(params):
+        dim = params.pop("dim", None)
+        if dim is None:
+            raise BadParamsError(f"{name}: 'dim' is required")
+        return cls(dim)
+
+    return make
 
 
 def _make_mvn(params):
@@ -541,27 +547,20 @@ def _make_mvn(params):
     if mu is None and cov is None and dim is None:
         raise BadParamsError("mvn: provide 'mu'/'cov' or 'dim'")
     if mu is None:
-        n = int(dim) if dim is not None else np.asarray(cov).shape[0]
+        n = dim if dim is not None else len(np.atleast_1d(_finite_array("mvn", "cov", cov)))
         mu = np.zeros(n)
-    mu = np.asarray(mu, dtype=float)
+    mu = _finite_array("mvn", "mu", mu)
     if cov is None:
         cov = np.eye(mu.size)
-    if dim is not None and int(dim) != np.asarray(mu).size:
-        raise BadParamsError(f"mvn: dim={dim} conflicts with mu of length {np.asarray(mu).size}")
+    if dim is not None and dim != mu.size:
+        raise BadParamsError(f"mvn: dim={dim} conflicts with mu of length {mu.size}")
     return MultivariateNormal(mu, cov)
-
-
-def _make_neal_funnel(params):
-    dim = params.pop("dim", None)
-    if dim is None:
-        raise BadParamsError("neal_funnel: 'dim' is required")
-    return NealFunnel(int(dim))
 
 
 def _make_eight_schools(cls):
     def make(params):
         dim = params.pop("dim", None)
-        if dim is not None and int(dim) != 10:
+        if dim is not None and dim != 10:
             raise BadParamsError("eight_schools targets are fixed at dim=10")
         return cls()
 
@@ -572,32 +571,29 @@ def _make_logistic_regression(params):
     X = params.pop("X", None)
     y = params.pop("y", None)
     prior_scale = params.pop("prior_scale", 1.0)
+    dim = params.pop("dim", None)
     if (X is None) != (y is None):
         raise BadParamsError("logistic_regression: provide both X and y, or neither")
     if X is None:
         # synthesize a reproducible dataset when no data is supplied
-        n = int(params.pop("n", 20))
-        p = int(params.pop("p", params.pop("dim", 3) or 3))
-        data_seed = int(params.pop("data_seed", 0))
+        n = _count("logistic_regression", "n", params.pop("n", 20))
+        p = _count("logistic_regression", "p", params.pop("p", dim or 3))
+        data_seed = _count("logistic_regression", "data_seed", params.pop("data_seed", 0), least=0)
         rng = np.random.default_rng(np.random.SeedSequence(data_seed, spawn_key=(815,)))
         X = rng.standard_normal((n, p))
         beta_true = rng.standard_normal(p)
         probs = 1.0 / (1.0 + np.exp(-(X @ beta_true)))
         y = (rng.random(n) < probs).astype(float)
-    else:
-        dim = params.pop("dim", None)
-        if dim is not None and int(dim) != np.asarray(X).shape[1]:
-            raise BadParamsError(
-                f"logistic_regression: dim={dim} conflicts with X having "
-                f"{np.asarray(X).shape[1]} columns"
-            )
-    return LogisticRegression(X, y, prior_scale)
+    target = LogisticRegression(X, y, prior_scale)
+    if dim is not None and dim != target.dim:
+        raise BadParamsError(f"logistic_regression: dim={dim} conflicts with p={target.dim}")
+    return target
 
 
 _FACTORIES = {
-    "std_normal": _make_std_normal,
+    "std_normal": _make_sized(StdNormal, "std_normal"),
     "mvn": _make_mvn,
-    "neal_funnel": _make_neal_funnel,
+    "neal_funnel": _make_sized(NealFunnel, "neal_funnel"),
     "eight_schools_centered": _make_eight_schools(EightSchoolsCentered),
     "eight_schools_noncentered": _make_eight_schools(EightSchoolsNonCentered),
     "logistic_regression": _make_logistic_regression,
@@ -617,6 +613,8 @@ def make_target(name: str, **params) -> LogDensityTarget:
             f"unknown target '{name}'; available targets: {', '.join(TARGET_NAMES)}"
         )
     params = dict(params)
+    if params.get("dim") is not None:
+        params["dim"] = _count(name, "dim", params["dim"])
     target = _FACTORIES[name](params)
     if params:
         raise BadParamsError(f"{name}: unknown parameters {sorted(params)}")

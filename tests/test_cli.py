@@ -122,6 +122,33 @@ class TestMain:
         out, _ = run_cli(tmp_path, *args, "--target-params", '{"dim": 2}', "--dim", "2")
         assert len(read_csv(out)[0]) == 2
 
+    @pytest.mark.parametrize("target, params, named", [
+        ("mvn", '{"mu": [0.0, NaN], "cov": [[1, 0], [0, 1]]}', "mu must"),
+        ("mvn", '{"mu": [0.0, "a"], "cov": [[1, 0], [0, 1]]}', "mu must"),
+        ("mvn", '{"mu": [0.0, 0.0], "cov": [[1, 0], [0, Infinity]]}', "cov must"),
+        ("mvn", '{"cov": [[1, 0], [0]]}', "cov must"),
+        ("logistic_regression", '{"X": [[1.0], [NaN]], "y": [0, 1]}', "X must"),
+        ("logistic_regression", '{"X": [[1.0], [2.0]], "y": [0, 1], "prior_scale": Infinity}',
+         "prior_scale must"),
+        ("logistic_regression", '{"X": [[1.0], [2.0]], "y": [0, 1], "prior_scale": "abc"}',
+         "prior_scale must"),
+        ("logistic_regression", '{"p": 5, "dim": 3}', "dim=3 conflicts"),
+        ("logistic_regression", '{"p": 0}', "p must"),
+    ])
+    def test_bad_numeric_target_params(self, tmp_path, capsys, target, params, named):
+        run_cli(tmp_path, "--target", target, "--target-params", params, check=2)
+        err = capsys.readouterr().err
+        assert named in err and "Traceback" not in err
+        assert not (tmp_path / "draws.csv").exists()
+
+    def test_dim_flag_conflicting_with_logistic_p(self, tmp_path, capsys):
+        args = ("--target", "logistic_regression", "--mode", "single", "--num-draws", "5")
+        run_cli(tmp_path, *args, "--dim", "3", "--target-params", '{"p": 5}', check=2)
+        assert "dim=3 conflicts" in capsys.readouterr().err
+        out, diag = run_cli(tmp_path, *args, "--dim", "5", "--target-params", '{"p": 5}')
+        assert len(read_csv(out)[0]) == 5
+        assert json.loads(diag.read_text())["target_dim"] == 5
+
     def test_missing_dim_reported(self, tmp_path, capsys):
         run_cli(tmp_path, "--target", "std_normal", check=2)
         assert "dim" in capsys.readouterr().err

@@ -5,6 +5,7 @@ import threading
 
 import numpy as np
 import pytest
+from scipy.special import expit, log_expit
 
 from pathfinder import (
     BadParamsError,
@@ -149,6 +150,65 @@ class TestLogisticRegression:
         b = make_target("logistic_regression", n=15, p=2, data_seed=4)
         np.testing.assert_array_equal(a.X, b.X)
         np.testing.assert_array_equal(a.y, b.y)
+
+    def test_synthesized_size_from_p_or_dim(self):
+        assert make_target("logistic_regression", p=5).dim == 5
+        assert make_target("logistic_regression", dim=4).dim == 4
+        assert make_target("logistic_regression", p=5, dim=5).dim == 5
+
+    def test_conflicting_p_and_dim_rejected(self):
+        with pytest.raises(BadParamsError, match="dim=3 conflicts"):
+            make_target("logistic_regression", p=5, dim=3)
+
+    @pytest.mark.parametrize("size", [{"p": 0}, {"dim": 0}, {"n": 0}, {"p": -2}, {"p": 2.5}])
+    def test_non_positive_or_fractional_size_rejected(self, size):
+        with pytest.raises(BadParamsError, match=f"{next(iter(size))} must be an integer"):
+            make_target("logistic_regression", **size)
+
+    @staticmethod
+    def oracle(X, y, prior_scale, beta):
+        # y log sigma(t) + (1 - y) log sigma(-t) and X^T (y - sigma(t)),
+        # through scipy's own stable log-sigmoid and sigmoid.
+        t = X @ beta
+        loglik = np.sum(np.where(y == 1.0, log_expit(t), log_expit(-t)))
+        prior = -0.5 * (beta @ beta) / prior_scale**2 - beta.size * (
+            math.log(prior_scale) + 0.5 * LOG_2PI)
+        return loglik + prior, X.T @ (y - expit(t)) - beta / prior_scale**2
+
+    def test_matches_scipy_log_expit_up_to_huge_margins(self):
+        # Row scales from 1e-3 to 3e2 put the linear predictors t anywhere up
+        # to |t| ~ 1e3, on both sides, for both labels.
+        rng = np.random.default_rng(11)
+        X = rng.standard_normal((60, 4)) * np.geomspace(1e-3, 3e2, 60)[:, None]
+        y = np.tile([0.0, 1.0], 30)
+        target = make_target("logistic_regression", X=X, y=y, prior_scale=2.0)
+        betas = rng.normal(0.0, 1.5, (25, 4))
+        assert np.abs(X @ betas.T).max() > 500.0
+        expected = [self.oracle(X, y, 2.0, beta) for beta in betas]
+        want_logp = np.array([lp for lp, _ in expected])
+        want_grad = np.array([g for _, g in expected])
+
+        def check(logp, grad):
+            assert np.isfinite(logp).all() and np.isfinite(grad).all()
+            assert np.all(np.abs(logp - want_logp) <= 1e-12 * np.abs(want_logp))
+            for g, want in zip(grad, want_grad):
+                assert np.abs(g - want).max() <= 1e-12 * np.abs(want).max()
+
+        single = [target.logp_grad(beta) for beta in betas]
+        check(np.array([lp for lp, _ in single]), np.array([g for _, g in single]))
+        logp, grad, ok = target.logp_grad_many(betas)
+        assert ok.all()
+        check(logp, grad)
+        logp_only = target.logp_many(betas)
+        assert np.isfinite(logp_only).all()
+        assert np.all(np.abs(logp_only - want_logp) <= 1e-12 * np.abs(want_logp))
+
+    def test_a_point_is_a_batch_of_one(self):
+        target = make_target("logistic_regression", n=200, p=6, data_seed=2)
+        for beta in np.random.default_rng(4).normal(0.0, 2.0, (10, 6)):
+            logp, grad = target.logp_grad(beta)
+            many_logp, many_grad, ok = target.logp_grad_many(beta[None])
+            assert ok[0] and logp == many_logp[0] and np.array_equal(grad, many_grad[0])
 
 
 class TestRegistry:
