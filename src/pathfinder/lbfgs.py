@@ -4,12 +4,17 @@ The optimizer maximizes log p directly.  Search directions apply the
 low-rank-plus-diagonal inverse Hessian estimate, whose compact form lives in
 ``inv_hessian`` alone, without ever materializing an N x N matrix.  The
 backtracking line search halves the step until the sufficient-increase
-(Armijo) condition holds; no curvature condition is enforced.
+(Armijo) condition holds; no curvature condition is enforced.  That test
+reads only the log density, so each trial is a log-density-only evaluation,
+and the one point it accepts gets one fused evaluation, whose log density
+and gradient enter the trajectory: one gradient per accepted step, plus one
+at the initial point.
 
 Both are written once, as steppers: generators that yield the points they
-need evaluated and take each result back.  ``optimize`` and
-``wolfe_line_search`` run a stepper one ``logp_grad`` call at a time;
-``multipath`` runs one stepper per path and evaluates their points together.
+need evaluated, each with whether it needs a gradient, and take each result
+back.  ``optimize`` and ``wolfe_line_search`` run a stepper one target call
+at a time; ``multipath`` runs one stepper per path and evaluates their
+points together.
 """
 
 from __future__ import annotations
@@ -94,34 +99,40 @@ def search_direction(S, Z, alpha, grad) -> np.ndarray:
 
 
 def drive(steps, target):
-    """Run a stepper to its end, one ``target.logp_grad`` call per trial point.
+    """Run a stepper to its end, one target call per point it yields.
 
-    A stepper is a generator that yields trial points and is sent back
-    ``(logp, grad)`` for each, or None when the point was refused
+    A stepper is a generator that yields ``(point, need_grad)``.  It is sent
+    back ``target.logp_grad(point)`` when ``need_grad`` is true and
+    ``target.logp(point)`` otherwise, or None when the point was refused
     (NonFiniteError); its return value is the result.
     """
-    point = next(steps)
+    point, need_grad = next(steps)
     while True:
         try:
-            result = target.logp_grad(point)
+            result = target.logp_grad(point) if need_grad else target.logp(point)
         except NonFiniteError:
             result = None
         try:
-            point = steps.send(result)
+            point, need_grad = steps.send(result)
         except StopIteration as stop:
             return stop.value
 
 
 def line_search_steps(theta, logp, grad, delta, c1):
-    """Stepper of ``wolfe_line_search``: yields its trial points in order."""
+    """Stepper of ``wolfe_line_search``: yields its trial points in order,
+    each for its log density alone, then the accepted one for its gradient."""
     slope = float(grad @ delta)
     step = 1.0
     for _ in range(MAX_HALVINGS + 1):
         candidate = theta + step * delta
-        result = yield candidate
+        trial_logp = yield candidate, False
         # Python floats: an overflow or nan in the bound fails the check quietly.
-        if result is not None and result[0] >= logp + c1 * step * slope:
-            return LineSearchResult(step, candidate, *result)
+        if trial_logp is not None and trial_logp >= logp + c1 * step * slope:
+            result = yield candidate, True
+            # A refused gradient rejects the trial: the step is halved as if
+            # the log density had been refused.
+            if result is not None:
+                return LineSearchResult(step, candidate, *result)
         step *= 0.5
     raise LineSearchFailError(f"no acceptable step after {MAX_HALVINGS} halvings")
 
@@ -131,7 +142,10 @@ def wolfe_line_search(target, theta, logp, grad, delta, c1) -> LineSearchResult:
 
     Requires grad'delta > 0 (ascent direction).  Only the sufficient-increase
     (Armijo) condition logp(theta + step delta) >= logp + c1 step grad'delta
-    is enforced; the curvature condition is not.  An evaluation that raises
+    is enforced; the curvature condition is not.  Each trial is evaluated for
+    its log density only (``target.logp``); the first that passes is then
+    evaluated once more with its gradient (``target.logp_grad``), and that
+    fused result is returned.  An evaluation of either kind that raises
     NonFiniteError counts as a failed check and the step is halved.  A step
     that leaves the curvature unmet simply produces an update pair that fails
     the curvature gate downstream, leaving the inverse Hessian estimate
@@ -149,7 +163,10 @@ REL_TOL_FLOOR = 1e-10
 def optimize(target, theta_init, opts: LbfgsOptions) -> Trajectory:
     """Run L-BFGS ascent from theta_init and return the full trajectory.
 
-    The stored pair history is windowed to ``opts.history_size``; after each
+    Line-search trials are log-density-only evaluations; the initial point
+    and each accepted step get one fused evaluation, so the gradient count is
+    ``num_iters + 1`` plus any fused evaluation that was refused or gave no
+    increase.  The stored pair history is windowed to ``opts.history_size``; after each
     accepted pair the diagonal seed resets to the scalar ||z||^2 / (s'z).
     Terminates on relative log-density improvement below ``rel_tol``, at
     ``max_iters``, on line-search failure, or immediately when the initial
@@ -160,9 +177,9 @@ def optimize(target, theta_init, opts: LbfgsOptions) -> Trajectory:
 
 
 def optimize_steps(theta_init, opts: LbfgsOptions):
-    """Stepper of ``optimize``: yields theta_init, then each line search's trial points."""
+    """Stepper of ``optimize``: yields theta_init, then each line search's points."""
     theta = np.asarray(theta_init, dtype=float)
-    result = yield theta
+    result = yield theta, True
     if result is None:
         raise NonFiniteError("non-finite log density or gradient at the initial point")
     logp, grad = result

@@ -1,12 +1,14 @@
 """Multi-path Pathfinder: lockstep paths, pooled by Pareto-smoothed importance resampling.
 
 The paths are independent, so their optimizers advance together: each round
-evaluates every active path's pending trial point in one batched target
-call.  The finished single paths are pooled under an equally-weighted mixture
-proposal in which every draw is scored against its own component density (the
-1/I mixture factors cancel between proposal and augmented target, so the raw
-log weight of a draw is simply log p - log q of its component).  The largest
-weights are smoothed by a generalized Pareto fit before resampling.
+evaluates every active path's pending point with at most two batched target
+calls, one for line-search trials (log density only) and one for the points
+that need a gradient.  The finished single paths are pooled under an
+equally-weighted mixture proposal in which every draw is scored against its
+own component density (the 1/I mixture factors cancel between proposal and
+augmented target, so the raw log weight of a draw is simply log p - log q of
+its component).  The largest weights are smoothed by a generalized Pareto fit
+before resampling.
 """
 
 from __future__ import annotations
@@ -240,24 +242,28 @@ def pool_runs(runs: list, target) -> tuple[WeightedSample, int]:
 
 @dataclass
 class _ActivePath:
-    """A path whose optimizer still runs, and the trial point it waits on."""
+    """A path whose optimizer still runs, and the point it waits on."""
 
     index: int
     tally: CounterView
     theta0: np.ndarray
     steps: Generator
     point: np.ndarray
+    need_grad: bool
+    result: object = None
 
 
 def _run_lockstep(target, opts: PathfinderOptions, seed: int, num_paths: int) -> list:
     """Runs of paths 0..num_paths-1, their optimizers advanced in lockstep.
 
-    Each round sends every active path's pending trial point (its initial
-    point or a line-search step) to one ``target.logp_grad_many`` call and
-    hands each optimizer stepper its row.  A path is finished (scored and
-    sampled) as soon as its optimizer stops, which releases its trajectory.
-    Each run equals ``run_single(target, opts, seed, path_index=i)`` bit for
-    bit wherever the target's batched rows do not depend on the batch.
+    Each round makes at most two batched target calls: ``target.logp_many``
+    for the paths waiting on a line-search trial, and
+    ``target.logp_grad_many`` for the paths that need a gradient (at their
+    initial point or an accepted step).  Each optimizer stepper is then
+    handed its row.  A path is finished (scored and sampled) as soon as its
+    optimizer stops, which releases its trajectory.  Each run equals
+    ``run_single(target, opts, seed, path_index=i)`` bit for bit wherever the
+    target's batched rows do not depend on the batch.
     """
     def finish(path, trajectory):
         runs[path.index] = finish_run(path.tally, path.theta0, trajectory, opts, seed, path.index)
@@ -267,15 +273,25 @@ def _run_lockstep(target, opts: PathfinderOptions, seed: int, num_paths: int) ->
     for i in range(num_paths):
         theta0 = initial_point(target.dim, opts, seed, i)
         steps = optimize_steps(theta0, opts.lbfgs)
-        active.append(_ActivePath(i, CounterView(target), theta0, steps, next(steps)))
+        active.append(_ActivePath(i, CounterView(target), theta0, steps, *next(steps)))
     while active:
-        logps, grads, ok = target.logp_grad_many(np.stack([path.point for path in active]))
-        pending = []
-        for path, logp, grad, good in zip(active, logps.tolist(), grads, ok.tolist()):
-            path.tally.n_grad += 1  # the row's evaluation, already counted by the target
-            try:
+        trials = [path for path in active if not path.need_grad]
+        if trials:
+            logps = target.logp_many(np.stack([path.point for path in trials]))
+            for path, logp in zip(trials, logps.tolist()):
+                path.tally.n_logp_only += 1  # the row's evaluation, already counted by the target
+                path.result = logp if logp > -math.inf else None
+        fused = [path for path in active if path.need_grad]
+        if fused:
+            logps, grads, ok = target.logp_grad_many(np.stack([path.point for path in fused]))
+            for path, logp, grad, good in zip(fused, logps.tolist(), grads, ok.tolist()):
+                path.tally.n_grad += 1
                 # A stored gradient must own its memory: a row view would pin the batch.
-                path.point = path.steps.send((logp, grad.copy()) if good else None)
+                path.result = (logp, grad.copy()) if good else None
+        pending = []
+        for path in active:
+            try:
+                path.point, path.need_grad = path.steps.send(path.result)
             except StopIteration as stop:
                 finish(path, stop.value)
             except NonFiniteError:  # raised for a refused initial point

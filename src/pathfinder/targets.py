@@ -2,10 +2,11 @@
 
 Every target is an unnormalized (or normalized) log density on R^N exposing a
 fused ``logp_grad`` evaluation, its batched form ``logp_grad_many``, and
-log-density-only evaluations.  Eight schools and logistic regression write
-their fused density once, for a batch, and evaluate a point as a batch of
-one.  Building a target rejects a non-finite or non-numeric parameter, or a
-size that is not a positive integer, with a BadParamsError naming it.
+log-density-only evaluations.  Each built-in target writes its log density
+once, for a batch, shared by the fused and the log-density-only evaluations,
+which therefore agree bit for bit; a point is a batch of one.  Building a
+target rejects a non-finite or non-numeric parameter, or a size that is not
+a positive integer, with a BadParamsError naming it.
 Instances are immutable apart from their evaluation counters, plain integers
 that every evaluation adds to.  Calls from several threads count exactly only
 under a global interpreter lock, which does not switch threads inside an
@@ -17,7 +18,8 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
+from scipy.linalg import cho_factor
+from scipy.linalg.lapack import dpotrs
 
 from .errors import BadParamsError, DimensionMismatchError, NonFiniteError, UnknownTargetError
 
@@ -46,8 +48,11 @@ class LogDensityTarget:
     """Base class: a differentiable log density on R^N.
 
     Subclasses implement the fused density for a point (``_logp_grad_impl``)
-    or a batch (``_logp_grad_many_impl``), each defaulting to the other, and
-    may override ``_logp_many_impl`` with a vectorized log density.
+    or for a batch (``_density``), each defaulting to the other.  A batched
+    ``_density`` may skip the gradient (return None) when ``need_grad`` is
+    false, but its log density must not depend on the flag: the line search
+    decides on logp-only evaluations and keeps the fused one at the accepted
+    point.
     Counters tick once per point of the right shape handed in, whether or not
     it is refused for being non-finite: fused evaluations increment both
     counters, log-density-only evaluations only the log-density counter.  The
@@ -96,11 +101,19 @@ class LogDensityTarget:
         if not np.isfinite(theta).all():
             raise NonFiniteError(f"{self.name}: input point contains non-finite values")
 
+    @staticmethod
+    def _finite_rows(points):
+        """The batch with non-finite rows zeroed, and the mask of finite rows."""
+        finite_in = np.isfinite(points).all(axis=1)
+        if not finite_in.all():
+            points = np.where(finite_in[:, None], points, 0.0)
+        return points, finite_in
+
     def logp_grad(self, theta):
         """Return ``(log p(theta), grad log p(theta))``, counting one fused evaluation.
 
         Raises NonFiniteError if the input or either output is non-finite;
-        callers in the line search treat that as a rejected step.
+        the line search treats that as a rejected step.
         """
         theta = self._check_point(theta)
         self._n_fused += 1
@@ -113,28 +126,34 @@ class LogDensityTarget:
         return float(logp), grad
 
     def logp(self, theta) -> float:
-        """Log density only; increments only the log-density counter."""
+        """Log density only, as a batch of one; increments only the log-density counter.
+
+        Equals ``logp_grad(theta)[0]`` bit for bit.  Raises NonFiniteError if
+        the input or the log density is non-finite.
+        """
         theta = self._check_point(theta)
         self._n_logp_only += 1
         self._refuse_non_finite(theta)
         with np.errstate(all="ignore"):
-            logp, _ = self._logp_grad_impl(theta)
-        if not np.isfinite(logp):
+            logp = float(self._density(theta[None], False)[0][0])
+        if not math.isfinite(logp):
             raise NonFiniteError(f"{self.name}: non-finite log density")
-        return float(logp)
+        return logp
 
     def logp_many(self, points) -> np.ndarray:
-        """Vectorized log density for an (M, N) batch, counting M evaluations.
+        """Log density of each row of an (M, N) batch, counting M evaluations.
 
-        Rows where the density is undefined or overflows come back as -inf
-        instead of raising, which is what pooled-draw scoring wants.
+        A row whose input or log density is not finite comes back as -inf
+        instead of raising, which is what pooled-draw scoring and lockstep
+        line-search trials want.  Each row equals the fused log density of
+        ``logp_grad_many`` on the same batch bit for bit.
         """
         points = self._check_batch(points)
-        with np.errstate(all="ignore"):
-            vals = self._logp_many_impl(points)
         self._n_logp_only += points.shape[0]
-        vals = np.asarray(vals, dtype=float)
-        return np.where(np.isfinite(vals), vals, -np.inf)
+        points, finite_in = self._finite_rows(points)
+        with np.errstate(all="ignore"):
+            vals = self._density(points, False)[0]
+        return np.where(finite_in & np.isfinite(vals), vals, -np.inf)
 
     def logp_grad_many(self, points):
         """Fused evaluation of an (M, N) batch, counting M fused evaluations.
@@ -149,24 +168,20 @@ class LogDensityTarget:
         """
         points = self._check_batch(points)
         self._n_fused += points.shape[0]
-        finite_in = np.isfinite(points).all(axis=1)
-        if not finite_in.all():
-            points = np.where(finite_in[:, None], points, 0.0)
+        points, finite_in = self._finite_rows(points)
         with np.errstate(all="ignore"):
-            logp, grad = self._logp_grad_many_impl(points)
+            logp, grad = self._density(points, True)
         ok = finite_in & np.isfinite(logp) & np.isfinite(grad).all(axis=1)
         return logp, grad, ok
 
     # -- implementation hooks ------------------------------------------------
 
     def _logp_grad_impl(self, theta):
-        logp, grad = self._logp_grad_many_impl(theta[None])
+        logp, grad = self._density(theta[None], True)
         return logp[0], grad[0]
 
-    def _logp_many_impl(self, points):
-        return self._logp_grad_many_impl(points)[0]
-
-    def _logp_grad_many_impl(self, points):
+    def _density(self, points, need_grad):
+        """Log density of each row and, when ``need_grad``, its gradient (else None)."""
         logp = np.empty(points.shape[0])
         grad = np.empty_like(points)
         for i, row in enumerate(points):
@@ -186,7 +201,7 @@ class CounterView:
     def __init__(self, base: LogDensityTarget):
         self._base = base
         self.n_grad = 0
-        self._n_logp_only = 0
+        self.n_logp_only = 0
 
     @property
     def dim(self) -> int:
@@ -198,7 +213,7 @@ class CounterView:
 
     @property
     def n_logp(self) -> int:
-        return self.n_grad + self._n_logp_only
+        return self.n_grad + self.n_logp_only
 
     @property
     def eval_count_logp(self) -> int:
@@ -223,12 +238,12 @@ class CounterView:
 
     def logp(self, theta):
         theta = self._base._check_point(theta)
-        self._n_logp_only += 1
+        self.n_logp_only += 1
         return self._base.logp(theta)
 
     def logp_many(self, points):
         points = self._base._check_batch(points)
-        self._n_logp_only += points.shape[0]
+        self.n_logp_only += points.shape[0]
         return self._base.logp_many(points)
 
 
@@ -237,22 +252,33 @@ class CounterView:
 # ---------------------------------------------------------------------------
 
 
+def _row_dot(a, b):
+    """Dot product of each row pair of two (M, K) arrays.
+
+    Each row takes the BLAS dot that ``a[i] @ b[i]`` takes, so its bits do
+    not depend on the batch it is in.
+    """
+    return np.matmul(a[:, None, :], b[:, :, None])[:, 0, 0]
+
+
 class StdNormal(LogDensityTarget):
     """Standard normal N(0, I) in ``dim`` dimensions."""
 
     def __init__(self, dim: int):
         super().__init__(dim, f"std_normal({dim})")
 
-    def _logp_grad_impl(self, theta):
-        logp = -0.5 * (theta @ theta) - 0.5 * self.dim * LOG_2PI
-        return logp, -theta
-
-    def _logp_many_impl(self, points):
-        return -0.5 * np.einsum("ij,ij->i", points, points) - 0.5 * self.dim * LOG_2PI
+    def _density(self, points, need_grad):
+        logp = -0.5 * _row_dot(points, points) - 0.5 * self.dim * LOG_2PI
+        return logp, -points if need_grad else None
 
 
 class MultivariateNormal(LogDensityTarget):
-    """N(mu, cov) with a dense SPD covariance."""
+    """N(mu, cov) with a dense SPD covariance.
+
+    The precision solve is one LAPACK ``potrs`` on the lower Cholesky factor
+    for the whole batch; each column of its right-hand side is solved on its
+    own, so a row's bits do not depend on the batch.
+    """
 
     def __init__(self, mu, cov):
         mu = _finite_array("mvn", "mu", mu)
@@ -266,25 +292,19 @@ class MultivariateNormal(LogDensityTarget):
         if not np.allclose(cov, cov.T, atol=1e-12 * max(1.0, float(np.abs(cov).max()))):
             raise BadParamsError("mvn: cov must be symmetric")
         try:
-            self._cho = cho_factor(cov, lower=True)
+            self._chol = cho_factor(cov, lower=True)[0]
         except np.linalg.LinAlgError as exc:
             raise BadParamsError("mvn: cov is not positive definite") from exc
         super().__init__(mu.size, f"mvn({mu.size})")
         self.mu = mu
         self.cov = cov
-        self._logdet = 2.0 * float(np.sum(np.log(np.diag(self._cho[0]))))
+        self._logdet = 2.0 * float(np.sum(np.log(np.diag(self._chol))))
 
-    def _logp_grad_impl(self, theta):
-        diff = theta - self.mu
-        sol = cho_solve(self._cho, diff)
-        logp = -0.5 * (diff @ sol + self._logdet + self.dim * LOG_2PI)
-        return logp, -sol
-
-    def _logp_many_impl(self, points):
+    def _density(self, points, need_grad):
         diff = points - self.mu
-        sol = cho_solve(self._cho, diff.T).T
-        mahal = np.einsum("ij,ij->i", diff, sol)
-        return -0.5 * (mahal + self._logdet + self.dim * LOG_2PI)
+        sol = dpotrs(self._chol, diff.T, lower=1)[0].T
+        logp = -0.5 * (_row_dot(diff, sol) + self._logdet + self.dim * LOG_2PI)
+        return logp, -sol if need_grad else None
 
 
 class NealFunnel(LogDensityTarget):
@@ -299,12 +319,12 @@ class NealFunnel(LogDensityTarget):
             raise BadParamsError("neal_funnel: dim must be at least 2")
         super().__init__(dim, f"neal_funnel({dim})")
 
-    def _logp_grad_impl(self, theta):
-        tau = theta[0]
-        beta = theta[1:]
+    def _density(self, points, need_grad):
+        tau = points[:, 0]
+        beta = points[:, 1:]
         n_beta = self.dim - 1
         inv_var = np.exp(-tau)
-        ss = beta @ beta
+        ss = _row_dot(beta, beta)
         logp = (
             -(tau * tau) / 18.0
             - np.log(3.0)
@@ -313,24 +333,12 @@ class NealFunnel(LogDensityTarget):
             - 0.5 * n_beta * tau
             - 0.5 * n_beta * LOG_2PI
         )
-        grad = np.empty_like(theta)
-        grad[0] = -tau / 9.0 + 0.5 * ss * inv_var - 0.5 * n_beta
-        grad[1:] = -beta * inv_var
+        if not need_grad:
+            return logp, None
+        grad = np.empty_like(points)
+        grad[:, 0] = -tau / 9.0 + 0.5 * ss * inv_var - 0.5 * n_beta
+        grad[:, 1:] = -beta * inv_var[:, None]
         return logp, grad
-
-    def _logp_many_impl(self, points):
-        tau = points[:, 0]
-        beta = points[:, 1:]
-        n_beta = self.dim - 1
-        ss = np.einsum("ij,ij->i", beta, beta)
-        return (
-            -(tau * tau) / 18.0
-            - np.log(3.0)
-            - 0.5 * LOG_2PI
-            - 0.5 * ss * np.exp(-tau)
-            - 0.5 * n_beta * tau
-            - 0.5 * n_beta * LOG_2PI
-        )
 
 
 # Classic eight-schools meta-analysis data: estimated treatment effects and
@@ -350,20 +358,11 @@ _ES_CONST = (
 )
 
 
-def _row_dot(a, b):
-    """Dot product of each row pair of two (M, K) arrays.
-
-    Each row takes the BLAS dot that ``a[i] @ b[i]`` takes, so its bits do
-    not depend on the batch it is in.
-    """
-    return np.matmul(a[:, None, :], b[:, :, None])[:, 0, 0]
-
-
 class _EightSchools(LogDensityTarget):
     """The eight-schools layout: eight school coordinates, mu, tau (log scale).
 
-    Each parameterization writes its fused density once, for a batch with
-    every row computed on its own; a single point is a batch of one.
+    Each parameterization writes its density once, for a batch with every
+    row computed on its own; a single point is a batch of one.
     """
 
     tau_index = 9
@@ -384,7 +383,7 @@ class EightSchoolsCentered(_EightSchools):
     def __init__(self):
         super().__init__("eight_schools_centered")
 
-    def _logp_grad_many_impl(self, points):
+    def _density(self, points, need_grad):
         effects = points[:, :8]
         mu = points[:, 8]
         tau = points[:, 9]
@@ -402,23 +401,13 @@ class EightSchoolsCentered(_EightSchools):
             - np.log1p(s2_ratio)
             + _ES_CONST
         )
+        if not need_grad:
+            return logp, None
         grad = np.empty_like(points)
         grad[:, :8] = resid_y - dev * inv_s2[:, None]
         grad[:, 8] = np.sum(dev, axis=1) * inv_s2 - mu / MU_PRIOR_SD**2
         grad[:, 9] = dev_ss * inv_s2 - 7.0 - 2.0 * s2_ratio / (1.0 + s2_ratio)
         return logp, grad
-
-    def _logp_many_impl(self, points):
-        effects = points[:, :8]
-        mu = points[:, 8:9]
-        tau = points[:, 9]
-        dev = effects - mu
-        resid = EIGHT_SCHOOLS_Y - effects
-        lik = -0.5 * np.einsum("ij,j->i", resid * resid, _ES_INV_VAR)
-        prior_eff = -0.5 * np.einsum("ij,ij->i", dev, dev) * np.exp(-2.0 * tau) - 8.0 * tau
-        prior_mu = -0.5 * (points[:, 8] / MU_PRIOR_SD) ** 2
-        prior_tau = -np.log1p(np.exp(2.0 * tau) / TAU_PRIOR_SCALE**2) + tau
-        return lik + prior_eff + prior_mu + prior_tau + _ES_CONST
 
 
 class EightSchoolsNonCentered(_EightSchools):
@@ -431,7 +420,7 @@ class EightSchoolsNonCentered(_EightSchools):
     def __init__(self):
         super().__init__("eight_schools_noncentered")
 
-    def _logp_grad_many_impl(self, points):
+    def _density(self, points, need_grad):
         eta = points[:, :8]
         mu = points[:, 8]
         tau = points[:, 9]
@@ -448,24 +437,13 @@ class EightSchoolsNonCentered(_EightSchools):
             + tau
             + _ES_CONST
         )
+        if not need_grad:
+            return logp, None
         grad = np.empty_like(points)
         grad[:, :8] = s[:, None] * resid - eta
         grad[:, 8] = np.sum(resid, axis=1) - mu / MU_PRIOR_SD**2
         grad[:, 9] = s * _row_dot(eta, resid) + 1.0 - 2.0 * s2_ratio / (1.0 + s2_ratio)
         return logp, grad
-
-    def _logp_many_impl(self, points):
-        eta = points[:, :8]
-        mu = points[:, 8:9]
-        tau = points[:, 9]
-        s = np.exp(tau)[:, None]
-        effects = mu + s * eta
-        resid = EIGHT_SCHOOLS_Y - effects
-        lik = -0.5 * np.einsum("ij,j->i", resid * resid, _ES_INV_VAR)
-        prior_eta = -0.5 * np.einsum("ij,ij->i", eta, eta)
-        prior_mu = -0.5 * (points[:, 8] / MU_PRIOR_SD) ** 2
-        prior_tau = -np.log1p(np.exp(2.0 * tau) / TAU_PRIOR_SCALE**2) + tau
-        return lik + prior_eta + prior_mu + prior_tau + _ES_CONST
 
 
 class LogisticRegression(LogDensityTarget):
@@ -475,7 +453,7 @@ class LogisticRegression(LogDensityTarget):
     the log likelihood is ``-sum softplus(u)`` and its gradient
     ``-sigma(u) Xs``, both from one ``e = exp(-|u|)``: the stable softplus
     ``max(u, 0) + log1p(e)`` and ``sigma(u) = where(u >= 0, 1, e) / (1 + e)``.
-    The density is written for a batch; a point is a batch of one.
+    The rounding of the (M, n) margin product depends on the batch.
     """
 
     def __init__(self, X, y, prior_scale: float = 1.0):
@@ -488,6 +466,10 @@ class LogisticRegression(LogDensityTarget):
             raise BadParamsError("logistic_regression: y entries must be 0 or 1")
         if prior_scale.ndim != 0 or prior_scale <= 0:
             raise BadParamsError("logistic_regression: prior_scale must be a positive number")
+        if prior_scale**2 == 0.0:
+            raise BadParamsError(
+                f"logistic_regression: prior_scale {float(prior_scale):g} is too small; "
+                "its square underflows to 0")
         super().__init__(X.shape[1], f"logistic_regression({X.shape[0]}x{X.shape[1]})")
         self.X = X
         self.y = y
@@ -496,20 +478,14 @@ class LogisticRegression(LogDensityTarget):
         self._sc2 = self.prior_scale**2
         self._log_norm = self.dim * (np.log(self.prior_scale) + 0.5 * LOG_2PI)
 
-    def _forward(self, points):
-        """Margins ``U``, ``e = exp(-|U|)`` and each row's log density; the
-        rounding of the (M, n) product ``U`` depends on the batch."""
+    def _density(self, points, need_grad):
         U = points @ self._Xs.T
         e = np.abs(U)
         np.exp(np.negative(e, out=e), out=e)
         prior = 0.5 * np.einsum("ij,ij->i", points, points) / self._sc2 + self._log_norm
-        return U, e, -np.log1p(e).sum(axis=1) - np.maximum(U, 0.0).sum(axis=1) - prior
-
-    def _logp_many_impl(self, points):
-        return self._forward(points)[2]
-
-    def _logp_grad_many_impl(self, points):
-        U, e, logp = self._forward(points)
+        logp = -np.log1p(e).sum(axis=1) - np.maximum(U, 0.0).sum(axis=1) - prior
+        if not need_grad:
+            return logp, None
         sigma = np.where(U >= 0.0, 1.0, e)
         e += 1.0
         sigma /= e

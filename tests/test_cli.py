@@ -141,6 +141,15 @@ class TestMain:
         assert named in err and "Traceback" not in err
         assert not (tmp_path / "draws.csv").exists()
 
+    def test_underflowing_prior_scale_exits_2(self, tmp_path, capsys):
+        # Positive and finite, but its square is 0: a parameter error, not a
+        # run in which every path fails.
+        run_cli(tmp_path, "--target", "logistic_regression",
+                "--target-params", '{"prior_scale": 1e-200}', check=2)
+        err = capsys.readouterr().err
+        assert "prior_scale" in err and "underflows" in err and "Traceback" not in err
+        assert not (tmp_path / "draws.csv").exists()
+
     def test_dim_flag_conflicting_with_logistic_p(self, tmp_path, capsys):
         args = ("--target", "logistic_regression", "--mode", "single", "--num-draws", "5")
         run_cli(tmp_path, *args, "--dim", "3", "--target-params", '{"p": 5}', check=2)

@@ -50,6 +50,34 @@ class HalfLine(LogDensityTarget):
         return -0.5 * float(theta @ theta) + theta[0], 1.0 - theta
 
 
+class GradientCliff(LogDensityTarget):
+    """A normal centered at (2, -1) whose log density is finite everywhere but
+    whose gradient is non-finite past theta_0 = 1, so fused evaluations there
+    are refused while logp-only ones are not."""
+
+    def __init__(self):
+        super().__init__(2, "gradient_cliff")
+
+    def _logp_grad_impl(self, theta):
+        diff = theta - np.array([2.0, -1.0])
+        grad = -diff if theta[0] <= 1.0 else np.full(2, np.nan)
+        return -0.5 * float(diff @ diff), grad
+
+
+def record_gradient_points(target):
+    """Log, on the target instance, every point whose gradient is evaluated."""
+    points = []
+    density = target._density
+
+    def recording(batch, need_grad):
+        if need_grad:
+            points.extend(np.array(batch))
+        return density(batch, need_grad)
+
+    target._density = recording
+    return points
+
+
 class TestSearchDirection:
     def test_empty_history_unit_alpha(self):
         g = np.array([0.3, -1.2, 2.0])
@@ -117,6 +145,31 @@ class TestWolfeLineSearch:
         res = wolfe_line_search(t, theta, logp, grad, delta, 1e-4)
         assert res.step <= 0.5
 
+    def test_trials_are_logp_only_and_the_accepted_point_is_fused(self):
+        # Step 1 overshoots the mode to x = 2 and fails the test; step 1/2
+        # lands on x = 0.5 and passes it.  The test reads each trial's log
+        # density only, and the accepted step then gets the one gradient
+        # evaluation, whose values are returned.
+        t = Quadratic1D()
+        theta = np.array([-1.0])
+        logp, grad = t.logp_grad(theta)
+        res = wolfe_line_search(t, theta, logp, grad, np.array([3.0]), 0.1)
+        assert res.step == 0.5 and res.theta[0] == 0.5
+        assert (res.logp, res.grad.tolist()) == (-0.125, [-0.5])
+        assert (t.eval_count_logp, t.eval_count_grad) == (4, 2)
+
+    def test_refused_gradient_rejects_the_trial(self):
+        # From the origin along the gradient (2, -1), step 1 lands on the mode
+        # past theta_0 = 1: it passes the Armijo test on its finite log
+        # density, but its gradient is refused, so the search halves on to
+        # step 1/2, at theta_0 = 1.
+        t = GradientCliff()
+        theta = np.zeros(2)
+        logp, grad = t.logp_grad(theta)
+        res = wolfe_line_search(t, theta, logp, grad, grad.copy(), 1e-4)
+        assert res.step == 0.5 and res.theta.tolist() == [1.0, -0.5]
+        assert (t.eval_count_logp, t.eval_count_grad) == (5, 3)
+
     def test_fails_when_no_increase_exists(self):
         t = Quadratic1D()
         theta = np.array([0.0])  # at the mode; any move decreases logp
@@ -172,6 +225,24 @@ class TestOptimize:
             traj = optimize(t, rng.uniform(-2, 2, t.dim), LbfgsOptions(max_iters=200))
             assert np.all(np.diff(traj.logps) > 0)
             assert len(traj.thetas) == len(traj.grads) == len(traj.logps)
+
+    @pytest.mark.parametrize("name,params", [
+        ("std_normal", {"dim": 4}), ("mvn", {"dim": 3}), ("neal_funnel", {"dim": 3}),
+        ("eight_schools_centered", {}), ("eight_schools_noncentered", {}),
+        ("logistic_regression", {"n": 30, "p": 3}),
+    ])
+    def test_gradients_only_at_trajectory_points(self, name, params):
+        # One fused evaluation at the start and one per accepted step; a final
+        # fused evaluation that gives no increase is the only extra one.
+        t = make_target(name, **params)
+        seen = record_gradient_points(t)
+        traj = optimize(t, np.random.default_rng(1).uniform(-2, 2, t.dim),
+                        LbfgsOptions(max_iters=150))
+        assert traj.num_iters > 0
+        np.testing.assert_array_equal(np.array(seen[:len(traj.thetas)]), traj.thetas)
+        extra = len(seen) - len(traj.thetas)
+        assert extra == 0 or (extra == 1 and traj.termination is Termination.CONVERGED)
+        assert t.eval_count_grad == len(seen)
 
     def test_deterministic(self):
         t = make_target("eight_schools_centered")
@@ -276,3 +347,18 @@ def test_history_window_is_bounded():
     upto = min(len(fast.thetas), len(dense))
     assert upto >= 10
     np.testing.assert_allclose(fast.thetas[:upto], dense[:upto], atol=1e-8)
+
+
+def test_refused_gradients_match_dense_reference():
+    # The dense reference evaluates every trial with its gradient and halves
+    # on any refusal; logp-only trials followed by a refused fused evaluation
+    # must retrace it.
+    opts = LbfgsOptions(max_iters=30)
+    for seed in range(4):
+        init = np.random.default_rng(seed).uniform(-2, 0, 2)
+        fast_target = GradientCliff()
+        fast = optimize(fast_target, init, opts)
+        dense = DenseBfgsReference(opts).run(GradientCliff(), init)
+        assert fast.thetas.shape == dense.shape
+        np.testing.assert_allclose(fast.thetas, dense, atol=1e-8)
+        assert fast_target.eval_count_grad > fast.num_iters + 1

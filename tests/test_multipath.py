@@ -274,8 +274,8 @@ class TestRunMulti:
 
 
 class TestLockstep:
-    """``run_multi`` advances its paths together, one batched target call per
-    round; wherever a batched row equals the per-point evaluation, each path
+    """``run_multi`` advances its paths together, at most two batched target
+    calls per round (logp-only trials and fused evaluations); wherever a batched row equals the per-point evaluation, each path
     must equal the path ``run_single`` runs alone."""
 
     @pytest.mark.parametrize("name, params", [

@@ -5,6 +5,8 @@ import pytest
 
 from pathfinder import (
     AllFailedError,
+    LbfgsOptions,
+    NonFiniteError,
     PathfinderOptions,
     Termination,
     make_target,
@@ -22,6 +24,24 @@ class Plateau(LogDensityTarget):
 
     def _logp_grad_impl(self, theta):
         return -1.0, np.zeros(self.dim)
+
+
+def record_fused_logps(target):
+    """Log, on the target instance, each fused evaluation's log density (None if refused)."""
+    logps = []
+    fused = target.logp_grad
+
+    def recording(theta):
+        try:
+            logp, grad = fused(theta)
+        except NonFiniteError:
+            logps.append(None)
+            raise
+        logps.append(logp)
+        return logp, grad
+
+    target.logp_grad = recording
+    return logps
 
 
 class TestSelectArgmax:
@@ -96,6 +116,31 @@ class TestCounters:
         # the shared target accumulated exactly this run's evaluations
         assert target.eval_count_logp == run.n_logp
         assert target.eval_count_grad == run.n_grad
+
+    @pytest.mark.parametrize("name, params", [
+        ("std_normal", {"dim": 4}), ("mvn", {"dim": 3}), ("neal_funnel", {"dim": 5}),
+        ("eight_schools_centered", {}), ("eight_schools_noncentered", {}),
+        ("logistic_regression", {"n": 30, "p": 3}),
+    ])
+    def test_one_gradient_per_accepted_step(self, name, params):
+        # Line-search trials are logp-only, so the optimizer's gradients are
+        # one at the start and one per accepted step, plus one for each fused
+        # evaluation that was refused or did not beat the best so far.
+        opts = PathfinderOptions(num_draws=20, lbfgs=LbfgsOptions(max_iters=200))
+        extras = []
+        for path_index in range(4):
+            target = make_target(name, **params)
+            logps = record_fused_logps(target)
+            run = run_single(target, opts, seed=11, path_index=path_index)
+            best, extra = -np.inf, 0
+            for logp in logps:
+                if logp is None or logp <= best:
+                    extra += 1
+                else:
+                    best = logp
+            assert run.lbfgs_n_grad == len(logps) == run.num_iters + 1 + extra
+            extras.append(extra)
+        assert 0 in extras
 
     def test_elbo_adds_no_gradient_evaluations(self):
         target = make_target("std_normal", dim=4)

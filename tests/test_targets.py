@@ -5,6 +5,7 @@ import threading
 
 import numpy as np
 import pytest
+from scipy.linalg import cho_factor, cho_solve
 from scipy.special import expit, log_expit
 
 from pathfinder import (
@@ -107,6 +108,21 @@ class TestMvn:
             )
             assert t.logp(x) == pytest.approx(expected, abs=1e-10)
 
+    def test_gradient_is_scipy_cho_solve_bit_for_bit(self):
+        # The precision solve is one LAPACK potrs for the batch; each row must
+        # equal scipy's per-point cho_solve, alone and inside a 200-row batch.
+        rng = np.random.default_rng(6)
+        A = rng.standard_normal((50, 50))
+        cov = A @ A.T / 50.0 + 0.1 * np.eye(50)
+        mu = rng.standard_normal(50)
+        t = make_target("mvn", mu=mu, cov=cov)
+        factor = cho_factor(cov, lower=True)
+        pts = rng.normal(0.0, 2.0, (200, 50))
+        expected = np.array([-cho_solve(factor, p - mu) for p in pts])
+        _, grad, ok = t.logp_grad_many(pts)
+        assert ok.all() and np.array_equal(grad, expected)
+        assert np.array_equal(t.logp_grad(pts[0])[1], expected[0])
+
     def test_non_spd_rejected(self):
         with pytest.raises(BadParamsError):
             make_target("mvn", mu=[0.0, 0.0], cov=[[1.0, 2.0], [2.0, 1.0]])
@@ -132,6 +148,13 @@ class TestLogisticRegression:
             _, grad = t.logp_grad(beta)
             fd = fd_gradient(t, beta)
             np.testing.assert_allclose(grad, fd, rtol=1e-5, atol=1e-7)
+
+    def test_underflowing_prior_scale_rejected(self):
+        # 1e-200 is positive and finite, but its square is 0 and the prior
+        # term would divide by it.
+        with pytest.raises(BadParamsError, match="prior_scale .*underflows"):
+            make_target("logistic_regression", prior_scale=1e-200)
+        assert make_target("logistic_regression", prior_scale=1e-150).dim == 3
 
     def test_bad_labels_rejected(self):
         with pytest.raises(BadParamsError):
@@ -277,6 +300,18 @@ class TestGradients:
             if exact:
                 assert lp == lp1 and np.array_equal(g, g1)
 
+    @pytest.mark.parametrize("target", all_targets(), ids=lambda t: t.name)
+    def test_logp_only_equals_the_fused_logp(self, target):
+        # The line search decides on logp-only trials and keeps the fused
+        # evaluation of the accepted point, so the two must agree bit for bit,
+        # per point and per batch.
+        pts = random_points(target, 500, np.random.default_rng(12))
+        logp, _, ok = target.logp_grad_many(pts)
+        assert ok.all()
+        assert np.array_equal(target.logp_many(pts), logp)
+        for point in pts[:50]:
+            assert target.logp(point) == target.logp_grad(point)[0]
+
     def test_row_dot_takes_the_single_point_dot(self):
         # The eight-schools densities keep the per-point `@` bits through it,
         # strided row slices included.
@@ -355,6 +390,20 @@ class TestCountersAndChecks:
             lp1, g1 = t.logp_grad(pts[i])
             assert logp[i] == lp1
             np.testing.assert_array_equal(grad[i], g1)
+
+    @pytest.mark.parametrize("target", all_targets(), ids=lambda t: t.name)
+    def test_logp_many_refuses_non_finite_rows(self, target):
+        # A non-finite input row comes back as -inf, counted once, like a
+        # refused row of logp_grad_many; the other rows are unaffected.
+        pts = random_points(target, 4, np.random.default_rng(2))
+        bad = pts.copy()
+        bad[1, 0] = np.inf
+        bad[3, -1] = np.nan
+        before = target.eval_count_logp
+        vals = target.logp_many(bad)
+        assert target.eval_count_logp - before == 4
+        assert vals[1] == vals[3] == -np.inf
+        assert vals[0] == target.logp(pts[0]) and vals[2] == target.logp(pts[2])
 
     def test_dimension_mismatch(self):
         t = make_target("std_normal", dim=3)
