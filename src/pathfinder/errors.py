@@ -26,7 +26,7 @@ class SingularEError(PathfinderError):
 
 
 class LineSearchFailError(PathfinderError):
-    """Backtracking line search exhausted its step-halving budget."""
+    """No line-search step down to 2^-MAX_HALVINGS gave a sufficient increase."""
 
 
 class CholeskyFailError(PathfinderError):

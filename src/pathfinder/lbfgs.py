@@ -2,13 +2,17 @@
 
 The optimizer maximizes log p directly.  Search directions apply the
 low-rank-plus-diagonal inverse Hessian estimate, whose compact form lives in
-``inv_hessian`` alone, without ever materializing an N x N matrix.  The
-backtracking line search halves the step until the sufficient-increase
-(Armijo) condition holds; no curvature condition is enforced.  That test
-reads only the log density, so each trial is a log-density-only evaluation,
-and the one point it accepts gets one fused evaluation, whose log density
-and gradient enter the trajectory: one gradient per accepted step, plus one
-at the initial point.
+``inv_hessian`` alone, without ever materializing an N x N matrix.  The line
+search tries steps 1, 1/2, ..., 2^-MAX_HALVINGS for the sufficient-increase
+(Armijo) condition; no curvature condition is enforced.  Each search starts
+at twice the path's last accepted step (at most 1), doubles while the test
+passes and halves while it fails (Nocedal & Wright, section 3.5, "initial
+step length"), so it accepts the largest passing step wherever the passing
+steps form an interval, as they do on a log-concave target.  The test reads
+only the log density, so each trial is a log-density-only evaluation, and
+the one point the search accepts gets one fused evaluation, whose log
+density and gradient enter the trajectory: one gradient per accepted step,
+plus one at the initial point.
 
 Both are written once, as steppers: generators that yield the points they
 need evaluated, each with whether it needs a gradient, and take each result
@@ -30,8 +34,10 @@ from .errors import LineSearchFailError, NonFiniteError
 from .inv_hessian import factors_from_pairs, low_rank_product
 from .options import POSITIVE, POSITIVE_INT, UNIT, check_settings, setting
 
-# Step halvings the line search tries before it gives up.
+# The line search's steps are 2^-k for k = 0..MAX_HALVINGS; it gives up
+# below the smallest.
 MAX_HALVINGS = 60
+MIN_STEP = 2.0**-MAX_HALVINGS
 
 
 @dataclass(frozen=True)
@@ -118,39 +124,56 @@ def drive(steps, target):
             return stop.value
 
 
-def line_search_steps(theta, logp, grad, delta, c1):
-    """Stepper of ``wolfe_line_search``: yields its trial points in order,
-    each for its log density alone, then the accepted one for its gradient."""
+def line_search_steps(theta, logp, grad, delta, c1, step=1.0):
+    """Stepper of ``wolfe_line_search``, started at ``step`` (a power of 2 <= 1).
+
+    Yields each trial point for its log density alone, then the accepted one
+    for its gradient.  A passing first trial below 1 doubles while the test
+    passes and the step stays <= 1, and the largest passing step is
+    accepted; a failing trial halves.  A refused gradient rejects the
+    accepted step, and halving goes on below it without growing again.
+    """
     slope = float(grad @ delta)
-    step = 1.0
-    for _ in range(MAX_HALVINGS + 1):
+    grow = step < 1.0
+    passed = None  # (step, point) of the largest trial known to pass
+    while step >= MIN_STEP:
         candidate = theta + step * delta
         trial_logp = yield candidate, False
         # Python floats: an overflow or nan in the bound fails the check quietly.
         if trial_logp is not None and trial_logp >= logp + c1 * step * slope:
+            passed = step, candidate
+            if grow and step < 1.0:
+                step *= 2.0
+                continue
+        grow = False
+        if passed is not None:
+            step, candidate = passed
+            passed = None
             result = yield candidate, True
             # A refused gradient rejects the trial: the step is halved as if
             # the log density had been refused.
             if result is not None:
                 return LineSearchResult(step, candidate, *result)
         step *= 0.5
-    raise LineSearchFailError(f"no acceptable step after {MAX_HALVINGS} halvings")
+    raise LineSearchFailError(f"no step >= 2^-{MAX_HALVINGS} gives sufficient increase")
 
 
 def wolfe_line_search(target, theta, logp, grad, delta, c1) -> LineSearchResult:
     """Backtrack over steps 1, 1/2, 1/4, ... to the first with sufficient increase.
 
-    Requires grad'delta > 0 (ascent direction).  Only the sufficient-increase
-    (Armijo) condition logp(theta + step delta) >= logp + c1 step grad'delta
-    is enforced; the curvature condition is not.  Each trial is evaluated for
-    its log density only (``target.logp``); the first that passes is then
-    evaluated once more with its gradient (``target.logp_grad``), and that
-    fused result is returned.  An evaluation of either kind that raises
-    NonFiniteError counts as a failed check and the step is halved.  A step
-    that leaves the curvature unmet simply produces an update pair that fails
-    the curvature gate downstream, leaving the inverse Hessian estimate
-    intact.  LineSearchFailError is raised when no step of the first
-    MAX_HALVINGS + 1 yields a sufficient increase.
+    This is ``line_search_steps`` started at step 1, driven one target call
+    at a time.  Requires grad'delta > 0 (ascent direction).  Only the
+    sufficient-increase (Armijo) condition
+    logp(theta + step delta) >= logp + c1 step grad'delta is enforced; the
+    curvature condition is not.  Each trial is evaluated for its log density
+    only (``target.logp``); the first that passes is then evaluated once
+    more with its gradient (``target.logp_grad``), and that fused result is
+    returned.  An evaluation of either kind that raises NonFiniteError counts
+    as a failed check and the step is halved.  A step that leaves the
+    curvature unmet simply produces an update pair that fails the curvature
+    gate downstream, leaving the inverse Hessian estimate intact.
+    LineSearchFailError is raised when no step >= 2^-MAX_HALVINGS yields a
+    sufficient increase.
     """
     return drive(line_search_steps(theta, float(logp), grad, delta, c1), target)
 
@@ -163,11 +186,14 @@ REL_TOL_FLOOR = 1e-10
 def optimize(target, theta_init, opts: LbfgsOptions) -> Trajectory:
     """Run L-BFGS ascent from theta_init and return the full trajectory.
 
-    Line-search trials are log-density-only evaluations; the initial point
-    and each accepted step get one fused evaluation, so the gradient count is
-    ``num_iters + 1`` plus any fused evaluation that was refused or gave no
-    increase.  The stored pair history is windowed to ``opts.history_size``; after each
-    accepted pair the diagonal seed resets to the scalar ||z||^2 / (s'z).
+    Each line search starts at min(1, 2 t) for the previous accepted step t
+    (at 1 for the first), so on a log-concave target every search accepts
+    the same step as one started at 1.  Line-search trials are
+    log-density-only evaluations; the initial point and each accepted step
+    get one fused evaluation, so the gradient count is ``num_iters + 1`` plus
+    any fused evaluation that was refused or gave no increase.  The stored
+    pair history is windowed to ``opts.history_size``; after each accepted
+    pair the diagonal seed resets to the scalar ||z||^2 / (s'z).
     Terminates on relative log-density improvement below ``rel_tol``, at
     ``max_iters``, on line-search failure, or immediately when the initial
     gradient norm is below ``grad_zero_tol``.  Raises NonFiniteError when the
@@ -197,6 +223,7 @@ def optimize_steps(theta_init, opts: LbfgsOptions):
     s_hist: deque = deque(maxlen=opts.history_size)
     z_hist: deque = deque(maxlen=opts.history_size)
     alpha = np.ones(theta.size)
+    step = 1.0  # the last accepted step
     termination = Termination.MAX_ITER
 
     for _ in range(opts.max_iters):
@@ -211,7 +238,8 @@ def optimize_steps(theta_init, opts: LbfgsOptions):
             termination = Termination.LINE_SEARCH_FAIL
             break
         try:
-            ls = yield from line_search_steps(thetas[-1], logps[-1], grads[-1], delta, opts.c1)
+            ls = yield from line_search_steps(
+                thetas[-1], logps[-1], grads[-1], delta, opts.c1, min(1.0, 2.0 * step))
         except LineSearchFailError:
             termination = Termination.LINE_SEARCH_FAIL
             break
@@ -221,6 +249,7 @@ def optimize_steps(theta_init, opts: LbfgsOptions):
             termination = Termination.CONVERGED
             break
 
+        step = ls.step
         prev_theta, prev_grad, prev_logp = thetas[-1], grads[-1], logps[-1]
         thetas.append(ls.theta)
         grads.append(ls.grad)

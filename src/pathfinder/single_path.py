@@ -34,9 +34,10 @@ from .targets import CounterView
 # memory; they change no result where logp_many rows do not depend on the
 # batch, which holds for every target but logistic regression, whose rows
 # are BLAS matrix products: the fixed block size keeps its results
-# reproducible.  The same holds for the lockstep optimizer's batches, so a logistic path run by ``run_multi`` is not bit-identical to
-# ``run_single`` with its path index, although ``run_multi`` output is
-# still a function of (target, options, seed).
+# reproducible.  The same holds for the lockstep optimizer's batches, so a
+# logistic path run by ``run_multi`` is not bit-identical to ``run_single``
+# with its path index, although ``run_multi`` output is still a function of
+# (target, options, seed).
 BLOCK_FLOATS = 2**14
 
 # Why a candidate approximation was disqualified, in the order checked:

@@ -483,7 +483,11 @@ class LogisticRegression(LogDensityTarget):
         e = np.abs(U)
         np.exp(np.negative(e, out=e), out=e)
         prior = 0.5 * np.einsum("ij,ij->i", points, points) / self._sc2 + self._log_norm
-        logp = -np.log1p(e).sum(axis=1) - np.maximum(U, 0.0).sum(axis=1) - prior
+        # Only the gradient reads U and e again, so a log density alone
+        # computes the softplus terms in their place.
+        out_e, out_U = (None, None) if need_grad else (e, U)
+        logp = (-np.log1p(e, out=out_e).sum(axis=1)
+                - np.maximum(U, 0.0, out=out_U).sum(axis=1) - prior)
         if not need_grad:
             return logp, None
         sigma = np.where(U >= 0.0, 1.0, e)
