@@ -3,7 +3,9 @@
 Configures a target and the algorithm, runs a single path or the multi-path
 pipeline, and writes draws as CSV plus diagnostics as JSON.  Exit codes:
 0 on success, 1 when every optimization path failed, 2 on configuration
-errors.  Configuration errors are reported as messages, never stack traces.
+errors and on outputs that cannot be written.  These are reported as
+messages, never stack traces; an output whose directory does not exist is
+a configuration error, found before any solve runs.
 
 The diagnostics JSON contains only deterministic content (the echoed
 algorithmic config and per-path results); wall time is an execution detail
@@ -15,6 +17,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import os
 import sys
 import time
 from dataclasses import dataclass, field
@@ -78,6 +81,12 @@ def validate_config(raw: dict) -> RunConfig:
         given = cfg.target_params.get("dim") if isinstance(cfg.target_params, dict) else None
         if given is not None and given != cfg.dim:
             problems.append(f"dim: {cfg.dim!r} conflicts with target_params dim {given!r}")
+    for key in ("out", "diagnostics"):
+        path = getattr(cfg, key)
+        if not isinstance(path, str) or not path:
+            problems.append(f"{key}: must be a file path, got {path!r}")
+        elif not os.path.isdir(os.path.dirname(path) or "."):
+            problems.append(f"{key}: directory {os.path.dirname(path)!r} does not exist")
     problems += [kind_problem(s.key, s.kind, raw[s.key]) for s in declared if s.key in raw]
     problems = [p for p in problems if p]
     if not problems:
@@ -244,8 +253,12 @@ def main(argv=None) -> int:
         )
         failed = False
 
-    _write_csv(cfg.out, draws)
-    _write_diagnostics(cfg.diagnostics, payload)
+    try:
+        _write_csv(cfg.out, draws)
+        _write_diagnostics(cfg.diagnostics, payload)
+    except OSError as exc:
+        print(f"error: cannot write output: {exc}", file=sys.stderr)
+        return 2
 
     elapsed = time.perf_counter() - start
     print(

@@ -45,20 +45,32 @@ def select_rows(stacked, index):
 class AlphaRecovery:
     """Per-iteration diagonal seeds and pair bookkeeping for a trajectory.
 
-    All four arrays have one entry per optimization step: ``alphas[l]`` is the
-    strictly positive diagonal in effect after step l+1, ``xis[l]`` flags
-    whether that step's (s, z) pair was accepted, and rejected steps carry the
-    previous alpha forward unchanged.
+    ``alphas`` and ``xis`` have one entry per optimization step: ``alphas[l]``
+    is the strictly positive diagonal in effect after step l+1, ``xis[l]``
+    flags whether that step's (s, z) pair was accepted, and rejected steps
+    carry the previous alpha forward unchanged.  The trajectory's own
+    ``thetas`` and ``grads`` are kept, not copied, and each step's pair is
+    formed from them where it is used.
     """
 
     alphas: np.ndarray   # (L, N)
     xis: np.ndarray      # (L,) of {0, 1}
-    s_list: np.ndarray   # (L, N) position updates
-    z_list: np.ndarray   # (L, N) updates of the negative-log-density gradient
+    thetas: np.ndarray   # (L+1, N) trajectory positions
+    grads: np.ndarray    # (L+1, N) trajectory log-density gradients
 
     @property
     def num_iters(self) -> int:
         return len(self.xis)
+
+    @property
+    def s_list(self) -> np.ndarray:
+        """(L, N) position updates."""
+        return self.thetas[1:] - self.thetas[:-1]
+
+    @property
+    def z_list(self) -> np.ndarray:
+        """(L, N) updates of the negative-log-density gradient."""
+        return self.grads[:-1] - self.grads[1:]
 
 
 @dataclass
@@ -100,20 +112,13 @@ def alpha_recover(trajectory) -> AlphaRecovery:
     non-positive, are rejected and leave alpha untouched.  The history window
     is applied later, at factor-assembly time.
     """
-    thetas = trajectory.thetas
-    grads = trajectory.grads
     L = trajectory.num_iters
-    N = thetas.shape[1]
-
-    alphas = np.empty((L, N))
-    xis = np.zeros(L, dtype=int)
-    s_list = thetas[1:] - thetas[:-1]
-    z_list = grads[:-1] - grads[1:]
+    N = trajectory.thetas.shape[1]
+    recovery = AlphaRecovery(
+        np.empty((L, N)), np.zeros(L, dtype=int), trajectory.thetas, trajectory.grads)
 
     alpha = np.ones(N)
-    for l in range(L):
-        s = s_list[l]
-        z = z_list[l]
+    for l, (s, z) in enumerate(zip(recovery.s_list, recovery.z_list)):
         b = float(s @ z)
         if b > ALPHA_PAIR_EPS * float(z @ z):
             a = float(z @ (alpha * z))
@@ -123,9 +128,9 @@ def alpha_recover(trajectory) -> AlphaRecovery:
                 candidate = 1.0 / inv
             if np.all(np.isfinite(candidate)) and np.all(candidate > 0.0):
                 alpha = candidate
-                xis[l] = 1
-        alphas[l] = alpha
-    return AlphaRecovery(alphas, xis, s_list, z_list)
+                recovery.xis[l] = 1
+        recovery.alphas[l] = alpha
+    return recovery
 
 
 def pair_counts(recovery: AlphaRecovery, history_size: int) -> np.ndarray:
@@ -151,8 +156,9 @@ def window(recovery: AlphaRecovery, iters, num_pairs: int):
     accepted = np.flatnonzero(recovery.xis == 1)
     seen = np.cumsum(recovery.xis)[iters - 1]
     keep = accepted[seen[:, None] - num_pairs + np.arange(num_pairs)]    # (B, J')
-    S = recovery.s_list[keep].transpose(0, 2, 1)
-    Z = recovery.z_list[keep].transpose(0, 2, 1)
+    thetas, grads = recovery.thetas, recovery.grads
+    S = (thetas[keep + 1] - thetas[keep]).transpose(0, 2, 1)
+    Z = (grads[keep] - grads[keep + 1]).transpose(0, 2, 1)
     return S, Z, recovery.alphas[iters - 1]
 
 

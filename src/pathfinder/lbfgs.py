@@ -14,11 +14,15 @@ the one point the search accepts gets one fused evaluation, whose log
 density and gradient enter the trajectory: one gradient per accepted step,
 plus one at the initial point.
 
-Both are written once, as steppers: generators that yield the points they
-need evaluated, each with whether it needs a gradient, and take each result
-back.  ``optimize`` and ``wolfe_line_search`` run a stepper one target call
-at a time; ``multipath`` runs one stepper per path and evaluates their
-points together.
+Both are written once, as steppers: generators that yield requests and take
+each answer back.  A stepper asks for three kinds of thing: a point's log
+density alone (``(point, False)``), a point's fused log density and
+gradient (``(point, True)``), and the optimizer also asks for each search
+direction (a ``DirectionRequest``).  ``optimize`` and ``wolfe_line_search``
+answer one request at a time, a direction by ``search_direction``;
+``multipath`` runs one stepper per path, evaluates their points together
+and computes their directions as one stack per pair count
+(``stacked_directions``).
 """
 
 from __future__ import annotations
@@ -31,7 +35,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import LineSearchFailError, NonFiniteError
-from .inv_hessian import factors_from_pairs, low_rank_product
+from .inv_hessian import factors_from_pairs, low_rank_product, stacked_factors
 from .options import POSITIVE, POSITIVE_INT, UNIT, check_settings, setting
 
 # The line search's steps are 2^-k for k = 0..MAX_HALVINGS; it gives up
@@ -92,12 +96,39 @@ class LineSearchResult(NamedTuple):
     grad: np.ndarray
 
 
+class DirectionRequest(NamedTuple):
+    """A stepper's request for the ascent direction Sigma grad at its current point.
+
+    S and Z are the (N, J') stored position/gradient updates, oldest first,
+    and alpha the positive diagonal seed; the answer is the (N,) direction.
+    """
+
+    S: np.ndarray
+    Z: np.ndarray
+    alpha: np.ndarray
+    grad: np.ndarray
+
+
+def stacked_directions(S, Z, alpha, grad):
+    """Ascent directions Sigma grad for a stack of B requests with a common pair count.
+
+    S and Z are (B, N, J'); alpha and grad are (B, N).  Returns the (B, N)
+    directions and the (B,) mask of ``inv_hessian.stacked_factors``: rows
+    outside it have no valid E and their directions must not be used; for
+    such a row ``search_direction`` raises SingularEError.
+    """
+    factors, ok = stacked_factors(S, Z, alpha)
+    with np.errstate(over="ignore", invalid="ignore"):  # rows outside ``ok`` hold placeholders
+        return alpha * grad + low_rank_product(factors, grad), ok
+
+
 def search_direction(S, Z, alpha, grad) -> np.ndarray:
     """Ascent direction Sigma grad, Sigma = diag(alpha) + beta gamma beta' from ``inv_hessian``.
 
     S and Z are N x J' matrices of stored position/gradient updates (None
     for none); alpha is the positive diagonal seed.  Cost is O(N J'^2 + J'^3).
-    Raises SingularEError when the pairs give no valid E.
+    Raises SingularEError when the pairs give no valid E.  Each row of
+    ``stacked_directions`` equals this call on the row, bit for bit.
     """
     factors = factors_from_pairs(S, Z, alpha)
     grad = np.asarray(grad, dtype=float)
@@ -105,21 +136,26 @@ def search_direction(S, Z, alpha, grad) -> np.ndarray:
 
 
 def drive(steps, target):
-    """Run a stepper to its end, one target call per point it yields.
+    """Run a stepper to its end, answering one request at a time.
 
-    A stepper is a generator that yields ``(point, need_grad)``.  It is sent
-    back ``target.logp_grad(point)`` when ``need_grad`` is true and
+    A point request ``(point, need_grad)`` is sent back
+    ``target.logp_grad(point)`` when ``need_grad`` is true and
     ``target.logp(point)`` otherwise, or None when the point was refused
-    (NonFiniteError); its return value is the result.
+    (NonFiniteError); a DirectionRequest is sent back ``search_direction``
+    of its fields.  The stepper's return value is the result.
     """
-    point, need_grad = next(steps)
+    request = next(steps)
     while True:
+        if isinstance(request, DirectionRequest):
+            reply = search_direction(*request)
+        else:
+            point, need_grad = request
+            try:
+                reply = target.logp_grad(point) if need_grad else target.logp(point)
+            except NonFiniteError:
+                reply = None
         try:
-            result = target.logp_grad(point) if need_grad else target.logp(point)
-        except NonFiniteError:
-            result = None
-        try:
-            point, need_grad = steps.send(result)
+            request = steps.send(reply)
         except StopIteration as stop:
             return stop.value
 
@@ -203,7 +239,8 @@ def optimize(target, theta_init, opts: LbfgsOptions) -> Trajectory:
 
 
 def optimize_steps(theta_init, opts: LbfgsOptions):
-    """Stepper of ``optimize``: yields theta_init, then each line search's points."""
+    """Stepper of ``optimize``: yields theta_init, then each direction request
+    and the points of the line search along its answer."""
     theta = np.asarray(theta_init, dtype=float)
     result = yield theta, True
     if result is None:
@@ -230,8 +267,9 @@ def optimize_steps(theta_init, opts: LbfgsOptions):
         if np.linalg.norm(grads[-1]) < opts.grad_zero_tol:
             termination = Termination.CONVERGED
             break
-        S, Z = (np.stack(s_hist, axis=1), np.stack(z_hist, axis=1)) if s_hist else (None, None)
-        delta = search_direction(S, Z, alpha, grads[-1])
+        S, Z = ((np.stack(s_hist, axis=1), np.stack(z_hist, axis=1)) if s_hist
+                else (np.zeros((theta.size, 0)), np.zeros((theta.size, 0))))
+        delta = yield DirectionRequest(S, Z, alpha, grads[-1])
         with np.errstate(over="ignore", invalid="ignore"):
             ascent = np.all(np.isfinite(delta)) and grads[-1] @ delta > 0.0
         if not ascent:

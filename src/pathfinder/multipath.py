@@ -1,9 +1,12 @@
 """Multi-path Pathfinder: lockstep paths, pooled by Pareto-smoothed importance resampling.
 
 The paths are independent, so their optimizers advance together: each round
-evaluates every active path's pending point with at most two batched target
-calls, one for line-search trials (log density only) and one for the points
-that need a gradient.  The finished single paths are pooled under an
+computes the search directions the paths ask for as one stack per pair
+count, and evaluates every active path's pending point with at most two
+batched target calls, one for line-search trials (log density only) and one
+for the points that need a gradient.  When every optimizer has stopped, the
+candidates of all paths are scored in one pass of cross-path blocks.  The
+finished single paths are pooled under an
 equally-weighted mixture proposal in which every draw is scored against its
 own component density (the 1/I mixture factors cancel between proposal and
 augmented target, so the raw log weight of a draw is simply log p - log q of
@@ -20,13 +23,15 @@ from typing import Generator
 
 import numpy as np
 
-from .errors import AllPathsFailedError, NoFiniteWeightsError, NonFiniteError
-from .lbfgs import optimize_steps
+from .errors import AllPathsFailedError, NoFiniteWeightsError, NonFiniteError, SingularEError
+from .lbfgs import DirectionRequest, optimize_steps, stacked_directions
 from .options import POSITIVE_INT, check_settings, setting
 from .seeding import STREAM_RESAMPLE, substream
 # run_single is not called here; it stays importable from this module, where
 # the benchmark's tracer (bench/layers.py) looks for it.
-from .single_path import PathfinderOptions, finish_run, initial_point, run_single  # noqa: F401
+from .single_path import (  # noqa: F401
+    OptimizedPath, PathfinderOptions, finish_runs, initial_point, run_single,
+)
 from .targets import CounterView
 
 logger = logging.getLogger(__name__)
@@ -242,64 +247,88 @@ def pool_runs(runs: list, target) -> tuple[WeightedSample, int]:
 
 @dataclass
 class _ActivePath:
-    """A path whose optimizer still runs, and the point it waits on."""
+    """A path whose optimizer still runs, its pending request and the reply to it."""
 
     index: int
     tally: CounterView
     theta0: np.ndarray
     steps: Generator
-    point: np.ndarray
-    need_grad: bool
-    result: object = None
+    request: object
+    reply: object = None
+
+
+def _evaluate(target, paths) -> None:
+    """Answer every path's point request with at most two batched target calls."""
+    trials = [path for path in paths if not path.request[1]]
+    if trials:
+        logps = target.logp_many(np.stack([path.request[0] for path in trials]))
+        for path, logp in zip(trials, logps.tolist()):
+            path.tally.n_logp_only += 1  # the row's evaluation, already counted by the target
+            path.reply = logp if logp > -math.inf else None
+    fused = [path for path in paths if path.request[1]]
+    if fused:
+        logps, grads, ok = target.logp_grad_many(np.stack([path.request[0] for path in fused]))
+        for path, logp, grad, good in zip(fused, logps.tolist(), grads, ok.tolist()):
+            path.tally.n_grad += 1
+            # A stored gradient must own its memory: a row view would pin the batch.
+            path.reply = (logp, grad.copy()) if good else None
+
+
+def _directions(paths) -> None:
+    """Answer every path's direction request, one stacked call per pair count.
+
+    A row without a valid E is answered with the SingularEError that
+    ``search_direction`` raises for it, to be thrown into its stepper.
+    """
+    groups: dict = {}
+    for path in paths:
+        groups.setdefault(path.request.S.shape[1], []).append(path)
+    for group in groups.values():
+        deltas, ok = stacked_directions(*(np.stack(field) for field in zip(*(p.request for p in group))))
+        for path, delta, good in zip(group, deltas, ok.tolist()):
+            path.reply = delta if good else SingularEError(
+                "pair matrix E must be finite with a positive s'z diagonal")
 
 
 def _run_lockstep(target, opts: PathfinderOptions, seed: int, num_paths: int) -> list:
     """Runs of paths 0..num_paths-1, their optimizers advanced in lockstep.
 
-    Each round makes at most two batched target calls: ``target.logp_many``
-    for the paths waiting on a line-search trial, and
-    ``target.logp_grad_many`` for the paths that need a gradient (at their
-    initial point or an accepted step).  Each optimizer stepper is then
-    handed its row.  A path is finished (scored and sampled) as soon as its
-    optimizer stops, which releases its trajectory.  Each run equals
+    Each round first answers the paths waiting on a search direction, one
+    ``stacked_directions`` call per pair count (a row without a valid E has
+    SingularEError thrown into its stepper, as ``search_direction`` would
+    raise it), then makes at most two batched target calls: ``target.logp_many`` for the paths waiting on a
+    line-search trial, and ``target.logp_grad_many`` for the paths that need
+    a gradient (at their initial point or an accepted step).  Each optimizer
+    stepper is then handed its row.  When every optimizer has stopped, all
+    paths are scored together by ``finish_runs``.  Each run equals
     ``run_single(target, opts, seed, path_index=i)`` bit for bit wherever the
     target's batched rows do not depend on the batch.
     """
-    def finish(path, trajectory):
-        runs[path.index] = finish_run(path.tally, path.theta0, trajectory, opts, seed, path.index)
-
-    runs = [None] * num_paths
-    active = []
+    optimized: list = [None] * num_paths
+    pending = []
     for i in range(num_paths):
         theta0 = initial_point(target.dim, opts, seed, i)
         steps = optimize_steps(theta0, opts.lbfgs)
-        active.append(_ActivePath(i, CounterView(target), theta0, steps, *next(steps)))
-    while active:
-        trials = [path for path in active if not path.need_grad]
-        if trials:
-            logps = target.logp_many(np.stack([path.point for path in trials]))
-            for path, logp in zip(trials, logps.tolist()):
-                path.tally.n_logp_only += 1  # the row's evaluation, already counted by the target
-                path.result = logp if logp > -math.inf else None
-        fused = [path for path in active if path.need_grad]
-        if fused:
-            logps, grads, ok = target.logp_grad_many(np.stack([path.point for path in fused]))
-            for path, logp, grad, good in zip(fused, logps.tolist(), grads, ok.tolist()):
-                path.tally.n_grad += 1
-                # A stored gradient must own its memory: a row view would pin the batch.
-                path.result = (logp, grad.copy()) if good else None
-        pending = []
-        for path in active:
+        pending.append(_ActivePath(i, CounterView(target), theta0, steps, next(steps)))
+    while pending:
+        answered = [path for path in pending if isinstance(path.request, DirectionRequest)]
+        if answered:
+            _directions(answered)
+        else:
+            _evaluate(target, pending)
+            answered = pending
+        for path in answered:
             try:
-                path.point, path.need_grad = path.steps.send(path.result)
+                if isinstance(path.reply, SingularEError):
+                    path.request = path.steps.throw(path.reply)
+                else:
+                    path.request = path.steps.send(path.reply)
             except StopIteration as stop:
-                finish(path, stop.value)
+                optimized[path.index] = OptimizedPath(path.index, path.tally, path.theta0, stop.value)
             except NonFiniteError:  # raised for a refused initial point
-                finish(path, None)
-            else:
-                pending.append(path)
-        active = pending
-    return runs
+                optimized[path.index] = OptimizedPath(path.index, path.tally, path.theta0, None)
+        pending = [path for path in pending if optimized[path.index] is None]
+    return finish_runs(target, optimized, opts, seed)
 
 
 def run_multi(target, opts: MultipathOptions, seed: int) -> MultipathResult:

@@ -5,6 +5,9 @@ normal approximation at every trajectory point, scores each by Monte Carlo
 ELBO, and returns draws from the ELBO-maximizing approximation.  Candidates
 are independent of each other, so they are built, sampled and scored in
 stacked blocks: one factorization pass and one target call per block.
+``finish_runs`` scores several optimized paths in one pass, each block
+holding the candidates of every path that share a pair count; a single run
+is the pass over a list of one path.
 
 Runs never raise on pathological geometry: a run that cannot produce any
 valid approximation returns its last trajectory point as a single draw
@@ -19,24 +22,28 @@ from typing import Optional
 
 import numpy as np
 
-from . import normal_approx
-from .elbo import elbo_estimate
+from . import elbo, normal_approx
+# The scoring pass calls elbo.elbo_estimate on whole blocks; the name stays
+# importable here, where the benchmark's tracer (bench/layers.py) looks for it.
+from .elbo import elbo_estimate  # noqa: F401
 from .errors import AllFailedError, NonFiniteError
 from .inv_hessian import (
     alpha_recover, assemble_factors, pair_counts, select_rows, stacked_factors, window,
 )
-from .lbfgs import LbfgsOptions, Termination, optimize
+from .lbfgs import LbfgsOptions, Termination, Trajectory, optimize
 from .options import POSITIVE, POSITIVE_INT, check_settings, setting
 from .seeding import STREAM_CANDIDATE, STREAM_FINAL, STREAM_INIT, substream
 from .targets import CounterView
 
-# Floats in one stacked (B, N, 2J') array of a scoring block.  Blocks bound
-# memory; they change no result where logp_many rows do not depend on the
-# batch, which holds for every target but logistic regression, whose rows
-# are BLAS matrix products: the fixed block size keeps its results
-# reproducible.  The same holds for the lockstep optimizer's batches, so a
-# logistic path run by ``run_multi`` is not bit-identical to ``run_single``
-# with its path index, although ``run_multi`` output is still a function of
+# Floats in one stacked (B, N, 2J') array of a scoring block.  A block spans
+# paths: it holds candidates of every path scored in the pass that share a
+# pair count.  Blocks bound memory; they change no result where logp_many
+# rows do not depend on the batch, which holds for every target but
+# logistic regression, whose rows are BLAS matrix products: the fixed block
+# size keeps its results reproducible.  The same holds for the lockstep
+# optimizer's batches and for blocks that mix paths, so a logistic path run
+# by ``run_multi`` is not bit-identical to ``run_single`` with its path
+# index, although ``run_multi`` output is still a function of
 # (target, options, seed).
 BLOCK_FLOATS = 2**14
 
@@ -107,59 +114,105 @@ def select_argmax(elbo_trace) -> int:
 
 
 def _blocks(counts, dim):
-    """Runs of consecutive candidates sharing a pair count, cut to BLOCK_FLOATS.
+    """Blocks of candidates sharing a pair count, across paths, cut to BLOCK_FLOATS.
 
-    Yields (first, stop, num_pairs) with 0-based candidate positions.
-    Pair counts never decrease along a trajectory, so each count is one run.
+    ``counts`` holds each path's pair counts for its candidates 1..L.
+    Yields (num_pairs, owners, iters): each candidate's position in
+    ``counts`` and its 1-based iteration, ordered by path and then
+    iteration.  Pair counts never decrease along a trajectory, so with one
+    path each count is one run of consecutive candidates.
     """
-    starts = np.flatnonzero(np.diff(counts, prepend=-1))
-    stops = np.append(starts[1:], len(counts))
+    if not counts:
+        return
+    flat = np.concatenate(counts)
+    owners = np.repeat(np.arange(len(counts)), [len(c) for c in counts])
+    iters = np.concatenate([np.arange(1, len(c) + 1) for c in counts])
+    order = np.argsort(flat, kind="stable")
+    flat, owners, iters = flat[order], owners[order], iters[order]
+    starts = np.flatnonzero(np.diff(flat, prepend=-1))
+    stops = np.append(starts[1:], len(flat))
     for first, stop in zip(starts.tolist(), stops.tolist()):
-        num_pairs = int(counts[first])
+        num_pairs = int(flat[first])
         size = max(1, BLOCK_FLOATS // (dim * max(2 * num_pairs, 1)))
         for lo in range(first, stop, size):
-            yield lo, min(lo + size, stop), num_pairs
+            hi = min(lo + size, stop)
+            yield num_pairs, owners[lo:hi], iters[lo:hi]
 
 
-def _score_candidates(tally, recovery, trajectory, opts, seed, path_index):
-    """ELBO of every candidate 1..L (-inf where disqualified), the number
-    sampled, and the number disqualified for each reason.
+def _windows(recoveries, owners, iters, num_pairs):
+    """``window`` of each path's candidates in a block, joined along the stack axis.
 
-    Candidates are scored in stacked blocks; each still draws from its own
-    substream, so the scores do not depend on how the blocks are cut.
+    Each path's S and Z keep the memory layout ``window`` gives them, so a
+    candidate's factors do not depend on the paths it is scored with.
     """
-    num_iters = recovery.num_iters
-    dim = tally.dim
-    elbo_trace = np.full(num_iters, -np.inf)
-    reasons = dict.fromkeys(DISQUALIFY_REASONS, 0)
-    scored = 0
-    for first, stop, num_pairs in _blocks(pair_counts(recovery, opts.lbfgs.history_size), dim):
-        iters = np.arange(first + 1, stop + 1)
-        factors, ok_e = stacked_factors(*window(recovery, iters, num_pairs))
-        reasons["singular_e"] += int(np.sum(~ok_e))
+    S, Z, alpha = zip(*(window(recoveries[k], iters[owners == k], num_pairs)
+                        for k in np.unique(owners)))
+    return (np.concatenate([m.swapaxes(1, 2) for m in S]).swapaxes(1, 2),
+            np.concatenate([m.swapaxes(1, 2) for m in Z]).swapaxes(1, 2),
+            np.concatenate(alpha))
+
+
+def _rows(arrays, owners, iters):
+    """Row ``iters[i]`` of ``arrays[owners[i]]`` for each i; owners ascend, as in a block."""
+    return np.concatenate([arrays[k][iters[owners == k]] for k in np.unique(owners)])
+
+
+def _score_candidates(target, paths, recoveries, opts, seed):
+    """Score every candidate of every path in one pass of cross-path blocks.
+
+    Returns, per path, the ELBO of each candidate 1..L (-inf where
+    disqualified), the number sampled, and the number disqualified for each
+    reason.  Each block makes one ``target.logp_many`` call, whose rows are
+    added to each path's tally.  Each candidate draws from its own
+    (path, candidate) substream, so the scores do not depend on how the
+    blocks are cut.
+    """
+    dim = target.dim
+    num_paths = len(paths)
+    traces = [np.full(rec.num_iters, -np.inf) for rec in recoveries]
+    scored = np.zeros(num_paths, dtype=int)
+    reasons = {reason: np.zeros(num_paths, dtype=int) for reason in DISQUALIFY_REASONS}
+
+    def disqualify(reason, owners):
+        reasons[reason] += np.bincount(owners, minlength=num_paths)
+
+    counts = [pair_counts(rec, opts.lbfgs.history_size) for rec in recoveries]
+    for num_pairs, owners, iters in _blocks(counts, dim):
+        factors, ok_e = stacked_factors(*_windows(recoveries, owners, iters, num_pairs))
+        disqualify("singular_e", owners[~ok_e])
         if not np.all(ok_e):
-            factors, iters = select_rows(factors, ok_e), iters[ok_e]
+            factors, owners, iters = select_rows(factors, ok_e), owners[ok_e], iters[ok_e]
+            if iters.size == 0:
+                continue
         approx, ok_chol = normal_approx.build_many(
-            factors, trajectory.thetas[iters], trajectory.grads[iters])
+            factors, _rows([rec.thetas for rec in recoveries], owners, iters),
+            _rows([rec.grads for rec in recoveries], owners, iters))
         finite = np.isfinite(approx.logdet) & np.all(np.isfinite(approx.mu), axis=1)
-        reasons["cholesky"] += int(np.sum(~ok_chol))
-        reasons["nonfinite_approx"] += int(np.sum(ok_chol & ~finite))
+        disqualify("cholesky", owners[~ok_chol])
+        disqualify("nonfinite_approx", owners[ok_chol & ~finite])
         alive = ok_chol & finite
         if not np.all(alive):
-            approx, iters = select_rows(approx, alive), iters[alive]
-        if iters.size == 0:
-            continue
-        scored += iters.size
+            approx, owners, iters = select_rows(approx, alive), owners[alive], iters[alive]
+            if iters.size == 0:
+                continue
+        sampled = np.bincount(owners, minlength=num_paths)
+        scored += sampled
+        for path, n in zip(paths, sampled.tolist()):
+            path.tally.n_logp_only += n * opts.elbo_draws  # rows the target counts below
         u = np.stack([
-            substream(seed, path_index, STREAM_CANDIDATE, l).standard_normal((opts.elbo_draws, dim))
-            for l in iters.tolist()
+            substream(seed, paths[k].index, STREAM_CANDIDATE, l).standard_normal((opts.elbo_draws, dim))
+            for k, l in zip(owners.tolist(), iters.tolist())
         ])
         batch = normal_approx.transform(approx, u)
-        logp_vals = tally.logp_many(batch.draws.reshape(-1, dim)).reshape(batch.logq.shape)
-        values = np.array([elbo_estimate(lp, lq).value for lp, lq in zip(logp_vals, batch.logq)])
-        reasons["nonfinite_elbo"] += int(np.sum(~np.isfinite(values)))
-        elbo_trace[iters - 1] = values
-    return elbo_trace, scored, reasons
+        logp_vals = target.logp_many(batch.draws.reshape(-1, dim)).reshape(batch.logq.shape)
+        values = elbo.elbo_estimate(logp_vals, batch.logq).value
+        disqualify("nonfinite_elbo", owners[~np.isfinite(values)])
+        for k in np.unique(owners):
+            traces[k][iters[owners == k] - 1] = values[owners == k]
+    return [
+        (trace, int(scored[k]), {reason: int(n[k]) for reason, n in reasons.items()})
+        for k, trace in enumerate(traces)
+    ]
 
 
 def _failed_run(last_point, elbo_trace, tally, num_iters, termination,
@@ -187,6 +240,21 @@ def initial_point(dim: int, opts: PathfinderOptions, seed: int, path_index: int)
     return rng_init.uniform(-opts.init_radius, opts.init_radius, dim)
 
 
+@dataclass
+class OptimizedPath:
+    """A path whose optimizer has stopped, waiting to be scored.
+
+    ``tally`` is the path's CounterView, holding the optimizer's evaluations;
+    ``trajectory`` is None when the initial point ``theta0`` had a
+    non-finite log density or gradient.
+    """
+
+    index: int
+    tally: CounterView
+    theta0: np.ndarray
+    trajectory: Optional[Trajectory]
+
+
 def run_single(target, opts: PathfinderOptions, seed: int, path_index: int = 0) -> PathfinderRun:
     """Run one path against ``target`` under the given master seed.
 
@@ -201,43 +269,51 @@ def run_single(target, opts: PathfinderOptions, seed: int, path_index: int = 0) 
         trajectory = optimize(tally, theta0, opts.lbfgs)
     except NonFiniteError:
         trajectory = None
-    return finish_run(tally, theta0, trajectory, opts, seed, path_index)
+    return finish_runs(target, [OptimizedPath(path_index, tally, theta0, trajectory)], opts, seed)[0]
 
 
-def finish_run(tally, theta0, trajectory, opts: PathfinderOptions, seed: int,
-               path_index: int) -> PathfinderRun:
-    """Score the candidates along an optimized path and draw from the winner.
+def finish_runs(target, paths: list, opts: PathfinderOptions, seed: int) -> list:
+    """Score the candidates along optimized paths and draw from each path's winner.
 
-    ``tally`` is the path's CounterView, holding the optimizer's evaluations
-    so far; ``trajectory`` is None when the initial point ``theta0`` had a
-    non-finite log density or gradient.
+    ``paths`` are OptimizedPath records; the runs come back in their order.
+    Every path's candidates are scored in one pass of cross-path blocks, so
+    a path's run equals its run scored alone wherever the target's batched
+    rows do not depend on the batch.
     """
-    if trajectory is None:
-        return _failed_run(theta0, [], tally, 0, None)
+    runs = [None] * len(paths)
+    scorable = []
+    for i, path in enumerate(paths):
+        trajectory = path.trajectory
+        if trajectory is None:
+            runs[i] = _failed_run(path.theta0, [], path.tally, 0, None)
+        elif trajectory.num_iters == 0:
+            runs[i] = _failed_run(trajectory.thetas[-1], [], path.tally, 0, trajectory.termination)
+        else:
+            scorable.append(i)
+    optimizer_counts = [(paths[i].tally.n_logp, paths[i].tally.n_grad) for i in scorable]
+    recoveries = [alpha_recover(paths[i].trajectory) for i in scorable]
+    scores = _score_candidates(target, [paths[i] for i in scorable], recoveries, opts, seed)
+    for i, recovery, counts, score in zip(scorable, recoveries, optimizer_counts, scores):
+        runs[i] = _draw_from_winner(paths[i], recovery, *score, *counts, opts, seed)
+    return runs
 
-    num_iters = trajectory.num_iters
-    if num_iters == 0:
-        return _failed_run(trajectory.thetas[-1], [], tally, 0, trajectory.termination)
 
-    lbfgs_n_logp = tally.n_logp
-    lbfgs_n_grad = tally.n_grad
-
-    recovery = alpha_recover(trajectory)
-    elbo_trace, scored, disqualified = _score_candidates(
-        tally, recovery, trajectory, opts, seed, path_index)
-
+def _draw_from_winner(path, recovery, elbo_trace, scored, disqualified,
+                      lbfgs_n_logp, lbfgs_n_grad, opts, seed) -> PathfinderRun:
+    """The run of a scored path: draws from its ELBO-best candidate, or a failed run."""
+    trajectory = path.trajectory
     try:
         l_star = select_argmax(elbo_trace)
     except AllFailedError:
-        return _failed_run(trajectory.thetas[-1], elbo_trace, tally,
-                           num_iters, trajectory.termination,
+        return _failed_run(trajectory.thetas[-1], elbo_trace, path.tally,
+                           trajectory.num_iters, trajectory.termination,
                            scored, lbfgs_n_logp, lbfgs_n_grad, disqualified)
 
     # Rebuild the winner through the same stacked code, as a stack of one,
     # and draw a fresh batch of output draws.
     factors = assemble_factors(recovery, l_star, opts.lbfgs.history_size)
     approx = normal_approx.build(factors, trajectory.thetas[l_star], trajectory.grads[l_star])
-    rng_final = substream(seed, path_index, STREAM_FINAL)
+    rng_final = substream(seed, path.index, STREAM_FINAL)
     batch = normal_approx.sample(approx, opts.num_draws, rng_final)
 
     return PathfinderRun(
@@ -246,9 +322,9 @@ def finish_run(tally, theta0, trajectory, opts: PathfinderOptions, seed: int,
         elbo_trace=elbo_trace,
         l_star=l_star,
         failed=False,
-        n_logp=tally.n_logp,
-        n_grad=tally.n_grad,
-        num_iters=num_iters,
+        n_logp=path.tally.n_logp,
+        n_grad=path.tally.n_grad,
+        num_iters=trajectory.num_iters,
         termination=trajectory.termination,
         scored_candidates=scored,
         lbfgs_n_logp=lbfgs_n_logp,

@@ -60,6 +60,19 @@ class TestValidateConfig:
         with pytest.raises(ConfigError, match="target"):
             validate_config({})
 
+    @pytest.mark.parametrize("key", ["out", "diagnostics"])
+    def test_output_in_missing_directory_rejected(self, tmp_path, key):
+        missing = str(tmp_path / "no_such_dir" / "file")
+        with pytest.raises(ConfigError, match=rf"^{key}: directory .*no_such_dir"):
+            validate_config({"target": "std_normal", key: missing})
+        validate_config({"target": "std_normal", key: str(tmp_path / "file")})
+
+    @pytest.mark.parametrize("key", ["out", "diagnostics"])
+    def test_output_path_must_be_a_path(self, key):
+        for bad in ("", 3):
+            with pytest.raises(ConfigError, match=rf"^{key}: must be a file path"):
+                validate_config({"target": "std_normal", key: bad})
+
     def test_echo_excludes_execution_fields(self):
         cfg = validate_config({"target": "std_normal", "out": "x.csv", "diagnostics": "d.json"})
         echoed = cfg.echo()
@@ -157,6 +170,30 @@ class TestMain:
         out, diag = run_cli(tmp_path, *args, "--dim", "5", "--target-params", '{"p": 5}')
         assert len(read_csv(out)[0]) == 5
         assert json.loads(diag.read_text())["target_dim"] == 5
+
+    @pytest.mark.parametrize("flag", ["--out", "--diagnostics"])
+    def test_output_in_missing_directory_exits_2_before_solving(
+            self, tmp_path, monkeypatch, capsys, flag):
+        def no_solve(*args, **kwargs):
+            raise AssertionError("a solve ran for a config that cannot be written")
+
+        monkeypatch.setattr(pathfinder.cli, "run_single", no_solve)
+        run_cli(tmp_path, "--target", "std_normal", "--dim", "2", "--mode", "single",
+                flag, str(tmp_path / "nonexistent" / "x"), check=2)
+        err = capsys.readouterr().err
+        assert f"error: {flag[2:]}: directory" in err and "Traceback" not in err
+        assert not any(tmp_path.iterdir())
+
+    def test_write_failure_exits_2_without_traceback(self, tmp_path, capsys):
+        # The directory exists, so the config passes, but the output path is
+        # itself a directory and cannot be opened for writing.
+        taken = tmp_path / "taken"
+        taken.mkdir()
+        run_cli(tmp_path, "--target", "std_normal", "--dim", "2", "--mode", "single",
+                "--num-draws", "5", "--out", str(taken), check=2)
+        err = capsys.readouterr().err
+        assert "error: cannot write output:" in err and str(taken) in err
+        assert "Traceback" not in err
 
     def test_missing_dim_reported(self, tmp_path, capsys):
         run_cli(tmp_path, "--target", "std_normal", check=2)

@@ -63,6 +63,39 @@ class TestProperties:
         assert b == pytest.approx(a, rel=1e-12, abs=1e-12)
 
 
+@pytest.mark.parametrize("m", [1, 2, 5, 7, 130])
+def test_stacked_rows_equal_row_by_row_calls(m):
+    # Rows of a stack, some with a -inf, +inf or NaN term, must give the
+    # values of 1-D calls bit for bit, and of the per-row loop that a
+    # stacked call replaces.
+    rng = np.random.default_rng(m)
+    logp = rng.normal(-300.0, 50.0, (3, 4, m))
+    logq = rng.normal(0.0, 50.0, (3, 4, m))
+    logp[0, 1, -1] = -np.inf
+    logq[1, 2, 0] = -np.inf          # a +inf term
+    logp[2, 3, m // 2] = np.nan
+    logq[2, 0, :] = np.inf           # every term non-finite
+    stacked = elbo_estimate(logp, logq)
+    assert stacked.value.shape == (3, 4) and stacked.num_draws == m
+    for index in np.ndindex(3, 4):
+        terms = logp[index] - logq[index]
+        loop = float(np.mean(terms)) if np.all(np.isfinite(terms)) else -np.inf
+        alone = elbo_estimate(logp[index], logq[index]).value
+        assert isinstance(alone, float)
+        assert np.float64(stacked.value[index]).tobytes() == np.float64(alone).tobytes()
+        assert np.float64(alone).tobytes() == np.float64(loop).tobytes()
+    assert np.sum(stacked.value == -np.inf) == 4
+
+
+def test_stacked_shape_checks():
+    with pytest.raises(DimensionMismatchError):
+        elbo_estimate(np.zeros((3, 2)), np.zeros((2, 3)))
+    with pytest.raises(DimensionMismatchError):
+        elbo_estimate(np.zeros((3, 0)), np.zeros((3, 0)))
+    with pytest.raises(DimensionMismatchError):
+        elbo_estimate(0.0, 0.0)
+
+
 def test_exact_match_is_identically_zero():
     # approximation equal to the target: every per-draw term cancels
     target = make_target("std_normal", dim=4)

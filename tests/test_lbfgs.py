@@ -18,7 +18,8 @@ from pathfinder import (
     run_multi,
 )
 from pathfinder.lbfgs import (
-    MAX_HALVINGS, REL_TOL_FLOOR, line_search_steps, search_direction, wolfe_line_search,
+    MAX_HALVINGS, REL_TOL_FLOOR, line_search_steps, search_direction, stacked_directions,
+    wolfe_line_search,
 )
 from pathfinder.targets import LogDensityTarget
 
@@ -121,6 +122,40 @@ class TestSearchDirection:
         Z = np.array([[0.0], [1.0]])  # s'z == 0
         with pytest.raises(SingularEError):
             search_direction(S, Z, np.ones(2), np.ones(2))
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), rows=st.integers(1, 20), n=st.sampled_from([2, 10, 50]))
+def test_stacked_directions_equal_search_direction_row_by_row(seed, rows, n):
+    # Requests with mixed pair counts 0..6, grouped by count as the lockstep
+    # loop groups them: each row of a stack must equal the direction the
+    # row gets alone, bit for bit, and a row with an overflowing E must be
+    # masked without touching the others.
+    rng = np.random.default_rng(seed)
+    counts = rng.integers(0, 7, rows)
+    requests = []
+    for j in counts.tolist():
+        S, Z = random_curvature_pairs(rng, n, j) if j else (np.zeros((n, 0)), np.zeros((n, 0)))
+        requests.append((S, Z, rng.uniform(0.3, 3.0, n), rng.standard_normal(n)))
+    bad = int(rng.integers(rows))
+    if counts[bad] >= 2:
+        S, Z, alpha, grad = requests[bad]
+        S, Z = S.copy(), Z.copy()
+        S[:, 0] *= 1e200  # s_1'z_2 overflows while E's diagonal stays finite
+        Z[:, 1] *= 1e200
+        Z[:, 0] *= 1e-200
+        requests[bad] = S, Z, alpha, grad
+    for j in np.unique(counts).tolist():
+        members = np.flatnonzero(counts == j).tolist()
+        deltas, ok = stacked_directions(
+            *(np.stack(field) for field in zip(*(requests[i] for i in members))))
+        for i, delta, good in zip(members, deltas, ok.tolist()):
+            assert good == (i != bad or counts[bad] < 2)
+            if good:
+                assert delta.tobytes() == search_direction(*requests[i]).tobytes()
+            else:
+                with pytest.raises(SingularEError):
+                    search_direction(*requests[i])
 
 
 class TestWolfeLineSearch:

@@ -9,13 +9,19 @@ from pathfinder import (
     MultipathOptions,
     NoFiniteWeightsError,
     PathfinderOptions,
+    SingularEError,
     fit_generalized_pareto,
+    inv_hessian,
+    lbfgs,
     make_target,
+    multipath,
+    optimize,
     pool_runs,
     psis_smooth,
     resample,
     run_multi,
     run_single,
+    single_path,
 )
 from pathfinder.multipath import KHAT_SENTINEL, tail_length
 from pathfinder.single_path import PathfinderRun, initial_point
@@ -297,8 +303,99 @@ class TestLockstep:
                 np.testing.assert_array_equal(getattr(run, field), getattr(alone, field))
             assert (run.n_logp, run.n_grad, run.lbfgs_n_logp, run.lbfgs_n_grad) == (
                 alone.n_logp, alone.n_grad, alone.lbfgs_n_logp, alone.lbfgs_n_grad)
+            assert run.disqualified == alone.disqualified
+            assert (run.scored_candidates, run.num_iters) == (
+                alone.scored_candidates, alone.num_iters)
         assert target.eval_count_grad == res.n_grad
         assert target.eval_count_logp == res.n_logp
+
+    def test_disqualified_candidate_leaves_other_paths_alone(self, monkeypatch):
+        # Break the inner matrix of one candidate in a scoring block that
+        # holds several paths: only that path loses that candidate, and every
+        # other path still equals run_single.
+        name = "eight_schools_noncentered"
+        opts = MultipathOptions(num_paths=5, num_resample=50, single=PathfinderOptions(
+            num_draws=40, lbfgs=LbfgsOptions(max_iters=150)))
+        window, stacked_factors = single_path.window, single_path.stacked_factors
+        segments, hit = [], []
+
+        def remember_segment(recovery, iters, num_pairs):
+            segments.append((recovery.thetas[0], len(iters)))
+            return window(recovery, iters, num_pairs)
+
+        def break_one_row(S, Z, alpha):
+            factors, ok = stacked_factors(S, Z, alpha)
+            block = list(segments)
+            segments.clear()
+            row = block[0][1]  # the first candidate of the block's second path
+            if not hit and len(block) >= 2 and factors.num_pairs > 0 and ok[row]:
+                factors.gamma[row] = -50.0 * np.eye(factors.rank)
+                hit.append(block[1][0])
+            return factors, ok
+
+        monkeypatch.setattr(single_path, "window", remember_segment)
+        monkeypatch.setattr(single_path, "stacked_factors", break_one_row)
+        res = run_multi(make_target(name), opts, seed=21)
+        monkeypatch.undo()
+
+        assert hit
+        starts = [initial_point(10, opts.single, 21, i) for i in range(5)]
+        victim = [i for i, start in enumerate(starts) if np.array_equal(start, hit[0])]
+        assert len(victim) == 1
+        for i, run in enumerate(res.runs):
+            alone = run_single(make_target(name), opts.single, 21, path_index=i)
+            if i == victim[0]:
+                assert run.disqualified["cholesky"] == alone.disqualified["cholesky"] + 1
+                assert run.scored_candidates == alone.scored_candidates - 1
+                assert run.n_logp == alone.n_logp - opts.single.elbo_draws
+                changed = np.flatnonzero(run.elbo_trace != alone.elbo_trace)
+                assert changed.size <= 1 and np.all(run.elbo_trace[changed] == -np.inf)
+                continue
+            for field in ("draws", "elbo_trace"):
+                np.testing.assert_array_equal(getattr(run, field), getattr(alone, field))
+            assert run.disqualified == alone.disqualified
+            assert (run.n_logp, run.n_grad, run.lbfgs_n_logp, run.lbfgs_n_grad,
+                    run.scored_candidates) == (alone.n_logp, alone.n_grad, alone.lbfgs_n_logp,
+                                               alone.lbfgs_n_grad, alone.scored_candidates)
+
+    def test_singular_direction_raises_like_run_single(self, monkeypatch):
+        # Mark the fourth direction request of path 2 (found by its pairs and
+        # seed) as having no valid E, in ``stacked_factors``, which builds the
+        # factors of both the stacked directions and ``search_direction``:
+        # run_multi raises the SingularEError that run_single raises for
+        # path 2 alone, and for no other path.
+        name = "eight_schools_noncentered"
+        opts = MultipathOptions(num_paths=4, num_resample=20, single=PathfinderOptions(
+            num_draws=10, lbfgs=LbfgsOptions(max_iters=50)))
+        stacked_factors = inv_hessian.stacked_factors
+        requests = []
+
+        def recording(S, Z, alpha):
+            requests.append((S.copy(), alpha.copy()))
+            return stacked_factors(S, Z, alpha)
+
+        monkeypatch.setattr(inv_hessian, "stacked_factors", recording)
+        probe = optimize(make_target(name), initial_point(10, opts.single, 3, 2), opts.single.lbfgs)
+        assert probe.num_iters > 3
+        poison_S, poison_alpha = requests[3]
+        assert poison_S.shape[2] > 0
+
+        def singular_at_poison(S, Z, alpha):
+            factors, ok = stacked_factors(S, Z, alpha)
+            if S.shape[1:] == poison_S.shape[1:]:
+                ok &= ~(np.all(S == poison_S, axis=(1, 2)) & np.all(alpha == poison_alpha, axis=1))
+            return factors, ok
+
+        monkeypatch.setattr(inv_hessian, "stacked_factors", singular_at_poison)
+        monkeypatch.setattr(lbfgs, "stacked_factors", singular_at_poison)
+        with pytest.raises(SingularEError):
+            run_multi(make_target(name), opts, seed=3)
+        for i in range(4):
+            if i == 2:
+                with pytest.raises(SingularEError):
+                    run_single(make_target(name), opts.single, 3, path_index=i)
+            else:
+                assert not run_single(make_target(name), opts.single, 3, path_index=i).failed
 
     def test_refused_points_fail_only_their_own_path(self):
         # A narrow normal whose density is refused past theta_0 = 1.5: paths
@@ -346,3 +443,53 @@ class TestLockstep:
         for a, b in zip(outs[0].runs, outs[1].runs):
             assert a.elbo_trace.tobytes() == b.elbo_trace.tobytes()
             assert (a.n_grad, a.n_logp) == (b.n_grad, b.n_logp)
+
+
+def test_lockstep_batches_linear_algebra_across_paths(monkeypatch):
+    # Default run_multi on eight_schools_centered at seed 1 (20 paths).  The
+    # counts are deterministic.  Per-path work would make 2,714 direction
+    # calls (one per request) and 102 scoring target calls (blocks cut per
+    # path); batched, a round makes one direction call per pair count among
+    # its requests, and the scoring pass one target call per cross-path block.
+    target = make_target("eight_schools_centered")
+    calls, blocks, rounds, in_scoring, scoring_calls = [], [], [0], [False], [0]
+    stacked_directions, cut = multipath.stacked_directions, single_path._blocks
+    score = single_path._score_candidates
+    logp_many, logp_grad_many = target.logp_many, target.logp_grad_many
+
+    def counting_directions(S, Z, alpha, grad):
+        calls.append((rounds[0], S.shape[2], len(grad)))
+        return stacked_directions(S, Z, alpha, grad)
+
+    def counting_blocks(*args):
+        for block in cut(*args):
+            blocks.append(block)
+            yield block
+
+    def scoring(*args):
+        in_scoring[0] = True
+        try:
+            return score(*args)
+        finally:
+            in_scoring[0] = False
+
+    def counting_logp_many(points):
+        scoring_calls[0] += in_scoring[0]
+        return logp_many(points)
+
+    def counting_fused(points):
+        rounds[0] += 1
+        return logp_grad_many(points)
+
+    monkeypatch.setattr(multipath, "stacked_directions", counting_directions)
+    monkeypatch.setattr(single_path, "_blocks", counting_blocks)
+    monkeypatch.setattr(single_path, "_score_candidates", scoring)
+    monkeypatch.setattr(target, "logp_many", counting_logp_many)
+    monkeypatch.setattr(target, "logp_grad_many", counting_fused)
+    run_multi(target, MultipathOptions(), seed=1)
+
+    assert sum(rows for _, _, rows in calls) == 2714  # one row per direction request
+    assert len(calls) == 759
+    assert len({(round_, pairs) for round_, pairs, _ in calls}) == len(calls)
+    assert rounds[0] == 736 and len(calls) <= rounds[0] * 6  # pair counts 0..5
+    assert scoring_calls[0] == len(blocks) == 21
