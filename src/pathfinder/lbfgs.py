@@ -18,23 +18,24 @@ Both are written once, as steppers: generators that yield requests and take
 each answer back.  A stepper asks for three kinds of thing: a point's log
 density alone (``(point, False)``), a point's fused log density and
 gradient (``(point, True)``), and the optimizer also asks for each search
-direction (a ``DirectionRequest``).  ``optimize`` and ``wolfe_line_search``
-answer one request at a time, a direction by ``search_direction``;
-``multipath`` runs one stepper per path, evaluates their points together
-and computes their directions as one stack per pair count
-(``stacked_directions``).
+direction (a ``DirectionRequest``).  One driver, ``lockstep``, answers
+them: it runs a list of steppers against one target, computes their
+directions as one stack per pair count (``stacked_directions``) and
+evaluates their points with the target's batched methods.  ``optimize`` and
+``wolfe_line_search`` are a lockstep of one stepper; ``multipath`` runs one
+per path.
 """
 
 from __future__ import annotations
 
-from collections import deque
+import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple
 
 import numpy as np
 
-from .errors import LineSearchFailError, NonFiniteError
+from .errors import LineSearchFailError, NonFiniteError, SingularEError
 from .inv_hessian import factors_from_pairs, low_rank_product, stacked_factors
 from .options import POSITIVE, POSITIVE_INT, UNIT, check_settings, setting
 
@@ -127,37 +128,92 @@ def search_direction(S, Z, alpha, grad) -> np.ndarray:
 
     S and Z are N x J' matrices of stored position/gradient updates (None
     for none); alpha is the positive diagonal seed.  Cost is O(N J'^2 + J'^3).
-    Raises SingularEError when the pairs give no valid E.  Each row of
-    ``stacked_directions`` equals this call on the row, bit for bit.
+    Raises SingularEError when the pairs give no valid E.  This is the
+    per-row reference for ``stacked_directions``: each row of a stack equals
+    this call on the row, bit for bit.
     """
     factors = factors_from_pairs(S, Z, alpha)
     grad = np.asarray(grad, dtype=float)
     return factors.alpha * grad + low_rank_product(factors, grad)
 
 
-def drive(steps, target):
-    """Run a stepper to its end, answering one request at a time.
+class StepperState:
+    """A stepper under ``lockstep``: its request, the reply, its evaluation
+    counts and, once it stops, its ``outcome`` (None until then)."""
 
-    A point request ``(point, need_grad)`` is sent back
-    ``target.logp_grad(point)`` when ``need_grad`` is true and
-    ``target.logp(point)`` otherwise, or None when the point was refused
-    (NonFiniteError); a DirectionRequest is sent back ``search_direction``
-    of its fields.  The stepper's return value is the result.
+    __slots__ = ("steps", "request", "reply", "outcome", "n_logp_only", "n_fused")
+
+    def __init__(self, steps):
+        self.steps, self.request = steps, next(steps)
+        self.reply = self.outcome = None
+        self.n_logp_only = self.n_fused = 0
+
+
+def _evaluate(target, states) -> None:
+    """Answer every point request with at most two batched calls; a refused point gets None."""
+    trials = [state for state in states if not state.request[1]]
+    if trials:
+        logps = target.logp_many(np.array([state.request[0] for state in trials]))
+        for state, logp in zip(trials, logps.tolist()):
+            state.n_logp_only += 1
+            state.reply = logp if logp > -math.inf else None
+    fused = [state for state in states if state.request[1]]
+    if fused:
+        logps, grads, ok = target.logp_grad_many(np.array([state.request[0] for state in fused]))
+        for state, logp, grad, good in zip(fused, logps.tolist(), grads, ok.tolist()):
+            state.n_fused += 1
+            # A stored gradient must own its memory: a row view would pin the batch.
+            state.reply = (logp, grad.copy()) if good else None
+
+
+def _directions(states) -> None:
+    """Answer every direction request, one ``stacked_directions`` call per pair count.
+
+    A row without a valid E gets the SingularEError ``search_direction``
+    raises for it, to be thrown into its stepper.
     """
-    request = next(steps)
-    while True:
-        if isinstance(request, DirectionRequest):
-            reply = search_direction(*request)
+    groups: dict = {}
+    for state in states:
+        groups.setdefault(state.request.S.shape[1], []).append(state)
+    for group in groups.values():
+        fields = zip(*(state.request for state in group))
+        deltas, ok = stacked_directions(*(np.array(field) for field in fields))
+        for state, delta, good in zip(group, deltas, ok.tolist()):
+            state.reply = delta if good else SingularEError(
+                "pair matrix E must be finite with a positive s'z diagonal")
+
+
+def lockstep(target, steppers) -> list:
+    """Run steppers to their ends together against one target.
+
+    Each round answers every pending direction request or, when there is
+    none, every pending point request, with one ``target.logp_many`` call
+    for the log-density-only ones and one ``target.logp_grad_many`` call for
+    the fused ones.  Returns a StepperState per stepper, whose ``outcome``
+    is its return value or the NonFiniteError it raised; any other error
+    propagates.
+    """
+    states = [StepperState(steps) for steps in steppers]
+    active = states
+    while active:
+        answered = [state for state in active if type(state.request) is DirectionRequest]
+        if answered:
+            _directions(answered)
         else:
-            point, need_grad = request
+            _evaluate(target, active)
+            answered = active
+        for state in answered:
             try:
-                reply = target.logp_grad(point) if need_grad else target.logp(point)
-            except NonFiniteError:
-                reply = None
-        try:
-            request = steps.send(reply)
-        except StopIteration as stop:
-            return stop.value
+                if type(state.reply) is SingularEError:
+                    state.request = state.steps.throw(state.reply)
+                else:
+                    state.request = state.steps.send(state.reply)
+            except StopIteration as stop:
+                state.outcome = stop.value
+            except NonFiniteError as exc:
+                state.outcome = exc
+        active = [state for state in active if state.outcome is None]
+    return states
 
 
 def line_search_steps(theta, logp, grad, delta, c1, step=1.0):
@@ -197,21 +253,18 @@ def line_search_steps(theta, logp, grad, delta, c1, step=1.0):
 def wolfe_line_search(target, theta, logp, grad, delta, c1) -> LineSearchResult:
     """Backtrack over steps 1, 1/2, 1/4, ... to the first with sufficient increase.
 
-    This is ``line_search_steps`` started at step 1, driven one target call
-    at a time.  Requires grad'delta > 0 (ascent direction).  Only the
+    This is ``line_search_steps`` started at step 1, run as a lockstep of
+    one stepper.  Requires grad'delta > 0 (ascent direction).  Only the
     sufficient-increase (Armijo) condition
-    logp(theta + step delta) >= logp + c1 step grad'delta is enforced; the
-    curvature condition is not.  Each trial is evaluated for its log density
-    only (``target.logp``); the first that passes is then evaluated once
-    more with its gradient (``target.logp_grad``), and that fused result is
-    returned.  An evaluation of either kind that raises NonFiniteError counts
-    as a failed check and the step is halved.  A step that leaves the
-    curvature unmet simply produces an update pair that fails the curvature
-    gate downstream, leaving the inverse Hessian estimate intact.
-    LineSearchFailError is raised when no step >= 2^-MAX_HALVINGS yields a
-    sufficient increase.
+    logp(theta + step delta) >= logp + c1 step grad'delta is enforced.  Each
+    trial is a log-density-only evaluation; the first that passes gets one
+    fused evaluation, whose result is returned.  A refused evaluation of
+    either kind fails the check and the step is halved.  A step that leaves
+    the curvature unmet gives an update pair that the curvature gate of
+    ``optimize`` drops.  LineSearchFailError is raised when no step
+    >= 2^-MAX_HALVINGS yields a sufficient increase.
     """
-    return drive(line_search_steps(theta, float(logp), grad, delta, c1), target)
+    return lockstep(target, [line_search_steps(theta, float(logp), grad, delta, c1)])[0].outcome
 
 
 # Denominator floor for the relative-improvement convergence test, guarding
@@ -233,9 +286,14 @@ def optimize(target, theta_init, opts: LbfgsOptions) -> Trajectory:
     Terminates on relative log-density improvement below ``rel_tol``, at
     ``max_iters``, on line-search failure, or immediately when the initial
     gradient norm is below ``grad_zero_tol``.  Raises NonFiniteError when the
-    initial point has a non-finite log density or gradient.
+    initial point has a non-finite log density or gradient.  This is
+    ``optimize_steps`` run as a lockstep of one stepper, one batched target
+    call of one row per evaluation.
     """
-    return drive(optimize_steps(theta_init, opts), target)
+    trajectory = lockstep(target, [optimize_steps(theta_init, opts)])[0].outcome
+    if isinstance(trajectory, NonFiniteError):
+        raise trajectory
+    return trajectory
 
 
 def optimize_steps(theta_init, opts: LbfgsOptions):
@@ -247,18 +305,14 @@ def optimize_steps(theta_init, opts: LbfgsOptions):
         raise NonFiniteError("non-finite log density or gradient at the initial point")
     logp, grad = result
 
-    thetas = [theta]
-    grads = [grad]
-    logps = [logp]
-
+    thetas, grads, logps = [theta], [grad], [logp]
     if np.linalg.norm(grad) < opts.grad_zero_tol:
-        return Trajectory(
-            np.asarray(thetas), np.asarray(grads), np.asarray(logps),
-            Termination.ZERO_GRADIENT_AT_INIT,
-        )
+        return Trajectory(np.asarray(thetas), np.asarray(grads), np.asarray(logps),
+                          Termination.ZERO_GRADIENT_AT_INIT)
 
-    s_hist: deque = deque(maxlen=opts.history_size)
-    z_hist: deque = deque(maxlen=opts.history_size)
+    # The stored pairs, oldest first, as (N, J') columns; each accepted pair
+    # replaces both arrays, so a request can hold them without a copy.
+    S = Z = np.zeros((theta.size, 0))
     alpha = np.ones(theta.size)
     step = 1.0  # the last accepted step
     termination = Termination.MAX_ITER
@@ -267,8 +321,6 @@ def optimize_steps(theta_init, opts: LbfgsOptions):
         if np.linalg.norm(grads[-1]) < opts.grad_zero_tol:
             termination = Termination.CONVERGED
             break
-        S, Z = ((np.stack(s_hist, axis=1), np.stack(z_hist, axis=1)) if s_hist
-                else (np.zeros((theta.size, 0)), np.zeros((theta.size, 0))))
         delta = yield DirectionRequest(S, Z, alpha, grads[-1])
         with np.errstate(over="ignore", invalid="ignore"):
             ascent = np.all(np.isfinite(delta)) and grads[-1] @ delta > 0.0
@@ -302,8 +354,9 @@ def optimize_steps(theta_init, opts: LbfgsOptions):
         with np.errstate(over="ignore", invalid="ignore"):
             curvature_ok = s_new @ z_new > opts.pair_eps * (z_new @ z_new)
         if curvature_ok:
-            s_hist.append(s_new)
-            z_hist.append(z_new)
+            drop = int(S.shape[1] == opts.history_size)
+            S = np.concatenate((S[:, drop:], s_new[:, None]), axis=1)
+            Z = np.concatenate((Z[:, drop:], z_new[:, None]), axis=1)
             alpha = ((z_new @ z_new) / (s_new @ z_new)) * np.ones(theta.size)
 
     return Trajectory(np.asarray(thetas), np.asarray(grads), np.asarray(logps), termination)

@@ -1,17 +1,17 @@
 """Multi-path Pathfinder: lockstep paths, pooled by Pareto-smoothed importance resampling.
 
-The paths are independent, so their optimizers advance together: each round
+The paths are independent, so their optimizers advance together in one
+``lbfgs.lockstep``, the driver single mode runs with one path: each round
 computes the search directions the paths ask for as one stack per pair
 count, and evaluates every active path's pending point with at most two
 batched target calls, one for line-search trials (log density only) and one
 for the points that need a gradient.  When every optimizer has stopped, the
 candidates of all paths are scored in one pass of cross-path blocks.  The
-finished single paths are pooled under an
-equally-weighted mixture proposal in which every draw is scored against its
-own component density (the 1/I mixture factors cancel between proposal and
-augmented target, so the raw log weight of a draw is simply log p - log q of
-its component).  The largest weights are smoothed by a generalized Pareto fit
-before resampling.
+finished single paths are pooled under an equally-weighted mixture proposal
+in which every draw is scored against its own component density (the 1/I
+mixture factors cancel between proposal and augmented target, so the raw
+log weight of a draw is simply log p - log q of its component).  The
+largest weights are smoothed by a generalized Pareto fit before resampling.
 """
 
 from __future__ import annotations
@@ -19,12 +19,11 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass, field
-from typing import Generator
 
 import numpy as np
 
-from .errors import AllPathsFailedError, NoFiniteWeightsError, NonFiniteError, SingularEError
-from .lbfgs import DirectionRequest, optimize_steps, stacked_directions
+from .errors import AllPathsFailedError, NoFiniteWeightsError, NonFiniteError
+from .lbfgs import lockstep, optimize_steps
 from .options import POSITIVE_INT, check_settings, setting
 from .seeding import STREAM_RESAMPLE, substream
 # run_single is not called here; it stays importable from this module, where
@@ -245,89 +244,20 @@ def pool_runs(runs: list, target) -> tuple[WeightedSample, int]:
     return pooled, view.n_logp
 
 
-@dataclass
-class _ActivePath:
-    """A path whose optimizer still runs, its pending request and the reply to it."""
-
-    index: int
-    tally: CounterView
-    theta0: np.ndarray
-    steps: Generator
-    request: object
-    reply: object = None
-
-
-def _evaluate(target, paths) -> None:
-    """Answer every path's point request with at most two batched target calls."""
-    trials = [path for path in paths if not path.request[1]]
-    if trials:
-        logps = target.logp_many(np.stack([path.request[0] for path in trials]))
-        for path, logp in zip(trials, logps.tolist()):
-            path.tally.n_logp_only += 1  # the row's evaluation, already counted by the target
-            path.reply = logp if logp > -math.inf else None
-    fused = [path for path in paths if path.request[1]]
-    if fused:
-        logps, grads, ok = target.logp_grad_many(np.stack([path.request[0] for path in fused]))
-        for path, logp, grad, good in zip(fused, logps.tolist(), grads, ok.tolist()):
-            path.tally.n_grad += 1
-            # A stored gradient must own its memory: a row view would pin the batch.
-            path.reply = (logp, grad.copy()) if good else None
-
-
-def _directions(paths) -> None:
-    """Answer every path's direction request, one stacked call per pair count.
-
-    A row without a valid E is answered with the SingularEError that
-    ``search_direction`` raises for it, to be thrown into its stepper.
-    """
-    groups: dict = {}
-    for path in paths:
-        groups.setdefault(path.request.S.shape[1], []).append(path)
-    for group in groups.values():
-        deltas, ok = stacked_directions(*(np.stack(field) for field in zip(*(p.request for p in group))))
-        for path, delta, good in zip(group, deltas, ok.tolist()):
-            path.reply = delta if good else SingularEError(
-                "pair matrix E must be finite with a positive s'z diagonal")
-
-
 def _run_lockstep(target, opts: PathfinderOptions, seed: int, num_paths: int) -> list:
-    """Runs of paths 0..num_paths-1, their optimizers advanced in lockstep.
+    """Runs of paths 0..num_paths-1: one ``lbfgs.lockstep``, then ``finish_runs``.
 
-    Each round first answers the paths waiting on a search direction, one
-    ``stacked_directions`` call per pair count (a row without a valid E has
-    SingularEError thrown into its stepper, as ``search_direction`` would
-    raise it), then makes at most two batched target calls: ``target.logp_many`` for the paths waiting on a
-    line-search trial, and ``target.logp_grad_many`` for the paths that need
-    a gradient (at their initial point or an accepted step).  Each optimizer
-    stepper is then handed its row.  When every optimizer has stopped, all
-    paths are scored together by ``finish_runs``.  Each run equals
-    ``run_single(target, opts, seed, path_index=i)`` bit for bit wherever the
-    target's batched rows do not depend on the batch.
+    Run i equals ``run_single(target, opts, seed, path_index=i)``, the same
+    loop over one path, wherever batched rows do not depend on the batch.
     """
-    optimized: list = [None] * num_paths
-    pending = []
-    for i in range(num_paths):
-        theta0 = initial_point(target.dim, opts, seed, i)
-        steps = optimize_steps(theta0, opts.lbfgs)
-        pending.append(_ActivePath(i, CounterView(target), theta0, steps, next(steps)))
-    while pending:
-        answered = [path for path in pending if isinstance(path.request, DirectionRequest)]
-        if answered:
-            _directions(answered)
-        else:
-            _evaluate(target, pending)
-            answered = pending
-        for path in answered:
-            try:
-                if isinstance(path.reply, SingularEError):
-                    path.request = path.steps.throw(path.reply)
-                else:
-                    path.request = path.steps.send(path.reply)
-            except StopIteration as stop:
-                optimized[path.index] = OptimizedPath(path.index, path.tally, path.theta0, stop.value)
-            except NonFiniteError:  # raised for a refused initial point
-                optimized[path.index] = OptimizedPath(path.index, path.tally, path.theta0, None)
-        pending = [path for path in pending if optimized[path.index] is None]
+    theta0s = [initial_point(target.dim, opts, seed, i) for i in range(num_paths)]
+    states = lockstep(target, [optimize_steps(theta0, opts.lbfgs) for theta0 in theta0s])
+    optimized = []
+    for i, (theta0, state) in enumerate(zip(theta0s, states)):
+        tally = CounterView(target)
+        tally.n_grad, tally.n_logp_only = state.n_fused, state.n_logp_only
+        trajectory = None if isinstance(state.outcome, NonFiniteError) else state.outcome
+        optimized.append(OptimizedPath(i, tally, theta0, trajectory))
     return finish_runs(target, optimized, opts, seed)
 
 

@@ -1,8 +1,11 @@
-"""Single-path driver: optimize, score candidate approximations, draw from the best.
+"""Single-path Pathfinder: optimize, score candidate approximations, draw from the best.
 
 One run optimizes the log density from a random initialization, rebuilds a
 normal approximation at every trajectory point, scores each by Monte Carlo
-ELBO, and returns draws from the ELBO-maximizing approximation.  Candidates
+ELBO, and returns draws from the ELBO-maximizing approximation.  The
+optimizer is ``lbfgs.optimize``, the lockstep loop of ``run_multi`` with one
+path, so a single run evaluates the target through its batched methods,
+one row per call.  Candidates
 are independent of each other, so they are built, sampled and scored in
 stacked blocks: one factorization pass and one target call per block.
 ``finish_runs`` scores several optimized paths in one pass, each block

@@ -2,7 +2,8 @@
 
 Every target is an unnormalized (or normalized) log density on R^N exposing a
 fused ``logp_grad`` evaluation, its batched form ``logp_grad_many``, and
-log-density-only evaluations.  Each built-in target writes its log density
+log-density-only evaluations.  The package calls only the batched forms; a
+single path is a batch of one.  Each built-in target writes its log density
 once, for a batch, shared by the fused and the log-density-only evaluations,
 which therefore agree bit for bit; a point is a batch of one.  Building a
 target rejects a non-finite or non-numeric parameter, or a size that is not
@@ -103,11 +104,14 @@ class LogDensityTarget:
 
     @staticmethod
     def _finite_rows(points):
-        """The batch with non-finite rows zeroed, and the mask of finite rows."""
-        finite_in = np.isfinite(points).all(axis=1)
-        if not finite_in.all():
-            points = np.where(finite_in[:, None], points, 0.0)
-        return points, finite_in
+        """The batch with non-finite rows zeroed, and the mask of finite rows
+        (True when every row is finite, the common case, which one reduction
+        settles)."""
+        finite_in = np.isfinite(points)
+        if finite_in.all():
+            return points, True
+        finite_in = finite_in.all(axis=1)
+        return np.where(finite_in[:, None], points, 0.0), finite_in
 
     def logp_grad(self, theta):
         """Return ``(log p(theta), grad log p(theta))``, counting one fused evaluation.

@@ -11,11 +11,13 @@ from pathfinder import (
     LineSearchFailError,
     MultipathOptions,
     NonFiniteError,
+    PathfinderOptions,
     SingularEError,
     Termination,
     make_target,
     optimize,
     run_multi,
+    run_single,
 )
 from pathfinder.lbfgs import (
     MAX_HALVINGS, REL_TOL_FLOOR, line_search_steps, search_direction, stacked_directions,
@@ -562,3 +564,44 @@ def test_refused_gradients_match_dense_reference():
         assert fast.thetas.shape == dense.shape
         np.testing.assert_allclose(fast.thetas, dense, atol=1e-8)
         assert fast_target.eval_count_grad > fast.num_iters + 1
+
+
+GUARD_TARGETS = [("eight_schools_centered", {}), ("logistic_regression", {"n": 30, "p": 3})]
+
+
+@pytest.mark.parametrize("name, params", GUARD_TARGETS)
+def test_single_mode_calls_only_batched_evaluations(monkeypatch, name, params):
+    # Single mode runs the lockstep driver with one path, so the per-point
+    # evaluations, which a second driver would call, are never needed.
+    def refuse(self, theta):
+        raise AssertionError("a per-point evaluation was called")
+
+    target = make_target(name, **params)
+    theta0 = np.random.default_rng(2).uniform(-2.0, 2.0, target.dim)
+    logp, grad, _ = target.logp_grad_many(theta0[None])
+    monkeypatch.setattr(LogDensityTarget, "logp", refuse)
+    monkeypatch.setattr(LogDensityTarget, "logp_grad", refuse)
+    opts = PathfinderOptions(num_draws=20, lbfgs=LbfgsOptions(max_iters=100))
+    assert not run_single(target, opts, seed=3).failed
+    assert optimize(target, theta0, opts.lbfgs).num_iters > 0
+    res = wolfe_line_search(target, theta0, logp[0], grad[0], grad[0], 1e-4)
+    assert res.logp >= logp[0] + 1e-4 * res.step * float(grad[0] @ grad[0])
+
+
+@pytest.mark.parametrize("name, params", GUARD_TARGETS)
+def test_one_batched_call_per_round_for_one_path(monkeypatch, name, params):
+    # A lockstep of one path answers each point request with its own
+    # batched call of one row: as many calls as point evaluations.
+    target = make_target(name, **params)
+    calls = []
+    for method in ("logp_many", "logp_grad_many"):
+        def counting(points, batched=getattr(target, method)):
+            calls.append(len(points))
+            return batched(points)
+
+        monkeypatch.setattr(target, method, counting)
+    theta0 = np.random.default_rng(4).uniform(-2.0, 2.0, target.dim)
+    traj = optimize(target, theta0, LbfgsOptions(max_iters=100))
+    assert traj.num_iters > 0
+    assert len(calls) == target.eval_count_logp > traj.num_iters
+    assert set(calls) == {1}

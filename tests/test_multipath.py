@@ -14,7 +14,6 @@ from pathfinder import (
     inv_hessian,
     lbfgs,
     make_target,
-    multipath,
     optimize,
     pool_runs,
     psis_smooth,
@@ -375,6 +374,7 @@ class TestLockstep:
             return stacked_factors(S, Z, alpha)
 
         monkeypatch.setattr(inv_hessian, "stacked_factors", recording)
+        monkeypatch.setattr(lbfgs, "stacked_factors", recording)
         probe = optimize(make_target(name), initial_point(10, opts.single, 3, 2), opts.single.lbfgs)
         assert probe.num_iters > 3
         poison_S, poison_alpha = requests[3]
@@ -453,7 +453,7 @@ def test_lockstep_batches_linear_algebra_across_paths(monkeypatch):
     # its requests, and the scoring pass one target call per cross-path block.
     target = make_target("eight_schools_centered")
     calls, blocks, rounds, in_scoring, scoring_calls = [], [], [0], [False], [0]
-    stacked_directions, cut = multipath.stacked_directions, single_path._blocks
+    stacked_directions, cut = lbfgs.stacked_directions, single_path._blocks
     score = single_path._score_candidates
     logp_many, logp_grad_many = target.logp_many, target.logp_grad_many
 
@@ -481,7 +481,7 @@ def test_lockstep_batches_linear_algebra_across_paths(monkeypatch):
         rounds[0] += 1
         return logp_grad_many(points)
 
-    monkeypatch.setattr(multipath, "stacked_directions", counting_directions)
+    monkeypatch.setattr(lbfgs, "stacked_directions", counting_directions)
     monkeypatch.setattr(single_path, "_blocks", counting_blocks)
     monkeypatch.setattr(single_path, "_score_candidates", scoring)
     monkeypatch.setattr(target, "logp_many", counting_logp_many)

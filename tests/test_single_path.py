@@ -6,7 +6,6 @@ import pytest
 from pathfinder import (
     AllFailedError,
     LbfgsOptions,
-    NonFiniteError,
     PathfinderOptions,
     Termination,
     make_target,
@@ -29,18 +28,14 @@ class Plateau(LogDensityTarget):
 def record_fused_logps(target):
     """Log, on the target instance, each fused evaluation's log density (None if refused)."""
     logps = []
-    fused = target.logp_grad
+    fused = target.logp_grad_many
 
-    def recording(theta):
-        try:
-            logp, grad = fused(theta)
-        except NonFiniteError:
-            logps.append(None)
-            raise
-        logps.append(logp)
-        return logp, grad
+    def recording(points):
+        logp, grad, ok = fused(points)
+        logps.extend(value if good else None for value, good in zip(logp.tolist(), ok.tolist()))
+        return logp, grad, ok
 
-    target.logp_grad = recording
+    target.logp_grad_many = recording
     return logps
 
 
