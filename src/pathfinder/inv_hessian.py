@@ -6,10 +6,10 @@
 
 and ``low_rank_product`` applies beta gamma beta'.  The optimizer's direction,
 each approximation's mean and its covariance factors all come from these.
-``alpha_recover`` walks a trajectory once to rebuild every iteration's
-diagonal seed and which update pairs are usable.  Factors are computed for
-stacks of iterations sharing a pair count; per-iteration functions are the
-stack-of-one case.
+``stacked_alpha_recover`` steps through all paths' trajectories together,
+rebuilding every iteration's diagonal seed and which update pairs are
+usable.  Factors are computed for stacks of iterations sharing a pair count;
+per-iteration and per-path functions are the stack-of-one case.
 """
 
 from __future__ import annotations
@@ -26,6 +26,10 @@ from .errors import SingularEError
 # along z.  This is deliberately stricter than the optimizer's own history
 # gate and keeps the diagonal update well posed.
 ALPHA_PAIR_EPS = 1e-12
+
+# Steps whose pairs stacked_alpha_recover forms at once: the pairs of all
+# steps at once would raise peak memory on long paths.
+RECOVER_CHUNK = 64
 
 
 def select_rows(stacked, index):
@@ -62,16 +66,6 @@ class AlphaRecovery:
     def num_iters(self) -> int:
         return len(self.xis)
 
-    @property
-    def s_list(self) -> np.ndarray:
-        """(L, N) position updates."""
-        return self.thetas[1:] - self.thetas[:-1]
-
-    @property
-    def z_list(self) -> np.ndarray:
-        """(L, N) updates of the negative-log-density gradient."""
-        return self.grads[:-1] - self.grads[1:]
-
 
 @dataclass
 class CompactFactors:
@@ -102,35 +96,55 @@ class CompactFactors:
         return 2 * self.S.shape[-1]
 
 
-def alpha_recover(trajectory) -> AlphaRecovery:
-    """Recover per-coordinate diagonal inverse-Hessian seeds along an ``lbfgs.Trajectory``.
+def stacked_alpha_recover(trajectories) -> list:
+    """Recover per-coordinate diagonal inverse-Hessian seeds along ``lbfgs.Trajectory``s.
 
-    The seed starts at the all-ones vector.  For each accepted pair the
+    Each seed starts at the all-ones vector.  For each accepted pair the
     diagonal is refreshed coordinate-wise from the quadratic forms
     a = z'diag(alpha)z, b = z's, c = s'diag(alpha)^-1 s; pairs failing the
     curvature condition, or whose update would drive any component of alpha
     non-positive, are rejected and leave alpha untouched.  The history window
-    is applied later, at factor-assembly time.
+    is applied later, at factor-assembly time.  All paths step together, and
+    each row product is a stacked ``vecdot``, which gives the bits of the
+    path's own ``s @ z``, so no path's recovery depends on its stack.  Each
+    path's AlphaRecovery holds views into arrays shared by the stack.
     """
-    L = trajectory.num_iters
-    N = trajectory.thetas.shape[1]
-    recovery = AlphaRecovery(
-        np.empty((L, N)), np.zeros(L, dtype=int), trajectory.thetas, trajectory.grads)
-
-    alpha = np.ones(N)
-    for l, (s, z) in enumerate(zip(recovery.s_list, recovery.z_list)):
-        b = float(s @ z)
-        if b > ALPHA_PAIR_EPS * float(z @ z):
-            a = float(z @ (alpha * z))
-            c = float(s @ (s / alpha))
-            inv = a / (b * alpha) + (z * z) / b - (a * s * s) / (b * c * alpha * alpha)
+    if not trajectories:
+        return []
+    lengths = np.array([t.num_iters for t in trajectories])
+    starts = np.cumsum(lengths) - lengths     # of each path's rows in alphas and xis
+    P, L, N = len(trajectories), lengths.max(), trajectories[0].thetas.shape[1]
+    alphas, xis = np.empty((lengths.sum(), N)), np.zeros(lengths.sum(), dtype=int)
+    alpha = np.ones((P, N))
+    for lo in range(0, L, RECOVER_CHUNK):
+        S, Z = np.zeros((2, P, min(RECOVER_CHUNK, L - lo), N))
+        counts = np.clip(lengths - lo, 0, S.shape[1]).tolist()   # each path's steps here
+        for p, (t, n) in enumerate(zip(trajectories, counts)):
+            S[p, :n] = t.thetas[lo + 1:lo + n + 1] - t.thetas[lo:lo + n]
+            Z[p, :n] = t.grads[lo:lo + n] - t.grads[lo + 1:lo + n + 1]
+        b_all = np.vecdot(S, Z)
+        gate = b_all > ALPHA_PAIR_EPS * np.vecdot(Z, Z)   # zero padding never passes
+        for j in range(S.shape[1]):
+            rows = np.flatnonzero(gate[:, j])
+            s, z, prev, b = S[rows, j], Z[rows, j], alpha[rows], b_all[rows, j, None]
+            a = np.vecdot(z, prev * z)[:, None]
+            c = np.vecdot(s, s / prev)[:, None]
+            inv = a / (b * prev) + (z * z) / b - (a * s * s) / (b * c * prev * prev)
             with np.errstate(divide="ignore", invalid="ignore"):
                 candidate = 1.0 / inv
-            if np.all(np.isfinite(candidate)) and np.all(candidate > 0.0):
-                alpha = candidate
-                recovery.xis[l] = 1
-        recovery.alphas[l] = alpha
-    return recovery
+            take = np.isfinite(candidate).all(1) & (candidate > 0.0).all(1)
+            alpha[rows[take]] = candidate[take]
+            xis[starts[rows[take]] + lo + j] = 1
+            S[:, j] = alpha   # step j's pairs are spent, so S keeps the chunk's alphas
+        for i, chunk_alphas, n in zip(starts.tolist(), S, counts):
+            alphas[i + lo:i + lo + n] = chunk_alphas[:n]
+    return [AlphaRecovery(alphas[i:i + n], xis[i:i + n], t.thetas, t.grads)
+            for t, i, n in zip(trajectories, starts.tolist(), lengths.tolist())]
+
+
+def alpha_recover(trajectory) -> AlphaRecovery:
+    """``stacked_alpha_recover`` of one trajectory."""
+    return stacked_alpha_recover([trajectory])[0]
 
 
 def pair_counts(recovery: AlphaRecovery, history_size: int) -> np.ndarray:

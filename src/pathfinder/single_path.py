@@ -5,12 +5,12 @@ normal approximation at every trajectory point, scores each by Monte Carlo
 ELBO, and returns draws from the ELBO-maximizing approximation.  The
 optimizer is ``lbfgs.optimize``, the lockstep loop of ``run_multi`` with one
 path, so a single run evaluates the target through its batched methods,
-one row per call.  Candidates
-are independent of each other, so they are built, sampled and scored in
-stacked blocks: one factorization pass and one target call per block.
-``finish_runs`` scores several optimized paths in one pass, each block
-holding the candidates of every path that share a pair count; a single run
-is the pass over a list of one path.
+one row per call.  Candidates are independent of each other, so they are
+built, sampled and scored in stacked blocks: one factorization pass, one
+seeding pass and one target call per block.  ``finish_runs`` recovers the
+diagonal seeds of several optimized paths in one stacked call and scores
+them in one pass, each block holding the candidates of every path that
+share a pair count; a single run is the pass over a list of one path.
 
 Runs never raise on pathological geometry: a run that cannot produce any
 valid approximation returns its last trajectory point as a single draw
@@ -26,16 +26,18 @@ from typing import Optional
 import numpy as np
 
 from . import elbo, normal_approx
-# The scoring pass calls elbo.elbo_estimate on whole blocks; the name stays
-# importable here, where the benchmark's tracer (bench/layers.py) looks for it.
+# The scoring pass calls elbo.elbo_estimate on whole blocks and recovers all
+# paths in one call; elbo_estimate and alpha_recover stay importable here,
+# where the benchmark's tracer (bench/layers.py) looks for them.
 from .elbo import elbo_estimate  # noqa: F401
 from .errors import AllFailedError, NonFiniteError
-from .inv_hessian import (
-    alpha_recover, assemble_factors, pair_counts, select_rows, stacked_factors, window,
+from .inv_hessian import (  # noqa: F401
+    alpha_recover, assemble_factors, pair_counts, select_rows, stacked_alpha_recover,
+    stacked_factors, window,
 )
 from .lbfgs import LbfgsOptions, Termination, Trajectory, optimize
 from .options import POSITIVE, POSITIVE_INT, check_settings, setting
-from .seeding import STREAM_CANDIDATE, STREAM_FINAL, STREAM_INIT, substream
+from .seeding import STREAM_CANDIDATE, STREAM_FINAL, STREAM_INIT, substream, substreams
 from .targets import CounterView
 
 # Floats in one stacked (B, N, 2J') array of a scoring block.  A block spans
@@ -167,8 +169,8 @@ def _score_candidates(target, paths, recoveries, opts, seed):
     disqualified), the number sampled, and the number disqualified for each
     reason.  Each block makes one ``target.logp_many`` call, whose rows are
     added to each path's tally.  Each candidate draws from its own
-    (path, candidate) substream, so the scores do not depend on how the
-    blocks are cut.
+    (path, candidate) substream, all of a block's made in one call, so the
+    scores do not depend on how the blocks are cut.
     """
     dim = target.dim
     num_paths = len(paths)
@@ -179,6 +181,7 @@ def _score_candidates(target, paths, recoveries, opts, seed):
     def disqualify(reason, owners):
         reasons[reason] += np.bincount(owners, minlength=num_paths)
 
+    indices = np.array([path.index for path in paths], dtype=int)
     counts = [pair_counts(rec, opts.lbfgs.history_size) for rec in recoveries]
     for num_pairs, owners, iters in _blocks(counts, dim):
         factors, ok_e = stacked_factors(*_windows(recoveries, owners, iters, num_pairs))
@@ -203,8 +206,8 @@ def _score_candidates(target, paths, recoveries, opts, seed):
         for path, n in zip(paths, sampled.tolist()):
             path.tally.n_logp_only += n * opts.elbo_draws  # rows the target counts below
         u = np.stack([
-            substream(seed, paths[k].index, STREAM_CANDIDATE, l).standard_normal((opts.elbo_draws, dim))
-            for k, l in zip(owners.tolist(), iters.tolist())
+            rng.standard_normal((opts.elbo_draws, dim))
+            for rng in substreams(seed, indices[owners], STREAM_CANDIDATE, iters)
         ])
         batch = normal_approx.transform(approx, u)
         logp_vals = target.logp_many(batch.draws.reshape(-1, dim)).reshape(batch.logq.shape)
@@ -279,9 +282,10 @@ def finish_runs(target, paths: list, opts: PathfinderOptions, seed: int) -> list
     """Score the candidates along optimized paths and draw from each path's winner.
 
     ``paths`` are OptimizedPath records; the runs come back in their order.
-    Every path's candidates are scored in one pass of cross-path blocks, so
-    a path's run equals its run scored alone wherever the target's batched
-    rows do not depend on the batch.
+    Every path's diagonal seeds are recovered in one stacked call, and its
+    candidates scored in one pass of cross-path blocks, so a path's run
+    equals its run scored alone wherever the target's batched rows do not
+    depend on the batch.
     """
     runs = [None] * len(paths)
     scorable = []
@@ -294,7 +298,7 @@ def finish_runs(target, paths: list, opts: PathfinderOptions, seed: int) -> list
         else:
             scorable.append(i)
     optimizer_counts = [(paths[i].tally.n_logp, paths[i].tally.n_grad) for i in scorable]
-    recoveries = [alpha_recover(paths[i].trajectory) for i in scorable]
+    recoveries = stacked_alpha_recover([paths[i].trajectory for i in scorable])
     scores = _score_candidates(target, [paths[i] for i in scorable], recoveries, opts, seed)
     for i, recovery, counts, score in zip(scorable, recoveries, optimizer_counts, scores):
         runs[i] = _draw_from_winner(paths[i], recovery, *score, *counts, opts, seed)

@@ -60,6 +60,31 @@ def bfgs_recursive_sigma(alpha, pairs):
     return H
 
 
+def alpha_recover_loop(thetas, grads, pair_eps=1e-12):
+    """Diagonal seeds along one trajectory, recovered one step at a time.
+
+    The per-path loop the stacked recovery replaced, kept as its reference.
+    Returns (alphas (L, N), xis (L,)); ``pair_eps`` is the curvature gate.
+    """
+    L, N = len(thetas) - 1, thetas.shape[1]
+    alphas, xis = np.empty((L, N)), np.zeros(L, dtype=int)
+    alpha = np.ones(N)
+    for l in range(L):
+        s, z = thetas[l + 1] - thetas[l], grads[l] - grads[l + 1]
+        b = float(s @ z)
+        if b > pair_eps * float(z @ z):
+            a = float(z @ (alpha * z))
+            c = float(s @ (s / alpha))
+            inv = a / (b * alpha) + (z * z) / b - (a * s * s) / (b * c * alpha * alpha)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                candidate = 1.0 / inv
+            if np.all(np.isfinite(candidate)) and np.all(candidate > 0.0):
+                alpha = candidate
+                xis[l] = 1
+        alphas[l] = alpha
+    return alphas, xis
+
+
 def random_curvature_pairs(rng, n, count, min_cos=0.0):
     """Random pairs satisfying the curvature condition s'z > 1e-12 ||z||^2.
 

@@ -7,17 +7,21 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import pathfinder
 from pathfinder import (
     LbfgsOptions, SingularEError, alpha_recover, assemble_factors, make_target, optimize,
 )
 from pathfinder.inv_hessian import (
-    ALPHA_PAIR_EPS, factors_from_pairs, low_rank_product, stacked_factors,
+    ALPHA_PAIR_EPS, RECOVER_CHUNK, factors_from_pairs, low_rank_product, stacked_alpha_recover,
+    stacked_factors,
 )
 from pathfinder.lbfgs import Termination, Trajectory, search_direction
 
-from oracles import bfgs_recursive_sigma, dense_sigma, random_curvature_pairs
+from oracles import (
+    alpha_recover_loop, bfgs_recursive_sigma, dense_sigma, random_curvature_pairs,
+)
 
 
 def trajectory_from_points(thetas, grads):
@@ -86,13 +90,11 @@ class TestAlphaRecover:
         L = traj.num_iters
         assert rec.alphas.shape == (L, 10)
         assert rec.xis.shape == (L,)
-        assert rec.s_list.shape == (L, 10) and rec.z_list.shape == (L, 10)
         assert np.all(rec.alphas > 0)
         for l in range(1, L):
             if rec.xis[l] == 0:
                 np.testing.assert_array_equal(rec.alphas[l], rec.alphas[l - 1])
-        np.testing.assert_allclose(rec.s_list, traj.thetas[1:] - traj.thetas[:-1])
-        np.testing.assert_allclose(rec.z_list, traj.grads[:-1] - traj.grads[1:])
+        assert rec.thetas is traj.thetas and rec.grads is traj.grads
 
     def test_acceptance_threshold_direction(self):
         # a pair whose gradient change is vastly larger than the position
@@ -104,6 +106,98 @@ class TestAlphaRecover:
         traj = trajectory_from_points([theta0, theta0 + s], [z, np.zeros(2)])
         rec = alpha_recover(traj)
         assert rec.xis.tolist() == [0]
+
+
+# Pairs in three coordinates, for steps taken from theta = grad = 0 so that
+# the trajectory reproduces them exactly.  Both pass the curvature gate, but
+# from alpha = 1 the update cancels to a negative (NEGATIVE_UPDATE) or zero
+# (ZERO_UPDATE) component of 1 / alpha, so the pair is rejected.
+NEGATIVE_UPDATE = (
+    np.array([-0.7434956881700057, 4.199986224180719e-09, 7.203878160567384e-09]),
+    np.array([-8.751512353713315e-10, 2.4501051562114204, -0.0899262116642555]),
+)
+ZERO_UPDATE = (np.array([1.0, 0.0, 0.0]), np.array([1e-10, 1.0, 0.0]))
+
+
+def trajectory_from_kinds(kinds, seed):
+    """A 3-d trajectory from the origin whose steps are pairs of the named kinds.
+
+    "good" passes the curvature gate, "gate" fails it (z = -s), and
+    "negative"/"zero" are NEGATIVE_UPDATE/ZERO_UPDATE.
+    """
+    rng = np.random.default_rng(seed)
+    thetas, grads = [np.zeros(3)], [np.zeros(3)]
+    for kind in kinds:
+        if kind == "good":
+            S, Z = random_curvature_pairs(rng, 3, 1, min_cos=0.2)
+            s, z = S[:, 0], Z[:, 0]
+        elif kind == "gate":
+            s = rng.standard_normal(3)
+            z = -s
+        else:
+            s, z = {"negative": NEGATIVE_UPDATE, "zero": ZERO_UPDATE}[kind]
+        thetas.append(thetas[-1] + s)
+        grads.append(grads[-1] - z)
+    return trajectory_from_points(thetas, grads)
+
+
+def assert_matches_loop(trajectories):
+    recoveries = stacked_alpha_recover(trajectories)
+    assert len(recoveries) == len(trajectories)
+    for traj, rec in zip(trajectories, recoveries):
+        alphas, xis = alpha_recover_loop(traj.thetas, traj.grads, ALPHA_PAIR_EPS)
+        np.testing.assert_array_equal(rec.alphas, alphas, strict=True)
+        np.testing.assert_array_equal(rec.xis, xis, strict=True)
+    return recoveries
+
+
+class TestStackedAlphaRecover:
+    def test_stack_matches_the_per_step_loop_bit_for_bit(self):
+        kinds = [
+            ["good"],
+            [("gate" if l % 7 == 3 else "good") for l in range(2 * RECOVER_CHUNK + 22)],
+            ["negative", "good", "good", "gate", "good"],
+            ["zero", "good", "good"],
+            ["good"] * RECOVER_CHUNK,
+            ["gate"],
+        ]
+        trajectories = [trajectory_from_kinds(k, seed) for seed, k in enumerate(kinds)]
+        recoveries = assert_matches_loop(trajectories)
+        # Every case is exercised: gate rejections, and rejected updates of
+        # pairs that passed the gate.
+        assert recoveries[1].xis.sum() < len(kinds[1]) and recoveries[5].xis.tolist() == [0]
+        for rec in recoveries[2:4]:
+            s, z = rec.thetas[1] - rec.thetas[0], rec.grads[0] - rec.grads[1]
+            assert s @ z > ALPHA_PAIR_EPS * (z @ z) and rec.xis[0] == 0
+            np.testing.assert_array_equal(rec.alphas[0], np.ones(3))
+
+    def test_one_path_alone_equals_it_inside_a_stack(self):
+        trajectories = [trajectory_from_kinds(["good", "gate"] * (RECOVER_CHUNK + 3), seed)
+                        for seed in range(3)]
+        stacked = stacked_alpha_recover(trajectories)
+        for traj, inside in zip(trajectories, stacked):
+            alone = alpha_recover(traj)
+            np.testing.assert_array_equal(alone.alphas, inside.alphas, strict=True)
+            np.testing.assert_array_equal(alone.xis, inside.xis, strict=True)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.lists(st.lists(st.sampled_from(["good", "gate", "negative", "zero"]),
+                             min_size=1, max_size=RECOVER_CHUNK + 10), min_size=1, max_size=6),
+           st.integers(0, 2**32 - 1))
+    def test_random_stacks_match_the_per_step_loop(self, kinds, seed):
+        assert_matches_loop([trajectory_from_kinds(k, seed + i) for i, k in enumerate(kinds)])
+
+    @pytest.mark.parametrize("name", ["eight_schools_centered", "neal_funnel"])
+    def test_optimizer_trajectories_match_the_per_step_loop(self, name):
+        t = make_target(name, dim=10) if name == "neal_funnel" else make_target(name)
+        assert_matches_loop([
+            optimize(t, np.random.default_rng(seed).uniform(-2, 2, t.dim),
+                     LbfgsOptions(max_iters=max_iters))
+            for seed, max_iters in enumerate([1, 5, 200, 200, 40])
+        ])
+
+    def test_empty_stack(self):
+        assert stacked_alpha_recover([]) == []
 
 
 class TestAssembleFactors:
@@ -144,21 +238,22 @@ class TestAssembleFactors:
         assert rec.xis.sum() == 10
         fac = assemble_factors(rec, 10, 6)
         assert fac.num_pairs == 6
-        np.testing.assert_array_equal(fac.S[:, -1], rec.s_list[9])
-        np.testing.assert_array_equal(fac.S[:, 0], rec.s_list[4])
+        s_list = np.diff(rec.thetas, axis=0)
+        np.testing.assert_array_equal(fac.S[:, -1], s_list[9])
+        np.testing.assert_array_equal(fac.S[:, 0], s_list[4])
 
     def test_rank_cap_drops_oldest(self):
         rec = self.run_recovery(n=6, steps=8)
         fac = assemble_factors(rec, 8, 6)
         assert 2 * fac.num_pairs <= 6
-        np.testing.assert_array_equal(fac.S[:, -1], rec.s_list[7])
+        np.testing.assert_array_equal(fac.S[:, -1], np.diff(rec.thetas, axis=0)[7])
 
     def test_rejected_iterations_contribute_no_columns(self):
         rec = self.run_recovery(steps=8)
         rec.xis[3] = 0
         fac = assemble_factors(rec, 8, 3)
         for col in range(fac.num_pairs):
-            assert not np.array_equal(fac.S[:, col], rec.s_list[3])
+            assert not np.array_equal(fac.S[:, col], rec.thetas[4] - rec.thetas[3])
 
     def test_secant_equation_for_latest_pair(self):
         rec = self.run_recovery(n=8, steps=6)

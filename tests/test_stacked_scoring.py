@@ -52,7 +52,8 @@ def test_every_candidate_matches_dense_oracle(history_size):
         for b, l in enumerate(iters):
             accepted = [i for i in range(l) if rec.xis[i] == 1]
             keep = accepted[len(accepted) - num_pairs:]
-            S, Z = rec.s_list[keep].T, rec.z_list[keep].T
+            S = (traj.thetas[1:] - traj.thetas[:-1])[keep].T
+            Z = (traj.grads[:-1] - traj.grads[1:])[keep].T
             sigma = dense_sigma(S if keep else None, Z, rec.alphas[l - 1])
             mu = traj.thetas[l] + sigma @ traj.grads[l]
             np.testing.assert_allclose(approx.mu[b], mu, rtol=1e-9, atol=1e-9)
