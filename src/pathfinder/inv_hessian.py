@@ -96,6 +96,11 @@ class CompactFactors:
         return 2 * self.S.shape[-1]
 
 
+def _rowdot(a, b):
+    """Products of matching rows of stacked vectors, each with the bits of ``a[i] @ b[i]``."""
+    return (a[..., None, :] @ b[..., None])[..., 0, 0]
+
+
 def stacked_alpha_recover(trajectories) -> list:
     """Recover per-coordinate diagonal inverse-Hessian seeds along ``lbfgs.Trajectory``s.
 
@@ -105,9 +110,9 @@ def stacked_alpha_recover(trajectories) -> list:
     curvature condition, or whose update would drive any component of alpha
     non-positive, are rejected and leave alpha untouched.  The history window
     is applied later, at factor-assembly time.  All paths step together, and
-    each row product is a stacked ``vecdot``, which gives the bits of the
-    path's own ``s @ z``, so no path's recovery depends on its stack.  Each
-    path's AlphaRecovery holds views into arrays shared by the stack.
+    each row product is a stacked matmul, which gives the bits of the path's
+    own ``s @ z``, so no path's recovery depends on its stack.  Each path's
+    AlphaRecovery holds views into arrays shared by the stack.
     """
     if not trajectories:
         return []
@@ -117,26 +122,26 @@ def stacked_alpha_recover(trajectories) -> list:
     alphas, xis = np.empty((lengths.sum(), N)), np.zeros(lengths.sum(), dtype=int)
     alpha = np.ones((P, N))
     for lo in range(0, L, RECOVER_CHUNK):
-        S, Z = np.zeros((2, P, min(RECOVER_CHUNK, L - lo), N))
+        S, Z, A = np.zeros((3, P, min(RECOVER_CHUNK, L - lo), N))
         counts = np.clip(lengths - lo, 0, S.shape[1]).tolist()   # each path's steps here
         for p, (t, n) in enumerate(zip(trajectories, counts)):
             S[p, :n] = t.thetas[lo + 1:lo + n + 1] - t.thetas[lo:lo + n]
             Z[p, :n] = t.grads[lo:lo + n] - t.grads[lo + 1:lo + n + 1]
-        b_all = np.vecdot(S, Z)
-        gate = b_all > ALPHA_PAIR_EPS * np.vecdot(Z, Z)   # zero padding never passes
+        b_all = _rowdot(S, Z)
+        gate = b_all > ALPHA_PAIR_EPS * _rowdot(Z, Z)   # zero padding never passes
         for j in range(S.shape[1]):
             rows = np.flatnonzero(gate[:, j])
             s, z, prev, b = S[rows, j], Z[rows, j], alpha[rows], b_all[rows, j, None]
-            a = np.vecdot(z, prev * z)[:, None]
-            c = np.vecdot(s, s / prev)[:, None]
+            a = _rowdot(z, prev * z)[:, None]
+            c = _rowdot(s, s / prev)[:, None]
             inv = a / (b * prev) + (z * z) / b - (a * s * s) / (b * c * prev * prev)
             with np.errstate(divide="ignore", invalid="ignore"):
                 candidate = 1.0 / inv
             take = np.isfinite(candidate).all(1) & (candidate > 0.0).all(1)
             alpha[rows[take]] = candidate[take]
             xis[starts[rows[take]] + lo + j] = 1
-            S[:, j] = alpha   # step j's pairs are spent, so S keeps the chunk's alphas
-        for i, chunk_alphas, n in zip(starts.tolist(), S, counts):
+            A[:, j] = alpha
+        for i, chunk_alphas, n in zip(starts.tolist(), A, counts):
             alphas[i + lo:i + lo + n] = chunk_alphas[:n]
     return [AlphaRecovery(alphas[i:i + n], xis[i:i + n], t.thetas, t.grads)
             for t, i, n in zip(trajectories, starts.tolist(), lengths.tolist())]

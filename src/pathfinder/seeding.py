@@ -39,7 +39,8 @@ class _State(np.random.bit_generator.ISeedSequence):
 
 def _hash(values, init, mult, skip=0):
     """SeedSequence's hash of uint32 ``values``, with its constants from call ``skip`` on."""
-    consts = np.multiply.accumulate([init] + [mult] * (skip + values.shape[1]), dtype=np.uint32)
+    consts = np.array([init] + [mult] * (skip + values.shape[1]), dtype=np.uint32)
+    consts = np.multiply.accumulate(consts, dtype=np.uint32)   # in uint32, as numpy's hash
     values = (values ^ consts[skip:-1]) * consts[skip + 1:]
     return values ^ values >> 16
 

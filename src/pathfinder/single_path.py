@@ -31,9 +31,9 @@ from . import elbo, normal_approx
 # where the benchmark's tracer (bench/layers.py) looks for them.
 from .elbo import elbo_estimate  # noqa: F401
 from .errors import AllFailedError, NonFiniteError
-from .inv_hessian import (  # noqa: F401
-    alpha_recover, assemble_factors, pair_counts, select_rows, stacked_alpha_recover,
-    stacked_factors, window,
+from .inv_hessian import alpha_recover  # noqa: F401
+from .inv_hessian import (
+    assemble_factors, pair_counts, select_rows, stacked_alpha_recover, stacked_factors, window,
 )
 from .lbfgs import LbfgsOptions, Termination, Trajectory, optimize
 from .options import POSITIVE, POSITIVE_INT, check_settings, setting
