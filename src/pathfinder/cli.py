@@ -4,8 +4,9 @@ Configures a target and the algorithm, runs a single path or the multi-path
 pipeline, and writes draws as CSV plus diagnostics as JSON.  Exit codes:
 0 on success, 1 when every optimization path failed, 2 on configuration
 errors and on outputs that cannot be written.  These are reported as
-messages, never stack traces; an output whose directory does not exist is
-a configuration error, found before any solve runs.
+messages, never stack traces; an output that is a directory or whose
+directory does not exist, and one file named by both outputs, are
+configuration errors, found before any solve runs.
 
 The diagnostics JSON contains only deterministic content (the echoed
 algorithmic config and per-path results); wall time is an execution detail
@@ -85,8 +86,13 @@ def validate_config(raw: dict) -> RunConfig:
         path = getattr(cfg, key)
         if not isinstance(path, str) or not path:
             problems.append(f"{key}: must be a file path, got {path!r}")
+        elif os.path.isdir(path):
+            problems.append(f"{key}: {path!r} is a directory")
         elif not os.path.isdir(os.path.dirname(path) or "."):
             problems.append(f"{key}: directory {os.path.dirname(path)!r} does not exist")
+    real = [os.path.realpath(p) for p in (cfg.out, cfg.diagnostics) if isinstance(p, str) and p]
+    if len(real) == 2 and real[0] == real[1]:
+        problems.append(f"out and diagnostics: both name the file {real[0]!r}")
     problems += [kind_problem(s.key, s.kind, raw[s.key]) for s in declared if s.key in raw]
     problems = [p for p in problems if p]
     if not problems:

@@ -4,14 +4,12 @@ Both samples carry uniform weights over their rows.  Equal-size inputs reduce
 to an optimal assignment; unequal sizes solve the full transportation linear
 program.  Either way the result is the exact optimal-transport cost under the
 Euclidean ground metric, suitable as a ground-truth metric in tests.
+scipy is imported inside the solvers, so importing the package loads numpy alone.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy import sparse
-from scipy.optimize import linear_sum_assignment, linprog
-from scipy.spatial.distance import cdist
 
 from .errors import DimensionMismatchError, SizeLimitError
 
@@ -37,6 +35,8 @@ def _as_sample(points, label: str) -> np.ndarray:
 
 def _transport_lp(cost: np.ndarray) -> float:
     """Exact transportation LP with uniform marginals via HiGHS."""
+    from scipy import sparse
+    from scipy.optimize import linprog
     m, k = cost.shape
     row_idx = []
     col_idx = []
@@ -58,6 +58,8 @@ def _transport_lp(cost: np.ndarray) -> float:
 
 def wasserstein1(sample_a, sample_b) -> float:
     """Exact 1-Wasserstein distance between two uniform empirical samples."""
+    from scipy.optimize import linear_sum_assignment
+    from scipy.spatial.distance import cdist
     a = _as_sample(sample_a, "sample_a")
     b = _as_sample(sample_b, "sample_b")
     if a.shape[1] != b.shape[1]:

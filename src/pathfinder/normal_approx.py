@@ -14,7 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_triangular
 
 from .errors import CholeskyFailError
 from .inv_hessian import CompactFactors, low_rank_product, select_rows
@@ -161,7 +160,11 @@ def sample(approx: FactoredNormal, num_draws: int, rng: np.random.Generator) -> 
 
 
 def eval_logq(approx: FactoredNormal, x) -> float:
-    """Exact log density of ``x`` under the approximation, in O(NJ + J^2)."""
+    """Exact log density of ``x`` under the approximation, in O(NJ + J^2).
+
+    Imports scipy here, not at module level, so that sampling loads numpy alone.
+    """
+    from scipy.linalg import solve_triangular
     x = np.asarray(x, dtype=float)
     w = (x - approx.mu) / np.sqrt(approx.alpha)
     if approx.rank > 0:

@@ -19,8 +19,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.linalg import cho_factor
-from scipy.linalg.lapack import dpotrs
 
 from .errors import BadParamsError, DimensionMismatchError, NonFiniteError, UnknownTargetError
 
@@ -281,10 +279,13 @@ class MultivariateNormal(LogDensityTarget):
 
     The precision solve is one LAPACK ``potrs`` on the lower Cholesky factor
     for the whole batch; each column of its right-hand side is solved on its
-    own, so a row's bits do not depend on the batch.
+    own, so a row's bits do not depend on the batch.  scipy is imported when the
+    target is built, so only this target loads it and its cost stays in set-up.
     """
 
     def __init__(self, mu, cov):
+        from scipy.linalg import cho_factor
+        from scipy.linalg.lapack import dpotrs
         mu = _finite_array("mvn", "mu", mu)
         cov = _finite_array("mvn", "cov", cov)
         if mu.ndim != 1:
@@ -302,11 +303,12 @@ class MultivariateNormal(LogDensityTarget):
         super().__init__(mu.size, f"mvn({mu.size})")
         self.mu = mu
         self.cov = cov
+        self._dpotrs = dpotrs
         self._logdet = 2.0 * float(np.sum(np.log(np.diag(self._chol))))
 
     def _density(self, points, need_grad):
         diff = points - self.mu
-        sol = dpotrs(self._chol, diff.T, lower=1)[0].T
+        sol = self._dpotrs(self._chol, diff.T, lower=1)[0].T
         logp = -0.5 * (_row_dot(diff, sol) + self._logdet + self.dim * LOG_2PI)
         return logp, -sol if need_grad else None
 

@@ -25,6 +25,10 @@ def run_cli(tmp_path, *extra, check=0):
     return out, diag
 
 
+def no_solve(*args, **kwargs):
+    raise AssertionError("a solve ran for a config that cannot be written")
+
+
 def read_csv(path):
     lines = path.read_text().strip().split("\n")
     return lines[0].split(","), [line.split(",") for line in lines[1:]]
@@ -66,6 +70,19 @@ class TestValidateConfig:
         with pytest.raises(ConfigError, match=rf"^{key}: directory .*no_such_dir"):
             validate_config({"target": "std_normal", key: missing})
         validate_config({"target": "std_normal", key: str(tmp_path / "file")})
+
+    @pytest.mark.parametrize("key", ["out", "diagnostics"])
+    def test_output_that_is_a_directory_rejected(self, tmp_path, key):
+        with pytest.raises(ConfigError, match=rf"^{key}: .* is a directory"):
+            validate_config({"target": "std_normal", key: str(tmp_path)})
+
+    def test_outputs_must_name_different_files(self, tmp_path):
+        (tmp_path / "real").mkdir()
+        (tmp_path / "link").symlink_to(tmp_path / "real")
+        same = {"out": str(tmp_path / "real" / "f"), "diagnostics": str(tmp_path / "link" / "f")}
+        with pytest.raises(ConfigError, match="^out and diagnostics: both name the file"):
+            validate_config({"target": "std_normal", **same})
+        validate_config({"target": "std_normal", **same, "diagnostics": str(tmp_path / "g")})
 
     @pytest.mark.parametrize("key", ["out", "diagnostics"])
     def test_output_path_must_be_a_path(self, key):
@@ -174,9 +191,6 @@ class TestMain:
     @pytest.mark.parametrize("flag", ["--out", "--diagnostics"])
     def test_output_in_missing_directory_exits_2_before_solving(
             self, tmp_path, monkeypatch, capsys, flag):
-        def no_solve(*args, **kwargs):
-            raise AssertionError("a solve ran for a config that cannot be written")
-
         monkeypatch.setattr(pathfinder.cli, "run_single", no_solve)
         run_cli(tmp_path, "--target", "std_normal", "--dim", "2", "--mode", "single",
                 flag, str(tmp_path / "nonexistent" / "x"), check=2)
@@ -184,15 +198,38 @@ class TestMain:
         assert f"error: {flag[2:]}: directory" in err and "Traceback" not in err
         assert not any(tmp_path.iterdir())
 
-    def test_write_failure_exits_2_without_traceback(self, tmp_path, capsys):
-        # The directory exists, so the config passes, but the output path is
-        # itself a directory and cannot be opened for writing.
+    @pytest.mark.parametrize("flag", ["--out", "--diagnostics"])
+    def test_output_that_is_a_directory_exits_2_before_solving(
+            self, tmp_path, monkeypatch, capsys, flag):
+        monkeypatch.setattr(pathfinder.cli, "run_multi", no_solve)
         taken = tmp_path / "taken"
         taken.mkdir()
-        run_cli(tmp_path, "--target", "std_normal", "--dim", "2", "--mode", "single",
-                "--num-draws", "5", "--out", str(taken), check=2)
+        run_cli(tmp_path, "--target", "eight_schools_centered", flag, str(taken), check=2)
         err = capsys.readouterr().err
-        assert "error: cannot write output:" in err and str(taken) in err
+        assert f"error: {flag[2:]}: {str(taken)!r} is a directory" in err
+        assert "Traceback" not in err
+        assert sorted(tmp_path.iterdir()) == [taken] and not any(taken.iterdir())
+
+    def test_same_file_for_both_outputs_exits_2_before_solving(
+            self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(pathfinder.cli, "run_single", no_solve)
+        monkeypatch.chdir(tmp_path)
+        code = main(["--target", "std_normal", "--dim", "2", "--mode", "single",
+                     "--out", "same.txt", "--diagnostics", str(tmp_path / "same.txt")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "error: out and diagnostics: both name the file" in err and "same.txt" in err
+        assert not any(tmp_path.iterdir())
+
+    def test_write_failure_exits_2_without_traceback(self, tmp_path, capsys):
+        # The directory exists, so the config passes, but the file name is
+        # longer than the 255-byte name limit of common file systems, so the
+        # file cannot be opened for writing.
+        too_long = tmp_path / ("x" * 300)
+        run_cli(tmp_path, "--target", "std_normal", "--dim", "2", "--mode", "single",
+                "--num-draws", "5", "--out", str(too_long), check=2)
+        err = capsys.readouterr().err
+        assert "error: cannot write output:" in err and str(too_long) in err
         assert "Traceback" not in err
 
     def test_missing_dim_reported(self, tmp_path, capsys):
