@@ -165,7 +165,7 @@ def _write_csv(path: str, draws: np.ndarray) -> None:
     n = draws.shape[1]
     header = ",".join(f"param.{j + 1}" for j in range(n))
     lines = [header]
-    for row in draws:
+    for row in draws.tolist():
         lines.append(",".join(f"{v:.17g}" for v in row))
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")

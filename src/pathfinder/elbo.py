@@ -42,7 +42,7 @@ def elbo_estimate(logp_vals, logq_vals) -> ElboEstimate:
         )
     with np.errstate(invalid="ignore"):
         per_draw = logp_vals - logq_vals
-    finite = np.all(np.isfinite(per_draw), axis=-1)
+    finite = np.isfinite(per_draw).all(axis=-1)
     value = np.full(finite.shape, -np.inf)
     value[finite] = np.mean(per_draw[finite], axis=-1)
     return ElboEstimate(value=float(value) if value.ndim == 0 else value, per_draw=per_draw)

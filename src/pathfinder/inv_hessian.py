@@ -15,6 +15,7 @@ per-iteration and per-path functions are the stack-of-one case.
 from __future__ import annotations
 
 import dataclasses
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -123,26 +124,28 @@ def stacked_alpha_recover(trajectories) -> list:
     alpha = np.ones((P, N))
     for lo in range(0, L, RECOVER_CHUNK):
         S, Z, A = np.zeros((3, P, min(RECOVER_CHUNK, L - lo), N))
+        taken = np.zeros(S.shape[:2], dtype=bool)
         counts = np.clip(lengths - lo, 0, S.shape[1]).tolist()   # each path's steps here
         for p, (t, n) in enumerate(zip(trajectories, counts)):
             S[p, :n] = t.thetas[lo + 1:lo + n + 1] - t.thetas[lo:lo + n]
             Z[p, :n] = t.grads[lo:lo + n] - t.grads[lo + 1:lo + n + 1]
         b_all = _rowdot(S, Z)
         gate = b_all > ALPHA_PAIR_EPS * _rowdot(Z, Z)   # zero padding never passes
-        for j in range(S.shape[1]):
-            rows = np.flatnonzero(gate[:, j])
-            s, z, prev, b = S[rows, j], Z[rows, j], alpha[rows], b_all[rows, j, None]
-            a = _rowdot(z, prev * z)[:, None]
-            c = _rowdot(s, s / prev)[:, None]
-            inv = a / (b * prev) + (z * z) / b - (a * s * s) / (b * c * prev * prev)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                candidate = 1.0 / inv
-            take = np.isfinite(candidate).all(1) & (candidate > 0.0).all(1)
-            alpha[rows[take]] = candidate[take]
-            xis[starts[rows[take]] + lo + j] = 1
-            A[:, j] = alpha
-        for i, chunk_alphas, n in zip(starts.tolist(), A, counts):
+        # Every row computes an update (refused rows may divide by zero); taken rows keep it.
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            for j in range(S.shape[1]):
+                s, z, b = S[:, j], Z[:, j], b_all[:, j, None]
+                a = _rowdot(z, alpha * z)[:, None]
+                c = _rowdot(s, s / alpha)[:, None]
+                candidate = 1.0 / (a / (b * alpha) + (z * z) / b
+                                   - (a * s * s) / (b * c * alpha * alpha))
+                take = gate[:, j] & np.isfinite(candidate).all(1) & (candidate > 0.0).all(1)
+                alpha = candidate if take.all() else np.where(take[:, None], candidate, alpha)
+                taken[:, j] = take
+                A[:, j] = alpha
+        for i, chunk_alphas, chunk_taken, n in zip(starts.tolist(), A, taken, counts):
             alphas[i + lo:i + lo + n] = chunk_alphas[:n]
+            xis[i + lo:i + lo + n] = chunk_taken[:n]
     return [AlphaRecovery(alphas[i:i + n], xis[i:i + n], t.thetas, t.grads)
             for t, i, n in zip(trajectories, starts.tolist(), lengths.tolist())]
 
@@ -181,6 +184,14 @@ def window(recovery: AlphaRecovery, iters, num_pairs: int):
     return S, Z, recovery.alphas[iters - 1]
 
 
+@functools.cache
+def _upper_triangle(J: int) -> np.ndarray:
+    """The shared, read-only (J, J) upper-triangle mask; ``np.triu`` builds one per call."""
+    mask = np.triu(np.ones((J, J), dtype=bool))
+    mask.flags.writeable = False
+    return mask
+
+
 def stacked_factors(S, Z, alpha):
     """Compact factors for a stack of (B, N, J') pair matrices and (B, N) seeds.
 
@@ -190,7 +201,7 @@ def stacked_factors(S, Z, alpha):
     """
     B, N, J = S.shape
     with np.errstate(over="ignore", invalid="ignore"):  # spoils masked-out rows only
-        E = np.triu(S.transpose(0, 2, 1) @ Z)
+        E = np.where(_upper_triangle(J), S.transpose(0, 2, 1) @ Z, 0.0)
         eta = E.diagonal(0, 1, 2).copy()
         ok = (eta > 0.0).all(1) & np.isfinite(E).all((1, 2))
         # An upper-triangular E with a positive diagonal needs no pivoting,

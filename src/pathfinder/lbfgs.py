@@ -22,8 +22,8 @@ direction (a ``DirectionRequest``).  One driver, ``lockstep``, answers
 them: it runs a list of steppers against one target, computes their
 directions as one stack per pair count (``stacked_directions``) and
 evaluates their points with the target's batched methods.  ``optimize`` and
-``wolfe_line_search`` are a lockstep of one stepper; ``multipath`` runs one
-per path.
+``wolfe_line_search`` are a lockstep of one stepper; ``single_path`` runs one
+per path, for a single run as for ``run_multi``.
 """
 
 from __future__ import annotations
@@ -191,28 +191,30 @@ def lockstep(target, steppers) -> list:
     for the log-density-only ones and one ``target.logp_grad_many`` call for
     the fused ones.  Returns a StepperState per stepper, whose ``outcome``
     is its return value or the NonFiniteError it raised; any other error
-    propagates.
+    propagates.  The loop ignores floating-point overflow, invalid values
+    and division by zero, once for all steppers and rounds: the steppers
+    themselves set no error state and run only under it.
     """
-    states = [StepperState(steps) for steps in steppers]
-    active = states
-    while active:
-        answered = [state for state in active if type(state.request) is DirectionRequest]
-        if answered:
-            _directions(answered)
-        else:
-            _evaluate(target, active)
-            answered = active
-        for state in answered:
-            try:
-                if type(state.reply) is SingularEError:
-                    state.request = state.steps.throw(state.reply)
-                else:
-                    state.request = state.steps.send(state.reply)
-            except StopIteration as stop:
-                state.outcome = stop.value
-            except NonFiniteError as exc:
-                state.outcome = exc
-        active = [state for state in active if state.outcome is None]
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        states = active = [StepperState(steps) for steps in steppers]
+        while active:
+            answered = [state for state in active if type(state.request) is DirectionRequest]
+            if answered:
+                _directions(answered)
+            else:
+                _evaluate(target, active)
+                answered = active
+            for state in answered:
+                try:
+                    if type(state.reply) is SingularEError:
+                        state.request = state.steps.throw(state.reply)
+                    else:
+                        state.request = state.steps.send(state.reply)
+                except StopIteration as stop:
+                    state.outcome = stop.value
+                except NonFiniteError as exc:
+                    state.outcome = exc
+            active = [state for state in active if state.outcome is None]
     return states
 
 
@@ -306,7 +308,7 @@ def optimize_steps(theta_init, opts: LbfgsOptions):
     logp, grad = result
 
     thetas, grads, logps = [theta], [grad], [logp]
-    if np.linalg.norm(grad) < opts.grad_zero_tol:
+    if math.sqrt(grad @ grad) < opts.grad_zero_tol:
         return Trajectory(np.asarray(thetas), np.asarray(grads), np.asarray(logps),
                           Termination.ZERO_GRADIENT_AT_INIT)
 
@@ -318,13 +320,11 @@ def optimize_steps(theta_init, opts: LbfgsOptions):
     termination = Termination.MAX_ITER
 
     for _ in range(opts.max_iters):
-        if np.linalg.norm(grads[-1]) < opts.grad_zero_tol:
+        if math.sqrt(grads[-1] @ grads[-1]) < opts.grad_zero_tol:
             termination = Termination.CONVERGED
             break
         delta = yield DirectionRequest(S, Z, alpha, grads[-1])
-        with np.errstate(over="ignore", invalid="ignore"):
-            ascent = np.all(np.isfinite(delta)) and grads[-1] @ delta > 0.0
-        if not ascent:
+        if not (np.isfinite(delta).all() and grads[-1] @ delta > 0.0):
             termination = Termination.LINE_SEARCH_FAIL
             break
         try:
@@ -351,12 +351,10 @@ def optimize_steps(theta_init, opts: LbfgsOptions):
 
         s_new = ls.theta - prev_theta
         z_new = prev_grad - ls.grad
-        with np.errstate(over="ignore", invalid="ignore"):
-            curvature_ok = s_new @ z_new > opts.pair_eps * (z_new @ z_new)
-        if curvature_ok:
+        if s_new @ z_new > opts.pair_eps * (z_new @ z_new):
             drop = int(S.shape[1] == opts.history_size)
             S = np.concatenate((S[:, drop:], s_new[:, None]), axis=1)
             Z = np.concatenate((Z[:, drop:], z_new[:, None]), axis=1)
-            alpha = ((z_new @ z_new) / (s_new @ z_new)) * np.ones(theta.size)
+            alpha = np.full(theta.size, (z_new @ z_new) / (s_new @ z_new))
 
     return Trajectory(np.asarray(thetas), np.asarray(grads), np.asarray(logps), termination)

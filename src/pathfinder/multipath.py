@@ -1,17 +1,18 @@
 """Multi-path Pathfinder: lockstep paths, pooled by Pareto-smoothed importance resampling.
 
-The paths are independent, so their optimizers advance together in one
-``lbfgs.lockstep``, the driver single mode runs with one path: each round
-computes the search directions the paths ask for as one stack per pair
-count, and evaluates every active path's pending point with at most two
-batched target calls, one for line-search trials (log density only) and one
-for the points that need a gradient.  When every optimizer has stopped, the
-candidates of all paths are scored in one pass of cross-path blocks.  The
-finished single paths are pooled under an equally-weighted mixture proposal
-in which every draw is scored against its own component density (the 1/I
-mixture factors cancel between proposal and augmented target, so the raw
-log weight of a draw is simply log p - log q of its component).  The
-largest weights are smoothed by a generalized Pareto fit before resampling.
+The paths are independent, so ``single_path.run_paths``, the runner single
+mode calls with one path, advances their optimizers together in one
+``lbfgs.lockstep``: each round computes the search directions the paths ask
+for as one stack per pair count, and evaluates every active path's pending
+point with at most two batched target calls, one for line-search trials
+(log density only) and one for the points that need a gradient.  When every
+optimizer has stopped, the candidates of all paths are scored in one pass
+of cross-path blocks.  The finished single paths are pooled under an
+equally-weighted mixture proposal in which every draw is scored against its
+own component density (the 1/I mixture factors cancel between proposal and
+augmented target, so the raw log weight of a draw is simply log p - log q of
+its component).  The largest weights are smoothed by a generalized Pareto
+fit before resampling.
 """
 
 from __future__ import annotations
@@ -22,15 +23,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import AllPathsFailedError, NoFiniteWeightsError, NonFiniteError
-from .lbfgs import lockstep, optimize_steps
+from .errors import AllPathsFailedError, NoFiniteWeightsError
 from .options import POSITIVE_INT, check_settings, setting
 from .seeding import STREAM_RESAMPLE, substream
+from .single_path import PathfinderOptions, run_paths
 # run_single is not called here; it stays importable from this module, where
 # the benchmark's tracer (bench/layers.py) looks for it.
-from .single_path import (  # noqa: F401
-    OptimizedPath, PathfinderOptions, finish_runs, initial_point, run_single,
-)
+from .single_path import run_single  # noqa: F401
 from .targets import CounterView
 
 logger = logging.getLogger(__name__)
@@ -244,23 +243,6 @@ def pool_runs(runs: list, target) -> tuple[WeightedSample, int]:
     return pooled, view.n_logp
 
 
-def _run_lockstep(target, opts: PathfinderOptions, seed: int, num_paths: int) -> list:
-    """Runs of paths 0..num_paths-1: one ``lbfgs.lockstep``, then ``finish_runs``.
-
-    Run i equals ``run_single(target, opts, seed, path_index=i)``, the same
-    loop over one path, wherever batched rows do not depend on the batch.
-    """
-    theta0s = [initial_point(target.dim, opts, seed, i) for i in range(num_paths)]
-    states = lockstep(target, [optimize_steps(theta0, opts.lbfgs) for theta0 in theta0s])
-    optimized = []
-    for i, (theta0, state) in enumerate(zip(theta0s, states)):
-        tally = CounterView(target)
-        tally.n_grad, tally.n_logp_only = state.n_fused, state.n_logp_only
-        trajectory = None if isinstance(state.outcome, NonFiniteError) else state.outcome
-        optimized.append(OptimizedPath(i, tally, theta0, trajectory))
-    return finish_runs(target, optimized, opts, seed)
-
-
 def run_multi(target, opts: MultipathOptions, seed: int) -> MultipathResult:
     """Run ``opts.num_paths`` independent paths in lockstep, pool, smooth, and resample.
 
@@ -268,7 +250,7 @@ def run_multi(target, opts: MultipathOptions, seed: int) -> MultipathResult:
     is a function of (target, opts, seed).  Raises AllPathsFailedError when
     no path succeeds.
     """
-    runs = _run_lockstep(target, opts.single, seed, opts.num_paths)
+    runs = run_paths(target, opts.single, seed, range(opts.num_paths))
 
     if all(run.failed for run in runs):
         raise AllPathsFailedError(f"all {opts.num_paths} paths failed")

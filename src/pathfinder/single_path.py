@@ -2,15 +2,15 @@
 
 One run optimizes the log density from a random initialization, rebuilds a
 normal approximation at every trajectory point, scores each by Monte Carlo
-ELBO, and returns draws from the ELBO-maximizing approximation.  The
-optimizer is ``lbfgs.optimize``, the lockstep loop of ``run_multi`` with one
-path, so a single run evaluates the target through its batched methods,
-one row per call.  Candidates are independent of each other, so they are
-built, sampled and scored in stacked blocks: one factorization pass, one
-seeding pass and one target call per block.  ``finish_runs`` recovers the
-diagonal seeds of several optimized paths in one stacked call and scores
-them in one pass, each block holding the candidates of every path that
-share a pair count; a single run is the pass over a list of one path.
+ELBO, and returns draws from the ELBO-maximizing approximation.  Both modes
+run paths through ``run_paths``: one ``lbfgs.lockstep`` on the target
+itself, each path's counts read from its stepper state, then one scoring
+pass.  ``run_single`` is a list of one path, evaluated one row per batched
+call.  Candidates are independent, so they are built, sampled and scored in
+stacked blocks: one factorization pass, one seeding pass and one target call
+per block.  ``finish_runs`` recovers all paths' diagonal seeds in one
+stacked call, and each block holds the candidates of every path that share
+a pair count.
 
 Runs never raise on pathological geometry: a run that cannot produce any
 valid approximation returns its last trajectory point as a single draw
@@ -35,10 +35,12 @@ from .inv_hessian import alpha_recover  # noqa: F401
 from .inv_hessian import (
     assemble_factors, pair_counts, select_rows, stacked_alpha_recover, stacked_factors, window,
 )
-from .lbfgs import LbfgsOptions, Termination, Trajectory, optimize
+from .lbfgs import LbfgsOptions, Termination, Trajectory, lockstep, optimize_steps
+# run_paths drives lbfgs.lockstep itself; optimize, the lockstep of one
+# stepper, stays importable here for the benchmark's tracer.
+from .lbfgs import optimize  # noqa: F401
 from .options import POSITIVE, POSITIVE_INT, check_settings, setting
 from .seeding import STREAM_CANDIDATE, STREAM_FINAL, STREAM_INIT, substream, substreams
-from .targets import CounterView
 
 # Floats in one stacked (B, N, 2J') array of a scoring block.  A block spans
 # paths: it holds candidates of every path scored in the pass that share a
@@ -167,10 +169,10 @@ def _score_candidates(target, paths, recoveries, opts, seed):
 
     Returns, per path, the ELBO of each candidate 1..L (-inf where
     disqualified), the number sampled, and the number disqualified for each
-    reason.  Each block makes one ``target.logp_many`` call, whose rows are
-    added to each path's tally.  Each candidate draws from its own
-    (path, candidate) substream, all of a block's made in one call, so the
-    scores do not depend on how the blocks are cut.
+    reason.  Each block makes one ``target.logp_many`` call.  Each
+    candidate draws from its own (path, candidate) substream, all of a
+    block's made in one call, so the scores do not depend on how the blocks
+    are cut.
     """
     dim = target.dim
     num_paths = len(paths)
@@ -186,25 +188,22 @@ def _score_candidates(target, paths, recoveries, opts, seed):
     for num_pairs, owners, iters in _blocks(counts, dim):
         factors, ok_e = stacked_factors(*_windows(recoveries, owners, iters, num_pairs))
         disqualify("singular_e", owners[~ok_e])
-        if not np.all(ok_e):
+        if not ok_e.all():
             factors, owners, iters = select_rows(factors, ok_e), owners[ok_e], iters[ok_e]
             if iters.size == 0:
                 continue
         approx, ok_chol = normal_approx.build_many(
             factors, _rows([rec.thetas for rec in recoveries], owners, iters),
             _rows([rec.grads for rec in recoveries], owners, iters))
-        finite = np.isfinite(approx.logdet) & np.all(np.isfinite(approx.mu), axis=1)
+        finite = np.isfinite(approx.logdet) & np.isfinite(approx.mu).all(axis=1)
         disqualify("cholesky", owners[~ok_chol])
         disqualify("nonfinite_approx", owners[ok_chol & ~finite])
         alive = ok_chol & finite
-        if not np.all(alive):
+        if not alive.all():
             approx, owners, iters = select_rows(approx, alive), owners[alive], iters[alive]
             if iters.size == 0:
                 continue
-        sampled = np.bincount(owners, minlength=num_paths)
-        scored += sampled
-        for path, n in zip(paths, sampled.tolist()):
-            path.tally.n_logp_only += n * opts.elbo_draws  # rows the target counts below
+        scored += np.bincount(owners, minlength=num_paths)
         u = np.stack([
             rng.standard_normal((opts.elbo_draws, dim))
             for rng in substreams(seed, indices[owners], STREAM_CANDIDATE, iters)
@@ -221,21 +220,23 @@ def _score_candidates(target, paths, recoveries, opts, seed):
     ]
 
 
-def _failed_run(last_point, elbo_trace, tally, num_iters, termination,
-                scored=0, lbfgs_n_logp=None, lbfgs_n_grad=None, disqualified=None):
+def _failed_run(path, elbo_trace=(), scored=0, disqualified=None, elbo_draws=0):
+    """The run of a path with no valid approximation: its last point, flagged by logq = +inf."""
+    trajectory = path.trajectory
+    last_point = path.theta0 if trajectory is None else trajectory.thetas[-1]
     return PathfinderRun(
         draws=np.asarray(last_point, dtype=float)[None, :],
         logq=np.array([np.inf]),
         elbo_trace=np.asarray(elbo_trace, dtype=float),
         l_star=None,
         failed=True,
-        n_logp=tally.n_logp,
-        n_grad=tally.n_grad,
-        num_iters=num_iters,
-        termination=termination,
+        n_logp=path.n_logp + scored * elbo_draws,
+        n_grad=path.n_grad,
+        num_iters=0 if trajectory is None else trajectory.num_iters,
+        termination=None if trajectory is None else trajectory.termination,
         scored_candidates=scored,
-        lbfgs_n_logp=tally.n_logp if lbfgs_n_logp is None else lbfgs_n_logp,
-        lbfgs_n_grad=tally.n_grad if lbfgs_n_grad is None else lbfgs_n_grad,
+        lbfgs_n_logp=path.n_logp,
+        lbfgs_n_grad=path.n_grad,
         disqualified=disqualified or dict.fromkeys(DISQUALIFY_REASONS, 0),
     )
 
@@ -250,32 +251,42 @@ def initial_point(dim: int, opts: PathfinderOptions, seed: int, path_index: int)
 class OptimizedPath:
     """A path whose optimizer has stopped, waiting to be scored.
 
-    ``tally`` is the path's CounterView, holding the optimizer's evaluations;
+    ``n_logp`` and ``n_grad`` count the optimizer's evaluations;
     ``trajectory`` is None when the initial point ``theta0`` had a
     non-finite log density or gradient.
     """
 
     index: int
-    tally: CounterView
     theta0: np.ndarray
     trajectory: Optional[Trajectory]
+    n_logp: int
+    n_grad: int
+
+
+def run_paths(target, opts: PathfinderOptions, seed: int, indices) -> list:
+    """Runs of the paths ``indices``: one ``lbfgs.lockstep``, then ``finish_runs``.
+
+    The one path runner of both modes: ``run_single`` passes one index and
+    ``run_multi`` all of them.  Run i equals the run of path i alone
+    wherever the target's batched rows do not depend on the batch.
+    """
+    theta0s = [initial_point(target.dim, opts, seed, i) for i in indices]
+    states = lockstep(target, [optimize_steps(theta0, opts.lbfgs) for theta0 in theta0s])
+    return finish_runs(target, [
+        OptimizedPath(i, theta0, None if isinstance(s.outcome, NonFiniteError) else s.outcome,
+                      s.n_fused + s.n_logp_only, s.n_fused)
+        for i, theta0, s in zip(indices, theta0s, states)], opts, seed)
 
 
 def run_single(target, opts: PathfinderOptions, seed: int, path_index: int = 0) -> PathfinderRun:
     """Run one path against ``target`` under the given master seed.
 
-    All randomness comes from substreams keyed by (path_index, purpose,
-    candidate index), so results are bit-identical for a fixed
-    (target, opts, seed, path_index); BLOCK_FLOATS says when the blocking
-    cannot change them either.
+    This is ``run_paths`` over the one path ``path_index``.  All randomness
+    comes from substreams keyed by (path_index, purpose, candidate index),
+    so results are bit-identical for a fixed (target, opts, seed,
+    path_index); BLOCK_FLOATS says when the blocking cannot change them.
     """
-    tally = CounterView(target)
-    theta0 = initial_point(tally.dim, opts, seed, path_index)
-    try:
-        trajectory = optimize(tally, theta0, opts.lbfgs)
-    except NonFiniteError:
-        trajectory = None
-    return finish_runs(target, [OptimizedPath(path_index, tally, theta0, trajectory)], opts, seed)[0]
+    return run_paths(target, opts, seed, [path_index])[0]
 
 
 def finish_runs(target, paths: list, opts: PathfinderOptions, seed: int) -> list:
@@ -290,31 +301,24 @@ def finish_runs(target, paths: list, opts: PathfinderOptions, seed: int) -> list
     runs = [None] * len(paths)
     scorable = []
     for i, path in enumerate(paths):
-        trajectory = path.trajectory
-        if trajectory is None:
-            runs[i] = _failed_run(path.theta0, [], path.tally, 0, None)
-        elif trajectory.num_iters == 0:
-            runs[i] = _failed_run(trajectory.thetas[-1], [], path.tally, 0, trajectory.termination)
+        if path.trajectory is None or path.trajectory.num_iters == 0:
+            runs[i] = _failed_run(path)
         else:
             scorable.append(i)
-    optimizer_counts = [(paths[i].tally.n_logp, paths[i].tally.n_grad) for i in scorable]
     recoveries = stacked_alpha_recover([paths[i].trajectory for i in scorable])
     scores = _score_candidates(target, [paths[i] for i in scorable], recoveries, opts, seed)
-    for i, recovery, counts, score in zip(scorable, recoveries, optimizer_counts, scores):
-        runs[i] = _draw_from_winner(paths[i], recovery, *score, *counts, opts, seed)
+    for i, recovery, score in zip(scorable, recoveries, scores):
+        runs[i] = _draw_from_winner(paths[i], recovery, *score, opts, seed)
     return runs
 
 
-def _draw_from_winner(path, recovery, elbo_trace, scored, disqualified,
-                      lbfgs_n_logp, lbfgs_n_grad, opts, seed) -> PathfinderRun:
+def _draw_from_winner(path, recovery, elbo_trace, scored, disqualified, opts, seed):
     """The run of a scored path: draws from its ELBO-best candidate, or a failed run."""
     trajectory = path.trajectory
     try:
         l_star = select_argmax(elbo_trace)
     except AllFailedError:
-        return _failed_run(trajectory.thetas[-1], elbo_trace, path.tally,
-                           trajectory.num_iters, trajectory.termination,
-                           scored, lbfgs_n_logp, lbfgs_n_grad, disqualified)
+        return _failed_run(path, elbo_trace, scored, disqualified, opts.elbo_draws)
 
     # Rebuild the winner through the same stacked code, as a stack of one,
     # and draw a fresh batch of output draws.
@@ -329,13 +333,13 @@ def _draw_from_winner(path, recovery, elbo_trace, scored, disqualified,
         elbo_trace=elbo_trace,
         l_star=l_star,
         failed=False,
-        n_logp=path.tally.n_logp,
-        n_grad=path.tally.n_grad,
+        n_logp=path.n_logp + scored * opts.elbo_draws,
+        n_grad=path.n_grad,
         num_iters=trajectory.num_iters,
         termination=trajectory.termination,
         scored_candidates=scored,
-        lbfgs_n_logp=lbfgs_n_logp,
-        lbfgs_n_grad=lbfgs_n_grad,
+        lbfgs_n_logp=path.n_logp,
+        lbfgs_n_grad=path.n_grad,
         disqualified=disqualified,
         approx=approx,
     )

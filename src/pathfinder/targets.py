@@ -155,7 +155,10 @@ class LogDensityTarget:
         points, finite_in = self._finite_rows(points)
         with np.errstate(all="ignore"):
             vals = self._density(points, False)[0]
-        return np.where(finite_in & np.isfinite(vals), vals, -np.inf)
+        finite = np.isfinite(vals)
+        if finite_in is True and finite.all():
+            return vals
+        return np.where(finite_in & finite, vals, -np.inf)
 
     def logp_grad_many(self, points):
         """Fused evaluation of an (M, N) batch, counting M fused evaluations.
@@ -192,12 +195,13 @@ class LogDensityTarget:
 
 
 class CounterView:
-    """Per-path tally over a shared target.
+    """A private tally of the evaluations made through it over a shared target.
 
     Delegates all math to the base target (whose global counters keep
     ticking) while keeping a private count of the evaluations routed through
-    this view.  Used to attribute costs to individual optimization paths.
-    It counts what the base counts, refused points included.
+    this view; pooling counts its evaluations with one.  Optimizer paths
+    read theirs from ``lbfgs.lockstep``.  It counts what the base counts,
+    refused points included.
     """
 
     def __init__(self, base: LogDensityTarget):

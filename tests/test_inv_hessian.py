@@ -326,6 +326,19 @@ class TestCompactForm:
         with pytest.raises(SingularEError):
             search_direction(self.S_OVER, self.Z_OVER, np.ones(2), np.ones(2))
 
+    def test_non_finite_below_the_diagonal_is_valid(self):
+        # S_1'z_0 overflows, but E keeps only the upper triangle, which is
+        # finite with a positive diagonal: E = [[1, 0], [0, 1]].  Masking by
+        # multiplication would turn the inf into inf * 0 = nan.
+        S = np.array([[1.0, 0.0], [0.0, 1e308]])
+        Z = np.array([[1.0, 0.0], [10.0, 1e-308]])
+        with np.errstate(over="ignore"):
+            assert np.isinf((S.T @ Z)[1, 0])
+        factors, ok = stacked_factors(S[None], Z[None], np.ones((1, 2)))
+        assert ok.tolist() == [True]
+        assert factors.E[0, 1, 0] == 0.0 and (factors.eta > 0.0).all()
+        assert np.isfinite(factors.beta).all() and np.isfinite(factors.gamma).all()
+
     def test_non_finite_e_marks_only_its_row(self):
         rng = np.random.default_rng(8)
         good = [random_curvature_pairs(rng, 2, 2) for _ in range(2)]

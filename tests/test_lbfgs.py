@@ -20,8 +20,8 @@ from pathfinder import (
     run_single,
 )
 from pathfinder.lbfgs import (
-    MAX_HALVINGS, REL_TOL_FLOOR, line_search_steps, search_direction, stacked_directions,
-    wolfe_line_search,
+    MAX_HALVINGS, REL_TOL_FLOOR, line_search_steps, lockstep, search_direction,
+    stacked_directions, wolfe_line_search,
 )
 from pathfinder.targets import LogDensityTarget
 
@@ -605,3 +605,69 @@ def test_one_batched_call_per_round_for_one_path(monkeypatch, name, params):
     assert traj.num_iters > 0
     assert len(calls) == target.eval_count_logp > traj.num_iters
     assert set(calls) == {1}
+
+
+class Ramp(LogDensityTarget):
+    """log p = 1e-300 theta: finite and increasing up to the largest float."""
+
+    def __init__(self):
+        super().__init__(1, "ramp")
+
+    def _density(self, points, need_grad):
+        return 1e-300 * points[:, 0], np.full_like(points, 1e-300) if need_grad else None
+
+
+class TestLoopErrorState:
+    # lockstep sets the floating-point error state once around its loop;
+    # the steppers set none of their own.
+    LOOP_STATE = {"over": "ignore", "invalid": "ignore", "divide": "ignore"}
+
+    def test_steppers_run_under_the_loop_state(self):
+        seen = []
+
+        def stepper():
+            seen.append(np.geterr())
+            yield np.zeros(1), False
+            seen.append(np.geterr())
+            return "done"
+
+        before = np.geterr()
+        lockstep(Quadratic1D(), [stepper(), stepper()])
+        assert np.geterr() == before
+        assert len(seen) == 4
+        for state in seen:
+            assert {key: state[key] for key in self.LOOP_STATE} == self.LOOP_STATE
+            assert state["under"] == before["under"]
+
+    def test_state_restored_when_a_stepper_raises(self):
+        def stepper():
+            yield np.zeros(1), True
+            raise ValueError("not a NonFiniteError")
+
+        before = np.geterr()
+        with pytest.raises(ValueError):
+            lockstep(Quadratic1D(), [stepper()])
+        assert np.geterr() == before
+        with pytest.raises(LineSearchFailError):  # propagates out of the loop
+            wolfe_line_search(Linear1D(), np.zeros(1), 0.0, np.array([2.0]),
+                              np.array([-1.0]), 1e-4)
+        assert np.geterr() == before
+
+    def test_runs_leave_the_state_as_they_found_it(self):
+        before = np.geterr()
+        target = make_target("eight_schools_centered")
+        run_single(target, PathfinderOptions(num_draws=10), seed=1)
+        assert np.geterr() == before
+        run_multi(target, MultipathOptions(num_paths=3, num_resample=10,
+                                           single=PathfinderOptions(num_draws=10)), seed=1)
+        assert np.geterr() == before
+
+    def test_overflowing_trial_is_refused_quietly(self):
+        # The first trial 1e308 + 1e308 overflows to inf, which the target
+        # refuses; the halved step lands on 1.5e308.  Tier-1 turns a
+        # RuntimeWarning into an error, so running this case is the check.
+        theta, delta = np.array([1e308]), np.array([1e308])
+        states = lockstep(Ramp(), [line_search_steps(theta, 1e8, np.array([1e-300]), delta, 1e-4)])
+        result = states[0].outcome
+        assert result.step == 0.5 and result.theta[0] == 1.5e308
+        assert (states[0].n_logp_only, states[0].n_fused) == (2, 1)
