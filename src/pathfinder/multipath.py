@@ -1,18 +1,18 @@
 """Multi-path Pathfinder: lockstep paths, pooled by Pareto-smoothed importance resampling.
 
 The paths are independent, so ``single_path.run_paths``, the runner single
-mode calls with one path, advances their optimizers together in one
-``lbfgs.lockstep``: each round computes the search directions the paths ask
-for as one stack per pair count, and evaluates every active path's pending
-point with at most two batched target calls, one for line-search trials
-(log density only) and one for the points that need a gradient.  When every
-optimizer has stopped, the candidates of all paths are scored in one pass
-of cross-path blocks.  The finished single paths are pooled under an
-equally-weighted mixture proposal in which every draw is scored against its
-own component density (the 1/I mixture factors cancel between proposal and
-augmented target, so the raw log weight of a draw is simply log p - log q of
-its component).  The largest weights are smoothed by a generalized Pareto
-fit before resampling.
+mode calls with one path, cuts them into one shard per usable core, forks a
+process for each shard but the first (Linux only), and advances each
+shard's optimizers together in one ``lbfgs.lockstep``: each round computes
+the directions its paths ask for as one stack per pair count, and makes at
+most two batched target calls, one for line-search trials (log density
+only) and one for the points that need a gradient.  Then the shard's
+candidates are scored in cross-path blocks.  The finished paths are pooled
+under an equally-weighted mixture proposal in which every draw is scored
+against its own component density (the 1/I mixture factors cancel between
+proposal and augmented target, so the raw log weight of a draw is simply
+log p - log q of its component).  The largest weights are smoothed by a
+generalized Pareto fit before resampling.
 """
 
 from __future__ import annotations
@@ -244,11 +244,11 @@ def pool_runs(runs: list, target) -> tuple[WeightedSample, int]:
 
 
 def run_multi(target, opts: MultipathOptions, seed: int) -> MultipathResult:
-    """Run ``opts.num_paths`` independent paths in lockstep, pool, smooth, and resample.
+    """Run ``opts.num_paths`` paths in a lockstep shard per core, pool, smooth, and resample.
 
     Each path derives its own substreams from the master seed, so the output
-    is a function of (target, opts, seed).  Raises AllPathsFailedError when
-    no path succeeds.
+    is a function of (target, opts, seed) and, where BLOCK_FLOATS says, of
+    the shard count.  Raises AllPathsFailedError when no path succeeds.
     """
     runs = run_paths(target, opts.single, seed, range(opts.num_paths))
 

@@ -3,14 +3,14 @@
 One run optimizes the log density from a random initialization, rebuilds a
 normal approximation at every trajectory point, scores each by Monte Carlo
 ELBO, and returns draws from the ELBO-maximizing approximation.  Both modes
-run paths through ``run_paths``: one ``lbfgs.lockstep`` on the target
-itself, each path's counts read from its stepper state, then one scoring
-pass.  ``run_single`` is a list of one path, evaluated one row per batched
-call.  Candidates are independent, so they are built, sampled and scored in
-stacked blocks: one factorization pass, one seeding pass and one target call
-per block.  ``finish_runs`` recovers all paths' diagonal seeds in one
-stacked call, and each block holds the candidates of every path that share
-a pair count.
+run paths through ``run_paths``, one contiguous shard per usable core, each
+shard but the first in a forked process (Linux only).  A shard is one
+``lbfgs.lockstep`` on the target itself, each path's counts read from its
+stepper state, then one scoring pass: ``finish_runs`` recovers the shard's
+diagonal seeds in one stacked call, then builds, samples and scores the
+candidates in stacked blocks of those sharing a pair count, with one
+factorization pass, one seeding pass and one target call per block.
+``run_single`` is one shard of one path, one row per batched call.
 
 Runs never raise on pathological geometry: a run that cannot produce any
 valid approximation returns its last trajectory point as a single draw
@@ -20,6 +20,12 @@ importance weight downstream.
 
 from __future__ import annotations
 
+import os
+import pickle
+import sys
+import threading
+import traceback
+import warnings
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -42,16 +48,16 @@ from .lbfgs import optimize  # noqa: F401
 from .options import POSITIVE, POSITIVE_INT, check_settings, setting
 from .seeding import STREAM_CANDIDATE, STREAM_FINAL, STREAM_INIT, substream, substreams
 
-# Floats in one stacked (B, N, 2J') array of a scoring block.  A block spans
-# paths: it holds candidates of every path scored in the pass that share a
-# pair count.  Blocks bound memory; they change no result where logp_many
-# rows do not depend on the batch, which holds for every target but
-# logistic regression, whose rows are BLAS matrix products: the fixed block
-# size keeps its results reproducible.  The same holds for the lockstep
-# optimizer's batches and for blocks that mix paths, so a logistic path run
-# by ``run_multi`` is not bit-identical to ``run_single`` with its path
-# index, although ``run_multi`` output is still a function of
-# (target, options, seed).
+# Floats in one stacked (B, N, 2J') array of a scoring block, which holds
+# the candidates of a shard's paths that share a pair count.  Blocks bound
+# memory; they change no result where logp_many rows do not depend on the
+# batch, which holds for every target but logistic regression, whose rows
+# are BLAS matrix products: the fixed block size keeps its results
+# reproducible.  The same holds for the lockstep batches, for blocks that
+# mix paths and for the cut into shards, so a logistic path run by
+# ``run_multi`` is not bit-identical to ``run_single`` with its path index,
+# and ``run_multi`` output depends on the shard count: on one machine it is
+# still a function of (target, options, seed).
 BLOCK_FLOATS = 2**14
 
 # Why a candidate approximation was disqualified, in the order checked:
@@ -220,16 +226,16 @@ def _score_candidates(target, paths, recoveries, opts, seed):
     ]
 
 
-def _failed_run(path, elbo_trace=(), scored=0, disqualified=None, elbo_draws=0):
-    """The run of a path with no valid approximation: its last point, flagged by logq = +inf."""
+def _run(path, draws, logq, elbo_trace=(), scored=0, disqualified=None, elbo_draws=0,
+         l_star=None, approx=None):
+    """A path's run; failed, flagged by its one draw's logq = +inf, when ``l_star`` is None."""
     trajectory = path.trajectory
-    last_point = path.theta0 if trajectory is None else trajectory.thetas[-1]
     return PathfinderRun(
-        draws=np.asarray(last_point, dtype=float)[None, :],
-        logq=np.array([np.inf]),
+        draws=draws,
+        logq=logq,
         elbo_trace=np.asarray(elbo_trace, dtype=float),
-        l_star=None,
-        failed=True,
+        l_star=l_star,
+        failed=l_star is None,
         n_logp=path.n_logp + scored * elbo_draws,
         n_grad=path.n_grad,
         num_iters=0 if trajectory is None else trajectory.num_iters,
@@ -238,7 +244,14 @@ def _failed_run(path, elbo_trace=(), scored=0, disqualified=None, elbo_draws=0):
         lbfgs_n_logp=path.n_logp,
         lbfgs_n_grad=path.n_grad,
         disqualified=disqualified or dict.fromkeys(DISQUALIFY_REASONS, 0),
+        approx=approx,
     )
+
+
+def _failed_run(path, *score):
+    """The run of a path with no valid approximation: its last point, flagged by logq = +inf."""
+    last = path.theta0 if path.trajectory is None else path.trajectory.thetas[-1]
+    return _run(path, np.asarray(last, dtype=float)[None, :], np.array([np.inf]), *score)
 
 
 def initial_point(dim: int, opts: PathfinderOptions, seed: int, path_index: int) -> np.ndarray:
@@ -263,13 +276,81 @@ class OptimizedPath:
     n_grad: int
 
 
-def run_paths(target, opts: PathfinderOptions, seed: int, indices) -> list:
-    """Runs of the paths ``indices``: one ``lbfgs.lockstep``, then ``finish_runs``.
+def usable_cores() -> int:
+    """The CPUs this process may run on; 1 off Linux, where no shard is forked."""
+    return len(os.sched_getaffinity(0)) if sys.platform.startswith("linux") else 1
 
-    The one path runner of both modes: ``run_single`` passes one index and
-    ``run_multi`` all of them.  Run i equals the run of path i alone
-    wherever the target's batched rows do not depend on the batch.
+
+def run_paths(target, opts: PathfinderOptions, seed: int, indices) -> list:
+    """Runs of the paths ``indices`` (one in single mode), in k contiguous shards.
+
+    k = min(len(indices), usable_cores()), or 1 while another Python thread
+    runs, whose locks a child could block on.  The first shard runs here, the
+    others in forked children.  Run i equals the run of path i alone wherever
+    the target's batched rows do not depend on the batch.
     """
+    indices = list(indices)
+    k = max(1, min(len(indices), usable_cores())) if threading.active_count() == 1 else 1
+    cuts = [len(indices) * j // k for j in range(k + 1)]
+    children, replies = [], []
+    try:
+        for lo, hi in zip(cuts[1:-1], cuts[2:]):
+            children.append(_fork_shard(target, opts, seed, indices[lo:hi]))
+        runs = _run_shard(target, opts, seed, indices[:cuts[1]])
+        replies = [pipe.read() for _, pipe in children]
+    finally:
+        for pid, pipe in children:
+            if not replies:  # this shard or a read raised: leave no child running
+                os.kill(pid, 9)  # SIGKILL
+            pipe.close()
+            os.waitpid(pid, 0)
+    for reply in replies:
+        reply = pickle.loads(reply) if reply else RuntimeError("a path shard died unanswered")
+        if isinstance(reply, BaseException):
+            raise reply
+        runs += reply[0]
+        target._n_fused += reply[1]
+        target._n_logp_only += reply[2]
+    return runs
+
+
+def _fork_shard(target, opts, seed, shard):
+    """(pid, pipe) of a child piping back the pickled (runs, fused and logp-only
+    evaluations) of ``shard``, or its error, which the caller re-raises."""
+    read_fd, write_fd = os.pipe()
+    try:
+        with warnings.catch_warnings():
+            # Python >= 3.12 warns on a fork with several OS threads, and
+            # OpenBLAS always runs its own: its atfork handlers make the fork
+            # safe (unverified there; the tests run on Python 3.11).
+            warnings.filterwarnings("ignore", "This process .* multi-threaded", DeprecationWarning)
+            pid = os.fork()
+    except OSError:
+        os.close(read_fd)
+        os.close(write_fd)
+        raise
+    if pid:
+        os.close(write_fd)
+        return pid, open(read_fd, "rb")
+    try:
+        target._n_fused = target._n_logp_only = 0  # the child counts its own evaluations
+        try:
+            runs = _run_shard(target, opts, seed, shard)
+            reply = pickle.dumps((runs, target._n_fused, target._n_logp_only))
+        except BaseException as exc:
+            try:
+                reply = pickle.dumps(exc)
+                pickle.loads(reply)
+            except Exception:  # send a RuntimeError whose traceback shows both errors
+                reply = pickle.dumps(RuntimeError(f"path shard error:\n{traceback.format_exc()}"))
+        with open(write_fd, "wb") as pipe:
+            pipe.write(reply)
+    finally:
+        os._exit(0)
+
+
+def _run_shard(target, opts: PathfinderOptions, seed: int, indices) -> list:
+    """Runs of the paths ``indices``: one ``lbfgs.lockstep``, then ``finish_runs``."""
     theta0s = [initial_point(target.dim, opts, seed, i) for i in indices]
     states = lockstep(target, [optimize_steps(theta0, opts.lbfgs) for theta0 in theta0s])
     return finish_runs(target, [
@@ -298,13 +379,8 @@ def finish_runs(target, paths: list, opts: PathfinderOptions, seed: int) -> list
     equals its run scored alone wherever the target's batched rows do not
     depend on the batch.
     """
-    runs = [None] * len(paths)
-    scorable = []
-    for i, path in enumerate(paths):
-        if path.trajectory is None or path.trajectory.num_iters == 0:
-            runs[i] = _failed_run(path)
-        else:
-            scorable.append(i)
+    scorable = [i for i, path in enumerate(paths) if path.trajectory and path.trajectory.num_iters]
+    runs = [None if i in scorable else _failed_run(path) for i, path in enumerate(paths)]
     recoveries = stacked_alpha_recover([paths[i].trajectory for i in scorable])
     scores = _score_candidates(target, [paths[i] for i in scorable], recoveries, opts, seed)
     for i, recovery, score in zip(scorable, recoveries, scores):
@@ -324,22 +400,6 @@ def _draw_from_winner(path, recovery, elbo_trace, scored, disqualified, opts, se
     # and draw a fresh batch of output draws.
     factors = assemble_factors(recovery, l_star, opts.lbfgs.history_size)
     approx = normal_approx.build(factors, trajectory.thetas[l_star], trajectory.grads[l_star])
-    rng_final = substream(seed, path.index, STREAM_FINAL)
-    batch = normal_approx.sample(approx, opts.num_draws, rng_final)
-
-    return PathfinderRun(
-        draws=batch.draws,
-        logq=batch.logq,
-        elbo_trace=elbo_trace,
-        l_star=l_star,
-        failed=False,
-        n_logp=path.n_logp + scored * opts.elbo_draws,
-        n_grad=path.n_grad,
-        num_iters=trajectory.num_iters,
-        termination=trajectory.termination,
-        scored_candidates=scored,
-        lbfgs_n_logp=path.n_logp,
-        lbfgs_n_grad=path.n_grad,
-        disqualified=disqualified,
-        approx=approx,
-    )
+    batch = normal_approx.sample(approx, opts.num_draws, substream(seed, path.index, STREAM_FINAL))
+    return _run(path, batch.draws, batch.logq, elbo_trace, scored, disqualified, opts.elbo_draws,
+                l_star, approx)

@@ -332,6 +332,9 @@ class TestLockstep:
                 hit.append(block[1][0])
             return factors, ok
 
+        # One shard: the patches record what they saw, and a forked child's
+        # records would stay in the child.
+        monkeypatch.setattr(single_path, "usable_cores", lambda: 1)
         monkeypatch.setattr(single_path, "window", remember_segment)
         monkeypatch.setattr(single_path, "stacked_factors", break_one_row)
         res = run_multi(make_target(name), opts, seed=21)
@@ -481,6 +484,8 @@ def test_lockstep_batches_linear_algebra_across_paths(monkeypatch):
         rounds[0] += 1
         return logp_grad_many(points)
 
+    # One shard: a forked child's counts would stay in the child.
+    monkeypatch.setattr(single_path, "usable_cores", lambda: 1)
     monkeypatch.setattr(lbfgs, "stacked_directions", counting_directions)
     monkeypatch.setattr(single_path, "_blocks", counting_blocks)
     monkeypatch.setattr(single_path, "_score_candidates", scoring)

@@ -1,0 +1,254 @@
+"""``run_paths`` cuts the paths into one forked lockstep shard per usable core.
+
+The core count is patched, so every shard count runs on any Linux machine.
+A shard count must not change any output bit on targets whose batched rows
+do not depend on the batch, errors raised in a child must reach the caller,
+and no child may outlive the call.
+"""
+
+import os
+import sys
+import threading
+
+import numpy as np
+import pytest
+
+from pathfinder import (
+    LbfgsOptions,
+    MultipathOptions,
+    PathfinderOptions,
+    SingularEError,
+    lbfgs,
+    make_target,
+    run_multi,
+    run_single,
+    single_path,
+)
+from pathfinder.single_path import initial_point, usable_cores
+from pathfinder.targets import LogDensityTarget
+
+pytestmark = pytest.mark.skipif(not sys.platform.startswith("linux"), reason="forks on Linux only")
+
+OPTS = MultipathOptions(num_paths=7, num_resample=50, single=PathfinderOptions(
+    num_draws=40, lbfgs=LbfgsOptions(max_iters=150)))
+PARENT = os.getpid()
+
+
+def assert_no_children():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.fixture
+def cores(monkeypatch):
+    """Set the usable core count; returns the list of forked pids (parent side)."""
+    forked = []
+    fork = os.fork
+
+    def counting_fork():
+        pid = fork()
+        if pid:
+            forked.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", counting_fork)
+
+    def set_cores(count):
+        monkeypatch.setattr(single_path, "usable_cores", lambda: count)
+        return forked
+
+    yield set_cores
+    assert_no_children()
+
+
+def run_with(cores, count, name, params, opts=OPTS, seed=21):
+    forked = cores(count)
+    forked.clear()
+    target = make_target(name, **params)
+    result = run_multi(target, opts, seed)
+    assert len(forked) == min(count, opts.num_paths) - 1
+    assert (target.eval_count_grad, target.eval_count_logp) == (result.n_grad, result.n_logp)
+    return result
+
+
+def assert_same_result(a, b):
+    assert a.draws.tobytes() == b.draws.tobytes()
+    assert a.pooled.log_w_smoothed.tobytes() == b.pooled.log_w_smoothed.tobytes()
+    assert (a.n_grad, a.n_logp, a.pool_n_logp) == (b.n_grad, b.n_logp, b.pool_n_logp)
+    assert len(a.runs) == len(b.runs)
+    for x, y in zip(a.runs, b.runs):
+        for field in ("draws", "logq", "elbo_trace"):
+            assert getattr(x, field).tobytes() == getattr(y, field).tobytes()
+        assert (x.l_star, x.failed, x.num_iters, x.scored_candidates) == (
+            y.l_star, y.failed, y.num_iters, y.scored_candidates)
+        assert x.termination is y.termination
+        assert (x.n_logp, x.n_grad, x.lbfgs_n_logp, x.lbfgs_n_grad) == (
+            y.n_logp, y.n_grad, y.lbfgs_n_logp, y.lbfgs_n_grad)
+        assert x.disqualified == y.disqualified
+
+
+MVN_COV = (np.diag([4.0, 1.0, 0.25, 2.0]) + 0.3).tolist()
+ROW_STABLE = [
+    ("eight_schools_centered", {}),
+    ("neal_funnel", {"dim": 10}),
+    ("std_normal", {"dim": 4}),
+    ("mvn", {"mu": [1.0, -0.5, 0.25, 0.0], "cov": MVN_COV}),
+]
+
+
+class TestShardCount:
+    @pytest.mark.parametrize("name, params", ROW_STABLE)
+    def test_shard_count_does_not_change_output(self, cores, name, params):
+        one = run_with(cores, 1, name, params)
+        for count in (2, 3):
+            assert_same_result(run_with(cores, count, name, params), one)
+
+    def test_fewer_paths_than_cores(self, cores):
+        opts = MultipathOptions(num_paths=2, num_resample=20,
+                                single=PathfinderOptions(num_draws=20))
+        one = run_with(cores, 1, "eight_schools_noncentered", {}, opts, seed=3)
+        assert_same_result(run_with(cores, 5, "eight_schools_noncentered", {}, opts, seed=3), one)
+
+    def test_logistic_repeats_at_a_fixed_shard_count(self, cores):
+        # Logistic rows depend on the batch, so the output may depend on the
+        # shard count; at a fixed count it must repeat bit for bit.
+        params = {"n": 40, "p": 4, "data_seed": 3}
+        for count in (1, 2, 3):
+            assert_same_result(run_with(cores, count, "logistic_regression", params),
+                               run_with(cores, count, "logistic_regression", params))
+
+    def test_single_mode_never_forks(self, cores):
+        forked = cores(4)
+        run_single(make_target("eight_schools_centered"), OPTS.single, 5, path_index=3)
+        assert forked == []
+
+
+class TestOneShard:
+    def test_non_linux_platform_gives_one_core(self, monkeypatch):
+        assert usable_cores() == len(os.sched_getaffinity(0))
+        monkeypatch.setattr(sys, "platform", "darwin")
+        assert usable_cores() == 1
+
+    def test_no_fork_while_another_thread_runs(self, cores):
+        forked = cores(3)
+        stop = threading.Event()
+        thread = threading.Thread(target=stop.wait)
+        thread.start()
+        try:
+            run_multi(make_target("std_normal", dim=3), OPTS, 2)
+        finally:
+            stop.set()
+            thread.join()
+        assert forked == []
+
+
+class ShardError(Exception):
+    pass
+
+
+class Unpicklable(Exception):
+    """Pickles, but cannot be rebuilt from its args."""
+
+    def __init__(self, code, detail):
+        super().__init__(f"code {code}: {detail}")
+
+
+class Raising(LogDensityTarget):
+    """A standard normal that raises ``make_error()`` when evaluated in ``where``."""
+
+    def __init__(self, make_error, where="child"):
+        super().__init__(3, "raising")
+        self.make_error, self.where = make_error, where
+
+    def _logp_grad_impl(self, theta):
+        if (os.getpid() == PARENT) == (self.where == "parent"):
+            raise self.make_error()
+        return -0.5 * float(theta @ theta), -theta
+
+
+class TestErrors:
+    def test_child_error_keeps_type_and_message(self, cores):
+        cores(2)
+        with pytest.raises(ShardError, match="^bad density in a child$"):
+            run_multi(Raising(lambda: ShardError("bad density in a child")), OPTS, 1)
+
+    @pytest.mark.parametrize("make_error", [
+        lambda: ShardError("holds a lock", threading.Lock()),
+        lambda: Unpicklable(7, "no rebuild"),
+    ], ids=["cannot_pickle", "cannot_unpickle"])
+    def test_unpicklable_child_error_comes_back_as_runtime_error(self, cores, make_error):
+        cores(3)
+        with pytest.raises(RuntimeError, match="(?s)path shard error:.*_logp_grad_impl"):
+            run_multi(Raising(make_error), OPTS, 1)
+
+    def test_child_that_dies_without_a_reply_is_an_error(self, cores):
+        cores(2)
+        with pytest.raises(RuntimeError, match="a path shard died unanswered"):
+            run_multi(Raising(lambda: os._exit(3)), OPTS, 1)
+
+    def test_own_shard_error_kills_the_children(self, cores):
+        forked = cores(3)
+        with pytest.raises(ShardError, match="in the caller"):
+            run_multi(Raising(lambda: ShardError("in the caller"), where="parent"), OPTS, 1)
+        assert len(forked) == 2  # both reaped: the fixture finds no child left
+
+    def test_singular_direction_in_a_child_raises_like_run_single(self, cores, monkeypatch):
+        # Every direction with pairs lacks a valid E in the child only, so
+        # the child's paths raise, and run_single, poisoned everywhere,
+        # raises the same error.
+        stacked_directions = lbfgs.stacked_directions
+
+        def singular(everywhere):
+            def directions(S, Z, alpha, grad):
+                deltas, ok = stacked_directions(S, Z, alpha, grad)
+                if S.shape[2] > 0 and (everywhere or os.getpid() != PARENT):
+                    ok = np.zeros_like(ok)
+                return deltas, ok
+            return directions
+
+        monkeypatch.setattr(lbfgs, "stacked_directions", singular(True))
+        with pytest.raises(SingularEError) as alone:
+            run_single(make_target("eight_schools_noncentered"), OPTS.single, 3, path_index=5)
+        cores(2)
+        monkeypatch.setattr(lbfgs, "stacked_directions", singular(False))
+        with pytest.raises(SingularEError) as sharded:
+            run_multi(make_target("eight_schools_noncentered"), OPTS, 3)
+        assert str(sharded.value) == str(alone.value)
+
+    def test_refused_initial_point_in_a_child_is_a_failed_run(self, cores):
+        class Walled(LogDensityTarget):
+            def __init__(self):
+                super().__init__(2, "walled")
+
+            def _logp_grad_impl(self, theta):
+                if theta[0] > 1.5:
+                    return -np.inf, np.full(2, np.nan)
+                return -50.0 * float(theta @ theta), -100.0 * theta
+
+        opts = MultipathOptions(num_paths=8, num_resample=20,
+                                single=PathfinderOptions(num_draws=10))
+        cores(2)
+        result = run_multi(Walled(), opts, seed=4)
+        starts = [initial_point(2, opts.single, 4, i) for i in range(8)]
+        refused = [i for i in range(4, 8) if starts[i][0] > 1.5]  # the child's shard
+        assert refused
+        for i in refused:
+            run = result.runs[i]
+            assert run.failed and run.logq.tolist() == [np.inf]
+            np.testing.assert_array_equal(run.draws, starts[i][None, :])
+
+
+def test_sharded_run_loads_no_process_pool_module():
+    # os and pickle are loaded by ``import pathfinder``; sharding must not
+    # add the import cost of multiprocessing or concurrent.futures.
+    from test_imports import run_fresh
+
+    loaded = run_fresh(
+        "import json, sys\n"
+        "from pathfinder import MultipathOptions, make_target, run_multi, single_path\n"
+        "single_path.usable_cores = lambda: 2\n"
+        "opts = MultipathOptions(num_paths=4, num_resample=20)\n"
+        "run_multi(make_target('std_normal', dim=3), opts, 1)\n"
+        "print(json.dumps(sorted(m for m in sys.modules\n"
+        "                        if m.split('.')[0] in ('multiprocessing', 'concurrent'))))")
+    assert loaded == []
