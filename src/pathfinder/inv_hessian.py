@@ -6,10 +6,11 @@
 
 and ``low_rank_product`` applies beta gamma beta'.  The optimizer's direction,
 each approximation's mean and its covariance factors all come from these.
-``stacked_alpha_recover`` steps through all paths' trajectories together,
-rebuilding every iteration's diagonal seed and which update pairs are
-usable.  Factors are computed for stacks of iterations sharing a pair count;
-per-iteration and per-path functions are the stack-of-one case.
+``recover_chunk`` steps through all paths' trajectories together, one chunk
+of steps at a time, rebuilding every iteration's diagonal seed and which
+update pairs are usable.  Factors are computed for stacks of iterations
+sharing a pair count; per-iteration and per-path functions are the
+stack-of-one case.
 """
 
 from __future__ import annotations
@@ -28,8 +29,9 @@ from .errors import SingularEError
 # gate and keeps the diagonal update well posed.
 ALPHA_PAIR_EPS = 1e-12
 
-# Steps whose pairs stacked_alpha_recover forms at once: the pairs of all
-# steps at once would raise peak memory on long paths.
+# Steps whose pairs recover_chunk forms at once, and so the steps whose
+# candidates single_path scores at once: the pairs of all steps at once
+# would raise peak memory on long paths.
 RECOVER_CHUNK = 64
 
 
@@ -55,13 +57,14 @@ class AlphaRecovery:
     flags whether that step's (s, z) pair was accepted, and rejected steps
     carry the previous alpha forward unchanged.  The trajectory's own
     ``thetas`` and ``grads`` are kept, not copied, and each step's pair is
-    formed from them where it is used.
+    formed from them where it is used; while ``recover_chunk`` advances,
+    they may hold rows past the steps recovered so far.
     """
 
     alphas: np.ndarray   # (L, N)
     xis: np.ndarray      # (L,) of {0, 1}
-    thetas: np.ndarray   # (L+1, N) trajectory positions
-    grads: np.ndarray    # (L+1, N) trajectory log-density gradients
+    thetas: np.ndarray   # (L+1, N) trajectory positions, or more
+    grads: np.ndarray    # (L+1, N) trajectory log-density gradients, or more
 
     @property
     def num_iters(self) -> int:
@@ -102,52 +105,55 @@ def _rowdot(a, b):
     return (a[..., None, :] @ b[..., None])[..., 0, 0]
 
 
-def stacked_alpha_recover(trajectories) -> list:
-    """Recover per-coordinate diagonal inverse-Hessian seeds along ``lbfgs.Trajectory``s.
+def recover_chunk(recoveries) -> list:
+    """Extend every path's diagonal recovery by its next RECOVER_CHUNK steps, in place.
 
-    Each seed starts at the all-ones vector.  For each accepted pair the
-    diagonal is refreshed coordinate-wise from the quadratic forms
-    a = z'diag(alpha)z, b = z's, c = s'diag(alpha)^-1 s; pairs failing the
-    curvature condition, or whose update would drive any component of alpha
-    non-positive, are rejected and leave alpha untouched.  The history window
-    is applied later, at factor-assembly time.  All paths step together, and
-    each row product is a stacked matmul, which gives the bits of the path's
-    own ``s @ z``, so no path's recovery depends on its stack.  Each path's
-    AlphaRecovery holds views into arrays shared by the stack.
+    ``recoveries[p]`` holds path p's trajectory so far and its seeds and flags
+    up to step lo, the same for every path with steps left.  A seed starts at
+    all ones and is refreshed coordinate-wise from a = z'diag(alpha)z, b = z's,
+    c = s'diag(alpha)^-1 s; pairs failing the curvature condition, or whose
+    update would make alpha non-positive, leave it untouched.  Each row
+    product is a stacked matmul with the bits of the path's own ``s @ z``, so
+    no path's recovery depends on its stack or chunks.  Returns each path's
+    number of new steps; the history window is applied at factor assembly.
     """
-    if not trajectories:
-        return []
-    lengths = np.array([t.num_iters for t in trajectories])
-    starts = np.cumsum(lengths) - lengths     # of each path's rows in alphas and xis
-    P, L, N = len(trajectories), lengths.max(), trajectories[0].thetas.shape[1]
-    alphas, xis = np.empty((lengths.sum(), N)), np.zeros(lengths.sum(), dtype=int)
-    alpha = np.ones((P, N))
-    for lo in range(0, L, RECOVER_CHUNK):
-        S, Z, A = np.zeros((3, P, min(RECOVER_CHUNK, L - lo), N))
-        taken = np.zeros(S.shape[:2], dtype=bool)
-        counts = np.clip(lengths - lo, 0, S.shape[1]).tolist()   # each path's steps here
-        for p, (t, n) in enumerate(zip(trajectories, counts)):
-            S[p, :n] = t.thetas[lo + 1:lo + n + 1] - t.thetas[lo:lo + n]
-            Z[p, :n] = t.grads[lo:lo + n] - t.grads[lo + 1:lo + n + 1]
-        b_all = _rowdot(S, Z)
-        gate = b_all > ALPHA_PAIR_EPS * _rowdot(Z, Z)   # zero padding never passes
-        # Every row computes an update (refused rows may divide by zero); taken rows keep it.
-        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-            for j in range(S.shape[1]):
-                s, z, b = S[:, j], Z[:, j], b_all[:, j, None]
-                a = _rowdot(z, alpha * z)[:, None]
-                c = _rowdot(s, s / alpha)[:, None]
-                candidate = 1.0 / (a / (b * alpha) + (z * z) / b
-                                   - (a * s * s) / (b * c * alpha * alpha))
-                take = gate[:, j] & np.isfinite(candidate).all(1) & (candidate > 0.0).all(1)
-                alpha = candidate if take.all() else np.where(take[:, None], candidate, alpha)
-                taken[:, j] = take
-                A[:, j] = alpha
-        for i, chunk_alphas, chunk_taken, n in zip(starts.tolist(), A, taken, counts):
-            alphas[i + lo:i + lo + n] = chunk_alphas[:n]
-            xis[i + lo:i + lo + n] = chunk_taken[:n]
-    return [AlphaRecovery(alphas[i:i + n], xis[i:i + n], t.thetas, t.grads)
-            for t, i, n in zip(trajectories, starts.tolist(), lengths.tolist())]
+    lo = max(rec.num_iters for rec in recoveries)
+    counts = [min(max(len(rec.thetas) - 1 - lo, 0), RECOVER_CHUNK) for rec in recoveries]
+    alpha = np.array([rec.alphas[-1] if rec.num_iters else np.ones(rec.alphas.shape[1])
+                      for rec in recoveries])
+    S, Z, A = np.zeros((3, len(recoveries), max(counts), alpha.shape[1]))
+    taken = np.zeros(S.shape[:2], dtype=bool)
+    for p, (rec, n) in enumerate(zip(recoveries, counts)):
+        S[p, :n] = rec.thetas[lo + 1:lo + n + 1] - rec.thetas[lo:lo + n]
+        Z[p, :n] = rec.grads[lo:lo + n] - rec.grads[lo + 1:lo + n + 1]
+    b_all = _rowdot(S, Z)
+    gate = b_all > ALPHA_PAIR_EPS * _rowdot(Z, Z)   # zero padding never passes
+    # Every row computes an update (refused rows may divide by zero); taken rows keep it.
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        for j in range(S.shape[1]):
+            s, z, b = S[:, j], Z[:, j], b_all[:, j, None]
+            a = _rowdot(z, alpha * z)[:, None]
+            c = _rowdot(s, s / alpha)[:, None]
+            candidate = 1.0 / (a / (b * alpha) + (z * z) / b
+                               - (a * s * s) / (b * c * alpha * alpha))
+            take = gate[:, j] & np.isfinite(candidate).all(1) & (candidate > 0.0).all(1)
+            alpha = candidate if take.all() else np.where(take[:, None], candidate, alpha)
+            taken[:, j] = take
+            A[:, j] = alpha
+    for rec, chunk_alphas, chunk_taken, n in zip(recoveries, A, taken, counts):
+        rec.alphas = np.concatenate([rec.alphas, chunk_alphas[:n]])
+        rec.xis = np.concatenate([rec.xis, chunk_taken[:n]])
+    return counts
+
+
+def stacked_alpha_recover(trajectories) -> list:
+    """Recover per-coordinate diagonal inverse-Hessian seeds along ``lbfgs.Trajectory``s,
+    one ``recover_chunk`` of all paths at a time."""
+    recoveries = [AlphaRecovery(np.empty((0, t.thetas.shape[1])), np.zeros(0, dtype=int),
+                                t.thetas, t.grads) for t in trajectories]
+    while recoveries and any(recover_chunk(recoveries)):
+        pass
+    return recoveries
 
 
 def alpha_recover(trajectory) -> AlphaRecovery:

@@ -298,9 +298,10 @@ def optimize(target, theta_init, opts: LbfgsOptions) -> Trajectory:
     return trajectory
 
 
-def optimize_steps(theta_init, opts: LbfgsOptions):
+def optimize_steps(theta_init, opts: LbfgsOptions, record=None):
     """Stepper of ``optimize``: yields theta_init, then each direction request
-    and the points of the line search along its answer."""
+    and the points of the line search along its answer.  ``record``, if
+    given, is called with each trajectory point and its gradient as it joins."""
     theta = np.asarray(theta_init, dtype=float)
     result = yield theta, True
     if result is None:
@@ -308,6 +309,8 @@ def optimize_steps(theta_init, opts: LbfgsOptions):
     logp, grad = result
 
     thetas, grads, logps = [theta], [grad], [logp]
+    if record:
+        record(theta, grad)
     if math.sqrt(grad @ grad) < opts.grad_zero_tol:
         return Trajectory(np.asarray(thetas), np.asarray(grads), np.asarray(logps),
                           Termination.ZERO_GRADIENT_AT_INIT)
@@ -344,6 +347,8 @@ def optimize_steps(theta_init, opts: LbfgsOptions):
         thetas.append(ls.theta)
         grads.append(ls.grad)
         logps.append(ls.logp)
+        if record:
+            record(ls.theta, ls.grad)
 
         if (ls.logp - prev_logp) / max(abs(prev_logp), REL_TOL_FLOOR) < opts.rel_tol:
             termination = Termination.CONVERGED

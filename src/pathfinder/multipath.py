@@ -7,12 +7,13 @@ shard's optimizers together in one ``lbfgs.lockstep``: each round computes
 the directions its paths ask for as one stack per pair count, and makes at
 most two batched target calls, one for line-search trials (log density
 only) and one for the points that need a gradient.  Then the shard's
-candidates are scored in cross-path blocks.  The finished paths are pooled
-under an equally-weighted mixture proposal in which every draw is scored
-against its own component density (the 1/I mixture factors cancel between
-proposal and augmented target, so the raw log weight of a draw is simply
-log p - log q of its component).  The largest weights are smoothed by a
-generalized Pareto fit before resampling.
+candidates are scored in cross-path blocks, RECOVER_CHUNK steps at a time
+(a lone path's, given a spare core, in a forked child while it optimizes).
+The finished paths are pooled under an equally-weighted mixture proposal in
+which every draw is scored against its own component density (the 1/I
+mixture factors cancel between proposal and augmented target, so the raw
+log weight of a draw is simply log p - log q of its component).  The
+largest weights are smoothed by a generalized Pareto fit before resampling.
 """
 
 from __future__ import annotations

@@ -6,11 +6,12 @@ ELBO, and returns draws from the ELBO-maximizing approximation.  Both modes
 run paths through ``run_paths``, one contiguous shard per usable core, each
 shard but the first in a forked process (Linux only).  A shard is one
 ``lbfgs.lockstep`` on the target itself, each path's counts read from its
-stepper state, then one scoring pass: ``finish_runs`` recovers the shard's
-diagonal seeds in one stacked call, then builds, samples and scores the
-candidates in stacked blocks of those sharing a pair count, with one
-factorization pass, one seeding pass and one target call per block.
-``run_single`` is one shard of one path, one row per batched call.
+stepper state, then ``finish_runs``: a ``_Scorer`` recovers the diagonal
+seeds one chunk of RECOVER_CHUNK steps at a time and scores each chunk's
+candidates in stacked blocks sharing a pair count, with one factorization,
+seeding and target call per block.  ``run_single`` is one shard of one
+path, one row per batched call; given a spare core, a forked ``_Scorer``
+scores each chunk of its steps while the path optimizes on.
 
 Runs never raise on pathological geometry: a run that cannot produce any
 valid approximation returns its last trajectory point as a single draw
@@ -20,6 +21,7 @@ importance weight downstream.
 
 from __future__ import annotations
 
+import contextlib
 import os
 import pickle
 import sys
@@ -39,7 +41,8 @@ from .elbo import elbo_estimate  # noqa: F401
 from .errors import AllFailedError, NonFiniteError
 from .inv_hessian import alpha_recover  # noqa: F401
 from .inv_hessian import (
-    assemble_factors, pair_counts, select_rows, stacked_alpha_recover, stacked_factors, window,
+    RECOVER_CHUNK, AlphaRecovery, assemble_factors, pair_counts, recover_chunk, select_rows,
+    stacked_factors, window,
 )
 from .lbfgs import LbfgsOptions, Termination, Trajectory, lockstep, optimize_steps
 # run_paths drives lbfgs.lockstep itself; optimize, the lockstep of one
@@ -64,6 +67,7 @@ BLOCK_FLOATS = 2**14
 # E with a non-positive diagonal, a non-positive-definite inner matrix, a
 # non-finite mean or log determinant, and (after sampling) a non-finite ELBO.
 DISQUALIFY_REASONS = ("singular_e", "cholesky", "nonfinite_approx", "nonfinite_elbo")
+TALLIES = ("scored",) + DISQUALIFY_REASONS  # a path's scoring counts
 
 
 @dataclass(frozen=True)
@@ -170,30 +174,27 @@ def _rows(arrays, owners, iters):
     return np.concatenate([arrays[k][iters[owners == k]] for k in np.unique(owners)])
 
 
-def _score_candidates(target, paths, recoveries, opts, seed):
-    """Score every candidate of every path in one pass of cross-path blocks.
+def _score_candidates(target, indices, recoveries, new, tallies, opts, seed):
+    """Score the candidates of each path's ``new`` latest recovered steps in cross-path blocks.
 
-    Returns, per path, the ELBO of each candidate 1..L (-inf where
-    disqualified), the number sampled, and the number disqualified for each
-    reason.  Each block makes one ``target.logp_many`` call.  Each
-    candidate draws from its own (path, candidate) substream, all of a
-    block's made in one call, so the scores do not depend on how the blocks
-    are cut.
+    Returns each path's ELBOs of them (-inf where disqualified) and adds its
+    counts to ``tallies`` (columns TALLIES).  Each block makes one
+    ``target.logp_many`` call.  Each candidate draws from its own (path,
+    candidate) substream, all of a block's made in one call, so the scores
+    do not depend on how the blocks are cut.
     """
     dim = target.dim
-    num_paths = len(paths)
-    traces = [np.full(rec.num_iters, -np.inf) for rec in recoveries]
-    scored = np.zeros(num_paths, dtype=int)
-    reasons = {reason: np.zeros(num_paths, dtype=int) for reason in DISQUALIFY_REASONS}
+    first = np.array([rec.num_iters - n for rec, n in zip(recoveries, new)])
+    traces = [np.full(n, -np.inf) for n in new]
 
-    def disqualify(reason, owners):
-        reasons[reason] += np.bincount(owners, minlength=num_paths)
+    def tally(column, owners):
+        tallies[:, TALLIES.index(column)] += np.bincount(owners, minlength=len(tallies))
 
-    indices = np.array([path.index for path in paths], dtype=int)
-    counts = [pair_counts(rec, opts.lbfgs.history_size) for rec in recoveries]
+    counts = [pair_counts(rec, opts.lbfgs.history_size)[lo:] for rec, lo in zip(recoveries, first)]
     for num_pairs, owners, iters in _blocks(counts, dim):
+        iters = iters + first[owners]
         factors, ok_e = stacked_factors(*_windows(recoveries, owners, iters, num_pairs))
-        disqualify("singular_e", owners[~ok_e])
+        tally("singular_e", owners[~ok_e])
         if not ok_e.all():
             factors, owners, iters = select_rows(factors, ok_e), owners[ok_e], iters[ok_e]
             if iters.size == 0:
@@ -202,14 +203,14 @@ def _score_candidates(target, paths, recoveries, opts, seed):
             factors, _rows([rec.thetas for rec in recoveries], owners, iters),
             _rows([rec.grads for rec in recoveries], owners, iters))
         finite = np.isfinite(approx.logdet) & np.isfinite(approx.mu).all(axis=1)
-        disqualify("cholesky", owners[~ok_chol])
-        disqualify("nonfinite_approx", owners[ok_chol & ~finite])
+        tally("cholesky", owners[~ok_chol])
+        tally("nonfinite_approx", owners[ok_chol & ~finite])
         alive = ok_chol & finite
         if not alive.all():
             approx, owners, iters = select_rows(approx, alive), owners[alive], iters[alive]
             if iters.size == 0:
                 continue
-        scored += np.bincount(owners, minlength=num_paths)
+        tally("scored", owners)
         u = np.stack([
             rng.standard_normal((opts.elbo_draws, dim))
             for rng in substreams(seed, indices[owners], STREAM_CANDIDATE, iters)
@@ -217,19 +218,45 @@ def _score_candidates(target, paths, recoveries, opts, seed):
         batch = normal_approx.transform(approx, u)
         logp_vals = target.logp_many(batch.draws.reshape(-1, dim)).reshape(batch.logq.shape)
         values = elbo.elbo_estimate(logp_vals, batch.logq).value
-        disqualify("nonfinite_elbo", owners[~np.isfinite(values)])
+        tally("nonfinite_elbo", owners[~np.isfinite(values)])
         for k in np.unique(owners):
-            traces[k][iters[owners == k] - 1] = values[owners == k]
-    return [
-        (trace, int(scored[k]), {reason: int(n[k]) for reason, n in reasons.items()})
-        for k, trace in enumerate(traces)
-    ]
+            traces[k][iters[owners == k] - first[k] - 1] = values[owners == k]
+    return traces
 
 
-def _run(path, draws, logq, elbo_trace=(), scored=0, disqualified=None, elbo_draws=0,
+class _Scorer:
+    """Recovers and scores paths' candidates one chunk of RECOVER_CHUNK steps at a time.
+
+    A candidate's window holds no pair past its own step, so the trajectories
+    may grow between ``advance`` calls; ``runs`` then draws from each winner.
+    """
+
+    def __init__(self, target, indices, opts, seed):
+        self.target, self.indices, self.opts, self.seed = target, np.array(indices), opts, seed
+        self.recoveries = [AlphaRecovery(np.empty((0, target.dim)), np.zeros(0, dtype=int), None, None)
+                           for _ in indices]
+        self.traces, self.tallies = [], np.zeros((len(indices), len(TALLIES)), dtype=int)
+
+    def advance(self, trajectories) -> bool:
+        """Score each path's next chunk of ``trajectories`` as they stand; False if none had one."""
+        for rec, trajectory in zip(self.recoveries, trajectories):
+            rec.thetas, rec.grads = trajectory.thetas, trajectory.grads
+        new = recover_chunk(self.recoveries)
+        self.traces.append(_score_candidates(self.target, self.indices, self.recoveries, new,
+                                             self.tallies, self.opts, self.seed))
+        return any(new)
+
+    def runs(self, paths) -> list:
+        """The runs of ``paths``, whose every step has been scored."""
+        return [_draw_from_winner(path, rec, np.concatenate([t[k] for t in self.traces]),
+                                  self.tallies[k], self.opts, self.seed)
+                for k, (path, rec) in enumerate(zip(paths, self.recoveries))]
+
+
+def _run(path, draws, logq, elbo_trace=(), tally=(0,) * len(TALLIES), elbo_draws=0,
          l_star=None, approx=None):
     """A path's run; failed, flagged by its one draw's logq = +inf, when ``l_star`` is None."""
-    trajectory = path.trajectory
+    trajectory, scored = path.trajectory, int(tally[0])
     return PathfinderRun(
         draws=draws,
         logq=logq,
@@ -243,7 +270,7 @@ def _run(path, draws, logq, elbo_trace=(), scored=0, disqualified=None, elbo_dra
         scored_candidates=scored,
         lbfgs_n_logp=path.n_logp,
         lbfgs_n_grad=path.n_grad,
-        disqualified=disqualified or dict.fromkeys(DISQUALIFY_REASONS, 0),
+        disqualified=dict(zip(DISQUALIFY_REASONS, map(int, tally[1:]))),
         approx=approx,
     )
 
@@ -277,7 +304,7 @@ class OptimizedPath:
 
 
 def usable_cores() -> int:
-    """The CPUs this process may run on; 1 off Linux, where no shard is forked."""
+    """The CPUs this process may run on; 1 off Linux, where nothing is forked."""
     return len(os.sched_getaffinity(0)) if sys.platform.startswith("linux") else 1
 
 
@@ -286,19 +313,27 @@ def run_paths(target, opts: PathfinderOptions, seed: int, indices) -> list:
 
     k = min(len(indices), usable_cores()), or 1 while another Python thread
     runs, whose locks a child could block on.  The first shard runs here, the
-    others in forked children.  Run i equals the run of path i alone wherever
-    the target's batched rows do not depend on the batch.
+    others in forked children.  A lone path with a spare core instead has its
+    candidates scored by a forked child while it optimizes (``_Feed``).  Run
+    i equals the run of path i alone wherever the target's batched rows do
+    not depend on the batch.
     """
     indices = list(indices)
-    k = max(1, min(len(indices), usable_cores())) if threading.active_count() == 1 else 1
+    alone = threading.active_count() == 1
+    k = max(1, min(len(indices), usable_cores())) if alone else 1
     cuts = [len(indices) * j // k for j in range(k + 1)]
     children, replies = [], []
+    feed = _Feed(target, opts, seed, indices[0], children) if (
+        len(indices) == 1 and alone and usable_cores() > 1) else None
     try:
         for lo, hi in zip(cuts[1:-1], cuts[2:]):
-            children.append(_fork_shard(target, opts, seed, indices[lo:hi]))
-        runs = _run_shard(target, opts, seed, indices[:cuts[1]])
+            children.append(_fork(target, lambda shard=indices[lo:hi]: _run_shard(
+                target, opts, seed, shard)))
+        runs = _run_shard(target, opts, seed, indices[:cuts[1]], feed)
         replies = [pipe.read() for _, pipe in children]
     finally:
+        if feed and feed.fd is not None:
+            os.close(feed.fd)
         for pid, pipe in children:
             if not replies:  # this shard or a read raised: leave no child running
                 os.kill(pid, 9)  # SIGKILL
@@ -314,9 +349,9 @@ def run_paths(target, opts: PathfinderOptions, seed: int, indices) -> list:
     return runs
 
 
-def _fork_shard(target, opts, seed, shard):
-    """(pid, pipe) of a child piping back the pickled (runs, fused and logp-only
-    evaluations) of ``shard``, or its error, which the caller re-raises."""
+def _fork(target, work):
+    """(pid, pipe) of a child piping back the pickled (runs ``work()`` returns, fused
+    and logp-only evaluations), or its error, which the caller re-raises."""
     read_fd, write_fd = os.pipe()
     try:
         with warnings.catch_warnings():
@@ -335,8 +370,7 @@ def _fork_shard(target, opts, seed, shard):
     try:
         target._n_fused = target._n_logp_only = 0  # the child counts its own evaluations
         try:
-            runs = _run_shard(target, opts, seed, shard)
-            reply = pickle.dumps((runs, target._n_fused, target._n_logp_only))
+            reply = pickle.dumps((work(), target._n_fused, target._n_logp_only))
         except BaseException as exc:
             try:
                 reply = pickle.dumps(exc)
@@ -349,23 +383,78 @@ def _fork_shard(target, opts, seed, shard):
         os._exit(0)
 
 
-def _run_shard(target, opts: PathfinderOptions, seed: int, indices) -> list:
-    """Runs of the paths ``indices``: one ``lbfgs.lockstep``, then ``finish_runs``."""
+class _Feed:
+    """The caller's end of a lone path's forked scorer, called with each trajectory point.
+
+    At RECOVER_CHUNK steps it forks the scorer into ``children``, unless a
+    thread runs then, and pipes it each RECOVER_CHUNK steps' rows as they
+    come; ``send`` pipes the finished path last.
+    """
+
+    def __init__(self, target, opts, seed, index, children):
+        self.work = target, opts, seed, index, np.geterr()  # the caller's, not the loop's
+        self.children, self.rows, self.fd = children, [], None
+
+    def __call__(self, *point):
+        self.rows.append(point)
+        if len(self.rows) != RECOVER_CHUNK + (self.fd is None):  # the first chunk has row 0 too
+            return
+        if self.fd is None:
+            if threading.active_count() > 1:
+                return  # and never will: the caller scores the path
+            read_fd, self.fd = os.pipe()
+            try:
+                self.children.append(_fork(self.work[0], lambda: self._serve(read_fd)))
+            finally:
+                os.close(read_fd)
+        self.send(tuple(np.array(rows) for rows in zip(*self.rows)))
+        self.rows = []
+
+    def send(self, message):
+        """Pipe ``message``; a scorer that has left replies with its reason instead."""
+        data = memoryview(pickle.dumps(message))
+        with contextlib.suppress(BrokenPipeError):
+            while data:  # a signal may cut a write short
+                data = data[os.write(self.fd, data):]
+
+    def _serve(self, read_fd):
+        """The forked scorer: score each chunk as it comes, then the finished path's run."""
+        os.close(self.fd)
+        target, opts, seed, index, err = self.work
+        scorer = _Scorer(target, [index], opts, seed)
+        rows = Trajectory(*np.empty((2, 0, target.dim)), None, None)  # the rows piped so far
+        with np.errstate(**err), open(read_fd, "rb") as pipe:
+            while not isinstance(message := pickle.load(pipe), OptimizedPath):
+                rows.thetas, rows.grads = map(np.concatenate, zip((rows.thetas, rows.grads), message))
+                scorer.advance([rows])
+            while scorer.advance([message.trajectory]):
+                pass
+            return scorer.runs([message])
+
+
+def _run_shard(target, opts: PathfinderOptions, seed: int, indices, feed=None) -> list:
+    """Runs of the paths ``indices``: one ``lbfgs.lockstep``, then ``finish_runs``,
+    or none for a lone path whose ``feed`` forked a scorer, which replies with it."""
     theta0s = [initial_point(target.dim, opts, seed, i) for i in indices]
-    states = lockstep(target, [optimize_steps(theta0, opts.lbfgs) for theta0 in theta0s])
-    return finish_runs(target, [
-        OptimizedPath(i, theta0, None if isinstance(s.outcome, NonFiniteError) else s.outcome,
-                      s.n_fused + s.n_logp_only, s.n_fused)
-        for i, theta0, s in zip(indices, theta0s, states)], opts, seed)
+    states = lockstep(target, [optimize_steps(theta0, opts.lbfgs, feed) for theta0 in theta0s])
+    paths = [OptimizedPath(i, theta0, None if isinstance(s.outcome, NonFiniteError) else s.outcome,
+                           s.n_fused + s.n_logp_only, s.n_fused)
+             for i, theta0, s in zip(indices, theta0s, states)]
+    if feed and feed.fd is not None:
+        feed.send(paths[0])
+        return []
+    return finish_runs(target, paths, opts, seed)
 
 
 def run_single(target, opts: PathfinderOptions, seed: int, path_index: int = 0) -> PathfinderRun:
     """Run one path against ``target`` under the given master seed.
 
-    This is ``run_paths`` over the one path ``path_index``.  All randomness
-    comes from substreams keyed by (path_index, purpose, candidate index),
-    so results are bit-identical for a fixed (target, opts, seed,
-    path_index); BLOCK_FLOATS says when the blocking cannot change them.
+    This is ``run_paths`` over the one path ``path_index``: with a spare
+    core, a forked child scores its candidates while it optimizes, with
+    none, they are scored here after.  All randomness comes from substreams
+    keyed by (path_index, purpose, candidate index), so results are
+    bit-identical for a fixed (target, opts, seed, path_index), whatever the
+    core count; BLOCK_FLOATS says when the blocking cannot change them.
     """
     return run_paths(target, opts, seed, [path_index])[0]
 
@@ -374,32 +463,31 @@ def finish_runs(target, paths: list, opts: PathfinderOptions, seed: int) -> list
     """Score the candidates along optimized paths and draw from each path's winner.
 
     ``paths`` are OptimizedPath records; the runs come back in their order.
-    Every path's diagonal seeds are recovered in one stacked call, and its
-    candidates scored in one pass of cross-path blocks, so a path's run
-    equals its run scored alone wherever the target's batched rows do not
-    depend on the batch.
+    A ``_Scorer`` steps through all paths' trajectories together, one chunk
+    of RECOVER_CHUNK steps at a time, so a path's run equals its run scored
+    alone wherever the target's batched rows do not depend on the batch.
     """
     scorable = [i for i, path in enumerate(paths) if path.trajectory and path.trajectory.num_iters]
     runs = [None if i in scorable else _failed_run(path) for i, path in enumerate(paths)]
-    recoveries = stacked_alpha_recover([paths[i].trajectory for i in scorable])
-    scores = _score_candidates(target, [paths[i] for i in scorable], recoveries, opts, seed)
-    for i, recovery, score in zip(scorable, recoveries, scores):
-        runs[i] = _draw_from_winner(paths[i], recovery, *score, opts, seed)
+    scorer = _Scorer(target, [paths[i].index for i in scorable], opts, seed)
+    while scorable and scorer.advance([paths[i].trajectory for i in scorable]):
+        pass
+    for i, run in zip(scorable, scorer.runs([paths[i] for i in scorable])):
+        runs[i] = run
     return runs
 
 
-def _draw_from_winner(path, recovery, elbo_trace, scored, disqualified, opts, seed):
+def _draw_from_winner(path, recovery, elbo_trace, tally, opts, seed):
     """The run of a scored path: draws from its ELBO-best candidate, or a failed run."""
     trajectory = path.trajectory
     try:
         l_star = select_argmax(elbo_trace)
     except AllFailedError:
-        return _failed_run(path, elbo_trace, scored, disqualified, opts.elbo_draws)
+        return _failed_run(path, elbo_trace, tally, opts.elbo_draws)
 
     # Rebuild the winner through the same stacked code, as a stack of one,
     # and draw a fresh batch of output draws.
     factors = assemble_factors(recovery, l_star, opts.lbfgs.history_size)
     approx = normal_approx.build(factors, trajectory.thetas[l_star], trajectory.grads[l_star])
     batch = normal_approx.sample(approx, opts.num_draws, substream(seed, path.index, STREAM_FINAL))
-    return _run(path, batch.draws, batch.logq, elbo_trace, scored, disqualified, opts.elbo_draws,
-                l_star, approx)
+    return _run(path, batch.draws, batch.logq, elbo_trace, tally, opts.elbo_draws, l_star, approx)

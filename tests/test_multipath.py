@@ -453,7 +453,8 @@ def test_lockstep_batches_linear_algebra_across_paths(monkeypatch):
     # counts are deterministic.  Per-path work would make 2,714 direction
     # calls (one per request) and 102 scoring target calls (blocks cut per
     # path); batched, a round makes one direction call per pair count among
-    # its requests, and the scoring pass one target call per cross-path block.
+    # its requests, and the scoring pass one target call per cross-path block
+    # of each chunk of RECOVER_CHUNK steps.
     target = make_target("eight_schools_centered")
     calls, blocks, rounds, in_scoring, scoring_calls = [], [], [0], [False], [0]
     stacked_directions, cut = lbfgs.stacked_directions, single_path._blocks
@@ -497,4 +498,4 @@ def test_lockstep_batches_linear_algebra_across_paths(monkeypatch):
     assert len(calls) == 759
     assert len({(round_, pairs) for round_, pairs, _ in calls}) == len(calls)
     assert rounds[0] == 736 and len(calls) <= rounds[0] * 6  # pair counts 0..5
-    assert scoring_calls[0] == len(blocks) == 21
+    assert scoring_calls[0] == len(blocks) == 22

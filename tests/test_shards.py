@@ -1,12 +1,16 @@
-"""``run_paths`` cuts the paths into one forked lockstep shard per usable core.
+"""``run_paths`` cuts the paths into one forked lockstep shard per usable core,
+and scores a lone path's candidates in one forked child while it optimizes.
 
 The core count is patched, so every shard count runs on any Linux machine.
 A shard count must not change any output bit on targets whose batched rows
-do not depend on the batch, errors raised in a child must reach the caller,
-and no child may outlive the call.
+do not depend on the batch, nor may the core count change single mode's
+output on any target; errors raised in a child must reach the caller, and
+no child may outlive the call.
 """
 
 import os
+import select
+import signal
 import sys
 import threading
 
@@ -24,6 +28,7 @@ from pathfinder import (
     run_single,
     single_path,
 )
+from pathfinder.inv_hessian import RECOVER_CHUNK
 from pathfinder.single_path import initial_point, usable_cores
 from pathfinder.targets import LogDensityTarget
 
@@ -77,14 +82,22 @@ def assert_same_result(a, b):
     assert (a.n_grad, a.n_logp, a.pool_n_logp) == (b.n_grad, b.n_logp, b.pool_n_logp)
     assert len(a.runs) == len(b.runs)
     for x, y in zip(a.runs, b.runs):
-        for field in ("draws", "logq", "elbo_trace"):
-            assert getattr(x, field).tobytes() == getattr(y, field).tobytes()
-        assert (x.l_star, x.failed, x.num_iters, x.scored_candidates) == (
-            y.l_star, y.failed, y.num_iters, y.scored_candidates)
-        assert x.termination is y.termination
-        assert (x.n_logp, x.n_grad, x.lbfgs_n_logp, x.lbfgs_n_grad) == (
-            y.n_logp, y.n_grad, y.lbfgs_n_logp, y.lbfgs_n_grad)
-        assert x.disqualified == y.disqualified
+        assert_same_run(x, y)
+
+
+def assert_same_run(x, y):
+    for field in ("draws", "logq", "elbo_trace"):
+        assert getattr(x, field).tobytes() == getattr(y, field).tobytes()
+    assert (x.l_star, x.failed, x.num_iters, x.scored_candidates) == (
+        y.l_star, y.failed, y.num_iters, y.scored_candidates)
+    assert x.termination is y.termination
+    assert (x.n_logp, x.n_grad, x.lbfgs_n_logp, x.lbfgs_n_grad) == (
+        y.n_logp, y.n_grad, y.lbfgs_n_logp, y.lbfgs_n_grad)
+    assert x.disqualified == y.disqualified
+    assert (x.approx is None) == (y.approx is None)
+    if x.approx is not None:
+        for name, value in vars(x.approx).items():
+            assert np.asarray(value).tobytes() == np.asarray(getattr(y.approx, name)).tobytes()
 
 
 MVN_COV = (np.diag([4.0, 1.0, 0.25, 2.0]) + 0.3).tolist()
@@ -94,6 +107,30 @@ ROW_STABLE = [
     ("std_normal", {"dim": 4}),
     ("mvn", {"mu": [1.0, -0.5, 0.25, 0.0], "cov": MVN_COV}),
 ]
+
+
+def ill_conditioned_mvn(dim):
+    """A dense normal with eigenvalues 0.01..100, whose paths run hundreds of steps."""
+    q, _ = np.linalg.qr(np.random.default_rng(0).standard_normal((dim, dim)))
+    cov = (q * np.geomspace(0.01, 100.0, dim)) @ q.T
+    return {"mu": np.linspace(-1.0, 1.0, dim).tolist(), "cov": (0.5 * (cov + cov.T)).tolist()}
+
+
+# Single-mode cases whose paths run past RECOVER_CHUNK steps, so a spare core
+# forks a scorer: several chunks of a row-stable target, and logistic rows.
+LONG_MVN = ("mvn", ill_conditioned_mvn(10))
+LONG = [LONG_MVN, ("logistic_regression", {"n": 200, "p": 10, "data_seed": 3})]
+
+
+def single_with(cores, count, name, params, seed=21, path_index=3):
+    """run_single on ``count`` usable cores; checks the fork rule and the counters."""
+    forked = cores(count)
+    forked.clear()
+    target = make_target(name, **params)
+    run = run_single(target, PathfinderOptions(), seed, path_index)
+    assert len(forked) == int(count > 1 and run.num_iters >= RECOVER_CHUNK)
+    assert (target.eval_count_grad, target.eval_count_logp) == (run.n_grad, run.n_logp)
+    return run
 
 
 class TestShardCount:
@@ -117,10 +154,77 @@ class TestShardCount:
             assert_same_result(run_with(cores, count, "logistic_regression", params),
                                run_with(cores, count, "logistic_regression", params))
 
-    def test_single_mode_never_forks(self, cores):
+    def test_single_mode_forks_one_scorer_for_a_long_path(self, cores):
         forked = cores(4)
-        run_single(make_target("eight_schools_centered"), OPTS.single, 5, path_index=3)
+        short = run_single(make_target("neal_funnel", dim=10), OPTS.single, 5, path_index=3)
+        assert short.num_iters < RECOVER_CHUNK and forked == []
+        long = run_single(make_target("eight_schools_centered"), OPTS.single, 5, path_index=3)
+        assert long.num_iters >= RECOVER_CHUNK and len(forked) == 1
+        assert_no_children()
+
+
+class TestSingleModeScorer:
+    @pytest.mark.parametrize("name, params", ROW_STABLE + LONG)
+    def test_core_count_does_not_change_single_mode_output(self, cores, name, params):
+        for seed, path_index in ((21, 3), (4, 0)):
+            alone = single_with(cores, 1, name, params, seed, path_index)
+            assert_same_run(single_with(cores, 2, name, params, seed, path_index), alone)
+
+    def test_long_cases_fork(self, cores):
+        for name, params in LONG:
+            assert single_with(cores, 2, name, params).num_iters >= RECOVER_CHUNK
+
+    def test_interval_timer_does_not_change_output(self, cores):
+        # The benchmark's Stopwatch interrupts every millisecond with SIGALRM,
+        # which can cut a pipe write short.
+        name, params = "mvn", ill_conditioned_mvn(30)
+        alone = single_with(cores, 1, name, params)
+        ticks = []
+        previous = signal.signal(signal.SIGALRM, lambda *_: ticks.append(1))
+        signal.setitimer(signal.ITIMER_REAL, 1e-3, 1e-3)
+        try:
+            timed = single_with(cores, 2, name, params)
+        finally:
+            signal.setitimer(signal.ITIMER_REAL, 0.0, 0.0)
+            signal.signal(signal.SIGALRM, previous)
+        assert ticks and timed.num_iters >= 2 * RECOVER_CHUNK
+        assert_same_run(timed, alone)
+
+    def test_no_scorer_while_another_thread_runs(self, cores):
+        alone = single_with(cores, 1, *LONG_MVN)
+        forked = cores(2)
+        stop = threading.Event()
+        thread = threading.Thread(target=stop.wait)
+        thread.start()
+        try:
+            run = run_single(make_target(*LONG_MVN[:1], **LONG_MVN[1]), PathfinderOptions(), 21, 3)
+        finally:
+            stop.set()
+            thread.join()
         assert forked == []
+        assert_same_run(run, alone)
+
+    def test_no_scorer_once_a_thread_has_started(self, cores, monkeypatch):
+        # The rule holds when the scorer would fork, not only when the run starts.
+        alone = single_with(cores, 1, *LONG_MVN)
+        forked = cores(2)
+        target = make_target(LONG_MVN[0], **LONG_MVN[1])
+        fused, stop = target.logp_grad_many, threading.Event()
+        thread = threading.Thread(target=stop.wait)
+
+        def starting_a_thread(points):
+            if target.eval_count_grad == 10:
+                thread.start()
+            return fused(points)
+
+        monkeypatch.setattr(target, "logp_grad_many", starting_a_thread)
+        try:
+            run = run_single(target, PathfinderOptions(), 21, 3)
+        finally:
+            stop.set()
+            thread.join()
+        assert forked == [] and run.num_iters >= RECOVER_CHUNK
+        assert_same_run(run, alone)
 
 
 class TestOneShard:
@@ -238,6 +342,109 @@ class TestErrors:
             np.testing.assert_array_equal(run.draws, starts[i][None, :])
 
 
+class TestScorerErrors:
+    """A lone path's forked scorer follows the shards' rules on errors."""
+
+    def patched_target(self, monkeypatch, method, replacement):
+        target = make_target(LONG_MVN[0], **LONG_MVN[1])
+        monkeypatch.setattr(target, method, replacement(getattr(target, method)))
+        return target
+
+    @pytest.mark.parametrize("count", [1, 2])
+    def test_scoring_runs_under_the_callers_error_state(self, cores, monkeypatch, count):
+        # The scorer forks inside the optimizer loop, which ignores overflow;
+        # scoring must still see the caller's error state, as in process.
+        def overflowing(logp_many):
+            def call(points):
+                if len(points) > 1:  # scoring blocks; the line search sends one row
+                    np.exp(np.array([1e3]))
+                return logp_many(points)
+            return call
+
+        forked = cores(count)
+        target = self.patched_target(monkeypatch, "logp_many", overflowing)
+        with np.errstate(over="raise"), pytest.raises(FloatingPointError, match="overflow"):
+            run_single(target, PathfinderOptions(), 21, 3)
+        assert len(forked) == count - 1
+
+    def test_scoring_error_keeps_type_and_message(self, cores, monkeypatch):
+        def in_the_scorer(logp_many):
+            def call(points):
+                if os.getpid() != PARENT:
+                    raise ShardError("bad density in the scorer")
+                return logp_many(points)
+            return call
+
+        forked = cores(2)
+        target = self.patched_target(monkeypatch, "logp_many", in_the_scorer)
+        with pytest.raises(ShardError, match="^bad density in the scorer$"):
+            run_single(target, PathfinderOptions(), 21, 3)
+        assert len(forked) == 1
+
+    def test_scorer_that_dies_without_a_reply_is_an_error(self, cores, monkeypatch):
+        # The scorer leaves at its first chunk, so the caller's later chunks
+        # meet a closed pipe: the error must say the scorer died.
+        def dying(logp_many):
+            def call(points):
+                if os.getpid() != PARENT:
+                    os._exit(3)
+                return logp_many(points)
+            return call
+
+        cores(2)
+        target = self.patched_target(monkeypatch, "logp_many", dying)
+        with pytest.raises(RuntimeError, match="a path shard died unanswered"):
+            run_single(target, PathfinderOptions(), 21, 3)
+
+    def test_optimizer_error_after_the_fork_kills_the_scorer(self, cores, monkeypatch):
+        def failing_late(logp_grad_many):
+            calls = []
+
+            def call(points):
+                calls.append(len(points))
+                if len(calls) > 2 * RECOVER_CHUNK:
+                    raise ShardError("optimizer failed in the caller")
+                return logp_grad_many(points)
+            return call
+
+        forked = cores(2)
+        target = self.patched_target(monkeypatch, "logp_grad_many", failing_late)
+        with pytest.raises(ShardError, match="optimizer failed in the caller"):
+            run_single(target, PathfinderOptions(), 21, 3)
+        assert len(forked) == 1  # and reaped: the fixture finds no child left
+
+    def test_scorer_leaves_when_its_caller_dies(self, cores, monkeypatch):
+        # A caller that dies without raising kills no scorer, so the scorer
+        # must see its feed close and leave.  Both hold ``holders``' write end,
+        # so its read end reaches EOF once both have gone.
+        def dying_late(logp_grad_many):
+            calls = []
+
+            def call(points):
+                calls.append(len(points))
+                if len(calls) > 2 * RECOVER_CHUNK:
+                    os._exit(0)
+                return logp_grad_many(points)
+            return call
+
+        holders, holding = os.pipe()
+        caller = os.fork()
+        if caller == 0:
+            try:
+                os.close(holders)
+                cores(2)
+                run_single(self.patched_target(monkeypatch, "logp_grad_many", dying_late),
+                           PathfinderOptions(), 21, 3)
+            finally:
+                os._exit(1)
+        os.close(holding)
+        try:
+            assert select.select([holders], [], [], 60)[0] and os.read(holders, 1) == b""
+        finally:
+            os.close(holders)
+            assert os.waitpid(caller, 0)[1] == 0  # it died in its target, mid-run
+
+
 def test_sharded_run_loads_no_process_pool_module():
     # os and pickle are loaded by ``import pathfinder``; sharding must not
     # add the import cost of multiprocessing or concurrent.futures.
@@ -249,6 +456,20 @@ def test_sharded_run_loads_no_process_pool_module():
         "single_path.usable_cores = lambda: 2\n"
         "opts = MultipathOptions(num_paths=4, num_resample=20)\n"
         "run_multi(make_target('std_normal', dim=3), opts, 1)\n"
+        "print(json.dumps(sorted(m for m in sys.modules\n"
+        "                        if m.split('.')[0] in ('multiprocessing', 'concurrent'))))")
+    assert loaded == []
+
+
+def test_single_mode_scorer_loads_no_process_pool_module():
+    from test_imports import run_fresh
+
+    loaded = run_fresh(
+        "import json, sys\n"
+        "from pathfinder import PathfinderOptions, make_target, run_single, single_path\n"
+        "single_path.usable_cores = lambda: 2\n"
+        "run = run_single(make_target('eight_schools_centered'), PathfinderOptions(), 1)\n"
+        "assert run.num_iters >= 64, run.num_iters\n"
         "print(json.dumps(sorted(m for m in sys.modules\n"
         "                        if m.split('.')[0] in ('multiprocessing', 'concurrent'))))")
     assert loaded == []

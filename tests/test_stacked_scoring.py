@@ -5,11 +5,16 @@ is checked for independence from how candidates are blocked, and for
 disqualifying exactly the failing candidate of a block.
 """
 
+import os
+import sys
+
 import numpy as np
 import pytest
 
 from pathfinder import PathfinderOptions, make_target, normal_approx, run_single, single_path
-from pathfinder.inv_hessian import alpha_recover, pair_counts, stacked_factors, window
+from pathfinder.inv_hessian import (
+    RECOVER_CHUNK, alpha_recover, pair_counts, stacked_factors, window,
+)
 from pathfinder.lbfgs import Termination, Trajectory
 from pathfinder.normal_approx import build_many, transform
 
@@ -96,10 +101,8 @@ def corrupting(monkeypatch, module, name, edit):
     return hit
 
 
-def test_failing_cholesky_disqualifies_only_that_candidate(monkeypatch):
-    target_args = ("eight_schools_noncentered",)
-    opts = PathfinderOptions()
-    clean = run_single(make_target(*target_args), opts, seed=9)
+def break_cholesky(monkeypatch):
+    """Make the second candidate of every block of 3+ with pairs fail its Cholesky."""
     starts = []
 
     def remember_block(args, result):
@@ -110,11 +113,37 @@ def test_failing_cholesky_disqualifies_only_that_candidate(monkeypatch):
         factors, _ = result
         if len(factors.alpha) < 3 or factors.num_pairs == 0:
             return []
-        factors.gamma[1] = -50.0 * np.eye(factors.rank)
+        # Late candidates' pairs are tiny, so a modest -I * c would leave
+        # I + R gamma R' positive definite.
+        factors.gamma[1] = -1e100 * np.eye(factors.rank)
         return [starts[-1] + 1]
 
     corrupting(monkeypatch, single_path, "window", remember_block)
-    broken = corrupting(monkeypatch, single_path, "stacked_factors", break_second_row)
+    return corrupting(monkeypatch, single_path, "stacked_factors", break_second_row)
+
+
+def overflow_pair_products(monkeypatch):
+    """Make s_1'z_2 overflow for the second candidate of every block of 3+ with 2+ pairs."""
+    def overflow_second_row(args, result):
+        S, Z, _ = result
+        if S.shape[0] < 3 or S.shape[2] < 2:
+            return []
+        # E keeps a positive finite diagonal while s_1'z_2 overflows, so
+        # only the finiteness check on E can catch it.
+        S[1, :, 0] *= 1e200
+        Z[1, :, 1] *= 1e200
+        return [int(args[1][1])]
+
+    return corrupting(monkeypatch, single_path, "window", overflow_second_row)
+
+
+def test_failing_cholesky_disqualifies_only_that_candidate(monkeypatch):
+    # One core: the patches record the candidates they break in this process.
+    monkeypatch.setattr(single_path, "usable_cores", lambda: 1)
+    target_args = ("eight_schools_noncentered",)
+    opts = PathfinderOptions()
+    clean = run_single(make_target(*target_args), opts, seed=9)
+    broken = break_cholesky(monkeypatch)
     run = run_single(make_target(*target_args), opts, seed=9)
 
     assert broken
@@ -127,20 +156,10 @@ def test_failing_cholesky_disqualifies_only_that_candidate(monkeypatch):
 
 
 def test_overflowing_pair_products_disqualify_only_that_candidate(monkeypatch):
+    monkeypatch.setattr(single_path, "usable_cores", lambda: 1)
     opts = PathfinderOptions()
     clean = run_single(make_target("eight_schools_noncentered"), opts, seed=9)
-
-    def overflow_second_row(args, result):
-        S, Z, _ = result
-        if S.shape[0] < 3 or S.shape[2] < 2:
-            return []
-        # E keeps a positive finite diagonal while s_1'z_2 overflows, so
-        # only the finiteness check on E can catch it.
-        S[1, :, 0] *= 1e200
-        Z[1, :, 1] *= 1e200
-        return [int(args[1][1])]
-
-    broken = corrupting(monkeypatch, single_path, "window", overflow_second_row)
+    broken = overflow_pair_products(monkeypatch)
     run = run_single(make_target("eight_schools_noncentered"), opts, seed=9)
 
     assert broken
@@ -149,6 +168,38 @@ def test_overflowing_pair_products_disqualify_only_that_candidate(monkeypatch):
     others = np.setdiff1d(np.arange(run.num_iters), failed)
     np.testing.assert_array_equal(run.elbo_trace[others], clean.elbo_trace[others])
     assert run.disqualified["singular_e"] == len(broken)
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="forks on Linux only")
+@pytest.mark.parametrize("corrupt, reason", [
+    (break_cholesky, "cholesky"), (overflow_pair_products, "singular_e"),
+])
+def test_forked_scorer_disqualifies_the_same_candidates(monkeypatch, corrupt, reason):
+    # The twins of the two tests above with a spare core: the patches run in
+    # the forked scorer, so only the run shows what they broke.
+    monkeypatch.setattr(single_path, "usable_cores", lambda: 1)
+    broken = corrupt(monkeypatch)
+    alone = run_single(make_target("eight_schools_noncentered"), PathfinderOptions(), seed=9)
+    recorded = list(broken)
+    forks = []
+    fork = os.fork
+
+    def counting_fork():
+        pid = fork()
+        forks.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", counting_fork)
+    monkeypatch.setattr(single_path, "usable_cores", lambda: 2)
+    forked = run_single(make_target("eight_schools_noncentered"), PathfinderOptions(), seed=9)
+
+    assert len(forks) == 1 and forked.num_iters >= RECOVER_CHUNK
+    assert broken == recorded  # nothing was broken in this process
+    assert forked.disqualified[reason] == len(recorded) > 0
+    assert forked.disqualified == alone.disqualified
+    assert forked.scored_candidates == alone.scored_candidates
+    assert forked.elbo_trace.tobytes() == alone.elbo_trace.tobytes()
+    assert forked.draws.tobytes() == alone.draws.tobytes()
 
 
 def test_disqualification_counts_add_up(monkeypatch):
