@@ -356,10 +356,11 @@ def optimize_steps(theta_init, opts: LbfgsOptions, record=None):
 
         s_new = ls.theta - prev_theta
         z_new = prev_grad - ls.grad
-        if s_new @ z_new > opts.pair_eps * (z_new @ z_new):
+        sz, zz = s_new @ z_new, z_new @ z_new
+        if sz > opts.pair_eps * zz:
             drop = int(S.shape[1] == opts.history_size)
             S = np.concatenate((S[:, drop:], s_new[:, None]), axis=1)
             Z = np.concatenate((Z[:, drop:], z_new[:, None]), axis=1)
-            alpha = np.full(theta.size, (z_new @ z_new) / (s_new @ z_new))
+            alpha = np.full(theta.size, zz / sz)
 
     return Trajectory(np.asarray(thetas), np.asarray(grads), np.asarray(logps), termination)

@@ -1,8 +1,7 @@
-"""scipy stays off the import path: the package and the sampler load numpy alone.
+"""scipy stays off the import path: the package, the targets and the sampler load numpy alone.
 
-scipy is imported only by the code that uses it: the ``mvn`` target when it is
-built, ``eval_logq`` and ``wasserstein1``.  Every check runs a fresh
-interpreter, because this test session has loaded scipy already.
+scipy is imported only by ``wasserstein1``, when it is called.  Every check
+runs a fresh interpreter, because this test session has loaded scipy already.
 """
 
 import json
@@ -16,8 +15,9 @@ import numpy as np
 import pytest
 
 import pathfinder
-from pathfinder import build, eval_logq, make_target, wasserstein1
+from pathfinder import build, eval_logq, make_target, sample, wasserstein1
 from pathfinder.inv_hessian import factors_from_pairs
+from pathfinder.targets import TARGET_NAMES
 
 SRC = Path(pathfinder.__file__).resolve().parents[1]
 TESTS = Path(__file__).resolve().parent
@@ -42,46 +42,57 @@ def test_import_loads_no_scipy(module):
     assert run_fresh(f"import json, sys, {module}; print(json.dumps({LOADED}))") == []
 
 
-@pytest.mark.parametrize("mode", ["single", "multi"])
-def test_cli_run_loads_no_scipy(tmp_path, mode):
+RUNS = {
+    "single": ["--target", "eight_schools_centered", "--mode", "single", "--seed", "3"],
+    "multi": ["--target", "eight_schools_centered", "--mode", "multi", "--seed", "3"],
+    "mvn": ["--target", "mvn", "--mode", "single", "--seed", "3", "--target-params",
+            json.dumps({"mu": [0.0, 1.0, -1.0], "cov": [[2.0, 0.5, 0.1], [0.5, 1.0, 0.2],
+                                                         [0.1, 0.2, 0.5]]})],
+}
+
+
+@pytest.mark.parametrize("run", RUNS)
+def test_cli_run_loads_no_scipy(tmp_path, run):
     loaded = run_fresh(
         "import json, sys\n"
         "from pathfinder.cli import main\n"
-        f"code = main(['--target', 'eight_schools_centered', '--mode', '{mode}', '--seed', '3'])\n"
+        f"code = main({RUNS[run]!r})\n"
         f"print(json.dumps([code, {LOADED}]))",
         cwd=tmp_path)
     assert loaded == [0, []]
     assert (tmp_path / "draws.csv").is_file() and (tmp_path / "diagnostics.json").is_file()
 
 
-def test_mvn_target_loads_scipy_linalg_alone():
+def numpy_only_calls() -> None:
+    """Build and evaluate every registry target, then a draw's exact log density."""
+    for name in TARGET_NAMES:
+        target = make_target(name, dim=10 if name.startswith("eight_schools") else 3)
+        assert target.logp_grad_many(np.ones((2, target.dim)))[2].all()
+    rng = np.random.default_rng(11)
+    S = rng.normal(size=(5, 2))
+    approx = build(factors_from_pairs(S, 2.0 * S, np.ones(5)), np.zeros(5), np.ones(5))
+    draws = sample(approx, 3, rng)
+    assert approx.rank > 0
+    assert abs(eval_logq(approx, draws.draws[0]) - draws.logq[0]) < 1e-9
+
+
+def test_targets_and_eval_logq_load_no_scipy():
+    numpy_only_calls()
     loaded = run_fresh(
         "import json, sys\n"
-        "from pathfinder import make_target\n"
-        "make_target('mvn', mu=[0.0, 1.0], cov=[[2.0, 0.5], [0.5, 1.0]])\n"
+        "from test_imports import numpy_only_calls\n"
+        "numpy_only_calls()\n"
         f"print(json.dumps({LOADED}))")
-    assert "scipy.linalg" in loaded
-    assert not [m for m in loaded if m.startswith(("scipy.optimize", "scipy.sparse", "scipy.spatial"))]
+    assert loaded == []
 
 
 def deferred_calls() -> dict:
     """Call every code path that imports scipy; each result as the hex of its bytes."""
     rng = np.random.default_rng(11)
     a, b, c = rng.normal(size=(9, 3)), rng.normal(size=(9, 3)), rng.normal(size=(4, 3))
-    n = 5
-    root = rng.normal(size=(n, n))
-    S = rng.normal(size=(n, 2))
-    factors = factors_from_pairs(S, (root @ root.T + np.eye(n)) @ S, rng.uniform(0.5, 2.0, n))
-    approx = build(factors, rng.normal(size=n), rng.normal(size=n))
-    cov = root @ root.T + n * np.eye(n)
-    logp, grad, ok = make_target("mvn", mu=rng.normal(size=n), cov=cov).logp_grad_many(
-        rng.normal(size=(6, n)))
     return {
-        "rank": approx.rank,
         "w1_assignment": wasserstein1(a, b).hex(),
         "w1_lp": wasserstein1(a, c).hex(),
-        "logq": eval_logq(approx, rng.normal(size=n)).hex(),
-        "mvn": [logp.tobytes().hex(), grad.tobytes().hex(), ok.tolist()],
     }
 
 
@@ -95,6 +106,4 @@ def test_deferred_scipy_paths_match_in_a_fresh_interpreter():
     before, after, calls = fresh
     assert before == []
     assert {"scipy.linalg", "scipy.optimize", "scipy.spatial"} <= set(after)
-    here = deferred_calls()
-    assert here["rank"] > 0
-    assert calls == here
+    assert calls == deferred_calls()

@@ -108,20 +108,56 @@ class TestMvn:
             )
             assert t.logp(x) == pytest.approx(expected, abs=1e-10)
 
-    def test_gradient_is_scipy_cho_solve_bit_for_bit(self):
-        # The precision solve is one LAPACK potrs for the batch; each row must
-        # equal scipy's per-point cho_solve, alone and inside a 200-row batch.
-        rng = np.random.default_rng(6)
-        A = rng.standard_normal((50, 50))
-        cov = A @ A.T / 50.0 + 0.1 * np.eye(50)
-        mu = rng.standard_normal(50)
-        t = make_target("mvn", mu=mu, cov=cov)
+    @pytest.mark.parametrize("dim", [1, 2, 3, 5, 7, 13, 50, 64, 101])
+    def test_every_row_equals_its_one_row_evaluation(self, dim):
+        # Each row is its own product with the precision, so a row's bits do
+        # not depend on its batch, its place in it, or the entry point.
+        rng = np.random.default_rng(dim)
+        A = rng.standard_normal((dim, dim))
+        t = make_target("mvn", mu=rng.standard_normal(dim), cov=A @ A.T / dim + 0.1 * np.eye(dim))
+        pts = rng.normal(0.0, 2.0, (303, dim))
+        one = [t.logp_grad_many(p[None]) for p in pts]
+        want_logp = np.array([lp[0] for lp, _, _ in one])
+        want_grad = np.array([g[0] for _, g, _ in one])
+        for p, lp, g in zip(pts, want_logp, want_grad):
+            got_logp, got_grad = t.logp_grad(p)
+            assert got_logp == lp and np.array_equal(got_grad, g)
+            assert t.logp(p) == lp and t.logp_many(p[None])[0] == lp
+        for size in (2, 7, 64, 135, 300):
+            for start in (0, 3):
+                rows = slice(start, start + size)
+                logp, grad, ok = t.logp_grad_many(pts[rows])
+                assert ok.all()
+                assert np.array_equal(logp, want_logp[rows])
+                assert np.array_equal(grad, want_grad[rows])
+                assert np.array_equal(t.logp_many(pts[rows]), want_logp[rows])
+
+    @staticmethod
+    def gradient_and_cho_solve(cov, seed):
+        """The gradient at 200 random points, and its value from scipy's cho_solve."""
+        rng = np.random.default_rng(seed)
+        mu = rng.standard_normal(cov.shape[0])
+        pts = rng.normal(0.0, 2.0, (200, cov.shape[0]))
         factor = cho_factor(cov, lower=True)
-        pts = rng.normal(0.0, 2.0, (200, 50))
         expected = np.array([-cho_solve(factor, p - mu) for p in pts])
-        _, grad, ok = t.logp_grad_many(pts)
-        assert ok.all() and np.array_equal(grad, expected)
-        assert np.array_equal(t.logp_grad(pts[0])[1], expected[0])
+        _, grad, ok = make_target("mvn", mu=mu, cov=cov).logp_grad_many(pts)
+        assert ok.all()
+        return grad, expected
+
+    def test_gradient_agrees_with_scipy_cho_solve(self):
+        A = np.random.default_rng(6).standard_normal((50, 50))
+        grad, expected = self.gradient_and_cho_solve(A @ A.T / 50.0 + 0.1 * np.eye(50), 6)
+        np.testing.assert_allclose(grad, expected, rtol=1e-12)
+
+    def test_gradient_error_is_within_cond_eps(self):
+        # Forming the precision loses what a triangular solve loses: about
+        # cond(cov) eps, relative to the solution.
+        q, _ = np.linalg.qr(np.random.default_rng(7).standard_normal((50, 50)))
+        cov = (q * np.geomspace(1e-4, 1e4, 50)) @ q.T
+        cov = 0.5 * (cov + cov.T)
+        grad, expected = self.gradient_and_cho_solve(cov, 7)
+        bound = np.linalg.cond(cov) * np.finfo(float).eps * np.abs(expected).max()
+        assert np.abs(grad - expected).max() <= bound
 
     def test_non_spd_rejected(self):
         with pytest.raises(BadParamsError):
