@@ -21,6 +21,7 @@ import json
 import os
 import sys
 import time
+from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -220,44 +221,26 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
-    payload: dict = {"config": cfg.echo(), "target_dim": target.dim}
-
     if cfg.mode == "single":
-        run = run_single(target, cfg.options, cfg.seed, path_index=0)
-        draws = run.draws
-        payload.update(
-            paths=[_path_record(0, run)],
-            k_hat=None,
-            pool_size=None,
-            counters={"n_logp": run.n_logp, "n_grad": run.n_grad, "pool_n_logp": 0},
-            termination_counts={run.termination.value if run.termination else "none": 1},
-            num_output_draws=int(draws.shape[0]),
-        )
-        failed = run.failed
+        runs = [run_single(target, cfg.options, cfg.seed, path_index=0)]
+        draws, k_hat, pool_size, pool_n_logp = runs[0].draws, None, None, 0
     else:
         try:
             result = run_multi(target, cfg.options, cfg.seed)
         except AllPathsFailedError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 1
-        draws = result.draws
-        term_counts: dict = {}
-        for run in result.runs:
-            key = run.termination.value if run.termination else "none"
-            term_counts[key] = term_counts.get(key, 0) + 1
-        payload.update(
-            paths=[_path_record(i, run) for i, run in enumerate(result.runs)],
-            k_hat=float(result.k_hat),
-            pool_size=int(result.pooled.draws.shape[0]),
-            counters={
-                "n_logp": result.n_logp,
-                "n_grad": result.n_grad,
-                "pool_n_logp": result.pool_n_logp,
-            },
-            termination_counts=term_counts,
-            num_output_draws=int(draws.shape[0]),
-        )
-        failed = False
+        runs, draws, pool_n_logp = result.runs, result.draws, result.pool_n_logp
+        k_hat, pool_size = float(result.k_hat), int(result.pooled.draws.shape[0])
+    payload = {
+        "config": cfg.echo(), "target_dim": target.dim,
+        "paths": [_path_record(i, run) for i, run in enumerate(runs)],
+        "k_hat": k_hat, "pool_size": pool_size, "num_output_draws": int(draws.shape[0]),
+        "counters": {"n_logp": sum(run.n_logp for run in runs) + pool_n_logp,
+                     "n_grad": sum(run.n_grad for run in runs), "pool_n_logp": pool_n_logp},
+        "termination_counts": dict(Counter(
+            run.termination.value if run.termination else "none" for run in runs)),
+    }
 
     try:
         _write_csv(cfg.out, draws)
@@ -272,7 +255,7 @@ def main(argv=None) -> int:
         f"{cfg.diagnostics} ({elapsed:.2f}s)",
         file=sys.stderr,
     )
-    if failed:
+    if all(run.failed for run in runs):  # single mode: run_multi raises instead
         print("error: the single optimization path failed; wrote sentinel draw",
               file=sys.stderr)
         return 1

@@ -22,6 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import SingularEError
+from .targets import _row_dot
 
 # Pair acceptance threshold: s'z must exceed ALPHA_PAIR_EPS * ||z||^2, i.e.
 # the gradient change may not be more than 1e12 times the position change
@@ -100,11 +101,6 @@ class CompactFactors:
         return 2 * self.S.shape[-1]
 
 
-def _rowdot(a, b):
-    """Products of matching rows of stacked vectors, each with the bits of ``a[i] @ b[i]``."""
-    return (a[..., None, :] @ b[..., None])[..., 0, 0]
-
-
 def recover_chunk(recoveries) -> list:
     """Extend every path's diagonal recovery by its next RECOVER_CHUNK steps, in place.
 
@@ -126,14 +122,14 @@ def recover_chunk(recoveries) -> list:
     for p, (rec, n) in enumerate(zip(recoveries, counts)):
         S[p, :n] = rec.thetas[lo + 1:lo + n + 1] - rec.thetas[lo:lo + n]
         Z[p, :n] = rec.grads[lo:lo + n] - rec.grads[lo + 1:lo + n + 1]
-    b_all = _rowdot(S, Z)
-    gate = b_all > ALPHA_PAIR_EPS * _rowdot(Z, Z)   # zero padding never passes
+    b_all = _row_dot(S, Z)
+    gate = b_all > ALPHA_PAIR_EPS * _row_dot(Z, Z)   # zero padding never passes
     # Every row computes an update (refused rows may divide by zero); taken rows keep it.
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         for j in range(S.shape[1]):
             s, z, b = S[:, j], Z[:, j], b_all[:, j, None]
-            a = _rowdot(z, alpha * z)[:, None]
-            c = _rowdot(s, s / alpha)[:, None]
+            a = _row_dot(z, alpha * z)[:, None]
+            c = _row_dot(s, s / alpha)[:, None]
             candidate = 1.0 / (a / (b * alpha) + (z * z) / b
                                - (a * s * s) / (b * c * alpha * alpha))
             take = gate[:, j] & np.isfinite(candidate).all(1) & (candidate > 0.0).all(1)

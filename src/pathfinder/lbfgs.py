@@ -21,9 +21,11 @@ gradient (``(point, True)``), and the optimizer also asks for each search
 direction (a ``DirectionRequest``).  One driver, ``lockstep``, answers
 them: it runs a list of steppers against one target, computes their
 directions as one stack per pair count (``stacked_directions``) and
-evaluates their points with the target's batched methods.  ``optimize`` and
-``wolfe_line_search`` are a lockstep of one stepper; ``single_path`` runs one
-per path, for a single run as for ``run_multi``.
+evaluates their points with the target's batched methods.  A direction
+request whose pairs give no valid E is answered with a NaN direction, which
+ends that path as ``line_search_fail``: one bad path never stops the others.
+``optimize`` and ``wolfe_line_search`` are a lockstep of one stepper;
+``single_path`` runs one per path, for a single run as for ``run_multi``.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import LineSearchFailError, NonFiniteError, SingularEError
+from .errors import LineSearchFailError, NonFiniteError
 from .inv_hessian import factors_from_pairs, low_rank_product, stacked_factors
 from .options import POSITIVE, POSITIVE_INT, UNIT, check_settings, setting
 
@@ -115,8 +117,8 @@ def stacked_directions(S, Z, alpha, grad):
 
     S and Z are (B, N, J'); alpha and grad are (B, N).  Returns the (B, N)
     directions and the (B,) mask of ``inv_hessian.stacked_factors``: rows
-    outside it have no valid E and their directions must not be used; for
-    such a row ``search_direction`` raises SingularEError.
+    outside it have no valid E and hold placeholders, which ``lockstep``
+    replaces by NaN; for such a row ``search_direction`` raises SingularEError.
     """
     factors, ok = stacked_factors(S, Z, alpha)
     with np.errstate(over="ignore", invalid="ignore"):  # rows outside ``ok`` hold placeholders
@@ -169,8 +171,8 @@ def _evaluate(target, states) -> None:
 def _directions(states) -> None:
     """Answer every direction request, one ``stacked_directions`` call per pair count.
 
-    A row without a valid E gets the SingularEError ``search_direction``
-    raises for it, to be thrown into its stepper.
+    A row without a valid E gets a NaN direction, which ends its path as
+    ``line_search_fail`` and no other.
     """
     groups: dict = {}
     for state in states:
@@ -179,8 +181,7 @@ def _directions(states) -> None:
         fields = zip(*(state.request for state in group))
         deltas, ok = stacked_directions(*(np.array(field) for field in fields))
         for state, delta, good in zip(group, deltas, ok.tolist()):
-            state.reply = delta if good else SingularEError(
-                "pair matrix E must be finite with a positive s'z diagonal")
+            state.reply = delta if good else np.full_like(delta, np.nan)
 
 
 def lockstep(target, steppers) -> list:
@@ -189,11 +190,13 @@ def lockstep(target, steppers) -> list:
     Each round answers every pending direction request or, when there is
     none, every pending point request, with one ``target.logp_many`` call
     for the log-density-only ones and one ``target.logp_grad_many`` call for
-    the fused ones.  Returns a StepperState per stepper, whose ``outcome``
-    is its return value or the NonFiniteError it raised; any other error
-    propagates.  The loop ignores floating-point overflow, invalid values
-    and division by zero, once for all steppers and rounds: the steppers
-    themselves set no error state and run only under it.
+    the fused ones.  A direction without a valid E is answered with NaN, so
+    the stepper ends as ``line_search_fail`` instead of raising.  Returns a
+    StepperState per stepper, whose ``outcome`` is its return value or the
+    NonFiniteError it raised; any other error propagates.  The loop ignores
+    floating-point overflow, invalid values and division by zero, once for
+    all steppers and rounds: the steppers themselves set no error state and
+    run only under it.
     """
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         states = active = [StepperState(steps) for steps in steppers]
@@ -206,10 +209,7 @@ def lockstep(target, steppers) -> list:
                 answered = active
             for state in answered:
                 try:
-                    if type(state.reply) is SingularEError:
-                        state.request = state.steps.throw(state.reply)
-                    else:
-                        state.request = state.steps.send(state.reply)
+                    state.request = state.steps.send(state.reply)
                 except StopIteration as stop:
                     state.outcome = stop.value
                 except NonFiniteError as exc:

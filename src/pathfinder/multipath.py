@@ -31,7 +31,6 @@ from .single_path import PathfinderOptions, run_paths
 # run_single is not called here; it stays importable from this module, where
 # the benchmark's tracer (bench/layers.py) looks for it.
 from .single_path import run_single  # noqa: F401
-from .targets import CounterView
 
 logger = logging.getLogger(__name__)
 
@@ -212,12 +211,12 @@ def pool_runs(runs: list, target) -> tuple[WeightedSample, int]:
     """Pool draws from runs, evaluate target log densities, form raw weights.
 
     Returns the pooled sample and the number of target log-density
-    evaluations spent on it.  Each run's ``logp`` field is filled in place.
+    evaluations spent on it: one per row, refused rows included, as
+    ``target.logp_many`` counts them.  Each run's ``logp`` is filled in place.
     """
-    view = CounterView(target)
     all_draws, all_logq, all_logp, comp = [], [], [], []
     for i, run in enumerate(runs):
-        logp_vals = view.logp_many(run.draws)
+        logp_vals = target.logp_many(run.draws)
         run.logp = logp_vals
         all_draws.append(run.draws)
         all_logq.append(run.logq)
@@ -241,7 +240,7 @@ def pool_runs(runs: list, target) -> tuple[WeightedSample, int]:
         log_q=log_q,
         log_p=log_p,
     )
-    return pooled, view.n_logp
+    return pooled, len(draws)
 
 
 def run_multi(target, opts: MultipathOptions, seed: int) -> MultipathResult:

@@ -9,14 +9,16 @@ shard but the first in a forked process (Linux only).  A shard is one
 stepper state, then ``finish_runs``: a ``_Scorer`` recovers the diagonal
 seeds one chunk of RECOVER_CHUNK steps at a time and scores each chunk's
 candidates in stacked blocks sharing a pair count, with one factorization,
-seeding and target call per block.  ``run_single`` is one shard of one
-path, one row per batched call; given a spare core, a forked ``_Scorer``
-scores each chunk of its steps while the path optimizes on.
+seeding and target call per block, keeping each path's best approximation
+as its block built it; the output draws come from that one.  ``run_single``
+is one shard of one path, one row per batched call; given a spare core, a
+forked ``_Scorer`` scores each chunk of its steps while the path optimizes.
 
-Runs never raise on pathological geometry: a run that cannot produce any
-valid approximation returns its last trajectory point as a single draw
-flagged with +inf approximation log density, which guarantees zero
-importance weight downstream.
+Runs never raise on pathological geometry: a search direction without a
+valid pair matrix E ends its path as ``line_search_fail``, and a run that
+cannot produce any valid approximation returns its last trajectory point as
+a single draw flagged with +inf approximation log density, which guarantees
+zero importance weight downstream.
 """
 
 from __future__ import annotations
@@ -34,15 +36,15 @@ from typing import Optional
 import numpy as np
 
 from . import elbo, normal_approx
-# The scoring pass calls elbo.elbo_estimate on whole blocks and recovers all
-# paths in one call; elbo_estimate and alpha_recover stay importable here,
+# The scoring pass calls elbo.elbo_estimate on whole blocks, recovers all
+# paths in one call and keeps each winner as its block built it;
+# elbo_estimate, alpha_recover and assemble_factors stay importable here,
 # where the benchmark's tracer (bench/layers.py) looks for them.
 from .elbo import elbo_estimate  # noqa: F401
 from .errors import AllFailedError, NonFiniteError
-from .inv_hessian import alpha_recover  # noqa: F401
+from .inv_hessian import alpha_recover, assemble_factors  # noqa: F401
 from .inv_hessian import (
-    RECOVER_CHUNK, AlphaRecovery, assemble_factors, pair_counts, recover_chunk, select_rows,
-    stacked_factors, window,
+    RECOVER_CHUNK, AlphaRecovery, pair_counts, recover_chunk, select_rows, stacked_factors, window,
 )
 from .lbfgs import LbfgsOptions, Termination, Trajectory, lockstep, optimize_steps
 # run_paths drives lbfgs.lockstep itself; optimize, the lockstep of one
@@ -174,14 +176,18 @@ def _rows(arrays, owners, iters):
     return np.concatenate([arrays[k][iters[owners == k]] for k in np.unique(owners)])
 
 
-def _score_candidates(target, indices, recoveries, new, tallies, opts, seed):
+def _score_candidates(target, indices, recoveries, new, tallies, winners, opts, seed):
     """Score the candidates of each path's ``new`` latest recovered steps in cross-path blocks.
 
-    Returns each path's ELBOs of them (-inf where disqualified) and adds its
-    counts to ``tallies`` (columns TALLIES).  Each block makes one
-    ``target.logp_many`` call.  Each candidate draws from its own (path,
-    candidate) substream, all of a block's made in one call, so the scores
-    do not depend on how the blocks are cut.
+    Returns each path's ELBOs of them (-inf where disqualified), adds its
+    counts to ``tallies`` (columns TALLIES) and keeps its best scored
+    candidate so far in ``winners``, as (ELBO, iteration, approximation as a
+    stack of one that owns its memory).  A path's candidates come in
+    iteration order, so replacing the kept one only on a strictly greater
+    finite ELBO breaks ties toward the earliest, as ``select_argmax`` does.
+    Each block makes one ``target.logp_many`` call.  Each candidate draws
+    from its own (path, candidate) substream, all of a block's made in one
+    call, so the scores do not depend on how the blocks are cut.
     """
     dim = target.dim
     first = np.array([rec.num_iters - n for rec, n in zip(recoveries, new)])
@@ -220,7 +226,11 @@ def _score_candidates(target, indices, recoveries, new, tallies, opts, seed):
         values = elbo.elbo_estimate(logp_vals, batch.logq).value
         tally("nonfinite_elbo", owners[~np.isfinite(values)])
         for k in np.unique(owners):
-            traces[k][iters[owners == k] - first[k] - 1] = values[owners == k]
+            mine = np.flatnonzero(owners == k)
+            traces[k][iters[mine] - first[k] - 1] = values[mine]
+            top = mine[np.argmax(values[mine])]
+            if values[top] > winners[k][0]:  # kept as a copy: a row view would pin the block
+                winners[k] = values[top], int(iters[top]), select_rows(approx, [top])
     return traces
 
 
@@ -236,6 +246,7 @@ class _Scorer:
         self.recoveries = [AlphaRecovery(np.empty((0, target.dim)), np.zeros(0, dtype=int), None, None)
                            for _ in indices]
         self.traces, self.tallies = [], np.zeros((len(indices), len(TALLIES)), dtype=int)
+        self.winners = [(-np.inf, None, None)] * len(indices)
 
     def advance(self, trajectories) -> bool:
         """Score each path's next chunk of ``trajectories`` as they stand; False if none had one."""
@@ -243,14 +254,14 @@ class _Scorer:
             rec.thetas, rec.grads = trajectory.thetas, trajectory.grads
         new = recover_chunk(self.recoveries)
         self.traces.append(_score_candidates(self.target, self.indices, self.recoveries, new,
-                                             self.tallies, self.opts, self.seed))
+                                             self.tallies, self.winners, self.opts, self.seed))
         return any(new)
 
     def runs(self, paths) -> list:
         """The runs of ``paths``, whose every step has been scored."""
-        return [_draw_from_winner(path, rec, np.concatenate([t[k] for t in self.traces]),
+        return [_draw_from_winner(path, winner, np.concatenate([t[k] for t in self.traces]),
                                   self.tallies[k], self.opts, self.seed)
-                for k, (path, rec) in enumerate(zip(paths, self.recoveries))]
+                for k, (path, winner) in enumerate(zip(paths, self.winners))]
 
 
 def _run(path, draws, logq, elbo_trace=(), tally=(0,) * len(TALLIES), elbo_draws=0,
@@ -477,17 +488,12 @@ def finish_runs(target, paths: list, opts: PathfinderOptions, seed: int) -> list
     return runs
 
 
-def _draw_from_winner(path, recovery, elbo_trace, tally, opts, seed):
+def _draw_from_winner(path, winner, elbo_trace, tally, opts, seed):
     """The run of a scored path: draws from its ELBO-best candidate, or a failed run."""
-    trajectory = path.trajectory
-    try:
-        l_star = select_argmax(elbo_trace)
-    except AllFailedError:
+    _, l_star, approx = winner
+    if approx is None:
         return _failed_run(path, elbo_trace, tally, opts.elbo_draws)
-
-    # Rebuild the winner through the same stacked code, as a stack of one,
-    # and draw a fresh batch of output draws.
-    factors = assemble_factors(recovery, l_star, opts.lbfgs.history_size)
-    approx = normal_approx.build(factors, trajectory.thetas[l_star], trajectory.grads[l_star])
+    # The winner as its scoring block built it, and a fresh batch of output draws.
+    approx = select_rows(approx, 0)
     batch = normal_approx.sample(approx, opts.num_draws, substream(seed, path.index, STREAM_FINAL))
     return _run(path, batch.draws, batch.logq, elbo_trace, tally, opts.elbo_draws, l_star, approx)

@@ -199,8 +199,9 @@ class CounterView:
 
     Delegates all math to the base target (whose global counters keep
     ticking) while keeping a private count of the evaluations routed through
-    this view; pooling counts its evaluations with one.  Optimizer paths
-    read theirs from ``lbfgs.lockstep``.  It counts what the base counts,
+    this view.  The package itself uses none: optimizer paths read their
+    counts from ``lbfgs.lockstep``, and pooling counts its rows.  It is kept
+    for callers that share a target.  It counts what the base counts,
     refused points included.
     """
 
@@ -259,12 +260,12 @@ class CounterView:
 
 
 def _row_dot(a, b):
-    """Dot product of each row pair of two (M, K) arrays.
+    """Dot product of each row pair of two (..., K) stacks of vectors.
 
     Each row takes the BLAS dot that ``a[i] @ b[i]`` takes, so its bits do
     not depend on the batch it is in.
     """
-    return np.matmul(a[:, None, :], b[:, :, None])[:, 0, 0]
+    return (a[..., None, :] @ b[..., None])[..., 0, 0]
 
 
 class StdNormal(LogDensityTarget):
@@ -374,9 +375,6 @@ class _EightSchools(LogDensityTarget):
     Each parameterization writes its density once, for a batch with every
     row computed on its own; a single point is a batch of one.
     """
-
-    tau_index = 9
-    mu_index = 8
 
     def __init__(self, name: str):
         super().__init__(10, name)
@@ -510,16 +508,6 @@ class LogisticRegression(LogDensityTarget):
 # Registry
 # ---------------------------------------------------------------------------
 
-TARGET_NAMES = (
-    "std_normal",
-    "mvn",
-    "neal_funnel",
-    "eight_schools_centered",
-    "eight_schools_noncentered",
-    "logistic_regression",
-)
-
-
 def _make_sized(cls, name):
     def make(params):
         dim = params.pop("dim", None)
@@ -588,6 +576,7 @@ _FACTORIES = {
     "eight_schools_noncentered": _make_eight_schools(EightSchoolsNonCentered),
     "logistic_regression": _make_logistic_regression,
 }
+TARGET_NAMES = tuple(_FACTORIES)
 
 
 def make_target(name: str, **params) -> LogDensityTarget:

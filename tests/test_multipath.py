@@ -9,7 +9,7 @@ from pathfinder import (
     MultipathOptions,
     NoFiniteWeightsError,
     PathfinderOptions,
-    SingularEError,
+    Termination,
     fit_generalized_pareto,
     inv_hessian,
     lbfgs,
@@ -27,6 +27,7 @@ from pathfinder.single_path import PathfinderRun, initial_point
 from pathfinder.targets import LogDensityTarget
 
 from oracles import gpd_sample
+from test_shards import assert_same_run
 
 
 class Plateau(LogDensityTarget):
@@ -205,16 +206,23 @@ class TestPooling:
         assert np.all(pooled.component_ids[idx] == 0)
 
     def test_pool_counts_logp_once_per_draw(self):
+        # Refused rows, a non-finite input or a density that overflows, count
+        # as evaluations too, as the target counts them.
         target = make_target("std_normal", dim=2)
-        runs = [run_single(target, PathfinderOptions(num_draws=30), seed=0, path_index=i)
+        good = [run_single(target, PathfinderOptions(num_draws=30), seed=0, path_index=i)
                 for i in range(3)]
-        before = target.eval_count_logp
-        pooled, pool_evals = pool_runs(runs, target)
-        assert pool_evals == 90
-        assert target.eval_count_logp - before == 90
-        assert pooled.draws.shape == (90, 2)
-        for run in runs:
-            assert run.logp is not None and len(run.logp) == 30
+        for refused in ([], [[np.nan, 0.0], [1e200, 0.0]]):
+            runs = good + [failed_run(point) for point in refused]
+            rows = 90 + len(refused)
+            before = (target.eval_count_logp, target.eval_count_grad)
+            pooled, pool_evals = pool_runs(runs, target)
+            assert pool_evals == rows
+            assert (target.eval_count_logp, target.eval_count_grad) == (before[0] + rows, before[1])
+            assert pooled.draws.shape == (rows, 2)
+            assert np.all(pooled.log_p[90:] == -np.inf)
+            assert np.all(pooled.log_w_raw[90:] == -np.inf)
+            for run in runs:
+                assert run.logp is not None and len(run.logp) == len(run.draws)
 
 
 class TestRunMulti:
@@ -360,15 +368,17 @@ class TestLockstep:
                     run.scored_candidates) == (alone.n_logp, alone.n_grad, alone.lbfgs_n_logp,
                                                alone.lbfgs_n_grad, alone.scored_candidates)
 
-    def test_singular_direction_raises_like_run_single(self, monkeypatch):
+    def test_singular_direction_ends_only_its_path(self, monkeypatch):
         # Mark the fourth direction request of path 2 (found by its pairs and
         # seed) as having no valid E, in ``stacked_factors``, which builds the
         # factors of both the stacked directions and ``search_direction``:
-        # run_multi raises the SingularEError that run_single raises for
-        # path 2 alone, and for no other path.
+        # run_multi completes, path 2 ends as line_search_fail exactly as
+        # run_single ends it under the same poison, and every other path
+        # equals its unpoisoned run.
         name = "eight_schools_noncentered"
         opts = MultipathOptions(num_paths=4, num_resample=20, single=PathfinderOptions(
             num_draws=10, lbfgs=LbfgsOptions(max_iters=50)))
+        clean = run_multi(make_target(name), opts, seed=3)
         stacked_factors = inv_hessian.stacked_factors
         requests = []
 
@@ -391,14 +401,15 @@ class TestLockstep:
 
         monkeypatch.setattr(inv_hessian, "stacked_factors", singular_at_poison)
         monkeypatch.setattr(lbfgs, "stacked_factors", singular_at_poison)
-        with pytest.raises(SingularEError):
-            run_multi(make_target(name), opts, seed=3)
-        for i in range(4):
-            if i == 2:
-                with pytest.raises(SingularEError):
-                    run_single(make_target(name), opts.single, 3, path_index=i)
-            else:
-                assert not run_single(make_target(name), opts.single, 3, path_index=i).failed
+        target = make_target(name)
+        res = run_multi(target, opts, seed=3)
+        assert (target.eval_count_grad, target.eval_count_logp) == (res.n_grad, res.n_logp)
+        poisoned = res.runs[2]
+        assert poisoned.termination is Termination.LINE_SEARCH_FAIL
+        assert poisoned.num_iters == 3 < clean.runs[2].num_iters
+        assert_same_run(poisoned, run_single(make_target(name), opts.single, 3, path_index=2))
+        for i in (0, 1, 3):
+            assert_same_run(res.runs[i], clean.runs[i])
 
     def test_refused_points_fail_only_their_own_path(self):
         # A narrow normal whose density is refused past theta_0 = 1.5: paths

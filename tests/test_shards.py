@@ -21,7 +21,6 @@ from pathfinder import (
     LbfgsOptions,
     MultipathOptions,
     PathfinderOptions,
-    SingularEError,
     lbfgs,
     make_target,
     run_multi,
@@ -296,10 +295,13 @@ class TestErrors:
             run_multi(Raising(lambda: ShardError("in the caller"), where="parent"), OPTS, 1)
         assert len(forked) == 2  # both reaped: the fixture finds no child left
 
-    def test_singular_direction_in_a_child_raises_like_run_single(self, cores, monkeypatch):
-        # Every direction with pairs lacks a valid E in the child only, so
-        # the child's paths raise, and run_single, poisoned everywhere,
-        # raises the same error.
+    def test_singular_direction_in_a_child_ends_only_its_path(self, cores, monkeypatch):
+        # Every direction with pairs lacks a valid E in the child only: run_multi
+        # completes, each of the child's paths ends as line_search_fail exactly
+        # as run_single ends it when poisoned everywhere, and each path of the
+        # caller's shard equals its unpoisoned run.
+        name = "eight_schools_noncentered"
+        clean = run_with(cores, 2, name, {}, seed=3)
         stacked_directions = lbfgs.stacked_directions
 
         def singular(everywhere):
@@ -310,14 +312,17 @@ class TestErrors:
                 return deltas, ok
             return directions
 
-        monkeypatch.setattr(lbfgs, "stacked_directions", singular(True))
-        with pytest.raises(SingularEError) as alone:
-            run_single(make_target("eight_schools_noncentered"), OPTS.single, 3, path_index=5)
-        cores(2)
         monkeypatch.setattr(lbfgs, "stacked_directions", singular(False))
-        with pytest.raises(SingularEError) as sharded:
-            run_multi(make_target("eight_schools_noncentered"), OPTS, 3)
-        assert str(sharded.value) == str(alone.value)
+        sharded = run_with(cores, 2, name, {}, seed=3)
+        monkeypatch.setattr(lbfgs, "stacked_directions", singular(True))
+        child = range(OPTS.num_paths // 2, OPTS.num_paths)  # the second shard's paths
+        for i, run in enumerate(sharded.runs):
+            if i in child:
+                assert run.termination is lbfgs.Termination.LINE_SEARCH_FAIL
+                assert run.num_iters < clean.runs[i].num_iters
+                assert_same_run(run, run_single(make_target(name), OPTS.single, 3, path_index=i))
+            else:
+                assert_same_run(run, clean.runs[i])
 
     def test_refused_initial_point_in_a_child_is_a_failed_run(self, cores):
         class Walled(LogDensityTarget):
