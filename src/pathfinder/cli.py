@@ -187,7 +187,7 @@ def _path_record(index: int, run) -> dict:
     return {
         "path": index,
         "failed": run.failed,
-        "termination": run.termination.value if run.termination is not None else None,
+        "termination": run.termination.value,
         "num_iters": run.num_iters,
         "l_star": run.l_star,
         "elbo_trace": [float(v) for v in run.elbo_trace],
@@ -238,8 +238,7 @@ def main(argv=None) -> int:
         "k_hat": k_hat, "pool_size": pool_size, "num_output_draws": int(draws.shape[0]),
         "counters": {"n_logp": sum(run.n_logp for run in runs) + pool_n_logp,
                      "n_grad": sum(run.n_grad for run in runs), "pool_n_logp": pool_n_logp},
-        "termination_counts": dict(Counter(
-            run.termination.value if run.termination else "none" for run in runs)),
+        "termination_counts": dict(Counter(run.termination.value for run in runs)),
     }
 
     try:

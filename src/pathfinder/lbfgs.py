@@ -23,7 +23,8 @@ them: it runs a list of steppers against one target, computes their
 directions as one stack per pair count (``stacked_directions``) and
 evaluates their points with the target's batched methods.  A direction
 request whose pairs give no valid E is answered with a NaN direction, which
-ends that path as ``line_search_fail``: one bad path never stops the others.
+ends that path as ``line_search_fail``, and a refused start ends its path as
+``nonfinite_at_init``: one bad path never stops the others.
 ``optimize`` and ``wolfe_line_search`` are a lockstep of one stepper;
 ``single_path`` runs one per path, for a single run as for ``run_multi``.
 """
@@ -72,13 +73,15 @@ class Termination(Enum):
     MAX_ITER = "max_iter"
     LINE_SEARCH_FAIL = "line_search_fail"
     ZERO_GRADIENT_AT_INIT = "zero_gradient_at_init"
+    NONFINITE_AT_INIT = "nonfinite_at_init"
 
 
 @dataclass
 class Trajectory:
     """Optimization path theta^(0:L') with gradients and log densities.
 
-    ``logps`` is strictly increasing; all three arrays have L'+1 rows.
+    ``logps`` is strictly increasing; all three arrays have L'+1 rows, one
+    for a refused start, whose gradient is NaN and log density -inf.
     """
 
     thetas: np.ndarray
@@ -141,7 +144,7 @@ def search_direction(S, Z, alpha, grad) -> np.ndarray:
 
 class StepperState:
     """A stepper under ``lockstep``: its request, the reply, its evaluation
-    counts and, once it stops, its ``outcome`` (None until then)."""
+    counts and, once it stops, its return value ``outcome`` (None until then)."""
 
     __slots__ = ("steps", "request", "reply", "outcome", "n_logp_only", "n_fused")
 
@@ -152,13 +155,14 @@ class StepperState:
 
 
 def _evaluate(target, states) -> None:
-    """Answer every point request with at most two batched calls; a refused point gets None."""
+    """Answer every point request with at most two batched calls; a refused
+    trial gets -inf, as from ``logp_many``, and a refused fused point None."""
     trials = [state for state in states if not state.request[1]]
     if trials:
         logps = target.logp_many(np.array([state.request[0] for state in trials]))
         for state, logp in zip(trials, logps.tolist()):
             state.n_logp_only += 1
-            state.reply = logp if logp > -math.inf else None
+            state.reply = logp
     fused = [state for state in states if state.request[1]]
     if fused:
         logps, grads, ok = target.logp_grad_many(np.array([state.request[0] for state in fused]))
@@ -192,11 +196,10 @@ def lockstep(target, steppers) -> list:
     for the log-density-only ones and one ``target.logp_grad_many`` call for
     the fused ones.  A direction without a valid E is answered with NaN, so
     the stepper ends as ``line_search_fail`` instead of raising.  Returns a
-    StepperState per stepper, whose ``outcome`` is its return value or the
-    NonFiniteError it raised; any other error propagates.  The loop ignores
-    floating-point overflow, invalid values and division by zero, once for
-    all steppers and rounds: the steppers themselves set no error state and
-    run only under it.
+    StepperState per stepper, whose ``outcome`` is its return value; an error
+    a stepper raises propagates.  The loop ignores floating-point overflow,
+    invalid values and division by zero, once for all steppers and rounds:
+    the steppers themselves set no error state and run only under it.
     """
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         states = active = [StepperState(steps) for steps in steppers]
@@ -212,8 +215,6 @@ def lockstep(target, steppers) -> list:
                     state.request = state.steps.send(state.reply)
                 except StopIteration as stop:
                     state.outcome = stop.value
-                except NonFiniteError as exc:
-                    state.outcome = exc
             active = [state for state in active if state.outcome is None]
     return states
 
@@ -233,8 +234,9 @@ def line_search_steps(theta, logp, grad, delta, c1, step=1.0):
     while step >= MIN_STEP:
         candidate = theta + step * delta
         trial_logp = yield candidate, False
-        # Python floats: an overflow or nan in the bound fails the check quietly.
-        if trial_logp is not None and trial_logp >= logp + c1 * step * slope:
+        # Python floats: a refused trial (-inf), or an overflow or nan in the
+        # bound, fails the check quietly.
+        if trial_logp >= logp + c1 * step * slope:
             passed = step, candidate
             if grow and step < 1.0:
                 step *= 2.0
@@ -293,19 +295,21 @@ def optimize(target, theta_init, opts: LbfgsOptions) -> Trajectory:
     call of one row per evaluation.
     """
     trajectory = lockstep(target, [optimize_steps(theta_init, opts)])[0].outcome
-    if isinstance(trajectory, NonFiniteError):
-        raise trajectory
+    if trajectory.termination is Termination.NONFINITE_AT_INIT:
+        raise NonFiniteError("non-finite log density or gradient at the initial point")
     return trajectory
 
 
 def optimize_steps(theta_init, opts: LbfgsOptions, record=None):
     """Stepper of ``optimize``: yields theta_init, then each direction request
     and the points of the line search along its answer.  ``record``, if
-    given, is called with each trajectory point and its gradient as it joins."""
+    given, is called with each trajectory point and its gradient as it joins;
+    a refused start returns at once as ``NONFINITE_AT_INIT``, recording none."""
     theta = np.asarray(theta_init, dtype=float)
     result = yield theta, True
     if result is None:
-        raise NonFiniteError("non-finite log density or gradient at the initial point")
+        return Trajectory(theta[None], np.full((1, theta.size), np.nan), np.array([-np.inf]),
+                          Termination.NONFINITE_AT_INIT)
     logp, grad = result
 
     thetas, grads, logps = [theta], [grad], [logp]

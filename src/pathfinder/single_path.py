@@ -15,10 +15,11 @@ is one shard of one path, one row per batched call; given a spare core, a
 forked ``_Scorer`` scores each chunk of its steps while the path optimizes.
 
 Runs never raise on pathological geometry: a search direction without a
-valid pair matrix E ends its path as ``line_search_fail``, and a run that
-cannot produce any valid approximation returns its last trajectory point as
-a single draw flagged with +inf approximation log density, which guarantees
-zero importance weight downstream.
+valid pair matrix E ends its path as ``line_search_fail``, a refused start
+ends it as ``nonfinite_at_init``, and a run that cannot produce any valid
+approximation returns its last trajectory point as a single draw flagged
+with +inf approximation log density, which guarantees zero importance
+weight downstream.
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ from . import elbo, normal_approx
 # elbo_estimate, alpha_recover and assemble_factors stay importable here,
 # where the benchmark's tracer (bench/layers.py) looks for them.
 from .elbo import elbo_estimate  # noqa: F401
-from .errors import AllFailedError, NonFiniteError
+from .errors import AllFailedError
 from .inv_hessian import alpha_recover, assemble_factors  # noqa: F401
 from .inv_hessian import (
     RECOVER_CHUNK, AlphaRecovery, pair_counts, recover_chunk, select_rows, stacked_factors, window,
@@ -96,10 +97,12 @@ class PathfinderRun:
 
     A failed run carries exactly one draw (the last trajectory point) with
     ``logq == +inf``; otherwise ``l_star`` is the 1-based trajectory iteration
-    whose approximation won the ELBO argmax.  ``disqualified`` counts the
-    candidates dropped for each of DISQUALIFY_REASONS; all but
-    ``nonfinite_elbo`` were never sampled.  ``logp`` stays None until a
-    pooling step evaluates target log densities for the draws.
+    whose approximation won the ELBO argmax.  ``termination`` says why its
+    optimizer stopped, ``NONFINITE_AT_INIT`` for a refused start, whose one
+    draw is that start.  ``disqualified`` counts the candidates dropped for
+    each of DISQUALIFY_REASONS; all but ``nonfinite_elbo`` were never
+    sampled.  ``logp`` stays None until a pooling step evaluates target log
+    densities for the draws.
     """
 
     draws: np.ndarray
@@ -110,7 +113,7 @@ class PathfinderRun:
     n_logp: int
     n_grad: int
     num_iters: int
-    termination: Optional[Termination]
+    termination: Termination
     scored_candidates: int
     lbfgs_n_logp: int
     lbfgs_n_grad: int
@@ -267,7 +270,7 @@ class _Scorer:
 def _run(path, draws, logq, elbo_trace=(), tally=(0,) * len(TALLIES), elbo_draws=0,
          l_star=None, approx=None):
     """A path's run; failed, flagged by its one draw's logq = +inf, when ``l_star`` is None."""
-    trajectory, scored = path.trajectory, int(tally[0])
+    scored = int(tally[0])
     return PathfinderRun(
         draws=draws,
         logq=logq,
@@ -276,8 +279,8 @@ def _run(path, draws, logq, elbo_trace=(), tally=(0,) * len(TALLIES), elbo_draws
         failed=l_star is None,
         n_logp=path.n_logp + scored * elbo_draws,
         n_grad=path.n_grad,
-        num_iters=0 if trajectory is None else trajectory.num_iters,
-        termination=None if trajectory is None else trajectory.termination,
+        num_iters=path.trajectory.num_iters,
+        termination=path.trajectory.termination,
         scored_candidates=scored,
         lbfgs_n_logp=path.n_logp,
         lbfgs_n_grad=path.n_grad,
@@ -288,8 +291,7 @@ def _run(path, draws, logq, elbo_trace=(), tally=(0,) * len(TALLIES), elbo_draws
 
 def _failed_run(path, *score):
     """The run of a path with no valid approximation: its last point, flagged by logq = +inf."""
-    last = path.theta0 if path.trajectory is None else path.trajectory.thetas[-1]
-    return _run(path, np.asarray(last, dtype=float)[None, :], np.array([np.inf]), *score)
+    return _run(path, path.trajectory.thetas[-1:], np.array([np.inf]), *score)
 
 
 def initial_point(dim: int, opts: PathfinderOptions, seed: int, path_index: int) -> np.ndarray:
@@ -302,14 +304,12 @@ def initial_point(dim: int, opts: PathfinderOptions, seed: int, path_index: int)
 class OptimizedPath:
     """A path whose optimizer has stopped, waiting to be scored.
 
-    ``n_logp`` and ``n_grad`` count the optimizer's evaluations;
-    ``trajectory`` is None when the initial point ``theta0`` had a
-    non-finite log density or gradient.
+    ``n_logp`` and ``n_grad`` count the optimizer's evaluations; a refused
+    start leaves a one-point ``trajectory`` ended as ``NONFINITE_AT_INIT``.
     """
 
     index: int
-    theta0: np.ndarray
-    trajectory: Optional[Trajectory]
+    trajectory: Trajectory
     n_logp: int
     n_grad: int
 
@@ -446,11 +446,10 @@ class _Feed:
 def _run_shard(target, opts: PathfinderOptions, seed: int, indices, feed=None) -> list:
     """Runs of the paths ``indices``: one ``lbfgs.lockstep``, then ``finish_runs``,
     or none for a lone path whose ``feed`` forked a scorer, which replies with it."""
-    theta0s = [initial_point(target.dim, opts, seed, i) for i in indices]
-    states = lockstep(target, [optimize_steps(theta0, opts.lbfgs, feed) for theta0 in theta0s])
-    paths = [OptimizedPath(i, theta0, None if isinstance(s.outcome, NonFiniteError) else s.outcome,
-                           s.n_fused + s.n_logp_only, s.n_fused)
-             for i, theta0, s in zip(indices, theta0s, states)]
+    states = lockstep(target, [optimize_steps(initial_point(target.dim, opts, seed, i),
+                                              opts.lbfgs, feed) for i in indices])
+    paths = [OptimizedPath(i, s.outcome, s.n_fused + s.n_logp_only, s.n_fused)
+             for i, s in zip(indices, states)]
     if feed and feed.fd is not None:
         feed.send(paths[0])
         return []
@@ -478,7 +477,7 @@ def finish_runs(target, paths: list, opts: PathfinderOptions, seed: int) -> list
     of RECOVER_CHUNK steps at a time, so a path's run equals its run scored
     alone wherever the target's batched rows do not depend on the batch.
     """
-    scorable = [i for i, path in enumerate(paths) if path.trajectory and path.trajectory.num_iters]
+    scorable = [i for i, path in enumerate(paths) if path.trajectory.num_iters]
     runs = [None if i in scorable else _failed_run(path) for i, path in enumerate(paths)]
     scorer = _Scorer(target, [paths[i].index for i in scorable], opts, seed)
     while scorable and scorer.advance([paths[i].trajectory for i in scorable]):

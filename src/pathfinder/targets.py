@@ -1,13 +1,15 @@
 """Differentiable log-density targets with evaluation counters.
 
-Every target is an unnormalized (or normalized) log density on R^N exposing a
-fused ``logp_grad`` evaluation, its batched form ``logp_grad_many``, and
-log-density-only evaluations.  The package calls only the batched forms; a
-single path is a batch of one.  Each built-in target writes its log density
-once, for a batch, shared by the fused and the log-density-only evaluations,
-which therefore agree bit for bit; a point is a batch of one.  Building a
-target rejects a non-finite or non-numeric parameter, or a size that is not
-a positive integer, with a BadParamsError naming it.
+Every target is an unnormalized (or normalized) log density on R^N exposing
+batched fused (``logp_grad_many``) and log-density-only (``logp_many``)
+evaluations, which flag a row as refused where its input or output is not
+finite.  A point is a batch of one: ``logp_grad`` and ``logp`` are the
+batched forms on one row and raise NonFiniteError where it is refused.  The
+package calls only the batched forms.  Each built-in target writes its log
+density once, for a batch, shared by both kinds of evaluation, which
+therefore agree bit for bit.  Building a target rejects a non-finite or
+non-numeric parameter, or a size that is not a positive integer, with a
+BadParamsError naming it.
 Instances are immutable apart from their evaluation counters, plain integers
 that every evaluation adds to.  Calls from several threads count exactly only
 under a global interpreter lock, which does not switch threads inside an
@@ -47,7 +49,9 @@ class LogDensityTarget:
     """Base class: a differentiable log density on R^N.
 
     Subclasses implement the fused density for a point (``_logp_grad_impl``)
-    or for a batch (``_density``), each defaulting to the other.  A batched
+    or for a batch (``_density``), each defaulting to the other; one that
+    implements neither is a TypeError at construction.  Evaluations reach
+    them as a batch, each row whose input is not finite zeroed.  A batched
     ``_density`` may skip the gradient (return None) when ``need_grad`` is
     false, but its log density must not depend on the flag: the line search
     decides on logp-only evaluations and keeps the fused one at the accepted
@@ -60,10 +64,14 @@ class LogDensityTarget:
     """
 
     def __init__(self, dim: int, name: str = ""):
+        cls = type(self)
+        if (cls._density is LogDensityTarget._density
+                and cls._logp_grad_impl is LogDensityTarget._logp_grad_impl):
+            raise TypeError(f"{cls.__name__} must override _density or _logp_grad_impl")
         if dim < 1:
             raise BadParamsError(f"dim must be a positive integer, got {dim}")
         self.dim = int(dim)
-        self.name = name or type(self).__name__
+        self.name = name or cls.__name__
         self._shape = (self.dim,)
         self._n_fused = 0
         self._n_logp_only = 0
@@ -96,10 +104,6 @@ class LogDensityTarget:
             )
         return points
 
-    def _refuse_non_finite(self, theta) -> None:
-        if not np.isfinite(theta).all():
-            raise NonFiniteError(f"{self.name}: input point contains non-finite values")
-
     @staticmethod
     def _finite_rows(points):
         """The batch with non-finite rows zeroed, and the mask of finite rows
@@ -114,40 +118,30 @@ class LogDensityTarget:
     def logp_grad(self, theta):
         """Return ``(log p(theta), grad log p(theta))``, counting one fused evaluation.
 
-        Raises NonFiniteError if the input or either output is non-finite;
-        the line search treats that as a rejected step.
+        This is ``logp_grad_many`` on the batch of one, bit for bit, raising
+        NonFiniteError where that row is refused.
         """
-        theta = self._check_point(theta)
-        self._n_fused += 1
-        self._refuse_non_finite(theta)
-        with np.errstate(all="ignore"):
-            logp, grad = self._logp_grad_impl(theta)
-        grad = np.asarray(grad, dtype=float)
-        if not (math.isfinite(logp) and np.isfinite(grad).all()):
-            raise NonFiniteError(f"{self.name}: non-finite log density or gradient")
-        return float(logp), grad
+        logp, grad, ok = self.logp_grad_many(self._check_point(theta)[None])
+        if not ok[0]:
+            raise NonFiniteError(f"{self.name}: non-finite input, log density or gradient")
+        return float(logp[0]), grad[0]
 
     def logp(self, theta) -> float:
         """Log density only, as a batch of one; increments only the log-density counter.
 
-        Equals ``logp_grad(theta)[0]`` bit for bit.  Raises NonFiniteError if
-        the input or the log density is non-finite.
+        Equals ``logp_many`` on the batch of one and ``logp_grad(theta)[0]``
+        bit for bit, raising NonFiniteError where the row is refused (-inf).
         """
-        theta = self._check_point(theta)
-        self._n_logp_only += 1
-        self._refuse_non_finite(theta)
-        with np.errstate(all="ignore"):
-            logp = float(self._density(theta[None], False)[0][0])
-        if not math.isfinite(logp):
-            raise NonFiniteError(f"{self.name}: non-finite log density")
+        logp = float(self.logp_many(self._check_point(theta)[None])[0])
+        if logp == -math.inf:
+            raise NonFiniteError(f"{self.name}: non-finite input or log density")
         return logp
 
     def logp_many(self, points) -> np.ndarray:
         """Log density of each row of an (M, N) batch, counting M evaluations.
 
-        A row whose input or log density is not finite comes back as -inf
-        instead of raising, which is what pooled-draw scoring and lockstep
-        line-search trials want.  Each row equals the fused log density of
+        A row whose input or log density is not finite is refused: it comes
+        back as -inf.  Each row equals the fused log density of
         ``logp_grad_many`` on the same batch bit for bit.
         """
         points = self._check_batch(points)
@@ -164,12 +158,11 @@ class LogDensityTarget:
         """Fused evaluation of an (M, N) batch, counting M fused evaluations.
 
         Returns ``(logp (M,), grad (M, N), ok (M,))``.  A row whose input or
-        output is not finite is refused the way ``logp_grad`` refuses a point:
-        it is flagged False in ``ok`` and its values are meaningless; the other
-        rows are unaffected.  Most targets compute each row on its own, so a
-        row's bits do not depend on the batch it is in.  Logistic regression
-        does not: its rows are BLAS matrix products, whose rounding depends on
-        the batch.
+        output is not finite is refused: it is flagged False in ``ok`` and its
+        values are meaningless; the other rows are unaffected.  Most targets
+        compute each row on its own, so a row's bits do not depend on the
+        batch it is in.  Logistic regression does not: its rows are BLAS
+        matrix products, whose rounding depends on the batch.
         """
         points = self._check_batch(points)
         self._n_fused += points.shape[0]
@@ -230,23 +223,19 @@ class CounterView:
     def eval_count_grad(self) -> int:
         return self.n_grad
 
-    # Each method checks the shape first, so it counts exactly the points the
-    # base counts: the right shape, refused for being non-finite or not.
+    def _check_point(self, theta):
+        return self._base._check_point(theta)
 
-    def logp_grad(self, theta):
-        theta = self._base._check_point(theta)
-        self.n_grad += 1
-        return self._base.logp_grad(theta)
+    # A point is a batch of one here too.  Each batched method checks the
+    # shape first, so it counts exactly the points the base counts: the right
+    # shape, refused for being non-finite or not.
+    logp_grad = LogDensityTarget.logp_grad
+    logp = LogDensityTarget.logp
 
     def logp_grad_many(self, points):
         points = self._base._check_batch(points)
         self.n_grad += points.shape[0]
         return self._base.logp_grad_many(points)
-
-    def logp(self, theta):
-        theta = self._base._check_point(theta)
-        self.n_logp_only += 1
-        return self._base.logp(theta)
 
     def logp_many(self, points):
         points = self._base._check_batch(points)
@@ -369,18 +358,7 @@ _ES_CONST = (
 )
 
 
-class _EightSchools(LogDensityTarget):
-    """The eight-schools layout: eight school coordinates, mu, tau (log scale).
-
-    Each parameterization writes its density once, for a batch with every
-    row computed on its own; a single point is a batch of one.
-    """
-
-    def __init__(self, name: str):
-        super().__init__(10, name)
-
-
-class EightSchoolsCentered(_EightSchools):
+class EightSchoolsCentered(LogDensityTarget):
     """Hierarchical meta-analysis posterior, centered parameterization.
 
     Coordinates: theta_1..theta_8 (school effects), mu, tau, where tau is the
@@ -389,7 +367,7 @@ class EightSchoolsCentered(_EightSchools):
     """
 
     def __init__(self):
-        super().__init__("eight_schools_centered")
+        super().__init__(10, "eight_schools_centered")
 
     def _density(self, points, need_grad):
         effects = points[:, :8]
@@ -418,7 +396,7 @@ class EightSchoolsCentered(_EightSchools):
         return logp, grad
 
 
-class EightSchoolsNonCentered(_EightSchools):
+class EightSchoolsNonCentered(LogDensityTarget):
     """Eight-schools posterior, non-centered parameterization.
 
     Coordinates: eta_1..eta_8 (standardized effects), mu, tau (log scale);
@@ -426,7 +404,7 @@ class EightSchoolsNonCentered(_EightSchools):
     """
 
     def __init__(self):
-        super().__init__("eight_schools_noncentered")
+        super().__init__(10, "eight_schools_noncentered")
 
     def _density(self, points, need_grad):
         eta = points[:, :8]

@@ -251,6 +251,22 @@ class TestMain:
         header, rows = read_csv(out)
         assert len(rows) == 1  # the sentinel draw
 
+    def test_refused_start_is_a_stated_termination(self, tmp_path):
+        # Starts of size ~1e200 overflow the log density, so the start is
+        # refused: the path fails as nonfinite_at_init with its start as the draw.
+        out, diag = run_cli(tmp_path, "--target", "std_normal", "--dim", "2", "--mode", "single",
+                            "--seed", "1", "--init-radius", "1e200", check=1)
+        payload = json.loads(diag.read_text())
+        assert payload["termination_counts"] == {"nonfinite_at_init": 1}
+        path = payload["paths"][0]
+        assert (path["termination"], path["failed"], path["num_iters"]) == (
+            "nonfinite_at_init", True, 0)
+        assert (path["n_grad"], path["n_logp"]) == (1, 1)
+        _, rows = read_csv(out)
+        start = pathfinder.single_path.initial_point(
+            2, pathfinder.PathfinderOptions(init_radius=1e200), 1, 0)
+        assert [float(v) for v in rows[0]] == start.tolist() and len(rows) == 1
+
     def test_config_file_merge_flags_win(self, tmp_path):
         cfg_file = tmp_path / "cfg.json"
         cfg_file.write_text(json.dumps({

@@ -1,8 +1,10 @@
 """Tests for the Monte Carlo ELBO estimator."""
 
+import random
+
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from pathfinder import DimensionMismatchError, build, elbo_estimate, make_target, sample
 from pathfinder.inv_hessian import factors_from_pairs
@@ -53,14 +55,20 @@ class TestProperties:
         shifted = elbo_estimate(logp + c, logq).value
         assert shifted == pytest.approx(base + c, rel=1e-12, abs=1e-9)
 
+    # Terms that cancel leave a mean far smaller than they are, so two
+    # summation orders may differ by far more than its relative rounding:
+    # this input breaks a relative tolerance of 1e-12 by a factor of 2.5.
     @given(finite_vectors, st.randoms(use_true_random=False))
+    @example(vals=[0.0, 998949.0, -998962.0, 0.0], rand=random.Random(0))
     def test_permutation_invariance(self, vals, rand):
         logp = np.asarray(vals)
         logq = np.asarray([rand.uniform(-5, 5) for _ in vals])
         perm = np.asarray(rand.sample(range(len(vals)), len(vals)), dtype=int)
         a = elbo_estimate(logp, logq).value
         b = elbo_estimate(logp[perm], logq[perm]).value
-        assert b == pytest.approx(a, rel=1e-12, abs=1e-12)
+        # The means of n terms summed in two orders differ by at most
+        # n eps max|term|.
+        assert abs(b - a) <= len(vals) * np.finfo(float).eps * np.abs(logp - logq).max()
 
 
 @pytest.mark.parametrize("m", [1, 2, 5, 7, 130])

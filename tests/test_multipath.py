@@ -436,7 +436,7 @@ class TestLockstep:
             assert run.failed == bad
             if bad:
                 np.testing.assert_array_equal(run.draws, start[None, :])
-                assert (run.termination, run.n_grad) == (None, 1)
+                assert (run.termination, run.n_grad) == (Termination.NONFINITE_AT_INIT, 1)
             alone = run_single(Walled(), opts.single, 4, path_index=i)
             np.testing.assert_array_equal(run.draws, alone.draws)
             assert (run.n_grad, run.n_logp) == (alone.n_grad, alone.n_logp)

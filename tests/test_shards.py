@@ -347,6 +347,40 @@ class TestErrors:
             np.testing.assert_array_equal(run.draws, starts[i][None, :])
 
 
+class Walled(LogDensityTarget):
+    """A narrow normal whose density is refused past theta_0 = 1.5."""
+
+    def __init__(self):
+        super().__init__(2, "walled")
+
+    def _logp_grad_impl(self, theta):
+        if theta[0] > 1.5:
+            return -np.inf, np.full(2, np.nan)
+        return -50.0 * float(theta @ theta), -100.0 * theta
+
+
+class TestRefusedStart:
+    @pytest.mark.parametrize("count", [1, 2])
+    def test_refused_start_ends_as_nonfinite_at_init(self, cores, count):
+        # The path stops for a stated reason with its start as the one draw,
+        # in single mode and in every shard of run_multi.
+        cores(count)
+        opts = MultipathOptions(num_paths=8, num_resample=20,
+                                single=PathfinderOptions(num_draws=10))
+        starts = [initial_point(2, opts.single, 9, i) for i in range(8)]
+        refused = [i for i in range(8) if starts[i][0] > 1.5]
+        assert refused and refused[0] < 4 <= refused[-1]  # one in each shard at 2 cores
+        result = run_multi(Walled(), opts, seed=9)
+        for i in range(8):
+            run, alone = result.runs[i], run_single(Walled(), opts.single, 9, path_index=i)
+            assert_same_run(run, alone)
+            if i in refused:
+                assert run.termination is lbfgs.Termination.NONFINITE_AT_INIT
+                assert (run.num_iters, run.n_grad, run.n_logp, run.failed) == (0, 1, 1, True)
+                assert run.draws.tobytes() == starts[i][None, :].tobytes()
+                assert run.logq.tolist() == [np.inf]
+
+
 class TestScorerErrors:
     """A lone path's forked scorer follows the shards' rules on errors."""
 

@@ -15,11 +15,18 @@ from pathfinder import (
     UnknownTargetError,
     make_target,
 )
-from pathfinder.targets import TARGET_NAMES, CounterView, _row_dot
+from pathfinder.targets import TARGET_NAMES, CounterView, LogDensityTarget, _row_dot
 
 from oracles import fd_gradient
 
 LOG_2PI = math.log(2 * math.pi)
+
+
+class PointNormal(LogDensityTarget):
+    """An unnormalized standard normal written through the per-point hook."""
+
+    def _logp_grad_impl(self, theta):
+        return -0.5 * float(theta @ theta), -theta
 
 
 def random_points(target, count, rng):
@@ -263,11 +270,27 @@ class TestLogisticRegression:
         assert np.all(np.abs(logp_only - want_logp) <= 1e-12 * np.abs(want_logp))
 
     def test_a_point_is_a_batch_of_one(self):
-        target = make_target("logistic_regression", n=200, p=6, data_seed=2)
-        for beta in np.random.default_rng(4).normal(0.0, 2.0, (10, 6)):
-            logp, grad = target.logp_grad(beta)
-            many_logp, many_grad, ok = target.logp_grad_many(beta[None])
-            assert ok[0] and logp == many_logp[0] and np.array_equal(grad, many_grad[0])
+        # For each hook style, a batched _density and a per-point
+        # _logp_grad_impl: each per-point form equals its batched form on the
+        # batch of one, and a refused point, by its input or by an
+        # overflowing output, ticks its counters once.
+        for target in (make_target("logistic_regression", n=200, p=6, data_seed=2),
+                       PointNormal(6)):
+            for beta in np.random.default_rng(4).normal(0.0, 2.0, (10, 6)):
+                logp, grad = target.logp_grad(beta)
+                many_logp, many_grad, ok = target.logp_grad_many(beta[None])
+                assert ok[0] and logp == many_logp[0] and np.array_equal(grad, many_grad[0])
+                assert target.logp(beta) == target.logp_many(beta[None])[0] == logp
+            for refused in (np.full(6, np.nan), np.full(6, 1e200)):
+                counts = np.array([target.eval_count_grad, target.eval_count_logp])
+                with pytest.raises(NonFiniteError):
+                    target.logp_grad(refused)
+                np.testing.assert_array_equal(
+                    [target.eval_count_grad, target.eval_count_logp], counts + 1)
+                with pytest.raises(NonFiniteError):
+                    target.logp(refused)
+                np.testing.assert_array_equal(
+                    [target.eval_count_grad, target.eval_count_logp], counts + [1, 2])
 
 
 class TestRegistry:
@@ -440,6 +463,16 @@ class TestCountersAndChecks:
         assert target.eval_count_logp - before == 4
         assert vals[1] == vals[3] == -np.inf
         assert vals[0] == target.logp(pts[0]) and vals[2] == target.logp(pts[2])
+
+    def test_a_target_without_a_density_hook_is_refused(self):
+        # Each hook defaults to the other, so a target with neither would
+        # recurse without end at its first evaluation.
+        class Hookless(LogDensityTarget):
+            pass
+
+        with pytest.raises(TypeError, match="Hookless must override _density or _logp_grad_impl"):
+            Hookless(2)
+        assert PointNormal(2).logp(np.ones(2)) == -1.0  # one hook is enough
 
     def test_dimension_mismatch(self):
         t = make_target("std_normal", dim=3)
