@@ -48,6 +48,31 @@ class TestExamples:
             b = rng.standard_normal((3, 2))
             assert wasserstein1(a, b) == pytest.approx(brute_force_equal(a, b), abs=1e-9)
 
+    def test_benchmark_shape_matches_assignment_oracle(self):
+        # 100 draws against 100 exact draws in 50-d, as the benchmark scores mvn
+        rng = np.random.default_rng(9)
+        for _ in range(3):
+            a = rng.standard_normal((100, 50))
+            b = 2.0 * rng.standard_normal((100, 50)) + 0.5
+            assert wasserstein1(a, b) == pytest.approx(expanded_assignment(a, b), abs=1e-9)
+
+    def test_ties_match_assignment_oracle(self):
+        # Many optimal assignments: equal costs everywhere must not derail the solver
+        rng = np.random.default_rng(10)
+        grid = rng.integers(-2, 3, size=(60, 3)).astype(float)
+        dup = np.repeat(rng.standard_normal((12, 4)), 5, axis=0)
+        cases = [
+            (grid, rng.integers(-2, 3, size=(60, 3)).astype(float)),
+            (grid, grid[rng.permutation(60)]),
+            (dup, dup[rng.permutation(60)] + 1.0),
+            (dup, rng.standard_normal((60, 4))),
+            (np.zeros((30, 2)), np.ones((30, 2))),
+        ]
+        for a, b in cases:
+            assert wasserstein1(a, b) == pytest.approx(expanded_assignment(a, b), abs=1e-9)
+        for a in (grid, dup):
+            assert wasserstein1(a, a) == 0.0
+
 
 class TestMetricAxioms:
     def test_symmetry(self):
@@ -92,6 +117,13 @@ class TestUnequalSizes:
             b = rng.standard_normal((k, 2))
             assert wasserstein1(a, b) == pytest.approx(expanded_assignment(a, b), abs=1e-9)
 
+    def test_expansion_just_under_the_limit(self):
+        # lcm(30, 17) = 510 atoms each, two short of MAX_POINTS
+        rng = np.random.default_rng(11)
+        a = rng.standard_normal((30, 3))
+        b = rng.standard_normal((17, 3))
+        assert wasserstein1(a, b) == pytest.approx(expanded_assignment(a, b), abs=1e-9)
+
 
 class TestValidation:
     def test_dimension_mismatch(self):
@@ -102,11 +134,19 @@ class TestValidation:
         with pytest.raises(SizeLimitError):
             wasserstein1(np.zeros((513, 1)), np.zeros((4, 1)))
 
+    def test_size_limit_applies_to_the_expanded_size(self):
+        # 100 and 99 points expand to lcm(100, 99) = 9,900 atoms each
+        with pytest.raises(SizeLimitError, match="100 and 99"):
+            wasserstein1(np.zeros((100, 2)), np.zeros((99, 2)))
+
     def test_non_finite_rejected(self):
         a = np.zeros((2, 2))
         a[0, 0] = np.nan
         with pytest.raises(DimensionMismatchError):
             wasserstein1(a, np.zeros((2, 2)))
+        # finite points whose distances overflow float64
+        with pytest.raises(DimensionMismatchError):
+            wasserstein1(np.full((2, 2), 1e200), np.full((2, 2), -1e200))
 
     def test_one_dimensional_input_promoted(self):
         # 1-d W1 equals the sorted-difference mean for equal sizes

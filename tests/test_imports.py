@@ -1,7 +1,8 @@
-"""scipy stays off the import path: the package, the targets and the sampler load numpy alone.
+"""numpy is the package's only runtime dependency: no module, target or call loads scipy.
 
-scipy is imported only by ``wasserstein1``, when it is called.  Every check
-runs a fresh interpreter, because this test session has loaded scipy already.
+The package declares numpy alone in ``pyproject.toml``.  Every import check
+runs a fresh interpreter, because this test session has loaded scipy already
+for its oracles.
 """
 
 import json
@@ -13,6 +14,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+
+try:
+    import tomllib
+except ImportError:  # Python 3.10
+    tomllib = None
 
 import pathfinder
 from pathfinder import build, eval_logq, make_target, sample, wasserstein1
@@ -64,7 +70,7 @@ def test_cli_run_loads_no_scipy(tmp_path, run):
 
 
 def numpy_only_calls() -> None:
-    """Build and evaluate every registry target, then a draw's exact log density."""
+    """Build and evaluate every registry target, a draw's exact log density and W1."""
     for name in TARGET_NAMES:
         target = make_target(name, dim=10 if name.startswith("eight_schools") else 3)
         assert target.logp_grad_many(np.ones((2, target.dim)))[2].all()
@@ -74,6 +80,8 @@ def numpy_only_calls() -> None:
     draws = sample(approx, 3, rng)
     assert approx.rank > 0
     assert abs(eval_logq(approx, draws.draws[0]) - draws.logq[0]) < 1e-9
+    a, b, c = rng.normal(size=(9, 3)), rng.normal(size=(9, 3)), rng.normal(size=(4, 3))
+    assert wasserstein1(a, b) > 0 and wasserstein1(a, c) > 0
 
 
 def test_targets_and_eval_logq_load_no_scipy():
@@ -86,24 +94,8 @@ def test_targets_and_eval_logq_load_no_scipy():
     assert loaded == []
 
 
-def deferred_calls() -> dict:
-    """Call every code path that imports scipy; each result as the hex of its bytes."""
-    rng = np.random.default_rng(11)
-    a, b, c = rng.normal(size=(9, 3)), rng.normal(size=(9, 3)), rng.normal(size=(4, 3))
-    return {
-        "w1_assignment": wasserstein1(a, b).hex(),
-        "w1_lp": wasserstein1(a, c).hex(),
-    }
-
-
-def test_deferred_scipy_paths_match_in_a_fresh_interpreter():
-    fresh = run_fresh(
-        "import json, sys\n"
-        "from test_imports import deferred_calls\n"
-        f"before = {LOADED}\n"
-        "calls = deferred_calls()\n"
-        f"print(json.dumps([before, {LOADED}, calls]))")
-    before, after, calls = fresh
-    assert before == []
-    assert {"scipy.linalg", "scipy.optimize", "scipy.spatial"} <= set(after)
-    assert calls == deferred_calls()
+@pytest.mark.skipif(tomllib is None, reason="tomllib needs Python 3.11")
+def test_numpy_is_the_only_runtime_dependency():
+    with open(TESTS.parent / "pyproject.toml", "rb") as f:
+        project = tomllib.load(f)["project"]
+    assert project["dependencies"] == ["numpy>=1.24"]
