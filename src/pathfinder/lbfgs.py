@@ -19,9 +19,9 @@ each answer back.  A stepper asks for three kinds of thing: a point's log
 density alone (``(point, False)``), a point's fused log density and
 gradient (``(point, True)``), and the optimizer also asks for each search
 direction (a ``DirectionRequest``).  One driver, ``lockstep``, answers
-them: it runs a list of steppers against one target, computes their
-directions as one stack per pair count (``stacked_directions``) and
-evaluates their points with the target's batched methods.  A direction
+them: it runs a list of steppers against one target, and each round answers
+only the kind most of them wait on, directions as one stack per pair count
+(``stacked_directions``) or points in one batched target call.  A direction
 request whose pairs give no valid E is answered with a NaN direction, which
 ends that path as ``line_search_fail``, and a refused start ends its path as
 ``nonfinite_at_init``: one bad path never stops the others.
@@ -155,21 +155,19 @@ class StepperState:
 
 
 def _evaluate(target, states) -> None:
-    """Answer every point request with at most two batched calls; a refused
+    """Answer point requests of one kind with one batched call; a refused
     trial gets -inf, as from ``logp_many``, and a refused fused point None."""
-    trials = [state for state in states if not state.request[1]]
-    if trials:
-        logps = target.logp_many(np.array([state.request[0] for state in trials]))
-        for state, logp in zip(trials, logps.tolist()):
+    points = np.array([state.request[0] for state in states])
+    if not states[0].request[1]:
+        for state, logp in zip(states, target.logp_many(points).tolist()):
             state.n_logp_only += 1
             state.reply = logp
-    fused = [state for state in states if state.request[1]]
-    if fused:
-        logps, grads, ok = target.logp_grad_many(np.array([state.request[0] for state in fused]))
-        for state, logp, grad, good in zip(fused, logps.tolist(), grads, ok.tolist()):
-            state.n_fused += 1
-            # A stored gradient must own its memory: a row view would pin the batch.
-            state.reply = (logp, grad.copy()) if good else None
+        return
+    logps, grads, ok = target.logp_grad_many(points)
+    for state, logp, grad, good in zip(states, logps.tolist(), grads, ok.tolist()):
+        state.n_fused += 1
+        # A stored gradient must own its memory: a row view would pin the batch.
+        state.reply = (logp, grad.copy()) if good else None
 
 
 def _directions(states) -> None:
@@ -191,25 +189,30 @@ def _directions(states) -> None:
 def lockstep(target, steppers) -> list:
     """Run steppers to their ends together against one target.
 
-    Each round answers every pending direction request or, when there is
-    none, every pending point request, with one ``target.logp_many`` call
-    for the log-density-only ones and one ``target.logp_grad_many`` call for
-    the fused ones.  A direction without a valid E is answered with NaN, so
-    the stepper ends as ``line_search_fail`` instead of raising.  Returns a
-    StepperState per stepper, whose ``outcome`` is its return value; an error
-    a stepper raises propagates.  The loop ignores floating-point overflow,
-    invalid values and division by zero, once for all steppers and rounds:
-    the steppers themselves set no error state and run only under it.
+    Each round answers only the most common kind of pending request (a
+    direction, a log-density-only trial or a fused point; a tie goes in that
+    order), with one ``stacked_directions`` call per pair count or one
+    ``target.logp_many`` or ``target.logp_grad_many`` call.  The others wait,
+    which changes no stepper's replies where rows do not depend on the batch.
+    A direction without a valid E is answered with NaN, so the stepper ends
+    as ``line_search_fail`` instead of raising.  Returns a StepperState per
+    stepper, whose ``outcome`` is its return value; an error a stepper raises
+    propagates.  The loop ignores floating-point overflow, invalid values and
+    division by zero, once for all steppers and rounds: the steppers
+    themselves set no error state and run only under it.
     """
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         states = active = [StepperState(steps) for steps in steppers]
         while active:
-            answered = [state for state in active if type(state.request) is DirectionRequest]
-            if answered:
+            kinds = ([], [], [])  # directions, trials, fused points: max() picks the first
+            for state in active:
+                request = state.request
+                kinds[0 if type(request) is DirectionRequest else 1 + request[1]].append(state)
+            answered = max(kinds, key=len)
+            if answered is kinds[0]:
                 _directions(answered)
             else:
-                _evaluate(target, active)
-                answered = active
+                _evaluate(target, answered)
             for state in answered:
                 try:
                     state.request = state.steps.send(state.reply)

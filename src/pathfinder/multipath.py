@@ -3,10 +3,10 @@
 The paths are independent, so ``single_path.run_paths``, the runner single
 mode calls with one path, cuts them into one shard per usable core, forks a
 process for each shard but the first (Linux only), and advances each
-shard's optimizers together in one ``lbfgs.lockstep``: each round computes
-the directions its paths ask for as one stack per pair count, and makes at
-most two batched target calls, one for line-search trials (log density
-only) and one for the points that need a gradient.  Then the shard's
+shard's optimizers together in one ``lbfgs.lockstep``: each round answers
+the kind of request most of its paths wait on, with one stack of directions
+per pair count, one batched call for line-search trials (log density only)
+or one for the points that need a gradient.  Then the shard's
 candidates are scored in cross-path blocks, RECOVER_CHUNK steps at a time
 (a lone path's, given a spare core, in a forked child while it optimizes).
 The finished paths are pooled under an equally-weighted mixture proposal in

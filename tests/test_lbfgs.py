@@ -19,10 +19,12 @@ from pathfinder import (
     run_multi,
     run_single,
 )
+from pathfinder import lbfgs
 from pathfinder.lbfgs import (
-    MAX_HALVINGS, REL_TOL_FLOOR, line_search_steps, lockstep, search_direction,
-    stacked_directions, wolfe_line_search,
+    MAX_HALVINGS, REL_TOL_FLOOR, DirectionRequest, line_search_steps, lockstep, optimize_steps,
+    search_direction, stacked_directions, wolfe_line_search,
 )
+from pathfinder.single_path import initial_point
 from pathfinder.targets import LogDensityTarget
 
 from oracles import dense_sigma, random_curvature_pairs
@@ -671,3 +673,85 @@ class TestLoopErrorState:
         result = states[0].outcome
         assert result.step == 0.5 and result.theta[0] == 1.5e308
         assert (states[0].n_logp_only, states[0].n_fused) == (2, 1)
+
+
+class TestLockstepSchedule:
+    # Each round answers one kind of request, the one most pending steppers
+    # wait on; a tie goes to directions, then trials, then fused points.
+    KINDS = ("direction", "trial", "fused")
+    REQUESTS = {
+        "direction": DirectionRequest(np.zeros((1, 0)), np.zeros((1, 0)), np.ones(1), np.ones(1)),
+        "trial": (np.zeros(1), False),
+        "fused": (np.zeros(1), True),
+    }
+
+    def scripted(self, name, kinds, pending):
+        for kind in kinds:
+            pending[name] = kind
+            yield self.REQUESTS[kind]
+        del pending[name]
+        return name
+
+    def run(self, monkeypatch, scripts):
+        """Lockstep the scripted steppers; each round's kind, rows and pending tally."""
+        pending, rounds = {}, []
+        target = Quadratic1D()
+
+        def recording(kind, answer):
+            def answered(*args):
+                tally = {k: list(pending.values()).count(k) for k in self.KINDS}
+                rounds.append((kind, len(args[-1]), tally))
+                return answer(*args)
+            return answered
+
+        monkeypatch.setattr(lbfgs, "stacked_directions",
+                            recording("direction", lbfgs.stacked_directions))
+        monkeypatch.setattr(target, "logp_many", recording("trial", target.logp_many))
+        monkeypatch.setattr(target, "logp_grad_many", recording("fused", target.logp_grad_many))
+        states = lockstep(target, [self.scripted(i, kinds, pending)
+                                   for i, kinds in enumerate(scripts)])
+        assert [state.outcome for state in states] == list(range(len(scripts)))
+        return rounds
+
+    def test_each_round_answers_the_most_numerous_kind(self, monkeypatch):
+        rng = np.random.default_rng(0)
+        for _ in range(20):
+            scripts = [list(rng.choice(self.KINDS, size=rng.integers(1, 12)))
+                       for _ in range(rng.integers(1, 9))]
+            rounds = self.run(monkeypatch, scripts)
+            for kind, rows, tally in rounds:
+                most = max(tally.values())
+                assert rows == tally[kind] == most >= 1
+                assert kind == next(k for k in self.KINDS if tally[k] == most)
+            assert len(rounds) <= sum(map(len, scripts))
+
+    @pytest.mark.parametrize("first, expected", [
+        (["direction", "trial", "fused"], "direction"),
+        (["trial", "fused"], "trial"),
+        (["fused", "direction"], "direction"),
+    ])
+    def test_ties_go_in_the_documented_order(self, monkeypatch, first, expected):
+        rounds = self.run(monkeypatch, [[kind, kind] for kind in first for _ in range(2)])
+        assert rounds[0][:2] == (expected, 2)
+
+    def test_a_minority_stepper_still_finishes(self, monkeypatch):
+        # Five steppers that only ever ask for trials outnumber the one that
+        # asks for a fused point and a direction, which waits until they end.
+        scripts = [["trial"] * 10 for _ in range(5)] + [["fused", "direction", "fused"]]
+        rounds = self.run(monkeypatch, scripts)
+        assert [kind for kind, _, _ in rounds] == ["trial"] * 10 + ["fused", "direction", "fused"]
+        assert len(rounds) <= sum(map(len, scripts))
+
+    @pytest.mark.parametrize("name, params", [
+        ("eight_schools_centered", {}), ("neal_funnel", {"dim": 10})])
+    def test_every_path_of_a_lockstep_equals_its_lockstep_alone(self, name, params):
+        target, opts = make_target(name, **params), PathfinderOptions()
+        starts = [initial_point(target.dim, opts, 1, i) for i in range(20)]
+        together = lockstep(target, [optimize_steps(x, opts.lbfgs) for x in starts])
+        for start, state in zip(starts, together):
+            alone = lockstep(target, [optimize_steps(start, opts.lbfgs)])[0]
+            for field in ("thetas", "grads", "logps"):
+                assert (getattr(state.outcome, field).tobytes()
+                        == getattr(alone.outcome, field).tobytes())
+            assert state.outcome.termination is alone.outcome.termination
+            assert (state.n_logp_only, state.n_fused) == (alone.n_logp_only, alone.n_fused)

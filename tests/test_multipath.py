@@ -463,18 +463,29 @@ def test_lockstep_batches_linear_algebra_across_paths(monkeypatch):
     # Default run_multi on eight_schools_centered at seed 1 (20 paths).  The
     # counts are deterministic.  Per-path work would make 2,714 direction
     # calls (one per request) and 102 scoring target calls (blocks cut per
-    # path); batched, a round makes one direction call per pair count among
-    # its requests, and the scoring pass one target call per cross-path block
-    # of each chunk of RECOVER_CHUNK steps.
+    # path); batched, a direction round makes one direction call per pair
+    # count among its requests, and the scoring pass one target call per
+    # cross-path block of each chunk of RECOVER_CHUNK steps.  Each lockstep
+    # round answers one kind of request, so rounds are counted where the
+    # lockstep answers them.
     target = make_target("eight_schools_centered")
-    calls, blocks, rounds, in_scoring, scoring_calls = [], [], [0], [False], [0]
+    calls, blocks, rounds, in_scoring, scoring_calls = [], [], [], [False], [0]
     stacked_directions, cut = lbfgs.stacked_directions, single_path._blocks
+    directions, evaluate = lbfgs._directions, lbfgs._evaluate
     score = single_path._score_candidates
-    logp_many, logp_grad_many = target.logp_many, target.logp_grad_many
+    logp_many = target.logp_many
 
     def counting_directions(S, Z, alpha, grad):
-        calls.append((rounds[0], S.shape[2], len(grad)))
+        calls.append((len(rounds), S.shape[2], len(grad)))
         return stacked_directions(S, Z, alpha, grad)
+
+    def direction_round(states):
+        rounds.append(("direction", len(states)))
+        return directions(states)
+
+    def point_round(target, states):
+        rounds.append(("fused" if states[0].request[1] else "trial", len(states)))
+        return evaluate(target, states)
 
     def counting_blocks(*args):
         for block in cut(*args):
@@ -492,21 +503,22 @@ def test_lockstep_batches_linear_algebra_across_paths(monkeypatch):
         scoring_calls[0] += in_scoring[0]
         return logp_many(points)
 
-    def counting_fused(points):
-        rounds[0] += 1
-        return logp_grad_many(points)
-
     # One shard: a forked child's counts would stay in the child.
     monkeypatch.setattr(single_path, "usable_cores", lambda: 1)
     monkeypatch.setattr(lbfgs, "stacked_directions", counting_directions)
+    monkeypatch.setattr(lbfgs, "_directions", direction_round)
+    monkeypatch.setattr(lbfgs, "_evaluate", point_round)
     monkeypatch.setattr(single_path, "_blocks", counting_blocks)
     monkeypatch.setattr(single_path, "_score_candidates", scoring)
     monkeypatch.setattr(target, "logp_many", counting_logp_many)
-    monkeypatch.setattr(target, "logp_grad_many", counting_fused)
     run_multi(target, MultipathOptions(), seed=1)
 
     assert sum(rows for _, _, rows in calls) == 2714  # one row per direction request
-    assert len(calls) == 759
+    assert len(calls) == 281
     assert len({(round_, pairs) for round_, pairs, _ in calls}) == len(calls)
-    assert rounds[0] == 736 and len(calls) <= rounds[0] * 6  # pair counts 0..5
+    assert all(answered >= 1 for _, answered in rounds)
+    per_kind = {kind: sum(k == kind for k, _ in rounds) for kind in ("direction", "trial", "fused")}
+    assert per_kind == {"direction": 261, "trial": 829, "fused": 261}
+    assert {round_ for round_, _, _ in calls} == {
+        i + 1 for i, (kind, _) in enumerate(rounds) if kind == "direction"}
     assert scoring_calls[0] == len(blocks) == 22
