@@ -11,14 +11,16 @@ therefore agree bit for bit.  Building a target rejects a non-finite or
 non-numeric parameter, or a size that is not a positive integer, with a
 BadParamsError naming it.
 Instances are immutable apart from their evaluation counters, plain integers
-that every evaluation adds to.  Calls from several threads count exactly only
-under a global interpreter lock, which does not switch threads inside an
+that every evaluation adds to, and the logistic target's per-thread work
+buffers, which no result aliases.  Calls from several threads count exactly
+only under a global interpreter lock, which does not switch threads inside an
 attribute's ``+=``; the package itself evaluates a target from one thread.
 """
 
 from __future__ import annotations
 
 import math
+import threading
 
 import numpy as np
 
@@ -55,7 +57,8 @@ class LogDensityTarget:
     ``_density`` may skip the gradient (return None) when ``need_grad`` is
     false, but its log density must not depend on the flag: the line search
     decides on logp-only evaluations and keeps the fused one at the accepted
-    point.
+    point.  A ``_density`` may keep scratch space across calls, one per
+    thread, but no array it returns may be a view of it.
     Counters tick once per point of the right shape handed in, whether or not
     it is refused for being non-finite: fused evaluations increment both
     counters, log-density-only evaluations only the log-density counter.  The
@@ -440,7 +443,22 @@ class LogisticRegression(LogDensityTarget):
     ``-sigma(u) Xs``, both from one ``e = exp(-|u|)``: the stable softplus
     ``max(u, 0) + log1p(e)`` and ``sigma(u) = where(u >= 0, 1, e) / (1 + e)``.
     The rounding of the (M, n) margin product depends on the batch.
+
+    A batch's three (M, n) arrays (margins, ``e`` and one temporary) live in
+    a work buffer that each thread keeps across calls.  Allocated per call,
+    arrays this large are mapped from the OS and returned to it each time,
+    and their pages are faulted in again on every call.  The buffer grows to
+    the largest batch its thread has seen while each array holds at most
+    SCRATCH_FLOATS floats (2 MB); a larger batch allocates its arrays per
+    call.  No result is a view of the buffer, and a pickled or copied target
+    drops it.  A batch of two or more rows takes its margins from a
+    C-contiguous copy of ``Xs.T``, made once, which BLAS reads faster than
+    the transposed view, with the same rounding.  A batch of one keeps the
+    view: numpy sends a one-row product through GEMV, whose rounding does
+    change with the layout.
     """
+
+    SCRATCH_FLOATS = 2**18
 
     def __init__(self, X, y, prior_scale: float = 1.0):
         X = _finite_array("logistic_regression", "X", X)
@@ -461,22 +479,46 @@ class LogisticRegression(LogDensityTarget):
         self.y = y
         self.prior_scale = float(prior_scale)
         self._Xs = (1.0 - 2.0 * y)[:, None] * X
+        self._XsT = np.ascontiguousarray(self._Xs.T)
         self._sc2 = self.prior_scale**2
         self._log_norm = self.dim * (np.log(self.prior_scale) + 0.5 * LOG_2PI)
+        self._scratch = threading.local()
+
+    def __getstate__(self):
+        state = self.__dict__.copy()
+        del state["_scratch"]
+        return state
+
+    def __setstate__(self, state):
+        self.__dict__.update(state)
+        self._scratch = threading.local()
+
+    def _work(self, m):
+        """Three (m, n) work arrays: this thread's buffer, or a new one past the cap."""
+        n = self._Xs.shape[0]
+        if m * n > self.SCRATCH_FLOATS:
+            return np.empty((3, m, n))
+        buf = getattr(self._scratch, "buf", None)
+        if buf is None or buf.size < 3 * m * n:
+            buf = self._scratch.buf = np.empty(3 * m * n)
+        return buf[:3 * m * n].reshape(3, m, n)
 
     def _density(self, points, need_grad):
-        U = points @ self._Xs.T
-        e = np.abs(U)
+        U, e, tmp = self._work(points.shape[0])
+        np.matmul(points, self._XsT if points.shape[0] > 1 else self._Xs.T, out=U)
+        np.abs(U, out=e)
         np.exp(np.negative(e, out=e), out=e)
         prior = 0.5 * np.einsum("ij,ij->i", points, points) / self._sc2 + self._log_norm
         # Only the gradient reads U and e again, so a log density alone
         # computes the softplus terms in their place.
-        out_e, out_U = (None, None) if need_grad else (e, U)
+        out_e, out_U = (tmp, tmp) if need_grad else (e, U)
         logp = (-np.log1p(e, out=out_e).sum(axis=1)
                 - np.maximum(U, 0.0, out=out_U).sum(axis=1) - prior)
         if not need_grad:
             return logp, None
-        sigma = np.where(U >= 0.0, 1.0, e)
+        # sigma's numerator where(U >= 0, 1, e) as max(U >= 0, e): e <= 1
+        # where U >= 0, e >= 0 elsewhere, and a NaN margin stays NaN.
+        sigma = np.maximum(np.greater_equal(U, 0.0, out=U), e, out=U)
         e += 1.0
         sigma /= e
         return logp, -(sigma @ self._Xs) - points / self._sc2

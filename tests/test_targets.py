@@ -1,6 +1,9 @@
 """Tests for the log-density target zoo."""
 
+import copy
 import math
+import pickle
+import sys
 import threading
 
 import numpy as np
@@ -15,7 +18,13 @@ from pathfinder import (
     UnknownTargetError,
     make_target,
 )
-from pathfinder.targets import TARGET_NAMES, CounterView, LogDensityTarget, _row_dot
+from pathfinder.targets import (
+    TARGET_NAMES,
+    CounterView,
+    LogDensityTarget,
+    LogisticRegression,
+    _row_dot,
+)
 
 from oracles import fd_gradient
 
@@ -293,6 +302,121 @@ class TestLogisticRegression:
                     [target.eval_count_grad, target.eval_count_logp], counts + [1, 2])
 
 
+class TestLogisticWorkBuffers:
+    """The logistic density's per-thread work buffers and contiguous design matrix."""
+
+    @staticmethod
+    def target(n=1000, p=50, seed=3):
+        return make_target("logistic_regression", n=n, p=p, data_seed=seed)
+
+    @staticmethod
+    def evaluate(target, batches):
+        return [(target.logp_grad_many(b), target.logp_many(b)) for b in batches]
+
+    @staticmethod
+    def assert_same_bits(got, want):
+        for (fused, logp), (fused_w, logp_w) in zip(got, want, strict=True):
+            for a, b in zip((*fused, logp), (*fused_w, logp_w)):
+                assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+    def test_batches_match_a_logaddexp_oracle(self):
+        # Sizes on both sides of the buffer cap: 300 x 1000 margins exceed
+        # SCRATCH_FLOATS and are allocated per call.
+        target = self.target()
+        Xs = (1.0 - 2.0 * target.y)[:, None] * target.X
+        assert 300 * Xs.shape[0] > LogisticRegression.SCRATCH_FLOATS >= 160 * Xs.shape[0]
+        rng = np.random.default_rng(17)
+        for m in (2, 3, 17, 160, 300, 5):
+            betas = rng.normal(0.0, 0.3, (m, 50))
+            u = betas @ Xs.T
+            want_logp = (-np.logaddexp(0.0, u).sum(axis=1)
+                         - 0.5 * np.sum(betas**2, axis=1) - 50 * 0.5 * LOG_2PI)
+            want_grad = -np.exp(-np.logaddexp(0.0, -u)) @ Xs - betas
+            logp, grad, ok = target.logp_grad_many(betas)
+            assert ok.all()
+            assert np.all(np.abs(logp - want_logp) <= 1e-12 * np.abs(want_logp))
+            for g, want in zip(grad, want_grad):
+                assert np.abs(g - want).max() <= 1e-12 * np.abs(want).max()
+            assert np.array_equal(target.logp_many(betas), logp)
+
+    def test_a_batch_of_one_keeps_its_bits(self):
+        # A point equals its batch of one, and neither depends on the
+        # batches the target evaluated before.
+        fresh, used = self.target(), self.target()
+        rng = np.random.default_rng(23)
+        used.logp_grad_many(rng.normal(0.0, 0.3, (160, 50)))
+        used.logp_many(rng.normal(0.0, 0.3, (160, 50)))
+        for beta in rng.normal(0.0, 0.3, (5, 50)):
+            logp, grad = used.logp_grad(beta)
+            many_logp, many_grad, ok = used.logp_grad_many(beta[None])
+            assert ok[0] and logp == many_logp[0] and np.array_equal(grad, many_grad[0])
+            assert used.logp(beta) == logp
+            fresh_logp, fresh_grad = fresh.logp_grad(beta)
+            assert logp == fresh_logp and np.array_equal(grad, fresh_grad)
+
+    def test_threads_get_the_serial_bits(self):
+        # Threads sharing one target each write into their own buffers.
+        # Batches stay small enough that BLAS runs each product on one
+        # thread, whose rounding does not depend on what else runs.
+        target = self.target(n=400, p=12)
+        rng = np.random.default_rng(29)
+        batches = [rng.normal(0.0, 0.5, (m, 12)) for m in (25, 9, 1, 40)]
+        serial = [self.evaluate(target, [b]) for b in batches]
+        errors = []
+
+        def work(batch, want):
+            try:
+                for _ in range(150):
+                    self.assert_same_bits(self.evaluate(target, [batch]), want)
+            except AssertionError as exc:
+                errors.append(exc)
+
+        threads = [threading.Thread(target=work, args=pair) for pair in zip(batches, serial)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for th in threads:
+                th.start()
+            for th in threads:
+                th.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(th.is_alive() for th in threads)
+        assert not errors, errors[0]
+
+    @pytest.mark.parametrize("clone", [lambda t: pickle.loads(pickle.dumps(t)), copy.deepcopy],
+                             ids=["pickle", "deepcopy"])
+    def test_copies_evaluate_alike_and_drop_buffers(self, clone):
+        target = self.target()
+        rng = np.random.default_rng(31)
+        batches = [rng.normal(0.0, 0.3, (m, 50)) for m in (160, 1, 2, 30)]
+        size = len(pickle.dumps(target))
+        want = self.evaluate(target, batches)
+        assert len(pickle.dumps(target)) == size
+        copied = clone(target)
+        assert not vars(copied._scratch)
+        self.assert_same_bits(self.evaluate(copied, batches), want)
+        self.assert_same_bits(self.evaluate(target, batches[::-1]), want[::-1])
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="minor faults read on Linux")
+    def test_repeated_batches_fault_no_pages_in(self):
+        # A 160 x 1000 margin array is 1.3 MB; allocated per call, its pages
+        # are faulted in again on every call (about 800 faults for logp_many
+        # and 1,100 for logp_grad_many before the buffers).
+        import resource
+
+        target = self.target()
+        batch = np.random.default_rng(37).normal(0.0, 0.3, (160, 50))
+        for evaluate in (target.logp_many, target.logp_grad_many):
+            evaluate(batch)
+            faults = []
+            for _ in range(5):
+                before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+                evaluate(batch)
+                faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+            assert max(faults) < 50, (evaluate.__name__, faults)
+
+
 class TestRegistry:
     def test_unknown_target(self):
         with pytest.raises(UnknownTargetError, match="nosuch"):
@@ -370,6 +494,22 @@ class TestGradients:
         assert np.array_equal(target.logp_many(pts), logp)
         for point in pts[:50]:
             assert target.logp(point) == target.logp_grad(point)[0]
+
+    @pytest.mark.parametrize("target", all_targets(), ids=lambda t: t.name)
+    def test_results_do_not_alias_later_calls(self, target):
+        # A density may keep scratch space across calls, but what it returns
+        # is the caller's: later calls, larger and then smaller, leave it be.
+        # The first call sizes any scratch space for the largest batch.
+        pts = random_points(target, 60, np.random.default_rng(21))
+        target.logp_grad_many(pts)
+        kept = [target.logp_grad_many(pts[:5]), (target.logp_many(pts[5:10]),)]
+        copies = [[a.copy() for a in result] for result in kept]
+        for size in (60, 2):
+            target.logp_grad_many(pts[-size:][::-1])
+            target.logp_many(pts[-size:])
+        for result, want in zip(kept, copies):
+            for got, w in zip(result, want):
+                np.testing.assert_array_equal(got, w)
 
     def test_row_dot_takes_the_single_point_dot(self):
         # The eight-schools densities keep the per-point `@` bits through it,
