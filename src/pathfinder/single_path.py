@@ -3,16 +3,17 @@
 One run optimizes the log density from a random initialization, rebuilds a
 normal approximation at every trajectory point, scores each by Monte Carlo
 ELBO, and returns draws from the ELBO-maximizing approximation.  Both modes
-run paths through ``run_paths``, one contiguous shard per usable core, each
-shard but the first in a forked process (Linux only).  A shard is one
-``lbfgs.lockstep`` on the target itself, each path's counts read from its
-stepper state, then ``finish_runs``: a ``_Scorer`` recovers the diagonal
-seeds one chunk of RECOVER_CHUNK steps at a time and scores each chunk's
-candidates in stacked blocks sharing a pair count, with one factorization,
-seeding and target call per block, keeping each path's best approximation
-as its block built it; the output draws come from that one.  ``run_single``
-is one shard of one path, one row per batched call; given a spare core, a
-forked ``_Scorer`` scores each chunk of its steps while the path optimizes.
+run paths through ``run_paths``: one ``lbfgs.lockstep`` of all the paths on
+the target itself, each path's counts read from its stepper state, and one
+``_Scorer``, which recovers the diagonal seeds one chunk of RECOVER_CHUNK
+steps at a time and scores each chunk's candidates in stacked blocks sharing
+a pair count, with one factorization, seeding and target call per block,
+keeping each path's best approximation as its block built it; the output
+draws come from that one.  Given a spare core, the scorer runs in one forked
+process (Linux only) and scores each chunk while the paths optimize, once
+every path has passed the chunk's end or stopped (``_Feed``); otherwise
+it scores the finished paths here.  ``run_single`` is the run
+of one path, one row per batched call.
 
 Runs never raise on pathological geometry: a search direction without a
 valid pair matrix E ends its path as ``line_search_fail``, a refused start
@@ -55,15 +56,15 @@ from .options import POSITIVE, POSITIVE_INT, check_settings, setting
 from .seeding import STREAM_CANDIDATE, STREAM_FINAL, STREAM_INIT, substream, substreams
 
 # Floats in one stacked (B, N, 2J') array of a scoring block, which holds
-# the candidates of a shard's paths that share a pair count.  Blocks bound
+# the candidates of the paths that share a pair count.  Blocks bound
 # memory; they change no result where logp_many rows do not depend on the
 # batch, which holds for every target but logistic regression, whose rows
 # are BLAS matrix products: the fixed block size keeps its results
-# reproducible.  The same holds for the lockstep batches, for blocks that
-# mix paths and for the cut into shards, so a logistic path run by
-# ``run_multi`` is not bit-identical to ``run_single`` with its path index,
-# and ``run_multi`` output depends on the shard count: on one machine it is
-# still a function of (target, options, seed).
+# reproducible.  The same holds for the lockstep batches and for blocks that
+# mix paths, so a logistic path run by ``run_multi`` is not bit-identical to
+# ``run_single`` with its path index.  Neither the batches nor the blocks
+# depend on the core count, so output is a function of (target, options,
+# seed) on every target.
 BLOCK_FLOATS = 2**14
 
 # Why a candidate approximation was disqualified, in the order checked:
@@ -251,6 +252,10 @@ class _Scorer:
         self.traces, self.tallies = [], np.zeros((len(indices), len(TALLIES)), dtype=int)
         self.winners = [(-np.inf, None, None)] * len(indices)
 
+    def __getstate__(self):
+        """A forked scorer's reply: what ``runs`` reads, without the target or the recoveries."""
+        return {**vars(self), "target": None, "recoveries": None}
+
     def advance(self, trajectories) -> bool:
         """Score each path's next chunk of ``trajectories`` as they stand; False if none had one."""
         for rec, trajectory in zip(self.recoveries, trajectories):
@@ -260,38 +265,12 @@ class _Scorer:
                                              self.tallies, self.winners, self.opts, self.seed))
         return any(new)
 
-    def runs(self, paths) -> list:
-        """The runs of ``paths``, whose every step has been scored."""
-        return [_draw_from_winner(path, winner, np.concatenate([t[k] for t in self.traces]),
+    def runs(self, states) -> list:
+        """The runs of the paths whose ``lbfgs.lockstep`` states these are, every step scored."""
+        return [_draw_from_winner(int(index), state, winner,
+                                  np.concatenate([t[k] for t in self.traces]),
                                   self.tallies[k], self.opts, self.seed)
-                for k, (path, winner) in enumerate(zip(paths, self.winners))]
-
-
-def _run(path, draws, logq, elbo_trace=(), tally=(0,) * len(TALLIES), elbo_draws=0,
-         l_star=None, approx=None):
-    """A path's run; failed, flagged by its one draw's logq = +inf, when ``l_star`` is None."""
-    scored = int(tally[0])
-    return PathfinderRun(
-        draws=draws,
-        logq=logq,
-        elbo_trace=np.asarray(elbo_trace, dtype=float),
-        l_star=l_star,
-        failed=l_star is None,
-        n_logp=path.n_logp + scored * elbo_draws,
-        n_grad=path.n_grad,
-        num_iters=path.trajectory.num_iters,
-        termination=path.trajectory.termination,
-        scored_candidates=scored,
-        lbfgs_n_logp=path.n_logp,
-        lbfgs_n_grad=path.n_grad,
-        disqualified=dict(zip(DISQUALIFY_REASONS, map(int, tally[1:]))),
-        approx=approx,
-    )
-
-
-def _failed_run(path, *score):
-    """The run of a path with no valid approximation: its last point, flagged by logq = +inf."""
-    return _run(path, path.trajectory.thetas[-1:], np.array([np.inf]), *score)
+                for k, (index, state, winner) in enumerate(zip(self.indices, states, self.winners))]
 
 
 def initial_point(dim: int, opts: PathfinderOptions, seed: int, path_index: int) -> np.ndarray:
@@ -300,160 +279,178 @@ def initial_point(dim: int, opts: PathfinderOptions, seed: int, path_index: int)
     return rng_init.uniform(-opts.init_radius, opts.init_radius, dim)
 
 
-@dataclass
-class OptimizedPath:
-    """A path whose optimizer has stopped, waiting to be scored.
-
-    ``n_logp`` and ``n_grad`` count the optimizer's evaluations; a refused
-    start leaves a one-point ``trajectory`` ended as ``NONFINITE_AT_INIT``.
-    """
-
-    index: int
-    trajectory: Trajectory
-    n_logp: int
-    n_grad: int
-
-
 def usable_cores() -> int:
     """The CPUs this process may run on; 1 off Linux, where nothing is forked."""
     return len(os.sched_getaffinity(0)) if sys.platform.startswith("linux") else 1
 
 
 def run_paths(target, opts: PathfinderOptions, seed: int, indices) -> list:
-    """Runs of the paths ``indices`` (one in single mode), in k contiguous shards.
+    """Runs of the paths ``indices`` (one in single mode): one ``lbfgs.lockstep``
+    of all of them, each path's counts read from its stepper state, and one
+    ``_Scorer``, which steps through all their trajectories together.
 
-    k = min(len(indices), usable_cores()), or 1 while another Python thread
-    runs, whose locks a child could block on.  The first shard runs here, the
-    others in forked children.  A lone path with a spare core instead has its
-    candidates scored by a forked child while it optimizes (``_Feed``).  Run
-    i equals the run of path i alone wherever the target's batched rows do
-    not depend on the batch.
+    Given a spare core, a forked scorer scores their candidates while they
+    optimize (``_Feed``); otherwise, or when no path passes RECOVER_CHUNK
+    steps, the scorer runs here after.  Both make the same blocks, so the
+    core count changes no output.  Run i equals the run of path i alone
+    wherever the target's batched rows do not depend on the batch.
     """
     indices = list(indices)
-    alone = threading.active_count() == 1
-    k = max(1, min(len(indices), usable_cores())) if alone else 1
-    cuts = [len(indices) * j // k for j in range(k + 1)]
-    children, replies = [], []
-    feed = _Feed(target, opts, seed, indices[0], children) if (
-        len(indices) == 1 and alone and usable_cores() > 1) else None
+    starts = [initial_point(target.dim, opts, seed, i) for i in indices]
+    feed = _Feed(target, opts, seed, indices) if usable_cores() > 1 else None
     try:
-        for lo, hi in zip(cuts[1:-1], cuts[2:]):
-            children.append(_fork(target, lambda shard=indices[lo:hi]: _run_shard(
-                target, opts, seed, shard)))
-        runs = _run_shard(target, opts, seed, indices[:cuts[1]], feed)
-        replies = [pipe.read() for _, pipe in children]
+        states = lockstep(target, [feed.steps(k, theta, opts.lbfgs) if feed else
+                                   optimize_steps(theta, opts.lbfgs) for k, theta in enumerate(starts)])
+        scorer = feed.scorer() if feed else None
     finally:
-        if feed and feed.fd is not None:
-            os.close(feed.fd)
-        for pid, pipe in children:
-            if not replies:  # this shard or a read raised: leave no child running
-                os.kill(pid, 9)  # SIGKILL
-            pipe.close()
-            os.waitpid(pid, 0)
-    for reply in replies:
-        reply = pickle.loads(reply) if reply else RuntimeError("a path shard died unanswered")
-        if isinstance(reply, BaseException):
-            raise reply
-        runs += reply[0]
-        target._n_fused += reply[1]
-        target._n_logp_only += reply[2]
-    return runs
-
-
-def _fork(target, work):
-    """(pid, pipe) of a child piping back the pickled (runs ``work()`` returns, fused
-    and logp-only evaluations), or its error, which the caller re-raises."""
-    read_fd, write_fd = os.pipe()
-    try:
-        with warnings.catch_warnings():
-            # Python >= 3.12 warns on a fork with several OS threads, and
-            # OpenBLAS always runs its own: its atfork handlers make the fork
-            # safe (unverified there; the tests run on Python 3.11).
-            warnings.filterwarnings("ignore", "This process .* multi-threaded", DeprecationWarning)
-            pid = os.fork()
-    except OSError:
-        os.close(read_fd)
-        os.close(write_fd)
-        raise
-    if pid:
-        os.close(write_fd)
-        return pid, open(read_fd, "rb")
-    try:
-        target._n_fused = target._n_logp_only = 0  # the child counts its own evaluations
-        try:
-            reply = pickle.dumps((work(), target._n_fused, target._n_logp_only))
-        except BaseException as exc:
-            try:
-                reply = pickle.dumps(exc)
-                pickle.loads(reply)
-            except Exception:  # send a RuntimeError whose traceback shows both errors
-                reply = pickle.dumps(RuntimeError(f"path shard error:\n{traceback.format_exc()}"))
-        with open(write_fd, "wb") as pipe:
-            pipe.write(reply)
-    finally:
-        os._exit(0)
+        if feed:
+            feed.close()
+    if scorer is None:  # none forked
+        scorer = _Scorer(target, indices, opts, seed)
+        while scorer.advance([state.outcome for state in states]):
+            pass
+    return scorer.runs(states)
 
 
 class _Feed:
-    """The caller's end of a lone path's forked scorer, called with each trajectory point.
+    """The caller's end of the forked scorer, which scores the paths' chunks while they optimize.
 
-    At RECOVER_CHUNK steps it forks the scorer into ``children``, unless a
-    thread runs then, and pipes it each RECOVER_CHUNK steps' rows as they
-    come; ``send`` pipes the finished path last.
+    ``steps`` runs a path's optimizer, keeping each trajectory point.  The
+    first time a path passes a chunk's end while no other Python thread runs
+    (whose locks a child could block on), the scorer forks with every point
+    kept so far; from then on each path pipes its new rows as it passes each
+    chunk's end, and the rest when it stops.  Writes never wait for the
+    scorer: what the pipe cannot take yet waits in ``out``.
     """
 
-    def __init__(self, target, opts, seed, index, children):
-        self.work = target, opts, seed, index, np.geterr()  # the caller's, not the loop's
-        self.children, self.rows, self.fd = children, [], None
+    def __init__(self, target, opts, seed, indices):
+        self.work = target, opts, seed, indices, np.geterr()  # the caller's, not the loop's
+        self.rows = [[] for _ in indices]  # each path's (point, gradient) rows
+        self.sent = [0] * len(indices)  # how many of them the scorer has, once forked
+        self.ended = [False] * len(indices)
+        self.out, self.fd, self.child, self.reply = bytearray(), None, None, None
 
-    def __call__(self, *point):
-        self.rows.append(point)
-        if len(self.rows) != RECOVER_CHUNK + (self.fd is None):  # the first chunk has row 0 too
+    def steps(self, k, theta_init, opts):
+        """``optimize_steps`` of path k, which feeds its rows and, once it stops, its end."""
+        trajectory = yield from optimize_steps(theta_init, opts, lambda *row: self._record(k, row))
+        self.ended[k] = True
+        if self.fd is not None:
+            self._send(k)
+        return trajectory
+
+    def _record(self, k, row):
+        rows = self.rows[k]
+        rows.append(row)
+        if len(rows) % RECOVER_CHUNK != 1 or len(rows) == 1:  # not past a chunk's end
+            if self.out:
+                self._flush()
+        elif self.fd is not None:
+            self._send(k)
+        elif threading.active_count() == 1:
+            self._fork()
+
+    def _send(self, k):
+        """Pipe path k's rows the scorer lacks, and whether the path has ended."""
+        self.out += pickle.dumps((k, self.ended[k], np.array(self.rows[k][self.sent[k]:])))
+        self.sent[k] = len(self.rows[k])
+        self._flush()
+
+    def _flush(self):
+        """Write what the pipe takes now; a scorer that has left replies with its reason."""
+        with contextlib.suppress(BlockingIOError, BrokenPipeError):
+            while self.out:  # a signal may cut a write short
+                del self.out[:os.write(self.fd, self.out)]
+
+    def _fork(self):
+        """Fork the scorer; it pipes back the pickled (scorer, its evaluations) or its error."""
+        rows_fd, self.fd = os.pipe()
+        read_fd, write_fd = os.pipe()
+        try:
+            with warnings.catch_warnings():
+                # Python >= 3.12 warns on a fork with several OS threads, and
+                # OpenBLAS always runs its own: its atfork handlers make the
+                # fork safe (unverified there; the tests run on Python 3.11).
+                warnings.filterwarnings("ignore", "This process .* multi-threaded", DeprecationWarning)
+                pid = os.fork()
+        except OSError:
+            for fd in (rows_fd, read_fd, write_fd):
+                os.close(fd)
+            raise
+        if pid:
+            os.close(rows_fd)
+            os.close(write_fd)
+            os.set_blocking(self.fd, False)
+            self.child, self.sent = (pid, open(read_fd, "rb")), [len(rows) for rows in self.rows]
             return
-        if self.fd is None:
-            if threading.active_count() > 1:
-                return  # and never will: the caller scores the path
-            read_fd, self.fd = os.pipe()
+        os.close(read_fd)
+        target = self.work[0]
+        try:
+            target._n_fused = target._n_logp_only = 0  # the child counts its own evaluations
             try:
-                self.children.append(_fork(self.work[0], lambda: self._serve(read_fd)))
-            finally:
-                os.close(read_fd)
-        self.send(tuple(np.array(rows) for rows in zip(*self.rows)))
-        self.rows = []
+                reply = pickle.dumps((self._serve(rows_fd), target._n_fused, target._n_logp_only))
+            except BaseException as exc:
+                try:
+                    reply = pickle.dumps(exc)
+                    pickle.loads(reply)
+                except Exception:  # send a RuntimeError whose traceback shows both errors
+                    reply = pickle.dumps(RuntimeError(f"scorer error:\n{traceback.format_exc()}"))
+            with open(write_fd, "wb") as pipe:
+                pipe.write(reply)
+        finally:
+            os._exit(0)
 
-    def send(self, message):
-        """Pipe ``message``; a scorer that has left replies with its reason instead."""
-        data = memoryview(pickle.dumps(message))
-        with contextlib.suppress(BrokenPipeError):
-            while data:  # a signal may cut a write short
-                data = data[os.write(self.fd, data):]
-
-    def _serve(self, read_fd):
-        """The forked scorer: score each chunk as it comes, then the finished path's run."""
+    def scorer(self):
+        """The forked scorer, once every path has ended, with its evaluations added to
+        the target's counters; None if none forked.  Raises the scorer's error."""
+        if not self.child:
+            return None
+        os.set_blocking(self.fd, True)
+        self._flush()
         os.close(self.fd)
-        target, opts, seed, index, err = self.work
-        scorer = _Scorer(target, [index], opts, seed)
-        rows = Trajectory(*np.empty((2, 0, target.dim)), None, None)  # the rows piped so far
-        with np.errstate(**err), open(read_fd, "rb") as pipe:
-            while not isinstance(message := pickle.load(pipe), OptimizedPath):
-                rows.thetas, rows.grads = map(np.concatenate, zip((rows.thetas, rows.grads), message))
-                scorer.advance([rows])
-            while scorer.advance([message.trajectory]):
+        self.fd = None
+        self.reply = self.child[1].read()
+        reply = pickle.loads(self.reply) if self.reply else RuntimeError("the scorer died unanswered")
+        if isinstance(reply, BaseException):
+            raise reply
+        scorer, n_fused, n_logp_only = reply
+        self.work[0]._n_fused += n_fused
+        self.work[0]._n_logp_only += n_logp_only
+        return scorer
+
+    def close(self):
+        """Leave no scorer running: kill one that has not replied, and reap it."""
+        if self.fd is not None:
+            os.close(self.fd)
+        if self.child:
+            pid, pipe = self.child
+            if self.reply is None:  # the caller raised
+                os.kill(pid, 9)  # SIGKILL
+            pipe.close()
+            os.waitpid(pid, 0)
+
+    def _serve(self, rows_fd):
+        """The forked scorer: score each chunk once every path has passed its end
+        or stopped, then the rest, and return the scorer."""
+        os.close(self.fd)
+        target, opts, seed, indices, err = self.work
+        scorer = _Scorer(target, indices, opts, seed)
+        rows = [np.reshape(kept, (-1, 2, target.dim)) for kept in self.rows]  # before the fork
+        ended, edge = list(self.ended), RECOVER_CHUNK  # the next chunk's last step
+
+        def paths():  # strided views, which scoring reads only elementwise or copied
+            return [Trajectory(path[:, 0], path[:, 1], None, None) for path in rows]
+
+        with np.errstate(**err), open(rows_fd, "rb") as pipe:
+            while not all(ended):
+                if all(done or len(path) > edge for done, path in zip(ended, rows)):
+                    scorer.advance(paths())
+                    edge += RECOVER_CHUNK
+                else:
+                    k, ended[k], new = pickle.load(pipe)
+                    rows[k] = np.concatenate((rows[k], np.reshape(new, (-1, 2, target.dim))))
+            while scorer.advance(paths()):
                 pass
-            return scorer.runs([message])
-
-
-def _run_shard(target, opts: PathfinderOptions, seed: int, indices, feed=None) -> list:
-    """Runs of the paths ``indices``: one ``lbfgs.lockstep``, then ``finish_runs``,
-    or none for a lone path whose ``feed`` forked a scorer, which replies with it."""
-    states = lockstep(target, [optimize_steps(initial_point(target.dim, opts, seed, i),
-                                              opts.lbfgs, feed) for i in indices])
-    paths = [OptimizedPath(i, s.outcome, s.n_fused + s.n_logp_only, s.n_fused)
-             for i, s in zip(indices, states)]
-    if feed and feed.fd is not None:
-        feed.send(paths[0])
-        return []
-    return finish_runs(target, paths, opts, seed)
+            return scorer
 
 
 def run_single(target, opts: PathfinderOptions, seed: int, path_index: int = 0) -> PathfinderRun:
@@ -469,30 +466,33 @@ def run_single(target, opts: PathfinderOptions, seed: int, path_index: int = 0) 
     return run_paths(target, opts, seed, [path_index])[0]
 
 
-def finish_runs(target, paths: list, opts: PathfinderOptions, seed: int) -> list:
-    """Score the candidates along optimized paths and draw from each path's winner.
-
-    ``paths`` are OptimizedPath records; the runs come back in their order.
-    A ``_Scorer`` steps through all paths' trajectories together, one chunk
-    of RECOVER_CHUNK steps at a time, so a path's run equals its run scored
-    alone wherever the target's batched rows do not depend on the batch.
-    """
-    scorable = [i for i, path in enumerate(paths) if path.trajectory.num_iters]
-    runs = [None if i in scorable else _failed_run(path) for i, path in enumerate(paths)]
-    scorer = _Scorer(target, [paths[i].index for i in scorable], opts, seed)
-    while scorable and scorer.advance([paths[i].trajectory for i in scorable]):
-        pass
-    for i, run in zip(scorable, scorer.runs([paths[i] for i in scorable])):
-        runs[i] = run
-    return runs
-
-
-def _draw_from_winner(path, winner, elbo_trace, tally, opts, seed):
-    """The run of a scored path: draws from its ELBO-best candidate, or a failed run."""
+def _draw_from_winner(index, state, winner, elbo_trace, tally, opts, seed):
+    """The run of path ``index``, from its lockstep ``state`` and its scores: draws
+    from its ELBO-best candidate, or with none a failed run, whose one draw is
+    its last point (its start, if refused), flagged by logq = +inf."""
     _, l_star, approx = winner
+    trajectory, n_logp = state.outcome, state.n_fused + state.n_logp_only
     if approx is None:
-        return _failed_run(path, elbo_trace, tally, opts.elbo_draws)
-    # The winner as its scoring block built it, and a fresh batch of output draws.
-    approx = select_rows(approx, 0)
-    batch = normal_approx.sample(approx, opts.num_draws, substream(seed, path.index, STREAM_FINAL))
-    return _run(path, batch.draws, batch.logq, elbo_trace, tally, opts.elbo_draws, l_star, approx)
+        draws, logq = trajectory.thetas[-1:], np.array([np.inf])
+    else:
+        # The winner as its scoring block built it, and a fresh batch of output draws.
+        approx = select_rows(approx, 0)
+        batch = normal_approx.sample(approx, opts.num_draws, substream(seed, index, STREAM_FINAL))
+        draws, logq = batch.draws, batch.logq
+    scored = int(tally[0])
+    return PathfinderRun(
+        draws=draws,
+        logq=logq,
+        elbo_trace=elbo_trace,
+        l_star=l_star,
+        failed=l_star is None,
+        n_logp=n_logp + scored * opts.elbo_draws,
+        n_grad=state.n_fused,
+        num_iters=trajectory.num_iters,
+        termination=trajectory.termination,
+        scored_candidates=scored,
+        lbfgs_n_logp=n_logp,
+        lbfgs_n_grad=state.n_fused,
+        disqualified=dict(zip(DISQUALIFY_REASONS, map(int, tally[1:]))),
+        approx=approx,
+    )
