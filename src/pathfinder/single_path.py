@@ -28,6 +28,7 @@ from __future__ import annotations
 import contextlib
 import os
 import pickle
+import queue
 import sys
 import threading
 import traceback
@@ -180,29 +181,34 @@ def _rows(arrays, owners, iters):
     return np.concatenate([arrays[k][iters[owners == k]] for k in np.unique(owners)])
 
 
-def _score_candidates(target, indices, recoveries, new, tallies, winners, opts, seed):
-    """Score the candidates of each path's ``new`` latest recovered steps in cross-path blocks.
+def _beats(value, iteration, winner) -> bool:
+    """Whether a candidate beats a path's kept (ELBO, iteration, approximation):
+    a greater ELBO, or an equal finite one at an earlier iteration, as
+    ``select_argmax`` breaks ties, so the order chunks are scored in does not matter."""
+    return value > winner[0] or (value == winner[0] > -np.inf and iteration < winner[1])
+
+
+def _score_candidates(target, indices, recoveries, lo, new, tallies, winners, opts, seed):
+    """Score the candidates of each path's ``new`` recovered steps after step ``lo``
+    in cross-path blocks.
 
     Returns each path's ELBOs of them (-inf where disqualified), adds its
     counts to ``tallies`` (columns TALLIES) and keeps its best scored
     candidate so far in ``winners``, as (ELBO, iteration, approximation as a
-    stack of one that owns its memory).  A path's candidates come in
-    iteration order, so replacing the kept one only on a strictly greater
-    finite ELBO breaks ties toward the earliest, as ``select_argmax`` does.
-    Each block makes one ``target.logp_many`` call.  Each candidate draws
-    from its own (path, candidate) substream, all of a block's made in one
-    call, so the scores do not depend on how the blocks are cut.
+    stack of one that owns its memory).  Each block makes one
+    ``target.logp_many`` call.  Each candidate draws from its own (path,
+    candidate) substream, all of a block's made in one call, so the scores
+    do not depend on how the blocks are cut.
     """
     dim = target.dim
-    first = np.array([rec.num_iters - n for rec, n in zip(recoveries, new)])
     traces = [np.full(n, -np.inf) for n in new]
 
     def tally(column, owners):
         tallies[:, TALLIES.index(column)] += np.bincount(owners, minlength=len(tallies))
 
-    counts = [pair_counts(rec, opts.lbfgs.history_size)[lo:] for rec, lo in zip(recoveries, first)]
+    counts = [pair_counts(rec, opts.lbfgs.history_size)[lo:lo + n] for rec, n in zip(recoveries, new)]
     for num_pairs, owners, iters in _blocks(counts, dim):
-        iters = iters + first[owners]
+        iters = iters + lo
         factors, ok_e = stacked_factors(*_windows(recoveries, owners, iters, num_pairs))
         tally("singular_e", owners[~ok_e])
         if not ok_e.all():
@@ -231,9 +237,9 @@ def _score_candidates(target, indices, recoveries, new, tallies, winners, opts, 
         tally("nonfinite_elbo", owners[~np.isfinite(values)])
         for k in np.unique(owners):
             mine = np.flatnonzero(owners == k)
-            traces[k][iters[mine] - first[k] - 1] = values[mine]
-            top = mine[np.argmax(values[mine])]
-            if values[top] > winners[k][0]:  # kept as a copy: a row view would pin the block
+            traces[k][iters[mine] - lo - 1] = values[mine]
+            top = mine[np.argmax(values[mine])]  # the earliest of the block's best
+            if _beats(values[top], iters[top], winners[k]):  # a copy: a row view would pin the block
                 winners[k] = values[top], int(iters[top]), select_rows(approx, [top])
     return traces
 
@@ -241,34 +247,46 @@ def _score_candidates(target, indices, recoveries, new, tallies, winners, opts, 
 class _Scorer:
     """Recovers and scores paths' candidates one chunk of RECOVER_CHUNK steps at a time.
 
-    A candidate's window holds no pair past its own step, so the trajectories
-    may grow between ``advance`` calls; ``runs`` then draws from each winner.
+    ``recover`` extends every path's recovery by its next chunk, and
+    ``score`` scores a recovered chunk.  A candidate's window holds no pair
+    past its own step, so the trajectories may grow between calls, and
+    chunks may be scored in any order, by more than one scorer (``merge``);
+    ``runs`` then draws from each winner.
     """
 
     def __init__(self, target, indices, opts, seed):
         self.target, self.indices, self.opts, self.seed = target, np.array(indices), opts, seed
         self.recoveries = [AlphaRecovery(np.empty((0, target.dim)), np.zeros(0, dtype=int), None, None)
                            for _ in indices]
-        self.traces, self.tallies = [], np.zeros((len(indices), len(TALLIES)), dtype=int)
+        self.traces, self.tallies = {}, np.zeros((len(indices), len(TALLIES)), dtype=int)
         self.winners = [(-np.inf, None, None)] * len(indices)
 
-    def __getstate__(self):
-        """A forked scorer's reply: what ``runs`` reads, without the target or the recoveries."""
-        return {**vars(self), "target": None, "recoveries": None}
-
-    def advance(self, trajectories) -> bool:
-        """Score each path's next chunk of ``trajectories`` as they stand; False if none had one."""
+    def recover(self, trajectories) -> bool:
+        """Recover each path's next chunk of ``trajectories`` as they stand; False if none had one."""
         for rec, trajectory in zip(self.recoveries, trajectories):
             rec.thetas, rec.grads = trajectory.thetas, trajectory.grads
-        new = recover_chunk(self.recoveries)
-        self.traces.append(_score_candidates(self.target, self.indices, self.recoveries, new,
-                                             self.tallies, self.winners, self.opts, self.seed))
-        return any(new)
+        return any(recover_chunk(self.recoveries))
+
+    def score(self, chunk):
+        """Score the candidates of each path's steps in recovered ``chunk``."""
+        lo = chunk * RECOVER_CHUNK
+        new = [min(max(rec.num_iters - lo, 0), RECOVER_CHUNK) for rec in self.recoveries]
+        self.traces[chunk] = _score_candidates(self.target, self.indices, self.recoveries, lo, new,
+                                               self.tallies, self.winners, self.opts, self.seed)
+
+    def merge(self, traces, tallies, winners):
+        """Add the chunks another scorer of the same paths scored: its
+        ``traces``, ``tallies`` and ``winners``."""
+        self.traces.update(traces)
+        self.tallies += tallies
+        self.winners = [theirs if _beats(theirs[0], theirs[1], mine) else mine
+                        for mine, theirs in zip(self.winners, winners)]
 
     def runs(self, states) -> list:
-        """The runs of the paths whose ``lbfgs.lockstep`` states these are, every step scored."""
+        """The runs of the paths whose ``lbfgs.lockstep`` states these are, every chunk scored."""
+        traces = [self.traces[chunk] for chunk in sorted(self.traces)]
         return [_draw_from_winner(int(index), state, winner,
-                                  np.concatenate([t[k] for t in self.traces]),
+                                  np.concatenate([np.empty(0)] + [t[k] for t in traces]),
                                   self.tallies[k], self.opts, self.seed)
                 for k, (index, state, winner) in enumerate(zip(self.indices, states, self.winners))]
 
@@ -289,26 +307,33 @@ def run_paths(target, opts: PathfinderOptions, seed: int, indices) -> list:
     of all of them, each path's counts read from its stepper state, and one
     ``_Scorer``, which steps through all their trajectories together.
 
-    Given a spare core, a forked scorer scores their candidates while they
-    optimize (``_Feed``); otherwise, or when no path passes RECOVER_CHUNK
-    steps, the scorer runs here after.  Both make the same blocks, so the
-    core count changes no output.  Run i equals the run of path i alone
-    wherever the target's batched rows do not depend on the batch.
+    Given a spare core, a forked scorer scores their chunks while they
+    optimize (``_Feed``), and once they stop, this process scores the last
+    chunks the scorer has not started; otherwise, or when no path passes
+    RECOVER_CHUNK steps, every chunk is scored here after.  Chunks are
+    scored in the same blocks either way, so the core count changes no
+    output.  Run i equals the run of path i alone wherever the target's
+    batched rows do not depend on the batch.
     """
     indices = list(indices)
     starts = [initial_point(target.dim, opts, seed, i) for i in indices]
     feed = _Feed(target, opts, seed, indices) if usable_cores() > 1 else None
+    scorer = _Scorer(target, indices, opts, seed)
     try:
         states = lockstep(target, [feed.steps(k, theta, opts.lbfgs) if feed else
                                    optimize_steps(theta, opts.lbfgs) for k, theta in enumerate(starts)])
-        scorer = feed.scorer() if feed else None
+        trajectories = [state.outcome for state in states]
+        if feed and feed.child:
+            feed.help(scorer, trajectories)
+            scorer.merge(*feed.reply())
+        else:
+            chunk = 0
+            while scorer.recover(trajectories):
+                scorer.score(chunk)
+                chunk += 1
     finally:
         if feed:
             feed.close()
-    if scorer is None:  # none forked
-        scorer = _Scorer(target, indices, opts, seed)
-        while scorer.advance([state.outcome for state in states]):
-            pass
     return scorer.runs(states)
 
 
@@ -319,8 +344,10 @@ class _Feed:
     first time a path passes a chunk's end while no other Python thread runs
     (whose locks a child could block on), the scorer forks with every point
     kept so far; from then on each path pipes its new rows as it passes each
-    chunk's end, and the rest when it stops.  Writes never wait for the
-    scorer: what the pipe cannot take yet waits in ``out``.
+    chunk's end, and the rest when it stops.  Each chunk that some path has
+    entered puts one token in the ``claims`` pipe, and whoever scores it
+    takes one first: the scorer from the lowest chunk up, and this process,
+    once every path has stopped, from the highest down (``help``).
     """
 
     def __init__(self, target, opts, seed, indices):
@@ -328,7 +355,8 @@ class _Feed:
         self.rows = [[] for _ in indices]  # each path's (point, gradient) rows
         self.sent = [0] * len(indices)  # how many of them the scorer has, once forked
         self.ended = [False] * len(indices)
-        self.out, self.fd, self.child, self.reply = bytearray(), None, None, None
+        self.chunks = 0  # how many chunks some path has entered
+        self.fd = self.claims = self.child = self.answer = None
 
     def steps(self, k, theta_init, opts):
         """``optimize_steps`` of path k, which feeds its rows and, once it stops, its end."""
@@ -341,30 +369,54 @@ class _Feed:
     def _record(self, k, row):
         rows = self.rows[k]
         rows.append(row)
+        if len(rows) == self.chunks * RECOVER_CHUNK + 2:  # the first step of a new chunk
+            self.chunks += 1
+            if self.claims:
+                os.write(self.claims[1], b"c")
         if len(rows) % RECOVER_CHUNK != 1 or len(rows) == 1:  # not past a chunk's end
-            if self.out:
-                self._flush()
-        elif self.fd is not None:
+            return
+        if self.fd is not None:
             self._send(k)
         elif threading.active_count() == 1:
             self._fork()
 
     def _send(self, k):
-        """Pipe path k's rows the scorer lacks, and whether the path has ended."""
-        self.out += pickle.dumps((k, self.ended[k], np.array(self.rows[k][self.sent[k]:])))
+        """Pipe path k's rows the scorer lacks, and whether the path has ended; a
+        scorer that has left replies with its reason instead."""
+        data = memoryview(pickle.dumps((k, self.ended[k], np.array(self.rows[k][self.sent[k]:]))))
         self.sent[k] = len(self.rows[k])
-        self._flush()
+        with contextlib.suppress(BrokenPipeError):
+            while data:  # a signal may cut a write short
+                data = data[os.write(self.fd, data):]
 
-    def _flush(self):
-        """Write what the pipe takes now; a scorer that has left replies with its reason."""
-        with contextlib.suppress(BlockingIOError, BrokenPipeError):
-            while self.out:  # a signal may cut a write short
-                del self.out[:os.write(self.fd, self.out)]
+    def _claim(self) -> bool:
+        """Take a chunk's token; False once the other process has taken the last."""
+        try:
+            return bool(os.read(self.claims[0], 1))
+        except BlockingIOError:
+            return False
+
+    def help(self, scorer, trajectories):
+        """Once every path has stopped, score the highest chunks the scorer has not claimed."""
+        chunk = self.chunks
+        while self._claim():
+            if chunk == self.chunks:  # the first: recover every chunk, which is cheap
+                while scorer.recover(trajectories):
+                    pass
+            chunk -= 1
+            scorer.score(chunk)
 
     def _fork(self):
-        """Fork the scorer; it pipes back the pickled (scorer, its evaluations) or its error."""
+        """Fork the scorer; it pipes back the pickled (traces, tallies, winners, its
+        evaluations) of the chunks it scored, or its error."""
         rows_fd, self.fd = os.pipe()
         read_fd, write_fd = os.pipe()
+        self.claims = os.pipe()
+        os.set_blocking(self.claims[0], False)
+        import fcntl  # Unix only, as is fork
+        with contextlib.suppress(OSError):  # a 1 MB pipe takes a chunk's rows of most paths
+            fcntl.fcntl(self.fd, fcntl.F_SETPIPE_SZ, 1 << 20)
+        os.write(self.claims[1], b"c" * self.chunks)
         try:
             with warnings.catch_warnings():
                 # Python >= 3.12 warns on a fork with several OS threads, and
@@ -373,13 +425,12 @@ class _Feed:
                 warnings.filterwarnings("ignore", "This process .* multi-threaded", DeprecationWarning)
                 pid = os.fork()
         except OSError:
-            for fd in (rows_fd, read_fd, write_fd):
+            for fd in (rows_fd, read_fd, write_fd, *self.claims):
                 os.close(fd)
             raise
         if pid:
             os.close(rows_fd)
             os.close(write_fd)
-            os.set_blocking(self.fd, False)
             self.child, self.sent = (pid, open(read_fd, "rb")), [len(rows) for rows in self.rows]
             return
         os.close(read_fd)
@@ -387,7 +438,9 @@ class _Feed:
         try:
             target._n_fused = target._n_logp_only = 0  # the child counts its own evaluations
             try:
-                reply = pickle.dumps((self._serve(rows_fd), target._n_fused, target._n_logp_only))
+                scorer = self._serve(rows_fd)
+                reply = pickle.dumps((scorer.traces, scorer.tallies, scorer.winners,
+                                      target._n_fused, target._n_logp_only))
             except BaseException as exc:
                 try:
                     reply = pickle.dumps(exc)
@@ -399,58 +452,70 @@ class _Feed:
         finally:
             os._exit(0)
 
-    def scorer(self):
-        """The forked scorer, once every path has ended, with its evaluations added to
-        the target's counters; None if none forked.  Raises the scorer's error."""
-        if not self.child:
-            return None
-        os.set_blocking(self.fd, True)
-        self._flush()
+    def reply(self):
+        """The forked scorer's (traces, tallies, winners) once every path has ended, with
+        its evaluations added to the target's counters.  Raises the scorer's error."""
         os.close(self.fd)
         self.fd = None
-        self.reply = self.child[1].read()
-        reply = pickle.loads(self.reply) if self.reply else RuntimeError("the scorer died unanswered")
+        self.answer = self.child[1].read()
+        reply = pickle.loads(self.answer) if self.answer else RuntimeError("the scorer died unanswered")
         if isinstance(reply, BaseException):
             raise reply
-        scorer, n_fused, n_logp_only = reply
-        self.work[0]._n_fused += n_fused
-        self.work[0]._n_logp_only += n_logp_only
-        return scorer
+        self.work[0]._n_fused += reply[3]
+        self.work[0]._n_logp_only += reply[4]
+        return reply[:3]
 
     def close(self):
         """Leave no scorer running: kill one that has not replied, and reap it."""
-        if self.fd is not None:
-            os.close(self.fd)
+        for fd in (self.fd, *(self.claims or ())):
+            if fd is not None:
+                os.close(fd)
         if self.child:
             pid, pipe = self.child
-            if self.reply is None:  # the caller raised
+            if self.answer is None:  # the caller raised
                 os.kill(pid, 9)  # SIGKILL
             pipe.close()
             os.waitpid(pid, 0)
 
     def _serve(self, rows_fd):
-        """The forked scorer: score each chunk once every path has passed its end
-        or stopped, then the rest, and return the scorer."""
+        """The forked scorer: score each chunk it claims once every path has passed
+        its end or stopped, lowest first, and return the scorer."""
         os.close(self.fd)
         target, opts, seed, indices, err = self.work
         scorer = _Scorer(target, indices, opts, seed)
         rows = [np.reshape(kept, (-1, 2, target.dim)) for kept in self.rows]  # before the fork
-        ended, edge = list(self.ended), RECOVER_CHUNK  # the next chunk's last step
+        ended, chunk = list(self.ended), 0
+        inbox = queue.SimpleQueue()
+        threading.Thread(target=_drain, args=(open(rows_fd, "rb"), inbox), daemon=True).start()
 
         def paths():  # strided views, which scoring reads only elementwise or copied
             return [Trajectory(path[:, 0], path[:, 1], None, None) for path in rows]
 
-        with np.errstate(**err), open(rows_fd, "rb") as pipe:
-            while not all(ended):
-                if all(done or len(path) > edge for done, path in zip(ended, rows)):
-                    scorer.advance(paths())
-                    edge += RECOVER_CHUNK
+        with np.errstate(**err):
+            while not all(ended) or chunk * RECOVER_CHUNK < max(len(path) - 1 for path in rows):
+                if all(done or len(path) > (chunk + 1) * RECOVER_CHUNK for done, path in zip(ended, rows)):
+                    if not self._claim():
+                        break
+                    scorer.recover(paths())
+                    scorer.score(chunk)
+                    chunk += 1
                 else:
-                    k, ended[k], new = pickle.load(pipe)
+                    message = inbox.get()
+                    if isinstance(message, BaseException):
+                        raise message
+                    k, ended[k], new = message
                     rows[k] = np.concatenate((rows[k], np.reshape(new, (-1, 2, target.dim))))
-            while scorer.advance(paths()):
-                pass
             return scorer
+
+
+def _drain(pipe, inbox):
+    """Move the caller's messages into ``inbox`` as they come, so that its writes
+    never wait for a scorer busy scoring; the error that ends the pipe comes last."""
+    try:
+        while True:
+            inbox.put(pickle.load(pipe))
+    except BaseException as exc:
+        inbox.put(exc)
 
 
 def run_single(target, opts: PathfinderOptions, seed: int, path_index: int = 0) -> PathfinderRun:

@@ -184,7 +184,8 @@ def test_overflowing_pair_products_disqualify_only_that_candidate(monkeypatch):
 def test_forked_scorer_disqualifies_the_same_candidates(monkeypatch, corrupt, reason, mode):
     # The twins of the two tests above with a spare core: the patches run in
     # the forked scorer, so only the runs show what they broke.  Path 0 at
-    # seed 9 runs past RECOVER_CHUNK steps, so the scorer forks in both modes.
+    # seed 9 runs past RECOVER_CHUNK steps, so the scorer forks in both modes,
+    # and the caller leaves it every chunk instead of scoring the last ones.
     def solve():
         target = make_target("eight_schools_noncentered")
         if mode == "single":
@@ -205,6 +206,7 @@ def test_forked_scorer_disqualifies_the_same_candidates(monkeypatch, corrupt, re
 
     monkeypatch.setattr(os, "fork", counting_fork)
     monkeypatch.setattr(single_path, "usable_cores", lambda: 2)
+    monkeypatch.setattr(single_path._Feed, "help", lambda *args: None)
     forked = solve()
 
     assert len(forks) == 1 and forked[0].num_iters >= RECOVER_CHUNK
