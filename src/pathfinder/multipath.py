@@ -1,13 +1,14 @@
 """Multi-path Pathfinder: lockstep paths, pooled by Pareto-smoothed importance resampling.
 
 The paths are independent, so ``single_path.run_paths``, the runner single
-mode calls with one path, advances all their optimizers together in one
-``lbfgs.lockstep``: each round answers the kind of request most of its
-paths wait on, with one stack of directions per pair count, one batched
-call for line-search trials (log density only) or one for the points that
-need a gradient.  Their candidates are scored in cross-path blocks,
-RECOVER_CHUNK steps at a time; given a spare core, one forked scorer scores
-each chunk while the paths optimize (Linux only).
+mode calls with one path, cuts them into one shard per usable core, forks a
+process for each shard but the first (Linux only), and advances each
+shard's optimizers together in one ``lbfgs.lockstep``: each round answers
+the kind of request most of its paths wait on, with one stack of directions
+per pair count, one batched call for line-search trials (log density only)
+or one for the points that need a gradient.  Then the shard's
+candidates are scored in cross-path blocks, RECOVER_CHUNK steps at a time
+(a lone path's, given a spare core, in a forked child while it optimizes).
 The finished paths are pooled under an equally-weighted mixture proposal in
 which every draw is scored against its own component density (the 1/I
 mixture factors cancel between proposal and augmented target, so the raw
@@ -243,11 +244,11 @@ def pool_runs(runs: list, target) -> tuple[WeightedSample, int]:
 
 
 def run_multi(target, opts: MultipathOptions, seed: int) -> MultipathResult:
-    """Run ``opts.num_paths`` paths in one lockstep, pool, smooth, and resample.
+    """Run ``opts.num_paths`` paths in a lockstep shard per core, pool, smooth, and resample.
 
     Each path derives its own substreams from the master seed, so the output
-    is a function of (target, opts, seed), whatever the core count.  Raises
-    AllPathsFailedError when no path succeeds.
+    is a function of (target, opts, seed) and, where BLOCK_FLOATS says, of
+    the shard count.  Raises AllPathsFailedError when no path succeeds.
     """
     runs = run_paths(target, opts.single, seed, range(opts.num_paths))
 

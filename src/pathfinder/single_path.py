@@ -3,17 +3,16 @@
 One run optimizes the log density from a random initialization, rebuilds a
 normal approximation at every trajectory point, scores each by Monte Carlo
 ELBO, and returns draws from the ELBO-maximizing approximation.  Both modes
-run paths through ``run_paths``: one ``lbfgs.lockstep`` of all the paths on
-the target itself, each path's counts read from its stepper state, and one
-``_Scorer``, which recovers the diagonal seeds one chunk of RECOVER_CHUNK
-steps at a time and scores each chunk's candidates in stacked blocks sharing
-a pair count, with one factorization, seeding and target call per block,
-keeping each path's best approximation as its block built it; the output
-draws come from that one.  Given a spare core, the scorer runs in one forked
-process (Linux only) and scores each chunk while the paths optimize, once
-every path has passed the chunk's end or stopped (``_Feed``); otherwise
-it scores the finished paths here.  ``run_single`` is the run
-of one path, one row per batched call.
+run paths through ``run_paths``, one contiguous shard per usable core, each
+shard but the first in a forked process (Linux only).  A shard is one
+``lbfgs.lockstep`` on the target itself, each path's counts read from its
+stepper state, then ``finish_runs``: a ``_Scorer`` recovers the diagonal
+seeds one chunk of RECOVER_CHUNK steps at a time and scores each chunk's
+candidates in stacked blocks sharing a pair count, with one factorization,
+seeding and target call per block, keeping each path's best approximation
+as its block built it; the output draws come from that one.  ``run_single``
+is one shard of one path, one row per batched call; given a spare core, a
+forked ``_Scorer`` scores each chunk of its steps while the path optimizes.
 
 Runs never raise on pathological geometry: a search direction without a
 valid pair matrix E ends its path as ``line_search_fail``, a refused start
@@ -28,7 +27,6 @@ from __future__ import annotations
 import contextlib
 import os
 import pickle
-import queue
 import sys
 import threading
 import traceback
@@ -57,15 +55,15 @@ from .options import POSITIVE, POSITIVE_INT, check_settings, setting
 from .seeding import STREAM_CANDIDATE, STREAM_FINAL, STREAM_INIT, substream, substreams
 
 # Floats in one stacked (B, N, 2J') array of a scoring block, which holds
-# the candidates of the paths that share a pair count.  Blocks bound
+# the candidates of a shard's paths that share a pair count.  Blocks bound
 # memory; they change no result where logp_many rows do not depend on the
 # batch, which holds for every target but logistic regression, whose rows
 # are BLAS matrix products: the fixed block size keeps its results
-# reproducible.  The same holds for the lockstep batches and for blocks that
-# mix paths, so a logistic path run by ``run_multi`` is not bit-identical to
-# ``run_single`` with its path index.  Neither the batches nor the blocks
-# depend on the core count, so output is a function of (target, options,
-# seed) on every target.
+# reproducible.  The same holds for the lockstep batches, for blocks that
+# mix paths and for the cut into shards, so a logistic path run by
+# ``run_multi`` is not bit-identical to ``run_single`` with its path index,
+# and ``run_multi`` output depends on the shard count: on one machine it is
+# still a function of (target, options, seed).
 BLOCK_FLOATS = 2**14
 
 # Why a candidate approximation was disqualified, in the order checked:
@@ -181,34 +179,29 @@ def _rows(arrays, owners, iters):
     return np.concatenate([arrays[k][iters[owners == k]] for k in np.unique(owners)])
 
 
-def _beats(value, iteration, winner) -> bool:
-    """Whether a candidate beats a path's kept (ELBO, iteration, approximation):
-    a greater ELBO, or an equal finite one at an earlier iteration, as
-    ``select_argmax`` breaks ties, so the order chunks are scored in does not matter."""
-    return value > winner[0] or (value == winner[0] > -np.inf and iteration < winner[1])
-
-
-def _score_candidates(target, indices, recoveries, lo, new, tallies, winners, opts, seed):
-    """Score the candidates of each path's ``new`` recovered steps after step ``lo``
-    in cross-path blocks.
+def _score_candidates(target, indices, recoveries, new, tallies, winners, opts, seed):
+    """Score the candidates of each path's ``new`` latest recovered steps in cross-path blocks.
 
     Returns each path's ELBOs of them (-inf where disqualified), adds its
     counts to ``tallies`` (columns TALLIES) and keeps its best scored
     candidate so far in ``winners``, as (ELBO, iteration, approximation as a
-    stack of one that owns its memory).  Each block makes one
-    ``target.logp_many`` call.  Each candidate draws from its own (path,
-    candidate) substream, all of a block's made in one call, so the scores
-    do not depend on how the blocks are cut.
+    stack of one that owns its memory).  A path's candidates come in
+    iteration order, so replacing the kept one only on a strictly greater
+    finite ELBO breaks ties toward the earliest, as ``select_argmax`` does.
+    Each block makes one ``target.logp_many`` call.  Each candidate draws
+    from its own (path, candidate) substream, all of a block's made in one
+    call, so the scores do not depend on how the blocks are cut.
     """
     dim = target.dim
+    first = np.array([rec.num_iters - n for rec, n in zip(recoveries, new)])
     traces = [np.full(n, -np.inf) for n in new]
 
     def tally(column, owners):
         tallies[:, TALLIES.index(column)] += np.bincount(owners, minlength=len(tallies))
 
-    counts = [pair_counts(rec, opts.lbfgs.history_size)[lo:lo + n] for rec, n in zip(recoveries, new)]
+    counts = [pair_counts(rec, opts.lbfgs.history_size)[lo:] for rec, lo in zip(recoveries, first)]
     for num_pairs, owners, iters in _blocks(counts, dim):
-        iters = iters + lo
+        iters = iters + first[owners]
         factors, ok_e = stacked_factors(*_windows(recoveries, owners, iters, num_pairs))
         tally("singular_e", owners[~ok_e])
         if not ok_e.all():
@@ -237,9 +230,9 @@ def _score_candidates(target, indices, recoveries, lo, new, tallies, winners, op
         tally("nonfinite_elbo", owners[~np.isfinite(values)])
         for k in np.unique(owners):
             mine = np.flatnonzero(owners == k)
-            traces[k][iters[mine] - lo - 1] = values[mine]
-            top = mine[np.argmax(values[mine])]  # the earliest of the block's best
-            if _beats(values[top], iters[top], winners[k]):  # a copy: a row view would pin the block
+            traces[k][iters[mine] - first[k] - 1] = values[mine]
+            top = mine[np.argmax(values[mine])]
+            if values[top] > winners[k][0]:  # kept as a copy: a row view would pin the block
                 winners[k] = values[top], int(iters[top]), select_rows(approx, [top])
     return traces
 
@@ -247,48 +240,58 @@ def _score_candidates(target, indices, recoveries, lo, new, tallies, winners, op
 class _Scorer:
     """Recovers and scores paths' candidates one chunk of RECOVER_CHUNK steps at a time.
 
-    ``recover`` extends every path's recovery by its next chunk, and
-    ``score`` scores a recovered chunk.  A candidate's window holds no pair
-    past its own step, so the trajectories may grow between calls, and
-    chunks may be scored in any order, by more than one scorer (``merge``);
-    ``runs`` then draws from each winner.
+    A candidate's window holds no pair past its own step, so the trajectories
+    may grow between ``advance`` calls; ``runs`` then draws from each winner.
     """
 
     def __init__(self, target, indices, opts, seed):
         self.target, self.indices, self.opts, self.seed = target, np.array(indices), opts, seed
         self.recoveries = [AlphaRecovery(np.empty((0, target.dim)), np.zeros(0, dtype=int), None, None)
                            for _ in indices]
-        self.traces, self.tallies = {}, np.zeros((len(indices), len(TALLIES)), dtype=int)
+        self.traces, self.tallies = [], np.zeros((len(indices), len(TALLIES)), dtype=int)
         self.winners = [(-np.inf, None, None)] * len(indices)
 
-    def recover(self, trajectories) -> bool:
-        """Recover each path's next chunk of ``trajectories`` as they stand; False if none had one."""
+    def advance(self, trajectories) -> bool:
+        """Score each path's next chunk of ``trajectories`` as they stand; False if none had one."""
         for rec, trajectory in zip(self.recoveries, trajectories):
             rec.thetas, rec.grads = trajectory.thetas, trajectory.grads
-        return any(recover_chunk(self.recoveries))
+        new = recover_chunk(self.recoveries)
+        self.traces.append(_score_candidates(self.target, self.indices, self.recoveries, new,
+                                             self.tallies, self.winners, self.opts, self.seed))
+        return any(new)
 
-    def score(self, chunk):
-        """Score the candidates of each path's steps in recovered ``chunk``."""
-        lo = chunk * RECOVER_CHUNK
-        new = [min(max(rec.num_iters - lo, 0), RECOVER_CHUNK) for rec in self.recoveries]
-        self.traces[chunk] = _score_candidates(self.target, self.indices, self.recoveries, lo, new,
-                                               self.tallies, self.winners, self.opts, self.seed)
-
-    def merge(self, traces, tallies, winners):
-        """Add the chunks another scorer of the same paths scored: its
-        ``traces``, ``tallies`` and ``winners``."""
-        self.traces.update(traces)
-        self.tallies += tallies
-        self.winners = [theirs if _beats(theirs[0], theirs[1], mine) else mine
-                        for mine, theirs in zip(self.winners, winners)]
-
-    def runs(self, states) -> list:
-        """The runs of the paths whose ``lbfgs.lockstep`` states these are, every chunk scored."""
-        traces = [self.traces[chunk] for chunk in sorted(self.traces)]
-        return [_draw_from_winner(int(index), state, winner,
-                                  np.concatenate([np.empty(0)] + [t[k] for t in traces]),
+    def runs(self, paths) -> list:
+        """The runs of ``paths``, whose every step has been scored."""
+        return [_draw_from_winner(path, winner, np.concatenate([t[k] for t in self.traces]),
                                   self.tallies[k], self.opts, self.seed)
-                for k, (index, state, winner) in enumerate(zip(self.indices, states, self.winners))]
+                for k, (path, winner) in enumerate(zip(paths, self.winners))]
+
+
+def _run(path, draws, logq, elbo_trace=(), tally=(0,) * len(TALLIES), elbo_draws=0,
+         l_star=None, approx=None):
+    """A path's run; failed, flagged by its one draw's logq = +inf, when ``l_star`` is None."""
+    scored = int(tally[0])
+    return PathfinderRun(
+        draws=draws,
+        logq=logq,
+        elbo_trace=np.asarray(elbo_trace, dtype=float),
+        l_star=l_star,
+        failed=l_star is None,
+        n_logp=path.n_logp + scored * elbo_draws,
+        n_grad=path.n_grad,
+        num_iters=path.trajectory.num_iters,
+        termination=path.trajectory.termination,
+        scored_candidates=scored,
+        lbfgs_n_logp=path.n_logp,
+        lbfgs_n_grad=path.n_grad,
+        disqualified=dict(zip(DISQUALIFY_REASONS, map(int, tally[1:]))),
+        approx=approx,
+    )
+
+
+def _failed_run(path, *score):
+    """The run of a path with no valid approximation: its last point, flagged by logq = +inf."""
+    return _run(path, path.trajectory.thetas[-1:], np.array([np.inf]), *score)
 
 
 def initial_point(dim: int, opts: PathfinderOptions, seed: int, path_index: int) -> np.ndarray:
@@ -297,225 +300,160 @@ def initial_point(dim: int, opts: PathfinderOptions, seed: int, path_index: int)
     return rng_init.uniform(-opts.init_radius, opts.init_radius, dim)
 
 
+@dataclass
+class OptimizedPath:
+    """A path whose optimizer has stopped, waiting to be scored.
+
+    ``n_logp`` and ``n_grad`` count the optimizer's evaluations; a refused
+    start leaves a one-point ``trajectory`` ended as ``NONFINITE_AT_INIT``.
+    """
+
+    index: int
+    trajectory: Trajectory
+    n_logp: int
+    n_grad: int
+
+
 def usable_cores() -> int:
     """The CPUs this process may run on; 1 off Linux, where nothing is forked."""
     return len(os.sched_getaffinity(0)) if sys.platform.startswith("linux") else 1
 
 
 def run_paths(target, opts: PathfinderOptions, seed: int, indices) -> list:
-    """Runs of the paths ``indices`` (one in single mode): one ``lbfgs.lockstep``
-    of all of them, each path's counts read from its stepper state, and one
-    ``_Scorer``, which steps through all their trajectories together.
+    """Runs of the paths ``indices`` (one in single mode), in k contiguous shards.
 
-    Given a spare core, a forked scorer scores their chunks while they
-    optimize (``_Feed``), and once they stop, this process scores the last
-    chunks the scorer has not started; otherwise, or when no path passes
-    RECOVER_CHUNK steps, every chunk is scored here after.  Chunks are
-    scored in the same blocks either way, so the core count changes no
-    output.  Run i equals the run of path i alone wherever the target's
-    batched rows do not depend on the batch.
+    k = min(len(indices), usable_cores()), or 1 while another Python thread
+    runs, whose locks a child could block on.  The first shard runs here, the
+    others in forked children.  A lone path with a spare core instead has its
+    candidates scored by a forked child while it optimizes (``_Feed``).  Run
+    i equals the run of path i alone wherever the target's batched rows do
+    not depend on the batch.
     """
     indices = list(indices)
-    starts = [initial_point(target.dim, opts, seed, i) for i in indices]
-    feed = _Feed(target, opts, seed, indices) if usable_cores() > 1 else None
-    scorer = _Scorer(target, indices, opts, seed)
+    alone = threading.active_count() == 1
+    k = max(1, min(len(indices), usable_cores())) if alone else 1
+    cuts = [len(indices) * j // k for j in range(k + 1)]
+    children, replies = [], []
+    feed = _Feed(target, opts, seed, indices[0], children) if (
+        len(indices) == 1 and alone and usable_cores() > 1) else None
     try:
-        states = lockstep(target, [feed.steps(k, theta, opts.lbfgs) if feed else
-                                   optimize_steps(theta, opts.lbfgs) for k, theta in enumerate(starts)])
-        trajectories = [state.outcome for state in states]
-        if feed and feed.child:
-            feed.help(scorer, trajectories)
-            scorer.merge(*feed.reply())
-        else:
-            chunk = 0
-            while scorer.recover(trajectories):
-                scorer.score(chunk)
-                chunk += 1
+        for lo, hi in zip(cuts[1:-1], cuts[2:]):
+            children.append(_fork(target, lambda shard=indices[lo:hi]: _run_shard(
+                target, opts, seed, shard)))
+        runs = _run_shard(target, opts, seed, indices[:cuts[1]], feed)
+        replies = [pipe.read() for _, pipe in children]
     finally:
-        if feed:
-            feed.close()
-    return scorer.runs(states)
+        if feed and feed.fd is not None:
+            os.close(feed.fd)
+        for pid, pipe in children:
+            if not replies:  # this shard or a read raised: leave no child running
+                os.kill(pid, 9)  # SIGKILL
+            pipe.close()
+            os.waitpid(pid, 0)
+    for reply in replies:
+        reply = pickle.loads(reply) if reply else RuntimeError("a path shard died unanswered")
+        if isinstance(reply, BaseException):
+            raise reply
+        runs += reply[0]
+        target._n_fused += reply[1]
+        target._n_logp_only += reply[2]
+    return runs
+
+
+def _fork(target, work):
+    """(pid, pipe) of a child piping back the pickled (runs ``work()`` returns, fused
+    and logp-only evaluations), or its error, which the caller re-raises."""
+    read_fd, write_fd = os.pipe()
+    try:
+        with warnings.catch_warnings():
+            # Python >= 3.12 warns on a fork with several OS threads, and
+            # OpenBLAS always runs its own: its atfork handlers make the fork
+            # safe (unverified there; the tests run on Python 3.11).
+            warnings.filterwarnings("ignore", "This process .* multi-threaded", DeprecationWarning)
+            pid = os.fork()
+    except OSError:
+        os.close(read_fd)
+        os.close(write_fd)
+        raise
+    if pid:
+        os.close(write_fd)
+        return pid, open(read_fd, "rb")
+    try:
+        target._n_fused = target._n_logp_only = 0  # the child counts its own evaluations
+        try:
+            reply = pickle.dumps((work(), target._n_fused, target._n_logp_only))
+        except BaseException as exc:
+            try:
+                reply = pickle.dumps(exc)
+                pickle.loads(reply)
+            except Exception:  # send a RuntimeError whose traceback shows both errors
+                reply = pickle.dumps(RuntimeError(f"path shard error:\n{traceback.format_exc()}"))
+        with open(write_fd, "wb") as pipe:
+            pipe.write(reply)
+    finally:
+        os._exit(0)
 
 
 class _Feed:
-    """The caller's end of the forked scorer, which scores the paths' chunks while they optimize.
+    """The caller's end of a lone path's forked scorer, called with each trajectory point.
 
-    ``steps`` runs a path's optimizer, keeping each trajectory point.  The
-    first time a path passes a chunk's end while no other Python thread runs
-    (whose locks a child could block on), the scorer forks with every point
-    kept so far; from then on each path pipes its new rows as it passes each
-    chunk's end, and the rest when it stops.  Each chunk that some path has
-    entered puts one token in the ``claims`` pipe, and whoever scores it
-    takes one first: the scorer from the lowest chunk up, and this process,
-    once every path has stopped, from the highest down (``help``).
+    At RECOVER_CHUNK steps it forks the scorer into ``children``, unless a
+    thread runs then, and pipes it each RECOVER_CHUNK steps' rows as they
+    come; ``send`` pipes the finished path last.
     """
 
-    def __init__(self, target, opts, seed, indices):
-        self.work = target, opts, seed, indices, np.geterr()  # the caller's, not the loop's
-        self.rows = [[] for _ in indices]  # each path's (point, gradient) rows
-        self.sent = [0] * len(indices)  # how many of them the scorer has, once forked
-        self.ended = [False] * len(indices)
-        self.chunks = 0  # how many chunks some path has entered
-        self.fd = self.claims = self.child = self.answer = None
+    def __init__(self, target, opts, seed, index, children):
+        self.work = target, opts, seed, index, np.geterr()  # the caller's, not the loop's
+        self.children, self.rows, self.fd = children, [], None
 
-    def steps(self, k, theta_init, opts):
-        """``optimize_steps`` of path k, which feeds its rows and, once it stops, its end."""
-        trajectory = yield from optimize_steps(theta_init, opts, lambda *row: self._record(k, row))
-        self.ended[k] = True
-        if self.fd is not None:
-            self._send(k)
-        return trajectory
-
-    def _record(self, k, row):
-        rows = self.rows[k]
-        rows.append(row)
-        if len(rows) == self.chunks * RECOVER_CHUNK + 2:  # the first step of a new chunk
-            self.chunks += 1
-            if self.claims:
-                os.write(self.claims[1], b"c")
-        if len(rows) % RECOVER_CHUNK != 1 or len(rows) == 1:  # not past a chunk's end
+    def __call__(self, *point):
+        self.rows.append(point)
+        if len(self.rows) != RECOVER_CHUNK + (self.fd is None):  # the first chunk has row 0 too
             return
-        if self.fd is not None:
-            self._send(k)
-        elif threading.active_count() == 1:
-            self._fork()
+        if self.fd is None:
+            if threading.active_count() > 1:
+                return  # and never will: the caller scores the path
+            read_fd, self.fd = os.pipe()
+            try:
+                self.children.append(_fork(self.work[0], lambda: self._serve(read_fd)))
+            finally:
+                os.close(read_fd)
+        self.send(tuple(np.array(rows) for rows in zip(*self.rows)))
+        self.rows = []
 
-    def _send(self, k):
-        """Pipe path k's rows the scorer lacks, and whether the path has ended; a
-        scorer that has left replies with its reason instead."""
-        data = memoryview(pickle.dumps((k, self.ended[k], np.array(self.rows[k][self.sent[k]:]))))
-        self.sent[k] = len(self.rows[k])
+    def send(self, message):
+        """Pipe ``message``; a scorer that has left replies with its reason instead."""
+        data = memoryview(pickle.dumps(message))
         with contextlib.suppress(BrokenPipeError):
             while data:  # a signal may cut a write short
                 data = data[os.write(self.fd, data):]
 
-    def _claim(self) -> bool:
-        """Take a chunk's token; False once the other process has taken the last."""
-        try:
-            return bool(os.read(self.claims[0], 1))
-        except BlockingIOError:
-            return False
-
-    def help(self, scorer, trajectories):
-        """Once every path has stopped, score the highest chunks the scorer has not claimed."""
-        chunk = self.chunks
-        while self._claim():
-            if chunk == self.chunks:  # the first: recover every chunk, which is cheap
-                while scorer.recover(trajectories):
-                    pass
-            chunk -= 1
-            scorer.score(chunk)
-
-    def _fork(self):
-        """Fork the scorer; it pipes back the pickled (traces, tallies, winners, its
-        evaluations) of the chunks it scored, or its error."""
-        rows_fd, self.fd = os.pipe()
-        read_fd, write_fd = os.pipe()
-        self.claims = os.pipe()
-        os.set_blocking(self.claims[0], False)
-        import fcntl  # Unix only, as is fork
-        with contextlib.suppress(OSError):  # a 1 MB pipe takes a chunk's rows of most paths
-            fcntl.fcntl(self.fd, fcntl.F_SETPIPE_SZ, 1 << 20)
-        os.write(self.claims[1], b"c" * self.chunks)
-        try:
-            with warnings.catch_warnings():
-                # Python >= 3.12 warns on a fork with several OS threads, and
-                # OpenBLAS always runs its own: its atfork handlers make the
-                # fork safe (unverified there; the tests run on Python 3.11).
-                warnings.filterwarnings("ignore", "This process .* multi-threaded", DeprecationWarning)
-                pid = os.fork()
-        except OSError:
-            for fd in (rows_fd, read_fd, write_fd, *self.claims):
-                os.close(fd)
-            raise
-        if pid:
-            os.close(rows_fd)
-            os.close(write_fd)
-            self.child, self.sent = (pid, open(read_fd, "rb")), [len(rows) for rows in self.rows]
-            return
-        os.close(read_fd)
-        target = self.work[0]
-        try:
-            target._n_fused = target._n_logp_only = 0  # the child counts its own evaluations
-            try:
-                scorer = self._serve(rows_fd)
-                reply = pickle.dumps((scorer.traces, scorer.tallies, scorer.winners,
-                                      target._n_fused, target._n_logp_only))
-            except BaseException as exc:
-                try:
-                    reply = pickle.dumps(exc)
-                    pickle.loads(reply)
-                except Exception:  # send a RuntimeError whose traceback shows both errors
-                    reply = pickle.dumps(RuntimeError(f"scorer error:\n{traceback.format_exc()}"))
-            with open(write_fd, "wb") as pipe:
-                pipe.write(reply)
-        finally:
-            os._exit(0)
-
-    def reply(self):
-        """The forked scorer's (traces, tallies, winners) once every path has ended, with
-        its evaluations added to the target's counters.  Raises the scorer's error."""
+    def _serve(self, read_fd):
+        """The forked scorer: score each chunk as it comes, then the finished path's run."""
         os.close(self.fd)
-        self.fd = None
-        self.answer = self.child[1].read()
-        reply = pickle.loads(self.answer) if self.answer else RuntimeError("the scorer died unanswered")
-        if isinstance(reply, BaseException):
-            raise reply
-        self.work[0]._n_fused += reply[3]
-        self.work[0]._n_logp_only += reply[4]
-        return reply[:3]
-
-    def close(self):
-        """Leave no scorer running: kill one that has not replied, and reap it."""
-        for fd in (self.fd, *(self.claims or ())):
-            if fd is not None:
-                os.close(fd)
-        if self.child:
-            pid, pipe = self.child
-            if self.answer is None:  # the caller raised
-                os.kill(pid, 9)  # SIGKILL
-            pipe.close()
-            os.waitpid(pid, 0)
-
-    def _serve(self, rows_fd):
-        """The forked scorer: score each chunk it claims once every path has passed
-        its end or stopped, lowest first, and return the scorer."""
-        os.close(self.fd)
-        target, opts, seed, indices, err = self.work
-        scorer = _Scorer(target, indices, opts, seed)
-        rows = [np.reshape(kept, (-1, 2, target.dim)) for kept in self.rows]  # before the fork
-        ended, chunk = list(self.ended), 0
-        inbox = queue.SimpleQueue()
-        threading.Thread(target=_drain, args=(open(rows_fd, "rb"), inbox), daemon=True).start()
-
-        def paths():  # strided views, which scoring reads only elementwise or copied
-            return [Trajectory(path[:, 0], path[:, 1], None, None) for path in rows]
-
-        with np.errstate(**err):
-            while not all(ended) or chunk * RECOVER_CHUNK < max(len(path) - 1 for path in rows):
-                if all(done or len(path) > (chunk + 1) * RECOVER_CHUNK for done, path in zip(ended, rows)):
-                    if not self._claim():
-                        break
-                    scorer.recover(paths())
-                    scorer.score(chunk)
-                    chunk += 1
-                else:
-                    message = inbox.get()
-                    if isinstance(message, BaseException):
-                        raise message
-                    k, ended[k], new = message
-                    rows[k] = np.concatenate((rows[k], np.reshape(new, (-1, 2, target.dim))))
-            return scorer
+        target, opts, seed, index, err = self.work
+        scorer = _Scorer(target, [index], opts, seed)
+        rows = Trajectory(*np.empty((2, 0, target.dim)), None, None)  # the rows piped so far
+        with np.errstate(**err), open(read_fd, "rb") as pipe:
+            while not isinstance(message := pickle.load(pipe), OptimizedPath):
+                rows.thetas, rows.grads = map(np.concatenate, zip((rows.thetas, rows.grads), message))
+                scorer.advance([rows])
+            while scorer.advance([message.trajectory]):
+                pass
+            return scorer.runs([message])
 
 
-def _drain(pipe, inbox):
-    """Move the caller's messages into ``inbox`` as they come, so that its writes
-    never wait for a scorer busy scoring; the error that ends the pipe comes last."""
-    try:
-        while True:
-            inbox.put(pickle.load(pipe))
-    except BaseException as exc:
-        inbox.put(exc)
+def _run_shard(target, opts: PathfinderOptions, seed: int, indices, feed=None) -> list:
+    """Runs of the paths ``indices``: one ``lbfgs.lockstep``, then ``finish_runs``,
+    or none for a lone path whose ``feed`` forked a scorer, which replies with it."""
+    states = lockstep(target, [optimize_steps(initial_point(target.dim, opts, seed, i),
+                                              opts.lbfgs, feed) for i in indices])
+    paths = [OptimizedPath(i, s.outcome, s.n_fused + s.n_logp_only, s.n_fused)
+             for i, s in zip(indices, states)]
+    if feed and feed.fd is not None:
+        feed.send(paths[0])
+        return []
+    return finish_runs(target, paths, opts, seed)
 
 
 def run_single(target, opts: PathfinderOptions, seed: int, path_index: int = 0) -> PathfinderRun:
@@ -531,33 +469,30 @@ def run_single(target, opts: PathfinderOptions, seed: int, path_index: int = 0) 
     return run_paths(target, opts, seed, [path_index])[0]
 
 
-def _draw_from_winner(index, state, winner, elbo_trace, tally, opts, seed):
-    """The run of path ``index``, from its lockstep ``state`` and its scores: draws
-    from its ELBO-best candidate, or with none a failed run, whose one draw is
-    its last point (its start, if refused), flagged by logq = +inf."""
+def finish_runs(target, paths: list, opts: PathfinderOptions, seed: int) -> list:
+    """Score the candidates along optimized paths and draw from each path's winner.
+
+    ``paths`` are OptimizedPath records; the runs come back in their order.
+    A ``_Scorer`` steps through all paths' trajectories together, one chunk
+    of RECOVER_CHUNK steps at a time, so a path's run equals its run scored
+    alone wherever the target's batched rows do not depend on the batch.
+    """
+    scorable = [i for i, path in enumerate(paths) if path.trajectory.num_iters]
+    runs = [None if i in scorable else _failed_run(path) for i, path in enumerate(paths)]
+    scorer = _Scorer(target, [paths[i].index for i in scorable], opts, seed)
+    while scorable and scorer.advance([paths[i].trajectory for i in scorable]):
+        pass
+    for i, run in zip(scorable, scorer.runs([paths[i] for i in scorable])):
+        runs[i] = run
+    return runs
+
+
+def _draw_from_winner(path, winner, elbo_trace, tally, opts, seed):
+    """The run of a scored path: draws from its ELBO-best candidate, or a failed run."""
     _, l_star, approx = winner
-    trajectory, n_logp = state.outcome, state.n_fused + state.n_logp_only
     if approx is None:
-        draws, logq = trajectory.thetas[-1:], np.array([np.inf])
-    else:
-        # The winner as its scoring block built it, and a fresh batch of output draws.
-        approx = select_rows(approx, 0)
-        batch = normal_approx.sample(approx, opts.num_draws, substream(seed, index, STREAM_FINAL))
-        draws, logq = batch.draws, batch.logq
-    scored = int(tally[0])
-    return PathfinderRun(
-        draws=draws,
-        logq=logq,
-        elbo_trace=elbo_trace,
-        l_star=l_star,
-        failed=l_star is None,
-        n_logp=n_logp + scored * opts.elbo_draws,
-        n_grad=state.n_fused,
-        num_iters=trajectory.num_iters,
-        termination=trajectory.termination,
-        scored_candidates=scored,
-        lbfgs_n_logp=n_logp,
-        lbfgs_n_grad=state.n_fused,
-        disqualified=dict(zip(DISQUALIFY_REASONS, map(int, tally[1:]))),
-        approx=approx,
-    )
+        return _failed_run(path, elbo_trace, tally, opts.elbo_draws)
+    # The winner as its scoring block built it, and a fresh batch of output draws.
+    approx = select_rows(approx, 0)
+    batch = normal_approx.sample(approx, opts.num_draws, substream(seed, path.index, STREAM_FINAL))
+    return _run(path, batch.draws, batch.logq, elbo_trace, tally, opts.elbo_draws, l_star, approx)

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import pathfinder
-from pathfinder import ConfigError, single_path
+from pathfinder import ConfigError
 from pathfinder.cli import main, validate_config
 
 from test_options import NON_DEFAULT
@@ -309,28 +309,6 @@ class TestMain:
         code = main(["--config", str(cfg_file), "--out", str(out2),
                      "--diagnostics", str(diag2)])
         assert code == 0
-        assert out2.read_bytes() == out1.read_bytes()
-        assert diag2.read_bytes() == diag1.read_bytes()
-
-    @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="forks on Linux only")
-    def test_logistic_run_replays_at_another_core_count(self, tmp_path, monkeypatch):
-        # Logistic rows depend on their batch; a run scored by the forked
-        # scorer on 2 cores replays in process on 1 from its echoed config.
-        forked, fork = [], os.fork
-        monkeypatch.setattr(os, "fork", lambda: forked.append(1) or fork())
-        monkeypatch.setattr(single_path, "usable_cores", lambda: 2)
-        out1, diag1 = run_cli(
-            tmp_path, "--target", "logistic_regression", "--mode", "multi", "--seed", "5",
-            "--target-params", '{"n": 200, "p": 10, "data_seed": 3}', "--paths", "4",
-            "--num-draws", "20", "--resample-draws", "10", "--max-iters", "150")
-        assert len(forked) == 1
-        cfg_file = tmp_path / "echo.json"
-        cfg_file.write_text(json.dumps(json.loads(diag1.read_text())["config"]))
-        monkeypatch.setattr(single_path, "usable_cores", lambda: 1)
-        out2, diag2 = tmp_path / "second.csv", tmp_path / "second.json"
-        assert main(["--config", str(cfg_file), "--out", str(out2),
-                     "--diagnostics", str(diag2)]) == 0
-        assert len(forked) == 1
         assert out2.read_bytes() == out1.read_bytes()
         assert diag2.read_bytes() == diag1.read_bytes()
 

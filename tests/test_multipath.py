@@ -340,7 +340,7 @@ class TestLockstep:
                 hit.append(block[1][0])
             return factors, ok
 
-        # One core: the patches record what they saw, and a forked scorer's
+        # One shard: the patches record what they saw, and a forked child's
         # records would stay in the child.
         monkeypatch.setattr(single_path, "usable_cores", lambda: 1)
         monkeypatch.setattr(single_path, "window", remember_segment)
@@ -503,7 +503,7 @@ def test_lockstep_batches_linear_algebra_across_paths(monkeypatch):
         scoring_calls[0] += in_scoring[0]
         return logp_many(points)
 
-    # One core: a forked scorer's counts would stay in the scorer.
+    # One shard: a forked child's counts would stay in the child.
     monkeypatch.setattr(single_path, "usable_cores", lambda: 1)
     monkeypatch.setattr(lbfgs, "stacked_directions", counting_directions)
     monkeypatch.setattr(lbfgs, "_directions", direction_round)

@@ -1,10 +1,11 @@
-"""``run_paths`` runs one lockstep of all paths and, given a spare core, forks
-one scorer that scores their candidates while they optimize.
+"""``run_paths`` cuts the paths into one forked lockstep shard per usable core,
+and scores a lone path's candidates in one forked child while it optimizes.
 
-The core count is patched, so every core count runs on any Linux machine.
-The core count must not change any output bit on any target; a run forks
-at most one child, errors raised in it must reach the caller, and no child
-may outlive the call.
+The core count is patched, so every shard count runs on any Linux machine.
+A shard count must not change any output bit on targets whose batched rows
+do not depend on the batch, nor may the core count change single mode's
+output on any target; errors raised in a child must reach the caller, and
+no child may outlive the call.
 """
 
 import os
@@ -22,7 +23,6 @@ from pathfinder import (
     PathfinderOptions,
     lbfgs,
     make_target,
-    multipath,
     run_multi,
     run_single,
     single_path,
@@ -45,12 +45,9 @@ def assert_no_children():
 
 @pytest.fixture
 def cores(monkeypatch):
-    """Set the usable core count; returns the list of forked pids (parent side).
-
-    Every run, in either mode, must fork at most one child: the scorer.
-    """
-    forked, per_run = [], []
-    fork, run_paths = os.fork, single_path.run_paths
+    """Set the usable core count; returns the list of forked pids (parent side)."""
+    forked = []
+    fork = os.fork
 
     def counting_fork():
         pid = fork()
@@ -58,16 +55,7 @@ def cores(monkeypatch):
             forked.append(pid)
         return pid
 
-    def one_fork_at_most(*args):
-        before = len(forked)
-        try:
-            return run_paths(*args)
-        finally:
-            per_run.append(len(forked) - before)
-
     monkeypatch.setattr(os, "fork", counting_fork)
-    for module in (single_path, multipath):
-        monkeypatch.setattr(module, "run_paths", one_fork_at_most)
 
     def set_cores(count):
         monkeypatch.setattr(single_path, "usable_cores", lambda: count)
@@ -75,12 +63,6 @@ def cores(monkeypatch):
 
     yield set_cores
     assert_no_children()
-    assert max(per_run, default=0) <= 1
-
-
-def forks(count, runs):
-    """The scorer forks given a spare core once some path passes RECOVER_CHUNK steps."""
-    return int(count > 1 and max(run.num_iters for run in runs) >= RECOVER_CHUNK)
 
 
 def run_with(cores, count, name, params, opts=OPTS, seed=21):
@@ -88,7 +70,7 @@ def run_with(cores, count, name, params, opts=OPTS, seed=21):
     forked.clear()
     target = make_target(name, **params)
     result = run_multi(target, opts, seed)
-    assert len(forked) == forks(count, result.runs)
+    assert len(forked) == min(count, opts.num_paths) - 1
     assert (target.eval_count_grad, target.eval_count_logp) == (result.n_grad, result.n_logp)
     return result
 
@@ -145,26 +127,17 @@ def single_with(cores, count, name, params, seed=21, path_index=3):
     forked.clear()
     target = make_target(name, **params)
     run = run_single(target, PathfinderOptions(), seed, path_index)
-    assert len(forked) == forks(count, [run])
+    assert len(forked) == int(count > 1 and run.num_iters >= RECOVER_CHUNK)
     assert (target.eval_count_grad, target.eval_count_logp) == (run.n_grad, run.n_logp)
     return run
 
 
 class TestShardCount:
-    """Multi-path output at 1, 2 and 3 usable cores, and when the scorer forks."""
-
     @pytest.mark.parametrize("name, params", ROW_STABLE)
     def test_shard_count_does_not_change_output(self, cores, name, params):
         one = run_with(cores, 1, name, params)
         for count in (2, 3):
             assert_same_result(run_with(cores, count, name, params), one)
-
-    def test_small_run_forks_nothing(self, cores):
-        # Every path stops short of RECOVER_CHUNK steps, so scoring in
-        # process costs less than a fork.
-        forked = cores(3)
-        result = run_with(cores, 3, "std_normal", {"dim": 4})
-        assert forked == [] and max(run.num_iters for run in result.runs) < RECOVER_CHUNK
 
     def test_fewer_paths_than_cores(self, cores):
         opts = MultipathOptions(num_paths=2, num_resample=20,
@@ -172,20 +145,18 @@ class TestShardCount:
         one = run_with(cores, 1, "eight_schools_noncentered", {}, opts, seed=3)
         assert_same_result(run_with(cores, 5, "eight_schools_noncentered", {}, opts, seed=3), one)
 
-    def test_logistic_output_does_not_depend_on_the_core_count(self, cores):
-        # Logistic rows depend on the batch, but neither the lockstep batches
-        # nor the scoring blocks depend on the core count.
-        name, params = LONG[1]
-        one = run_with(cores, 1, name, params)
-        assert forks(2, one.runs)
-        for count in (2, 3):
-            assert_same_result(run_with(cores, count, name, params), one)
+    def test_logistic_repeats_at_a_fixed_shard_count(self, cores):
+        # Logistic rows depend on the batch, so the output may depend on the
+        # shard count; at a fixed count it must repeat bit for bit.
+        params = {"n": 40, "p": 4, "data_seed": 3}
+        for count in (1, 2, 3):
+            assert_same_result(run_with(cores, count, "logistic_regression", params),
+                               run_with(cores, count, "logistic_regression", params))
 
     def test_single_mode_forks_one_scorer_for_a_long_path(self, cores):
         forked = cores(4)
-        short_opts = PathfinderOptions(num_draws=40, lbfgs=LbfgsOptions(max_iters=RECOVER_CHUNK - 1))
-        short = run_single(make_target("eight_schools_centered"), short_opts, 5, path_index=3)
-        assert short.num_iters == RECOVER_CHUNK - 1 and forked == []
+        short = run_single(make_target("neal_funnel", dim=10), OPTS.single, 5, path_index=3)
+        assert short.num_iters < RECOVER_CHUNK and forked == []
         long = run_single(make_target("eight_schools_centered"), OPTS.single, 5, path_index=3)
         assert long.num_iters >= RECOVER_CHUNK and len(forked) == 1
         assert_no_children()
@@ -256,30 +227,25 @@ class TestSingleModeScorer:
 
 
 class TestOneShard:
-    """Runs that stay in one process whatever the core count."""
-
     def test_non_linux_platform_gives_one_core(self, monkeypatch):
         assert usable_cores() == len(os.sched_getaffinity(0))
         monkeypatch.setattr(sys, "platform", "darwin")
         assert usable_cores() == 1
 
     def test_no_fork_while_another_thread_runs(self, cores):
-        alone = run_with(cores, 1, *LONG_MVN)
-        assert forks(3, alone.runs)
         forked = cores(3)
         stop = threading.Event()
         thread = threading.Thread(target=stop.wait)
         thread.start()
         try:
-            result = run_multi(make_target(LONG_MVN[0], **LONG_MVN[1]), OPTS, 21)
+            run_multi(make_target("std_normal", dim=3), OPTS, 2)
         finally:
             stop.set()
             thread.join()
         assert forked == []
-        assert_same_result(result, alone)
 
 
-class ChildError(Exception):
+class ShardError(Exception):
     pass
 
 
@@ -290,92 +256,121 @@ class Unpicklable(Exception):
         super().__init__(f"code {code}: {detail}")
 
 
-class LongNormal(LogDensityTarget):
-    """LONG_MVN's density, one point at a time: its paths pass RECOVER_CHUNK steps."""
+class Raising(LogDensityTarget):
+    """A standard normal that raises ``make_error()`` when evaluated in ``where``."""
 
-    def __init__(self, name="long_normal"):
-        super().__init__(10, name)
-        self.mu = np.array(LONG_MVN[1]["mu"])
-        self.precision = np.linalg.inv(LONG_MVN[1]["cov"])
-
-    def _logp_grad_impl(self, theta):
-        diff = theta - self.mu
-        grad = -(self.precision @ diff)
-        return 0.5 * float(diff @ grad), grad
-
-
-class Raising(LongNormal):
-    """LongNormal, which raises ``make_error()`` when evaluated in a child."""
-
-    def __init__(self, make_error):
-        super().__init__("raising")
-        self.make_error = make_error
+    def __init__(self, make_error, where="child"):
+        super().__init__(3, "raising")
+        self.make_error, self.where = make_error, where
 
     def _logp_grad_impl(self, theta):
-        if os.getpid() != PARENT:
+        if (os.getpid() == PARENT) == (self.where == "parent"):
             raise self.make_error()
-        return super()._logp_grad_impl(theta)
+        return -0.5 * float(theta @ theta), -theta
 
 
 class TestErrors:
     def test_child_error_keeps_type_and_message(self, cores):
         cores(2)
-        with pytest.raises(ChildError, match="^bad density in a child$"):
-            run_multi(Raising(lambda: ChildError("bad density in a child")), OPTS, 1)
+        with pytest.raises(ShardError, match="^bad density in a child$"):
+            run_multi(Raising(lambda: ShardError("bad density in a child")), OPTS, 1)
 
     @pytest.mark.parametrize("make_error", [
-        lambda: ChildError("holds a lock", threading.Lock()),
+        lambda: ShardError("holds a lock", threading.Lock()),
         lambda: Unpicklable(7, "no rebuild"),
     ], ids=["cannot_pickle", "cannot_unpickle"])
     def test_unpicklable_child_error_comes_back_as_runtime_error(self, cores, make_error):
         cores(3)
-        with pytest.raises(RuntimeError, match="(?s)scorer error:.*_logp_grad_impl"):
+        with pytest.raises(RuntimeError, match="(?s)path shard error:.*_logp_grad_impl"):
             run_multi(Raising(make_error), OPTS, 1)
 
     def test_child_that_dies_without_a_reply_is_an_error(self, cores):
         cores(2)
-        with pytest.raises(RuntimeError, match="the scorer died unanswered"):
+        with pytest.raises(RuntimeError, match="a path shard died unanswered"):
             run_multi(Raising(lambda: os._exit(3)), OPTS, 1)
 
-    def test_caller_error_kills_the_scorer(self, cores, monkeypatch):
-        # The optimizers fail in the caller once the scorer has forked.
+    def test_own_shard_error_kills_the_children(self, cores):
         forked = cores(3)
-        target = make_target(LONG_MVN[0], **LONG_MVN[1])
-        fused = target.logp_grad_many
+        with pytest.raises(ShardError, match="in the caller"):
+            run_multi(Raising(lambda: ShardError("in the caller"), where="parent"), OPTS, 1)
+        assert len(forked) == 2  # both reaped: the fixture finds no child left
 
-        def failing_after_the_fork(points):
-            if forked:
-                raise ChildError("in the caller")
-            return fused(points)
+    def test_singular_direction_in_a_child_ends_only_its_path(self, cores, monkeypatch):
+        # Every direction with pairs lacks a valid E in the child only: run_multi
+        # completes, each of the child's paths ends as line_search_fail exactly
+        # as run_single ends it when poisoned everywhere, and each path of the
+        # caller's shard equals its unpoisoned run.
+        name = "eight_schools_noncentered"
+        clean = run_with(cores, 2, name, {}, seed=3)
+        stacked_directions = lbfgs.stacked_directions
 
-        monkeypatch.setattr(target, "logp_grad_many", failing_after_the_fork)
-        with pytest.raises(ChildError, match="in the caller"):
-            run_multi(target, OPTS, 1)
-        assert len(forked) == 1  # and reaped: the fixture finds no child left
+        def singular(everywhere):
+            def directions(S, Z, alpha, grad):
+                deltas, ok = stacked_directions(S, Z, alpha, grad)
+                if S.shape[2] > 0 and (everywhere or os.getpid() != PARENT):
+                    ok = np.zeros_like(ok)
+                return deltas, ok
+            return directions
+
+        monkeypatch.setattr(lbfgs, "stacked_directions", singular(False))
+        sharded = run_with(cores, 2, name, {}, seed=3)
+        monkeypatch.setattr(lbfgs, "stacked_directions", singular(True))
+        child = range(OPTS.num_paths // 2, OPTS.num_paths)  # the second shard's paths
+        for i, run in enumerate(sharded.runs):
+            if i in child:
+                assert run.termination is lbfgs.Termination.LINE_SEARCH_FAIL
+                assert run.num_iters < clean.runs[i].num_iters
+                assert_same_run(run, run_single(make_target(name), OPTS.single, 3, path_index=i))
+            else:
+                assert_same_run(run, clean.runs[i])
+
+    def test_refused_initial_point_in_a_child_is_a_failed_run(self, cores):
+        class Walled(LogDensityTarget):
+            def __init__(self):
+                super().__init__(2, "walled")
+
+            def _logp_grad_impl(self, theta):
+                if theta[0] > 1.5:
+                    return -np.inf, np.full(2, np.nan)
+                return -50.0 * float(theta @ theta), -100.0 * theta
+
+        opts = MultipathOptions(num_paths=8, num_resample=20,
+                                single=PathfinderOptions(num_draws=10))
+        cores(2)
+        result = run_multi(Walled(), opts, seed=4)
+        starts = [initial_point(2, opts.single, 4, i) for i in range(8)]
+        refused = [i for i in range(4, 8) if starts[i][0] > 1.5]  # the child's shard
+        assert refused
+        for i in refused:
+            run = result.runs[i]
+            assert run.failed and run.logq.tolist() == [np.inf]
+            np.testing.assert_array_equal(run.draws, starts[i][None, :])
 
 
-class Walled(LongNormal):
-    """LongNormal, whose density is refused past theta_0 = 1.5."""
+class Walled(LogDensityTarget):
+    """A narrow normal whose density is refused past theta_0 = 1.5."""
+
+    def __init__(self):
+        super().__init__(2, "walled")
 
     def _logp_grad_impl(self, theta):
         if theta[0] > 1.5:
-            return -np.inf, np.full(10, np.nan)
-        return super()._logp_grad_impl(theta)
+            return -np.inf, np.full(2, np.nan)
+        return -50.0 * float(theta @ theta), -100.0 * theta
 
 
 class TestRefusedStart:
     @pytest.mark.parametrize("count", [1, 2])
     def test_refused_start_ends_as_nonfinite_at_init(self, cores, count):
         # The path stops for a stated reason with its start as the one draw,
-        # in single mode and in run_multi, scored here or by the scorer.
-        forked = cores(count)
+        # in single mode and in every shard of run_multi.
+        cores(count)
         opts = MultipathOptions(num_paths=8, num_resample=20,
                                 single=PathfinderOptions(num_draws=10))
-        starts = [initial_point(10, opts.single, 9, i) for i in range(8)]
+        starts = [initial_point(2, opts.single, 9, i) for i in range(8)]
         refused = [i for i in range(8) if starts[i][0] > 1.5]
-        assert refused
+        assert refused and refused[0] < 4 <= refused[-1]  # one in each shard at 2 cores
         result = run_multi(Walled(), opts, seed=9)
-        assert len(forked) == forks(count, result.runs) == count - 1
         for i in range(8):
             run, alone = result.runs[i], run_single(Walled(), opts.single, 9, path_index=i)
             assert_same_run(run, alone)
@@ -387,7 +382,7 @@ class TestRefusedStart:
 
 
 class TestScorerErrors:
-    """A lone path's forked scorer keeps the rules on errors."""
+    """A lone path's forked scorer follows the shards' rules on errors."""
 
     def patched_target(self, monkeypatch, method, replacement):
         target = make_target(LONG_MVN[0], **LONG_MVN[1])
@@ -415,13 +410,13 @@ class TestScorerErrors:
         def in_the_scorer(logp_many):
             def call(points):
                 if os.getpid() != PARENT:
-                    raise ChildError("bad density in the scorer")
+                    raise ShardError("bad density in the scorer")
                 return logp_many(points)
             return call
 
         forked = cores(2)
         target = self.patched_target(monkeypatch, "logp_many", in_the_scorer)
-        with pytest.raises(ChildError, match="^bad density in the scorer$"):
+        with pytest.raises(ShardError, match="^bad density in the scorer$"):
             run_single(target, PathfinderOptions(), 21, 3)
         assert len(forked) == 1
 
@@ -437,7 +432,7 @@ class TestScorerErrors:
 
         cores(2)
         target = self.patched_target(monkeypatch, "logp_many", dying)
-        with pytest.raises(RuntimeError, match="the scorer died unanswered"):
+        with pytest.raises(RuntimeError, match="a path shard died unanswered"):
             run_single(target, PathfinderOptions(), 21, 3)
 
     def test_optimizer_error_after_the_fork_kills_the_scorer(self, cores, monkeypatch):
@@ -447,13 +442,13 @@ class TestScorerErrors:
             def call(points):
                 calls.append(len(points))
                 if len(calls) > 2 * RECOVER_CHUNK:
-                    raise ChildError("optimizer failed in the caller")
+                    raise ShardError("optimizer failed in the caller")
                 return logp_grad_many(points)
             return call
 
         forked = cores(2)
         target = self.patched_target(monkeypatch, "logp_grad_many", failing_late)
-        with pytest.raises(ChildError, match="optimizer failed in the caller"):
+        with pytest.raises(ShardError, match="optimizer failed in the caller"):
             run_single(target, PathfinderOptions(), 21, 3)
         assert len(forked) == 1  # and reaped: the fixture finds no child left
 
@@ -490,8 +485,8 @@ class TestScorerErrors:
 
 
 def test_sharded_run_loads_no_process_pool_module():
-    # os and pickle are loaded by ``import pathfinder``; the forked scorer
-    # must not add the import cost of multiprocessing or concurrent.futures.
+    # os and pickle are loaded by ``import pathfinder``; sharding must not
+    # add the import cost of multiprocessing or concurrent.futures.
     from test_imports import run_fresh
 
     loaded = run_fresh(
@@ -499,8 +494,7 @@ def test_sharded_run_loads_no_process_pool_module():
         "from pathfinder import MultipathOptions, make_target, run_multi, single_path\n"
         "single_path.usable_cores = lambda: 2\n"
         "opts = MultipathOptions(num_paths=4, num_resample=20)\n"
-        "result = run_multi(make_target('eight_schools_centered'), opts, 1)\n"
-        "assert max(run.num_iters for run in result.runs) >= 64\n"
+        "run_multi(make_target('std_normal', dim=3), opts, 1)\n"
         "print(json.dumps(sorted(m for m in sys.modules\n"
         "                        if m.split('.')[0] in ('multiprocessing', 'concurrent'))))")
     assert loaded == []

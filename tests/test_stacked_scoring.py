@@ -11,10 +11,7 @@ import sys
 import numpy as np
 import pytest
 
-from pathfinder import (
-    MultipathOptions, PathfinderOptions, make_target, normal_approx, run_multi, run_single,
-    single_path,
-)
+from pathfinder import PathfinderOptions, make_target, normal_approx, run_single, single_path
 from pathfinder.inv_hessian import (
     RECOVER_CHUNK, alpha_recover, pair_counts, stacked_factors, window,
 )
@@ -174,27 +171,15 @@ def test_overflowing_pair_products_disqualify_only_that_candidate(monkeypatch):
 
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="forks on Linux only")
-@pytest.mark.parametrize("corrupt, reason, mode", [
-    (break_cholesky, "cholesky", "single"),
-    (overflow_pair_products, "singular_e", "single"),
-    (break_cholesky, "cholesky", "multi"),
-    (overflow_pair_products, "singular_e", "multi"),
-], ids=["break_cholesky-cholesky", "overflow_pair_products-singular_e",
-        "break_cholesky-cholesky-multi", "overflow_pair_products-singular_e-multi"])
-def test_forked_scorer_disqualifies_the_same_candidates(monkeypatch, corrupt, reason, mode):
+@pytest.mark.parametrize("corrupt, reason", [
+    (break_cholesky, "cholesky"), (overflow_pair_products, "singular_e"),
+])
+def test_forked_scorer_disqualifies_the_same_candidates(monkeypatch, corrupt, reason):
     # The twins of the two tests above with a spare core: the patches run in
-    # the forked scorer, so only the runs show what they broke.  Path 0 at
-    # seed 9 runs past RECOVER_CHUNK steps, so the scorer forks in both modes,
-    # and the caller leaves it every chunk instead of scoring the last ones.
-    def solve():
-        target = make_target("eight_schools_noncentered")
-        if mode == "single":
-            return [run_single(target, PathfinderOptions(), seed=9)]
-        return run_multi(target, MultipathOptions(num_paths=4, num_resample=50), seed=9).runs
-
+    # the forked scorer, so only the run shows what they broke.
     monkeypatch.setattr(single_path, "usable_cores", lambda: 1)
     broken = corrupt(monkeypatch)
-    alone = solve()
+    alone = run_single(make_target("eight_schools_noncentered"), PathfinderOptions(), seed=9)
     recorded = list(broken)
     forks = []
     fork = os.fork
@@ -206,17 +191,15 @@ def test_forked_scorer_disqualifies_the_same_candidates(monkeypatch, corrupt, re
 
     monkeypatch.setattr(os, "fork", counting_fork)
     monkeypatch.setattr(single_path, "usable_cores", lambda: 2)
-    monkeypatch.setattr(single_path._Feed, "help", lambda *args: None)
-    forked = solve()
+    forked = run_single(make_target("eight_schools_noncentered"), PathfinderOptions(), seed=9)
 
-    assert len(forks) == 1 and forked[0].num_iters >= RECOVER_CHUNK
+    assert len(forks) == 1 and forked.num_iters >= RECOVER_CHUNK
     assert broken == recorded  # nothing was broken in this process
-    assert sum(run.disqualified[reason] for run in forked) == len(recorded) > 0
-    for run, run_alone in zip(forked, alone, strict=True):
-        assert run.disqualified == run_alone.disqualified
-        assert run.scored_candidates == run_alone.scored_candidates
-        assert run.elbo_trace.tobytes() == run_alone.elbo_trace.tobytes()
-        assert run.draws.tobytes() == run_alone.draws.tobytes()
+    assert forked.disqualified[reason] == len(recorded) > 0
+    assert forked.disqualified == alone.disqualified
+    assert forked.scored_candidates == alone.scored_candidates
+    assert forked.elbo_trace.tobytes() == alone.elbo_trace.tobytes()
+    assert forked.draws.tobytes() == alone.draws.tobytes()
 
 
 def test_disqualification_counts_add_up(monkeypatch):
