@@ -3,11 +3,12 @@
 Fits low-rank-plus-diagonal normal approximations along quasi-Newton
 optimization paths, selects the ELBO-maximizing approximation, and optionally
 pools several independent paths with Pareto-smoothed importance resampling.
+The package root holds the run API, two documented tools (``wasserstein1``
+and ``eval_logq``) and the error classes; every other name is imported from
+its own module.
 """
 
-from .elbo import ElboEstimate, elbo_estimate
 from .errors import (
-    AllFailedError,
     AllPathsFailedError,
     BadParamsError,
     CholeskyFailError,
@@ -22,35 +23,20 @@ from .errors import (
     UnknownTargetError,
 )
 from .evaluate import wasserstein1
-from .inv_hessian import AlphaRecovery, CompactFactors, alpha_recover, assemble_factors
-from .lbfgs import LbfgsOptions, Termination, Trajectory, optimize
-from .multipath import (
-    MultipathOptions,
-    MultipathResult,
-    WeightedSample,
-    fit_generalized_pareto,
-    pool_runs,
-    psis_smooth,
-    resample,
-    run_multi,
-)
-from .normal_approx import DrawBatch, FactoredNormal, build, eval_logq, sample
-from .single_path import PathfinderOptions, PathfinderRun, run_single, select_argmax
+from .lbfgs import LbfgsOptions, Termination
+from .multipath import MultipathOptions, MultipathResult, WeightedSample, run_multi
+from .normal_approx import FactoredNormal, eval_logq
+from .single_path import PathfinderOptions, PathfinderRun, run_single
 from .targets import LogDensityTarget, make_target
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AllFailedError",
     "AllPathsFailedError",
-    "AlphaRecovery",
     "BadParamsError",
     "CholeskyFailError",
-    "CompactFactors",
     "ConfigError",
     "DimensionMismatchError",
-    "DrawBatch",
-    "ElboEstimate",
     "FactoredNormal",
     "LbfgsOptions",
     "LineSearchFailError",
@@ -65,23 +51,11 @@ __all__ = [
     "SingularEError",
     "SizeLimitError",
     "Termination",
-    "Trajectory",
     "UnknownTargetError",
     "WeightedSample",
-    "alpha_recover",
-    "assemble_factors",
-    "build",
-    "elbo_estimate",
     "eval_logq",
-    "fit_generalized_pareto",
     "make_target",
-    "optimize",
-    "pool_runs",
-    "psis_smooth",
-    "resample",
     "run_multi",
     "run_single",
-    "sample",
-    "select_argmax",
     "wasserstein1",
 ]

@@ -33,10 +33,6 @@ class CholeskyFailError(PathfinderError):
     """The small inner matrix of the factored covariance is not positive definite."""
 
 
-class AllFailedError(PathfinderError):
-    """Every candidate approximation along a trajectory was disqualified."""
-
-
 class AllPathsFailedError(PathfinderError):
     """Every independent optimization path failed to produce an approximation."""
 

@@ -142,19 +142,14 @@ def recover_chunk(recoveries) -> list:
     return counts
 
 
-def stacked_alpha_recover(trajectories) -> list:
-    """Recover per-coordinate diagonal inverse-Hessian seeds along ``lbfgs.Trajectory``s,
-    one ``recover_chunk`` of all paths at a time."""
-    recoveries = [AlphaRecovery(np.empty((0, t.thetas.shape[1])), np.zeros(0, dtype=int),
-                                t.thetas, t.grads) for t in trajectories]
-    while recoveries and any(recover_chunk(recoveries)):
-        pass
-    return recoveries
-
-
 def alpha_recover(trajectory) -> AlphaRecovery:
-    """``stacked_alpha_recover`` of one trajectory."""
-    return stacked_alpha_recover([trajectory])[0]
+    """Recover per-coordinate diagonal inverse-Hessian seeds along an ``lbfgs.Trajectory``,
+    one ``recover_chunk`` at a time."""
+    recovery = AlphaRecovery(np.empty((0, trajectory.thetas.shape[1])), np.zeros(0, dtype=int),
+                             trajectory.thetas, trajectory.grads)
+    while recover_chunk([recovery])[0]:
+        pass
+    return recovery
 
 
 def pair_counts(recovery: AlphaRecovery, history_size: int) -> np.ndarray:

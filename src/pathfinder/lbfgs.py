@@ -143,8 +143,8 @@ def search_direction(S, Z, alpha, grad) -> np.ndarray:
 
 
 class StepperState:
-    """A stepper under ``lockstep``: its request, the reply, its evaluation
-    counts and, once it stops, its return value ``outcome`` (None until then)."""
+    """A stepper under ``lockstep``: its request (None once it stops), the reply,
+    its evaluation counts and its return value ``outcome`` (None until then)."""
 
     __slots__ = ("steps", "request", "reply", "outcome", "n_logp_only", "n_fused")
 
@@ -217,8 +217,8 @@ def lockstep(target, steppers) -> list:
                 try:
                     state.request = state.steps.send(state.reply)
                 except StopIteration as stop:
-                    state.outcome = stop.value
-            active = [state for state in active if state.outcome is None]
+                    state.request, state.outcome = None, stop.value
+            active = [state for state in active if state.request is not None]
     return states
 
 
@@ -230,6 +230,7 @@ def line_search_steps(theta, logp, grad, delta, c1, step=1.0):
     passes and the step stays <= 1, and the largest passing step is
     accepted; a failing trial halves.  A refused gradient rejects the
     accepted step, and halving goes on below it without growing again.
+    Returns None when no step >= 2^-MAX_HALVINGS passes.
     """
     slope = float(grad @ delta)
     grow = step < 1.0
@@ -254,7 +255,7 @@ def line_search_steps(theta, logp, grad, delta, c1, step=1.0):
             if result is not None:
                 return LineSearchResult(step, candidate, *result)
         step *= 0.5
-    raise LineSearchFailError(f"no step >= 2^-{MAX_HALVINGS} gives sufficient increase")
+    return None
 
 
 def wolfe_line_search(target, theta, logp, grad, delta, c1) -> LineSearchResult:
@@ -271,7 +272,10 @@ def wolfe_line_search(target, theta, logp, grad, delta, c1) -> LineSearchResult:
     ``optimize`` drops.  LineSearchFailError is raised when no step
     >= 2^-MAX_HALVINGS yields a sufficient increase.
     """
-    return lockstep(target, [line_search_steps(theta, float(logp), grad, delta, c1)])[0].outcome
+    result = lockstep(target, [line_search_steps(theta, float(logp), grad, delta, c1)])[0].outcome
+    if result is None:
+        raise LineSearchFailError(f"no step >= 2^-{MAX_HALVINGS} gives sufficient increase")
+    return result
 
 
 # Denominator floor for the relative-improvement convergence test, guarding
@@ -337,10 +341,9 @@ def optimize_steps(theta_init, opts: LbfgsOptions, record=None):
         if not (np.isfinite(delta).all() and grads[-1] @ delta > 0.0):
             termination = Termination.LINE_SEARCH_FAIL
             break
-        try:
-            ls = yield from line_search_steps(
-                thetas[-1], logps[-1], grads[-1], delta, opts.c1, min(1.0, 2.0 * step))
-        except LineSearchFailError:
+        ls = yield from line_search_steps(
+            thetas[-1], logps[-1], grads[-1], delta, opts.c1, min(1.0, 2.0 * step))
+        if ls is None:
             termination = Termination.LINE_SEARCH_FAIL
             break
 

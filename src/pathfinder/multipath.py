@@ -207,12 +207,12 @@ def resample(draws, log_w_smoothed, num_draws: int, rng: np.random.Generator) ->
     return rng.choice(len(log_w), size=num_draws, replace=True, p=probs)
 
 
-def pool_runs(runs: list, target) -> tuple[WeightedSample, int]:
+def pool_runs(runs: list, target) -> WeightedSample:
     """Pool draws from runs, evaluate target log densities, form raw weights.
 
-    Returns the pooled sample and the number of target log-density
-    evaluations spent on it: one per row, refused rows included, as
-    ``target.logp_many`` counts them.  Each run's ``logp`` is filled in place.
+    Spends one target log-density evaluation per pooled row, refused rows
+    included, as ``target.logp_many`` counts them.  Each run's ``logp`` is
+    filled in place.
     """
     all_draws, all_logq, all_logp, comp = [], [], [], []
     for i, run in enumerate(runs):
@@ -231,7 +231,7 @@ def pool_runs(runs: list, target) -> tuple[WeightedSample, int]:
     # +inf sentinel log q, or a -inf log p, must yield weight zero
     log_w_raw = np.where(np.isnan(log_w_raw), -np.inf, log_w_raw)
 
-    pooled = WeightedSample(
+    return WeightedSample(
         draws=draws,
         log_w_raw=log_w_raw,
         log_w_smoothed=log_w_raw.copy(),
@@ -240,7 +240,6 @@ def pool_runs(runs: list, target) -> tuple[WeightedSample, int]:
         log_q=log_q,
         log_p=log_p,
     )
-    return pooled, len(draws)
 
 
 def run_multi(target, opts: MultipathOptions, seed: int) -> MultipathResult:
@@ -255,7 +254,8 @@ def run_multi(target, opts: MultipathOptions, seed: int) -> MultipathResult:
     if all(run.failed for run in runs):
         raise AllPathsFailedError(f"all {opts.num_paths} paths failed")
 
-    pooled, pool_n_logp = pool_runs(runs, target)
+    pooled = pool_runs(runs, target)
+    pool_n_logp = len(pooled.draws)
     log_w_smoothed, k_hat = psis_smooth(pooled.log_w_raw)
     pooled.log_w_smoothed = log_w_smoothed
     pooled.k_hat = k_hat

@@ -6,7 +6,7 @@ ELBO, and returns draws from the ELBO-maximizing approximation.  Both modes
 run paths through ``run_paths``, one contiguous shard per usable core, each
 shard but the first in a forked process (Linux only).  A shard is one
 ``lbfgs.lockstep`` on the target itself, each path's counts read from its
-stepper state, then ``finish_runs``: a ``_Scorer`` recovers the diagonal
+stepper state, then ``_Scorer.finish``, which recovers the diagonal
 seeds one chunk of RECOVER_CHUNK steps at a time and scores each chunk's
 candidates in stacked blocks sharing a pair count, with one factorization,
 seeding and target call per block, keeping each path's best approximation
@@ -42,7 +42,6 @@ from . import elbo, normal_approx
 # elbo_estimate, alpha_recover and assemble_factors stay importable here,
 # where the benchmark's tracer (bench/layers.py) looks for them.
 from .elbo import elbo_estimate  # noqa: F401
-from .errors import AllFailedError
 from .inv_hessian import alpha_recover, assemble_factors  # noqa: F401
 from .inv_hessian import (
     RECOVER_CHUNK, AlphaRecovery, pair_counts, recover_chunk, select_rows, stacked_factors, window,
@@ -122,19 +121,6 @@ class PathfinderRun:
     approx: Optional[normal_approx.FactoredNormal] = None
 
 
-def select_argmax(elbo_trace) -> int:
-    """1-based index of the largest finite ELBO, ties broken toward smaller index.
-
-    Raises AllFailedError when no entry is finite.
-    """
-    trace = np.asarray(elbo_trace, dtype=float)
-    finite = np.isfinite(trace)
-    if trace.size == 0 or not np.any(finite):
-        raise AllFailedError("no candidate produced a finite ELBO")
-    masked = np.where(finite, trace, -np.inf)
-    return int(np.argmax(masked)) + 1
-
-
 def _blocks(counts, dim):
     """Blocks of candidates sharing a pair count, across paths, cut to BLOCK_FLOATS.
 
@@ -187,7 +173,7 @@ def _score_candidates(target, indices, recoveries, new, tallies, winners, opts, 
     candidate so far in ``winners``, as (ELBO, iteration, approximation as a
     stack of one that owns its memory).  A path's candidates come in
     iteration order, so replacing the kept one only on a strictly greater
-    finite ELBO breaks ties toward the earliest, as ``select_argmax`` does.
+    finite ELBO breaks ties toward the earliest.
     Each block makes one ``target.logp_many`` call.  Each candidate draws
     from its own (path, candidate) substream, all of a block's made in one
     call, so the scores do not depend on how the blocks are cut.
@@ -241,7 +227,9 @@ class _Scorer:
     """Recovers and scores paths' candidates one chunk of RECOVER_CHUNK steps at a time.
 
     A candidate's window holds no pair past its own step, so the trajectories
-    may grow between ``advance`` calls; ``runs`` then draws from each winner.
+    may grow between ``advance`` calls; ``finish`` then draws from each winner.
+    A path's run equals its run scored alone wherever the target's batched
+    rows do not depend on the batch.
     """
 
     def __init__(self, target, indices, opts, seed):
@@ -260,38 +248,16 @@ class _Scorer:
                                              self.tallies, self.winners, self.opts, self.seed))
         return any(new)
 
-    def runs(self, paths) -> list:
-        """The runs of ``paths``, whose every step has been scored."""
+    def finish(self, paths) -> list:
+        """The runs of the stopped OptimizedPaths ``paths``, in order, once every step is scored.
+
+        A path with no step has no candidate, so it gets the failed run.
+        """
+        while paths and self.advance([path.trajectory for path in paths]):
+            pass
         return [_draw_from_winner(path, winner, np.concatenate([t[k] for t in self.traces]),
                                   self.tallies[k], self.opts, self.seed)
                 for k, (path, winner) in enumerate(zip(paths, self.winners))]
-
-
-def _run(path, draws, logq, elbo_trace=(), tally=(0,) * len(TALLIES), elbo_draws=0,
-         l_star=None, approx=None):
-    """A path's run; failed, flagged by its one draw's logq = +inf, when ``l_star`` is None."""
-    scored = int(tally[0])
-    return PathfinderRun(
-        draws=draws,
-        logq=logq,
-        elbo_trace=np.asarray(elbo_trace, dtype=float),
-        l_star=l_star,
-        failed=l_star is None,
-        n_logp=path.n_logp + scored * elbo_draws,
-        n_grad=path.n_grad,
-        num_iters=path.trajectory.num_iters,
-        termination=path.trajectory.termination,
-        scored_candidates=scored,
-        lbfgs_n_logp=path.n_logp,
-        lbfgs_n_grad=path.n_grad,
-        disqualified=dict(zip(DISQUALIFY_REASONS, map(int, tally[1:]))),
-        approx=approx,
-    )
-
-
-def _failed_run(path, *score):
-    """The run of a path with no valid approximation: its last point, flagged by logq = +inf."""
-    return _run(path, path.trajectory.thetas[-1:], np.array([np.inf]), *score)
 
 
 def initial_point(dim: int, opts: PathfinderOptions, seed: int, path_index: int) -> np.ndarray:
@@ -330,12 +296,12 @@ def run_paths(target, opts: PathfinderOptions, seed: int, indices) -> list:
     not depend on the batch.
     """
     indices = list(indices)
-    alone = threading.active_count() == 1
-    k = max(1, min(len(indices), usable_cores())) if alone else 1
+    cores = usable_cores() if threading.active_count() == 1 else 1
+    k = max(1, min(len(indices), cores))
     cuts = [len(indices) * j // k for j in range(k + 1)]
     children, replies = [], []
-    feed = _Feed(target, opts, seed, indices[0], children) if (
-        len(indices) == 1 and alone and usable_cores() > 1) else None
+    feed = (_Feed(target, opts, seed, indices[0], children)
+            if len(indices) == 1 and cores > 1 else None)
     try:
         for lo, hi in zip(cuts[1:-1], cuts[2:]):
             children.append(_fork(target, lambda shard=indices[lo:hi]: _run_shard(
@@ -438,13 +404,11 @@ class _Feed:
             while not isinstance(message := pickle.load(pipe), OptimizedPath):
                 rows.thetas, rows.grads = map(np.concatenate, zip((rows.thetas, rows.grads), message))
                 scorer.advance([rows])
-            while scorer.advance([message.trajectory]):
-                pass
-            return scorer.runs([message])
+            return scorer.finish([message])
 
 
 def _run_shard(target, opts: PathfinderOptions, seed: int, indices, feed=None) -> list:
-    """Runs of the paths ``indices``: one ``lbfgs.lockstep``, then ``finish_runs``,
+    """Runs of the paths ``indices``: one ``lbfgs.lockstep``, then ``_Scorer.finish``,
     or none for a lone path whose ``feed`` forked a scorer, which replies with it."""
     states = lockstep(target, [optimize_steps(initial_point(target.dim, opts, seed, i),
                                               opts.lbfgs, feed) for i in indices])
@@ -453,7 +417,7 @@ def _run_shard(target, opts: PathfinderOptions, seed: int, indices, feed=None) -
     if feed and feed.fd is not None:
         feed.send(paths[0])
         return []
-    return finish_runs(target, paths, opts, seed)
+    return _Scorer(target, indices, opts, seed).finish(paths)
 
 
 def run_single(target, opts: PathfinderOptions, seed: int, path_index: int = 0) -> PathfinderRun:
@@ -469,30 +433,32 @@ def run_single(target, opts: PathfinderOptions, seed: int, path_index: int = 0) 
     return run_paths(target, opts, seed, [path_index])[0]
 
 
-def finish_runs(target, paths: list, opts: PathfinderOptions, seed: int) -> list:
-    """Score the candidates along optimized paths and draw from each path's winner.
-
-    ``paths`` are OptimizedPath records; the runs come back in their order.
-    A ``_Scorer`` steps through all paths' trajectories together, one chunk
-    of RECOVER_CHUNK steps at a time, so a path's run equals its run scored
-    alone wherever the target's batched rows do not depend on the batch.
-    """
-    scorable = [i for i, path in enumerate(paths) if path.trajectory.num_iters]
-    runs = [None if i in scorable else _failed_run(path) for i, path in enumerate(paths)]
-    scorer = _Scorer(target, [paths[i].index for i in scorable], opts, seed)
-    while scorable and scorer.advance([paths[i].trajectory for i in scorable]):
-        pass
-    for i, run in zip(scorable, scorer.runs([paths[i] for i in scorable])):
-        runs[i] = run
-    return runs
-
-
 def _draw_from_winner(path, winner, elbo_trace, tally, opts, seed):
-    """The run of a scored path: draws from its ELBO-best candidate, or a failed run."""
+    """The run of a scored path: draws from its ELBO-best candidate, or, with none, a failed
+    run, whose one draw is the path's last point, flagged by logq = +inf."""
     _, l_star, approx = winner
     if approx is None:
-        return _failed_run(path, elbo_trace, tally, opts.elbo_draws)
-    # The winner as its scoring block built it, and a fresh batch of output draws.
-    approx = select_rows(approx, 0)
-    batch = normal_approx.sample(approx, opts.num_draws, substream(seed, path.index, STREAM_FINAL))
-    return _run(path, batch.draws, batch.logq, elbo_trace, tally, opts.elbo_draws, l_star, approx)
+        draws, logq = path.trajectory.thetas[-1:], np.array([np.inf])
+    else:
+        # The winner as its scoring block built it, and a fresh batch of output draws.
+        approx = select_rows(approx, 0)
+        batch = normal_approx.sample(approx, opts.num_draws,
+                                     substream(seed, path.index, STREAM_FINAL))
+        draws, logq = batch.draws, batch.logq
+    scored = int(tally[0])
+    return PathfinderRun(
+        draws=draws,
+        logq=logq,
+        elbo_trace=elbo_trace,
+        l_star=l_star,
+        failed=l_star is None,
+        n_logp=path.n_logp + scored * opts.elbo_draws,
+        n_grad=path.n_grad,
+        num_iters=path.trajectory.num_iters,
+        termination=path.trajectory.termination,
+        scored_candidates=scored,
+        lbfgs_n_logp=path.n_logp,
+        lbfgs_n_grad=path.n_grad,
+        disqualified=dict(zip(DISQUALIFY_REASONS, map(int, tally[1:]))),
+        approx=approx,
+    )

@@ -122,3 +122,15 @@ def gpd_sample(rng, k, sigma, size):
     if abs(k) < 1e-12:
         return -sigma * np.log1p(-u)
     return sigma * np.expm1(-k * np.log1p(-u)) / k
+
+
+def select_argmax(elbo_trace):
+    """1-based index of the largest finite ELBO, ties broken toward the smaller index.
+
+    The winner a scored path must report; raises ValueError when no entry is finite.
+    """
+    trace = np.asarray(elbo_trace, dtype=float)
+    finite = np.isfinite(trace)
+    if not finite.any():
+        raise ValueError("no candidate produced a finite ELBO")
+    return int(np.argmax(np.where(finite, trace, -np.inf))) + 1

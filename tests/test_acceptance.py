@@ -21,22 +21,19 @@ import pathfinder
 from pathfinder import (
     MultipathOptions,
     PathfinderOptions,
-    build,
-    elbo_estimate,
     eval_logq,
-    fit_generalized_pareto,
     make_target,
-    pool_runs,
-    psis_smooth,
-    resample,
     run_multi,
     run_single,
-    sample,
     wasserstein1,
 )
 from pathfinder.cli import main
+from pathfinder.elbo import elbo_estimate
 from pathfinder.inv_hessian import factors_from_pairs
-from pathfinder.multipath import KHAT_SENTINEL
+from pathfinder.multipath import (
+    KHAT_SENTINEL, fit_generalized_pareto, pool_runs, psis_smooth, resample,
+)
+from pathfinder.normal_approx import build, sample
 
 from oracles import dense_mvn_logpdf, dense_sigma, gpd_sample, random_curvature_pairs
 
@@ -211,7 +208,7 @@ def test_criterion_06_failure_sentinel():
 
     target = make_target("std_normal", dim=2)
     good = run_single(target, PathfinderOptions(), seed=1, path_index=0)
-    pooled, _ = pool_runs([good, failed], target)
+    pooled = pool_runs([good, failed], target)
     smoothed, _ = psis_smooth(pooled.log_w_raw)
     picks = resample(pooled.draws, smoothed, 100_000, np.random.default_rng(3))
     never_picked = bool(np.all(pooled.component_ids[picks] == 0))

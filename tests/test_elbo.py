@@ -6,8 +6,10 @@ import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 
-from pathfinder import DimensionMismatchError, build, elbo_estimate, make_target, sample
+from pathfinder import DimensionMismatchError, make_target
+from pathfinder.elbo import elbo_estimate
 from pathfinder.inv_hessian import factors_from_pairs
+from pathfinder.normal_approx import build, sample
 
 finite_vectors = st.lists(
     st.floats(min_value=-1e6, max_value=1e6, allow_nan=False), min_size=1, max_size=40

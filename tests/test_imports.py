@@ -2,7 +2,8 @@
 
 The package declares numpy alone in ``pyproject.toml``.  Every import check
 runs a fresh interpreter, because this test session has loaded scipy already
-for its oracles.
+for its oracles.  The package root's ``__all__`` must list exactly the names
+it binds.
 """
 
 import json
@@ -10,6 +11,7 @@ import os
 import pkgutil
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import numpy as np
@@ -21,8 +23,9 @@ except ImportError:  # Python 3.10
     tomllib = None
 
 import pathfinder
-from pathfinder import build, eval_logq, make_target, sample, wasserstein1
+from pathfinder import eval_logq, make_target, wasserstein1
 from pathfinder.inv_hessian import factors_from_pairs
+from pathfinder.normal_approx import build, sample
 from pathfinder.targets import TARGET_NAMES
 
 SRC = Path(pathfinder.__file__).resolve().parents[1]
@@ -41,6 +44,14 @@ def run_fresh(code: str, cwd=None):
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
     return json.loads(done.stdout.splitlines()[-1])
+
+
+def test_root_exports_exactly_its_public_names():
+    bound = {name for name, value in vars(pathfinder).items()
+             if not name.startswith("_") and not isinstance(value, types.ModuleType)}
+    assert sorted(pathfinder.__all__) == sorted(bound)
+    for name in pathfinder.__all__:
+        assert getattr(pathfinder, name).__module__.startswith("pathfinder.")
 
 
 @pytest.mark.parametrize("module", MODULES)

@@ -10,14 +10,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import pathfinder
-from pathfinder import (
-    LbfgsOptions, SingularEError, alpha_recover, assemble_factors, make_target, optimize,
-)
+from pathfinder import LbfgsOptions, SingularEError, make_target
 from pathfinder.inv_hessian import (
-    ALPHA_PAIR_EPS, RECOVER_CHUNK, factors_from_pairs, low_rank_product, stacked_alpha_recover,
-    stacked_factors,
+    ALPHA_PAIR_EPS, RECOVER_CHUNK, AlphaRecovery, alpha_recover, assemble_factors,
+    factors_from_pairs, low_rank_product, recover_chunk, stacked_factors,
 )
-from pathfinder.lbfgs import Termination, Trajectory, search_direction
+from pathfinder.lbfgs import Termination, Trajectory, optimize, search_direction
 
 from oracles import (
     alpha_recover_loop, bfgs_recursive_sigma, dense_sigma, random_curvature_pairs,
@@ -139,6 +137,16 @@ def trajectory_from_kinds(kinds, seed):
         thetas.append(thetas[-1] + s)
         grads.append(grads[-1] - z)
     return trajectory_from_points(thetas, grads)
+
+
+def stacked_alpha_recover(trajectories):
+    """Recoveries of ``trajectories``, stepped together one ``recover_chunk`` at a time,
+    as the scorer of a shard steps them."""
+    recoveries = [AlphaRecovery(np.empty((0, t.thetas.shape[1])), np.zeros(0, dtype=int),
+                                t.thetas, t.grads) for t in trajectories]
+    while recoveries and any(recover_chunk(recoveries)):
+        pass
+    return recoveries
 
 
 def assert_matches_loop(trajectories):

@@ -10,19 +10,17 @@ from pathfinder import (
     NoFiniteWeightsError,
     PathfinderOptions,
     Termination,
-    fit_generalized_pareto,
     inv_hessian,
     lbfgs,
     make_target,
-    optimize,
-    pool_runs,
-    psis_smooth,
-    resample,
     run_multi,
     run_single,
     single_path,
 )
-from pathfinder.multipath import KHAT_SENTINEL, tail_length
+from pathfinder.lbfgs import optimize
+from pathfinder.multipath import (
+    KHAT_SENTINEL, fit_generalized_pareto, pool_runs, psis_smooth, resample, tail_length,
+)
 from pathfinder.single_path import PathfinderRun, initial_point
 from pathfinder.targets import LogDensityTarget
 
@@ -181,7 +179,7 @@ class TestPooling:
         target = make_target("std_normal", dim=3)
         runs = [run_single(target, PathfinderOptions(num_draws=50), seed=0, path_index=i)
                 for i in range(4)]
-        pooled, _ = pool_runs(runs, target)
+        pooled = pool_runs(runs, target)
         num_components = 4
         log_q_tilde = pooled.log_q - np.log(num_components)
         log_p_tilde = pooled.log_p - np.log(num_components)
@@ -199,7 +197,7 @@ class TestPooling:
         target = make_target("std_normal", dim=2)
         good = run_single(target, PathfinderOptions(), seed=1, path_index=0)
         bad = failed_run([5.0, 5.0])
-        pooled, _ = pool_runs([good, bad], target)
+        pooled = pool_runs([good, bad], target)
         assert pooled.log_w_raw[-1] == -np.inf
         smoothed, _ = psis_smooth(pooled.log_w_raw)
         idx = resample(pooled.draws, smoothed, 100_000, np.random.default_rng(0))
@@ -215,8 +213,7 @@ class TestPooling:
             runs = good + [failed_run(point) for point in refused]
             rows = 90 + len(refused)
             before = (target.eval_count_logp, target.eval_count_grad)
-            pooled, pool_evals = pool_runs(runs, target)
-            assert pool_evals == rows
+            pooled = pool_runs(runs, target)
             assert (target.eval_count_logp, target.eval_count_grad) == (before[0] + rows, before[1])
             assert pooled.draws.shape == (rows, 2)
             assert np.all(pooled.log_p[90:] == -np.inf)
@@ -261,6 +258,7 @@ class TestRunMulti:
                                 single=PathfinderOptions(num_draws=40))
         res = run_multi(target, opts, seed=0)
         assert res.n_logp == sum(r.n_logp for r in res.runs) + res.pool_n_logp
+        assert res.pool_n_logp == len(res.pooled.draws) == 3 * 40
         assert res.n_grad == sum(r.n_grad for r in res.runs)
         assert target.eval_count_logp == res.n_logp
         assert target.eval_count_grad == res.n_grad

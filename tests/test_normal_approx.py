@@ -5,8 +5,9 @@ import time
 import numpy as np
 import pytest
 
-from pathfinder import CholeskyFailError, build, eval_logq, sample
+from pathfinder import CholeskyFailError, eval_logq
 from pathfinder.inv_hessian import CompactFactors, factors_from_pairs
+from pathfinder.normal_approx import build, sample
 from pathfinder.targets import LOG_2PI
 
 from oracles import dense_mvn_logpdf, dense_sigma, random_curvature_pairs

@@ -232,6 +232,11 @@ class TestOneShard:
         monkeypatch.setattr(sys, "platform", "darwin")
         assert usable_cores() == 1
 
+    def test_no_paths_give_no_runs(self, cores):
+        forked = cores(3)
+        assert single_path.run_paths(make_target("std_normal", dim=2), OPTS.single, 1, []) == []
+        assert forked == []
+
     def test_no_fork_while_another_thread_runs(self, cores):
         forked = cores(3)
         stop = threading.Event()
@@ -379,6 +384,47 @@ class TestRefusedStart:
                 assert (run.num_iters, run.n_grad, run.n_logp, run.failed) == (0, 1, 1, True)
                 assert run.draws.tobytes() == starts[i][None, :].tobytes()
                 assert run.logq.tolist() == [np.inf]
+
+
+class Ledge(LogDensityTarget):
+    """A narrow normal, flat (zero gradient) past theta_0 = 1 and refused below theta_0 = -1."""
+
+    def __init__(self):
+        super().__init__(2, "ledge")
+
+    def _logp_grad_impl(self, theta):
+        if theta[0] < -1.0:
+            return -np.inf, np.full(2, np.nan)
+        if theta[0] > 1.0:
+            return -1e3, np.zeros(2)
+        return -50.0 * float(theta @ theta), -100.0 * theta
+
+
+class TestZeroStepPaths:
+    @pytest.mark.parametrize("count", [1, 2])
+    def test_zero_step_paths_in_a_shard_get_the_sentinel_run(self, cores, count):
+        # A shard's scorer takes its zero-step paths with the others: each
+        # gets the failed run at its start, and no other path changes.
+        cores(count)
+        opts = MultipathOptions(num_paths=8, num_resample=20,
+                                single=PathfinderOptions(num_draws=10))
+        starts = [initial_point(2, opts.single, 9, i) for i in range(8)]
+        flat, refused = lbfgs.Termination.ZERO_GRADIENT_AT_INIT, lbfgs.Termination.NONFINITE_AT_INIT
+        stops = {i: flat if start[0] > 1.0 else refused
+                 for i, start in enumerate(starts) if abs(start[0]) > 1.0}
+        for shard in (range(4), range(4, 8)):  # each shard at 2 cores has every kind
+            assert {stops.get(i) for i in shard} == {flat, refused, None}
+        result = run_multi(Ledge(), opts, seed=9)
+        for i, run in enumerate(result.runs):
+            if i not in stops:
+                assert not run.failed and run.num_iters > 0
+                assert_same_run(run, run_single(Ledge(), opts.single, 9, path_index=i))
+                continue
+            assert (run.termination, run.num_iters, run.failed) == (stops[i], 0, True)
+            assert run.draws.tobytes() == starts[i][None, :].tobytes()
+            assert run.logq.tolist() == [np.inf]
+            assert run.elbo_trace.size == 0 and run.scored_candidates == 0
+            assert run.n_logp == run.lbfgs_n_logp
 
 
 class TestScorerErrors:
