@@ -4,8 +4,10 @@
 
     Sigma = diag(alpha) + beta @ gamma @ beta.T
 
-and ``low_rank_product`` applies beta gamma beta'.  The optimizer's direction,
-each approximation's mean and its covariance factors all come from these.
+from pair matrices S and Z, and ``low_rank_product`` applies beta gamma beta'.
+beta = [diag(alpha) Z, S] already holds the pairs, so the factors keep only
+alpha, beta and gamma.  The optimizer's direction, each approximation's mean
+and its covariance factors all come from these.
 ``recover_chunk`` steps through all paths' trajectories together, one chunk
 of steps at a time, rebuilding every iteration's diagonal seed and which
 update pairs are usable.  Factors are computed for stacks of iterations
@@ -74,31 +76,27 @@ class AlphaRecovery:
 
 @dataclass
 class CompactFactors:
-    """Windowed pair matrices and the derived low-rank factors at one iteration.
+    """The compact form Sigma = diag(alpha) + beta gamma beta' at one iteration.
 
-    ``S`` and ``Z`` hold the most recent accepted pairs (latest in the last
-    column), ``E`` is the upper-triangular matrix of S_i'Z_j products with
-    strictly positive diagonal ``eta``, and ``beta``/``gamma`` give
-    Sigma = diag(alpha) + beta gamma beta'.  Empty factors (rank 0) encode a
-    purely diagonal covariance.  A stack of B iterations with a common pair
-    count carries a leading axis of length B on every field.
+    ``beta = [diag(alpha) Z, S]`` holds the windowed pairs, the most recent
+    accepted ones with the latest last in each half, and ``gamma`` comes from
+    E, the upper triangle of S'Z.  The pairs and E live only in
+    ``stacked_factors``.  Empty factors (rank 0) encode a purely diagonal
+    covariance.  A stack of B iterations with a common pair count carries a
+    leading axis of length B on every field.
     """
 
-    S: np.ndarray        # (N, J')
-    Z: np.ndarray        # (N, J')
-    E: np.ndarray        # (J', J') upper triangular
-    eta: np.ndarray      # (J',)
     beta: np.ndarray     # (N, 2J')
     gamma: np.ndarray    # (2J', 2J')
     alpha: np.ndarray    # (N,)
 
     @property
     def num_pairs(self) -> int:
-        return self.S.shape[-1]
+        return self.gamma.shape[-1] // 2
 
     @property
     def rank(self) -> int:
-        return 2 * self.S.shape[-1]
+        return self.gamma.shape[-1]
 
 
 def recover_chunk(recoveries) -> list:
@@ -199,7 +197,7 @@ def stacked_factors(S, Z, alpha):
     B, N, J = S.shape
     with np.errstate(over="ignore", invalid="ignore"):  # spoils masked-out rows only
         E = np.where(_upper_triangle(J), S.transpose(0, 2, 1) @ Z, 0.0)
-        eta = E.diagonal(0, 1, 2).copy()
+        eta = E.diagonal(0, 1, 2)
         ok = (eta > 0.0).all(1) & np.isfinite(E).all((1, 2))
         # An upper-triangular E with a positive diagonal needs no pivoting,
         # so the stacked LU inverse is exact triangular back substitution.
@@ -216,8 +214,7 @@ def stacked_factors(S, Z, alpha):
     gamma[:, :J, J:] = minus_einv = -einv
     gamma[:, J:, :J] = minus_einv.transpose(0, 2, 1)
     gamma[:, J:, J:] = bottom_right
-    factors = CompactFactors(S=S, Z=Z, E=E, eta=eta, beta=beta, gamma=gamma, alpha=alpha)
-    return factors, ok
+    return CompactFactors(beta=beta, gamma=gamma, alpha=alpha), ok
 
 
 def factors_from_pairs(S, Z, alpha) -> CompactFactors:

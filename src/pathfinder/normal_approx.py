@@ -19,11 +19,6 @@ from .errors import CholeskyFailError
 from .inv_hessian import CompactFactors, low_rank_product, select_rows
 from .targets import LOG_2PI
 
-# One re-orthogonalization pass is applied if the thin QR loses orthonormality
-# beyond this bound (possible for ill-conditioned beta).
-QR_ORTHO_TOL = 1e-8
-
-
 @dataclass
 class FactoredNormal:
     """Normal approximation N(mu, Sigma) in factored form.
@@ -54,9 +49,8 @@ class FactoredNormal:
 class DrawBatch:
     """Draws from a FactoredNormal with their log densities under it."""
 
-    draws: np.ndarray        # (M, N)
-    logq: np.ndarray         # (M,)
-    u_norms_sq: np.ndarray   # (M,) squared norms of the standard-normal inputs
+    draws: np.ndarray   # (M, N)
+    logq: np.ndarray    # (M,)
 
 
 def build_many(factors: CompactFactors, thetas, grads):
@@ -85,13 +79,9 @@ def build_many(factors: CompactFactors, thetas, grads):
     rank = factors.rank
     eye = np.eye(rank)
     inv_sqrt_alpha = 1.0 / np.sqrt(alpha)
+    # Householder QR keeps ||Q'Q - I|| at O(N eps) however ill-conditioned
+    # beta is (Higham, Accuracy and Stability of Numerical Algorithms, 19.4).
     qmat, rmat = np.linalg.qr(inv_sqrt_alpha[:, :, None] * factors.beta, mode="reduced")
-    ortho_err = np.abs(qmat.transpose(0, 2, 1) @ qmat - eye).max(axis=(1, 2))
-    redo = ortho_err > QR_ORTHO_TOL
-    if np.any(redo):
-        q2, r2 = np.linalg.qr(qmat[redo], mode="reduced")
-        qmat[redo] = q2
-        rmat[redo] = r2 @ rmat[redo]
 
     # With diag(alpha)^(-1/2) beta = Q R,
     # Sigma = diag(alpha)^(1/2) (I + Q R gamma R' Q') diag(alpha)^(1/2).
@@ -148,7 +138,7 @@ def transform(approx: FactoredNormal, u) -> DrawBatch:
         x = u
     draws = approx.mu[:, None, :] + np.sqrt(approx.alpha)[:, None, :] * x
     logq = -0.5 * (approx.logdet[:, None] + u_norms_sq + n * LOG_2PI)
-    return DrawBatch(draws=draws, logq=logq, u_norms_sq=u_norms_sq)
+    return DrawBatch(draws=draws, logq=logq)
 
 
 def sample(approx: FactoredNormal, num_draws: int, rng: np.random.Generator) -> DrawBatch:

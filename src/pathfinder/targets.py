@@ -9,7 +9,8 @@ package calls only the batched forms.  Each built-in target writes its log
 density once, for a batch, shared by both kinds of evaluation, which
 therefore agree bit for bit.  Building a target rejects a non-finite or
 non-numeric parameter, or a size that is not a positive integer, with a
-BadParamsError naming it.
+BadParamsError naming it.  In the registry a ``dim`` is only a default size:
+``make_target`` alone compares it with the built target's dimension.
 Instances are immutable apart from their evaluation counters, plain integers
 that every evaluation adds to, and the logistic target's per-thread work
 buffers, which no result aliases.  Calls from several threads count exactly
@@ -71,9 +72,7 @@ class LogDensityTarget:
         if (cls._density is LogDensityTarget._density
                 and cls._logp_grad_impl is LogDensityTarget._logp_grad_impl):
             raise TypeError(f"{cls.__name__} must override _density or _logp_grad_impl")
-        if dim < 1:
-            raise BadParamsError(f"dim must be a positive integer, got {dim}")
-        self.dim = int(dim)
+        self.dim = _count(cls.__name__, "dim", dim)
         self.name = name or cls.__name__
         self._shape = (self.dim,)
         self._n_fused = 0
@@ -318,9 +317,9 @@ class NealFunnel(LogDensityTarget):
     """
 
     def __init__(self, dim: int):
-        if dim < 2:
-            raise BadParamsError("neal_funnel: dim must be at least 2")
         super().__init__(dim, f"neal_funnel({dim})")
+        if self.dim < 2:
+            raise BadParamsError("neal_funnel: dim must be at least 2")
 
     def _density(self, points, need_grad):
         tau = points[:, 0]
@@ -528,48 +527,21 @@ class LogisticRegression(LogDensityTarget):
 # Registry
 # ---------------------------------------------------------------------------
 
-def _make_sized(cls, name):
-    def make(params):
-        dim = params.pop("dim", None)
-        if dim is None:
-            raise BadParamsError(f"{name}: 'dim' is required")
-        return cls(dim)
-
-    return make
-
-
-def _make_mvn(params):
-    dim = params.pop("dim", None)
+def _make_mvn(params, dim):
     mu = params.pop("mu", None)
     cov = params.pop("cov", None)
-    if mu is None and cov is None and dim is None:
-        raise BadParamsError("mvn: provide 'mu'/'cov' or 'dim'")
     if mu is None:
-        n = dim if dim is not None else len(np.atleast_1d(_finite_array("mvn", "cov", cov)))
-        mu = np.zeros(n)
+        if cov is None and dim is None:
+            raise BadParamsError("mvn: provide 'mu'/'cov' or 'dim'")
+        mu = np.zeros(dim if cov is None else len(np.atleast_1d(_finite_array("mvn", "cov", cov))))
     mu = _finite_array("mvn", "mu", mu)
-    if cov is None:
-        cov = np.eye(mu.size)
-    if dim is not None and dim != mu.size:
-        raise BadParamsError(f"mvn: dim={dim} conflicts with mu of length {mu.size}")
-    return MultivariateNormal(mu, cov)
+    return MultivariateNormal(mu, np.eye(mu.size) if cov is None else cov)
 
 
-def _make_eight_schools(cls):
-    def make(params):
-        dim = params.pop("dim", None)
-        if dim is not None and dim != 10:
-            raise BadParamsError("eight_schools targets are fixed at dim=10")
-        return cls()
-
-    return make
-
-
-def _make_logistic_regression(params):
+def _make_logistic_regression(params, dim):
     X = params.pop("X", None)
     y = params.pop("y", None)
     prior_scale = params.pop("prior_scale", 1.0)
-    dim = params.pop("dim", None)
     if (X is None) != (y is None):
         raise BadParamsError("logistic_regression: provide both X and y, or neither")
     if X is None:
@@ -582,18 +554,17 @@ def _make_logistic_regression(params):
         beta_true = rng.standard_normal(p)
         probs = 1.0 / (1.0 + np.exp(-(X @ beta_true)))
         y = (rng.random(n) < probs).astype(float)
-    target = LogisticRegression(X, y, prior_scale)
-    if dim is not None and dim != target.dim:
-        raise BadParamsError(f"logistic_regression: dim={dim} conflicts with p={target.dim}")
-    return target
+    return LogisticRegression(X, y, prior_scale)
 
 
+# Each factory builds its target from the parameters it pops and a checked
+# ``dim`` (or None), which it uses only as a default size.
 _FACTORIES = {
-    "std_normal": _make_sized(StdNormal, "std_normal"),
+    "std_normal": lambda params, dim: StdNormal(dim),
     "mvn": _make_mvn,
-    "neal_funnel": _make_sized(NealFunnel, "neal_funnel"),
-    "eight_schools_centered": _make_eight_schools(EightSchoolsCentered),
-    "eight_schools_noncentered": _make_eight_schools(EightSchoolsNonCentered),
+    "neal_funnel": lambda params, dim: NealFunnel(dim),
+    "eight_schools_centered": lambda params, dim: EightSchoolsCentered(),
+    "eight_schools_noncentered": lambda params, dim: EightSchoolsNonCentered(),
     "logistic_regression": _make_logistic_regression,
 }
 TARGET_NAMES = tuple(_FACTORIES)
@@ -605,16 +576,21 @@ def make_target(name: str, **params) -> LogDensityTarget:
     Raises UnknownTargetError for names outside the registry and
     BadParamsError for malformed parameters (non-SPD covariance, shape
     mismatches, missing required fields).  Leftover unknown parameter keys
-    are rejected.
+    are rejected, and so is a ``dim`` that differs from the built target's
+    (``dim=N conflicts``).
     """
     if name not in _FACTORIES:
         raise UnknownTargetError(
             f"unknown target '{name}'; available targets: {', '.join(TARGET_NAMES)}"
         )
     params = dict(params)
-    if params.get("dim") is not None:
-        params["dim"] = _count(name, "dim", params["dim"])
-    target = _FACTORIES[name](params)
+    dim = params.pop("dim", None)
+    if dim is not None:
+        dim = _count(name, "dim", dim)
+    target = _FACTORIES[name](params, dim)
     if params:
         raise BadParamsError(f"{name}: unknown parameters {sorted(params)}")
+    if dim is not None and dim != target.dim:
+        raise BadParamsError(
+            f"{name}: dim={dim} conflicts with the target's dimension {target.dim}")
     return target

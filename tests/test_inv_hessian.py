@@ -13,7 +13,7 @@ import pathfinder
 from pathfinder import LbfgsOptions, SingularEError, make_target
 from pathfinder.inv_hessian import (
     ALPHA_PAIR_EPS, RECOVER_CHUNK, AlphaRecovery, alpha_recover, assemble_factors,
-    factors_from_pairs, low_rank_product, recover_chunk, stacked_factors,
+    factors_from_pairs, low_rank_product, recover_chunk, stacked_factors, window,
 )
 from pathfinder.lbfgs import Termination, Trajectory, optimize, search_direction
 
@@ -219,6 +219,16 @@ class TestAssembleFactors:
             grads.append(grads[-1] - Z[:, 0])
         return alpha_recover(trajectory_from_points(thetas, grads))
 
+    @staticmethod
+    def expected_pairs(rec, l, num_pairs):
+        """The last ``num_pairs`` accepted (s, z) pairs up to iteration l, as
+        (N, J') matrices formed from the trajectory and ``xis``."""
+        accepted = np.flatnonzero(rec.xis[:l] == 1)
+        keep = accepted[len(accepted) - num_pairs:]
+        S = (rec.thetas[1:] - rec.thetas[:-1])[keep].T
+        Z = (rec.grads[:-1] - rec.grads[1:])[keep].T
+        return S, Z
+
     def test_no_accepted_pairs_gives_diagonal(self):
         theta0 = np.zeros(2)
         s = np.array([1.0, 0.0])
@@ -227,9 +237,10 @@ class TestAssembleFactors:
         rec = alpha_recover(traj)
         rec.xis[:] = 0
         fac = assemble_factors(rec, 1, 6)
-        assert fac.num_pairs == 0
-        np.testing.assert_array_equal(dense_sigma(fac.S, fac.Z, fac.alpha),
-                                      np.diag(fac.alpha))
+        assert fac.num_pairs == 0 and fac.beta.shape == (2, 0)
+        np.testing.assert_array_equal(fac.alpha, rec.alphas[0])
+        np.testing.assert_array_equal(np.diag(fac.alpha) + fac.beta @ fac.gamma @ fac.beta.T,
+                                      dense_sigma(None, None, rec.alphas[0]))
 
     def test_one_pair_dense_sigma_is_spd(self):
         rng = np.random.default_rng(9)
@@ -237,7 +248,8 @@ class TestAssembleFactors:
             S, Z = random_curvature_pairs(rng, 2, 1)
             alpha = rng.uniform(0.5, 2.0, 2)
             fac = factors_from_pairs(S, Z, alpha)
-            assert fac.E.shape == (1, 1) and fac.gamma.shape == (2, 2)
+            assert fac.num_pairs == 1 and fac.gamma.shape == (2, 2)
+            np.testing.assert_array_equal(fac.beta, np.hstack([alpha[:, None] * Z, S]))
             sigma = np.diag(alpha) + fac.beta @ fac.gamma @ fac.beta.T
             assert np.all(np.linalg.eigvalsh(sigma) > 1e-12)
 
@@ -247,21 +259,28 @@ class TestAssembleFactors:
         fac = assemble_factors(rec, 10, 6)
         assert fac.num_pairs == 6
         s_list = np.diff(rec.thetas, axis=0)
-        np.testing.assert_array_equal(fac.S[:, -1], s_list[9])
-        np.testing.assert_array_equal(fac.S[:, 0], s_list[4])
+        S, _, _ = window(rec, [10], 6)
+        np.testing.assert_array_equal(S[0][:, -1], s_list[9])
+        np.testing.assert_array_equal(S[0][:, 0], s_list[4])
+        np.testing.assert_array_equal(fac.beta[:, 6:], s_list[4:10].T)
 
     def test_rank_cap_drops_oldest(self):
         rec = self.run_recovery(n=6, steps=8)
         fac = assemble_factors(rec, 8, 6)
         assert 2 * fac.num_pairs <= 6
-        np.testing.assert_array_equal(fac.S[:, -1], np.diff(rec.thetas, axis=0)[7])
+        S, _, _ = window(rec, [8], fac.num_pairs)
+        np.testing.assert_array_equal(S[0][:, -1], np.diff(rec.thetas, axis=0)[7])
+        np.testing.assert_array_equal(fac.beta[:, fac.num_pairs:],
+                                      self.expected_pairs(rec, 8, fac.num_pairs)[0])
 
     def test_rejected_iterations_contribute_no_columns(self):
         rec = self.run_recovery(steps=8)
         rec.xis[3] = 0
         fac = assemble_factors(rec, 8, 3)
-        for col in range(fac.num_pairs):
-            assert not np.array_equal(fac.S[:, col], rec.thetas[4] - rec.thetas[3])
+        S, _, _ = window(rec, [8], fac.num_pairs)
+        for pairs in (S[0], fac.beta[:, fac.num_pairs:]):
+            for col in range(fac.num_pairs):
+                assert not np.array_equal(pairs[:, col], rec.thetas[4] - rec.thetas[3])
 
     def test_secant_equation_for_latest_pair(self):
         rec = self.run_recovery(n=8, steps=6)
@@ -269,8 +288,10 @@ class TestAssembleFactors:
             fac = assemble_factors(rec, l, 3)
             if fac.num_pairs == 0:
                 continue
-            sigma = dense_sigma(fac.S, fac.Z, fac.alpha)
-            np.testing.assert_allclose(sigma @ fac.Z[:, -1], fac.S[:, -1], atol=1e-8)
+            S, Z = self.expected_pairs(rec, l, fac.num_pairs)
+            sigma = np.diag(fac.alpha) + fac.beta @ fac.gamma @ fac.beta.T
+            np.testing.assert_allclose(sigma, dense_sigma(S, Z, rec.alphas[l - 1]), atol=1e-8)
+            np.testing.assert_allclose(sigma @ Z[:, -1], S[:, -1], atol=1e-8)
 
     def test_matches_recursive_update_oracle(self):
         # compact factors applied to diag(alpha) equal the textbook recursion
@@ -344,8 +365,12 @@ class TestCompactForm:
             assert np.isinf((S.T @ Z)[1, 0])
         factors, ok = stacked_factors(S[None], Z[None], np.ones((1, 2)))
         assert ok.tolist() == [True]
-        assert factors.E[0, 1, 0] == 0.0 and (factors.eta > 0.0).all()
         assert np.isfinite(factors.beta).all() and np.isfinite(factors.gamma).all()
+        with np.errstate(over="ignore"):
+            E = np.triu(S.T @ Z)   # np.triu selects, so the inf below is 0
+        assert E[1, 0] == 0.0 and (np.diag(E) > 0.0).all()
+        # gamma's top right block is -E^-1, exactly 0 below its diagonal
+        np.testing.assert_allclose(factors.gamma[0, :2, 2:], -np.linalg.inv(E), rtol=1e-15)
 
     def test_non_finite_e_marks_only_its_row(self):
         rng = np.random.default_rng(8)
@@ -357,7 +382,7 @@ class TestCompactForm:
         assert ok.tolist() == [True, False, True]
         alone, ok_alone = stacked_factors(S[[0, 2]], Z[[0, 2]], alpha[[0, 2]])
         assert ok_alone.all()
-        for name in ("E", "beta", "gamma"):
+        for name in ("beta", "gamma", "alpha"):
             np.testing.assert_array_equal(getattr(factors, name)[[0, 2]], getattr(alone, name))
 
 

@@ -17,12 +17,15 @@ from pathfinder import (
     NonFiniteError,
     UnknownTargetError,
     make_target,
+    targets,
 )
 from pathfinder.targets import (
     TARGET_NAMES,
     CounterView,
     LogDensityTarget,
     LogisticRegression,
+    NealFunnel,
+    StdNormal,
     _row_dot,
 )
 
@@ -430,6 +433,34 @@ class TestRegistry:
         for name in TARGET_NAMES:
             kwargs = {"dim": 4} if name in ("std_normal", "mvn", "neal_funnel") else {}
             assert make_target(name, **kwargs).dim >= 1
+
+    # Parameters that size each target: ``dim`` itself where it is the size.
+    SIZING = {
+        "std_normal": {"dim": 4},
+        "mvn": {"mu": [0.0, 1.0, 2.0]},
+        "neal_funnel": {"dim": 4},
+        "eight_schools_centered": {},
+        "eight_schools_noncentered": {},
+        "logistic_regression": {"X": [[1.0, 0.0]], "y": [1.0]},
+    }
+
+    @pytest.mark.parametrize("name", TARGET_NAMES)
+    def test_dim_must_equal_the_built_targets(self, monkeypatch, name):
+        params = {k: v for k, v in self.SIZING[name].items() if k != "dim"}
+        built = make_target(name, **self.SIZING[name])
+        assert make_target(name, **params, dim=built.dim).dim == built.dim
+        if "dim" in self.SIZING[name]:
+            # Where dim is the size, only a factory that ignores it can
+            # conflict: make_target alone holds the rule.
+            monkeypatch.setitem(targets._FACTORIES, name, lambda params, dim: built)
+        with pytest.raises(BadParamsError, match=r"dim=\d+ conflicts"):
+            make_target(name, **params, dim=built.dim + 1)
+
+    @pytest.mark.parametrize("size", [2.5, True, None, np.float64(4.0)])
+    @pytest.mark.parametrize("cls", [StdNormal, NealFunnel, PointNormal])
+    def test_size_that_is_not_a_positive_integer_rejected(self, cls, size):
+        with pytest.raises(BadParamsError, match="dim must be an integer"):
+            cls(size)
 
 
 class TestGradients:
