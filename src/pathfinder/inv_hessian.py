@@ -220,12 +220,10 @@ def stacked_factors(S, Z, alpha):
 def factors_from_pairs(S, Z, alpha) -> CompactFactors:
     """Compact factors for (N, J') pair matrices and a diagonal seed: a stack of one.
 
-    ``S`` may be None for no pairs.  Raises SingularEError when E is not
-    finite or has a non-positive diagonal.
+    No pairs are (N, 0) matrices, giving rank-0 factors.  Raises
+    SingularEError when E is not finite or has a non-positive diagonal.
     """
     alpha = np.asarray(alpha, dtype=float)
-    if np.ndim(S) != 2:
-        S = Z = np.zeros((alpha.size, 0))
     factors, ok = stacked_factors(
         np.asarray(S, dtype=float)[None], np.asarray(Z, dtype=float)[None], alpha[None])
     if not ok[0]:

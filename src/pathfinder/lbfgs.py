@@ -131,8 +131,8 @@ def stacked_directions(S, Z, alpha, grad):
 def search_direction(S, Z, alpha, grad) -> np.ndarray:
     """Ascent direction Sigma grad, Sigma = diag(alpha) + beta gamma beta' from ``inv_hessian``.
 
-    S and Z are N x J' matrices of stored position/gradient updates (None
-    for none); alpha is the positive diagonal seed.  Cost is O(N J'^2 + J'^3).
+    S and Z are N x J' matrices of stored position/gradient updates, N x 0
+    for none; alpha is the positive diagonal seed.  Cost is O(N J'^2 + J'^3).
     Raises SingularEError when the pairs give no valid E.  This is the
     per-row reference for ``stacked_directions``: each row of a stack equals
     this call on the row, bit for bit.
@@ -322,9 +322,6 @@ def optimize_steps(theta_init, opts: LbfgsOptions, record=None):
     thetas, grads, logps = [theta], [grad], [logp]
     if record:
         record(theta, grad)
-    if math.sqrt(grad @ grad) < opts.grad_zero_tol:
-        return Trajectory(np.asarray(thetas), np.asarray(grads), np.asarray(logps),
-                          Termination.ZERO_GRADIENT_AT_INIT)
 
     # The stored pairs, oldest first, as (N, J') columns; each accepted pair
     # replaces both arrays, so a request can hold them without a copy.
@@ -335,7 +332,8 @@ def optimize_steps(theta_init, opts: LbfgsOptions, record=None):
 
     for _ in range(opts.max_iters):
         if math.sqrt(grads[-1] @ grads[-1]) < opts.grad_zero_tol:
-            termination = Termination.CONVERGED
+            termination = (Termination.CONVERGED if len(thetas) > 1
+                           else Termination.ZERO_GRADIENT_AT_INIT)
             break
         delta = yield DirectionRequest(S, Z, alpha, grads[-1])
         if not (np.isfinite(delta).all() and grads[-1] @ delta > 0.0):

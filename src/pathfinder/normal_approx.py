@@ -66,18 +66,8 @@ def build_many(factors: CompactFactors, thetas, grads):
     identity placeholder for ``lt`` and must not be used.
     """
     alpha = factors.alpha
-    B, N = alpha.shape
-    logdet_diag = np.sum(np.log(alpha), axis=1)
-    base_mu = thetas + alpha * grads
-    if factors.num_pairs == 0:
-        approx = FactoredNormal(
-            mu=base_mu, alpha=alpha, qmat=np.zeros((B, N, 0)),
-            lt=np.zeros((B, 0, 0)), logdet=logdet_diag,
-        )
-        return approx, np.ones(B, dtype=bool)
-
-    rank = factors.rank
-    eye = np.eye(rank)
+    B = alpha.shape[0]
+    eye = np.eye(factors.rank)
     inv_sqrt_alpha = 1.0 / np.sqrt(alpha)
     # Householder QR keeps ||Q'Q - I|| at O(N eps) however ill-conditioned
     # beta is (Higham, Accuracy and Stability of Numerical Algorithms, 19.4).
@@ -100,8 +90,8 @@ def build_many(factors: CompactFactors, thetas, grads):
                 ok[b] = False
 
     diag_lt = np.diagonal(lt, axis1=1, axis2=2)
-    logdet = logdet_diag + 2.0 * np.sum(np.log(diag_lt), axis=1)
-    mu = base_mu + low_rank_product(factors, grads)
+    logdet = np.sum(np.log(alpha), axis=1) + 2.0 * np.sum(np.log(diag_lt), axis=1)
+    mu = thetas + alpha * grads + low_rank_product(factors, grads)
     return FactoredNormal(mu=mu, alpha=alpha, qmat=qmat, lt=lt, logdet=logdet), ok
 
 
@@ -130,12 +120,9 @@ def transform(approx: FactoredNormal, u) -> DrawBatch:
     n = u.shape[2]
     flat = u.reshape(-1, n)
     u_norms_sq = np.einsum("ij,ij->i", flat, flat).reshape(u.shape[:2])
-    if approx.rank > 0:
-        qtu = u @ approx.qmat                        # (B, M, 2J')
-        lt_minus_eye = approx.lt - np.eye(approx.rank)
-        x = u + (qtu @ lt_minus_eye.transpose(0, 2, 1)) @ approx.qmat.transpose(0, 2, 1)
-    else:
-        x = u
+    qtu = u @ approx.qmat                        # (B, M, 2J')
+    lt_minus_eye = approx.lt - np.eye(approx.rank)
+    x = u + (qtu @ lt_minus_eye.transpose(0, 2, 1)) @ approx.qmat.transpose(0, 2, 1)
     draws = approx.mu[:, None, :] + np.sqrt(approx.alpha)[:, None, :] * x
     logq = -0.5 * (approx.logdet[:, None] + u_norms_sq + n * LOG_2PI)
     return DrawBatch(draws=draws, logq=logq)
@@ -156,10 +143,7 @@ def eval_logq(approx: FactoredNormal, x) -> float:
     """
     x = np.asarray(x, dtype=float)
     w = (x - approx.mu) / np.sqrt(approx.alpha)
-    if approx.rank > 0:
-        qtw = approx.qmat.T @ w
-        v = np.linalg.solve(approx.lt, qtw)
-        mahal = float(v @ v) + float(w @ w) - float(qtw @ qtw)
-    else:
-        mahal = float(w @ w)
+    qtw = approx.qmat.T @ w
+    v = np.linalg.solve(approx.lt, qtw)
+    mahal = float(v @ v) + float(w @ w) - float(qtw @ qtw)
     return -0.5 * (approx.logdet + mahal + approx.dim * LOG_2PI)

@@ -130,8 +130,6 @@ def _blocks(counts, dim):
     iteration.  Pair counts never decrease along a trajectory, so with one
     path each count is one run of consecutive candidates.
     """
-    if not counts:
-        return
     flat = np.concatenate(counts)
     owners = np.repeat(np.arange(len(counts)), [len(c) for c in counts])
     iters = np.concatenate([np.arange(1, len(c) + 1) for c in counts])
@@ -212,7 +210,7 @@ def _score_candidates(target, indices, recoveries, new, tallies, winners, opts, 
         ])
         batch = normal_approx.transform(approx, u)
         logp_vals = target.logp_many(batch.draws.reshape(-1, dim)).reshape(batch.logq.shape)
-        values = elbo.elbo_estimate(logp_vals, batch.logq).value
+        values = elbo.elbo_estimate(logp_vals, batch.logq)
         tally("nonfinite_elbo", owners[~np.isfinite(values)])
         for k in np.unique(owners):
             mine = np.flatnonzero(owners == k)
@@ -321,14 +319,14 @@ def run_paths(target, opts: PathfinderOptions, seed: int, indices) -> list:
         if isinstance(reply, BaseException):
             raise reply
         runs += reply[0]
-        target._n_fused += reply[1]
-        target._n_logp_only += reply[2]
+        target.add_counts(*reply[1:])
     return runs
 
 
 def _fork(target, work):
-    """(pid, pipe) of a child piping back the pickled (runs ``work()`` returns, fused
-    and logp-only evaluations), or its error, which the caller re-raises."""
+    """(pid, pipe) of a child piping back the pickled (runs ``work()`` returns, and the
+    gradient and log-density evaluations it added to ``target``'s counts), or its
+    error, which the caller re-raises."""
     read_fd, write_fd = os.pipe()
     try:
         with warnings.catch_warnings():
@@ -345,9 +343,10 @@ def _fork(target, work):
         os.close(write_fd)
         return pid, open(read_fd, "rb")
     try:
-        target._n_fused = target._n_logp_only = 0  # the child counts its own evaluations
+        n_grad, n_logp = target.eval_count_grad, target.eval_count_logp
         try:
-            reply = pickle.dumps((work(), target._n_fused, target._n_logp_only))
+            reply = pickle.dumps((work(), target.eval_count_grad - n_grad,
+                                  target.eval_count_logp - n_logp))
         except BaseException as exc:
             try:
                 reply = pickle.dumps(exc)

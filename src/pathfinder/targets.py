@@ -88,6 +88,11 @@ class LogDensityTarget:
     def eval_count_grad(self) -> int:
         return self._n_fused
 
+    def add_counts(self, n_grad: int, n_logp: int) -> None:
+        """Count evaluations made elsewhere, as ``eval_count_grad`` and ``eval_count_logp``."""
+        self._n_fused += n_grad
+        self._n_logp_only += n_logp - n_grad
+
     # -- evaluation --------------------------------------------------------
 
     def _check_point(self, theta) -> np.ndarray:
@@ -224,6 +229,11 @@ class CounterView:
     @property
     def eval_count_grad(self) -> int:
         return self.n_grad
+
+    def add_counts(self, n_grad: int, n_logp: int) -> None:
+        self.n_grad += n_grad
+        self.n_logp_only += n_logp - n_grad
+        self._base.add_counts(n_grad, n_logp)
 
     def _check_point(self, theta):
         return self._base._check_point(theta)

@@ -153,7 +153,7 @@ def _recovery_rate(target_factory, num_seeds=100):
             continue
         batch = sample(run.approx, 10_000, np.random.default_rng(seed + 10_000))
         logp = target.logp_many(batch.draws)
-        if abs(elbo_estimate(logp, batch.logq).value) <= 0.2:
+        if abs(elbo_estimate(logp, batch.logq)) <= 0.2:
             ok += 1
     return ok
 

@@ -92,13 +92,14 @@ def record_gradient_points(target):
 class TestSearchDirection:
     def test_empty_history_unit_alpha(self):
         g = np.array([0.3, -1.2, 2.0])
-        delta = search_direction(None, None, np.ones(3), g)
+        delta = search_direction(np.zeros((3, 0)), np.zeros((3, 0)), np.ones(3), g)
         np.testing.assert_array_equal(delta, g)
 
     def test_empty_history_diagonal(self):
         g = np.array([0.3, -1.2, 2.0])
         a = np.array([2.0, 0.5, 1.5])
-        np.testing.assert_array_equal(search_direction(None, None, a, g), a * g)
+        empty = np.zeros((3, 0))
+        np.testing.assert_array_equal(search_direction(empty, empty, a, g), a * g)
 
     def test_one_pair_matches_dense_oracle(self):
         rng = np.random.default_rng(5)
@@ -310,7 +311,8 @@ def cold_start_optimize(target, theta, opts):
     for _ in range(opts.max_iters):
         if np.linalg.norm(grads[-1]) < opts.grad_zero_tol:
             return thetas, grads, logps, Termination.CONVERGED
-        S, Z = (np.stack(s_hist, axis=1), np.stack(z_hist, axis=1)) if s_hist else (None, None)
+        S, Z = (np.stack(hist, axis=1) if hist else np.zeros((len(theta), 0))
+                for hist in (s_hist, z_hist))
         delta = search_direction(S, Z, alpha, grads[-1])
         slope = float(grads[-1] @ delta)
         if not slope > 0.0:

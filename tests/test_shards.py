@@ -21,6 +21,7 @@ from pathfinder import (
     LbfgsOptions,
     MultipathOptions,
     PathfinderOptions,
+    eval_logq,
     lbfgs,
     make_target,
     run_multi,
@@ -29,7 +30,7 @@ from pathfinder import (
 )
 from pathfinder.inv_hessian import RECOVER_CHUNK
 from pathfinder.single_path import initial_point, usable_cores
-from pathfinder.targets import LogDensityTarget
+from pathfinder.targets import CounterView, LogDensityTarget
 
 pytestmark = pytest.mark.skipif(not sys.platform.startswith("linux"), reason="forks on Linux only")
 
@@ -115,10 +116,21 @@ def ill_conditioned_mvn(dim):
     return {"mu": np.linspace(-1.0, 1.0, dim).tolist(), "cov": (0.5 * (cov + cov.T)).tolist()}
 
 
+def ill_conditioned_logistic(n=200, p=10):
+    """Logistic data with column scales 0.1..10, whose paths run past RECOVER_CHUNK
+    steps whether the optimizer's diagonal seed is ||z||^2/(s'z) or its inverse."""
+    rng = np.random.default_rng(3)
+    scales = np.geomspace(0.1, 10.0, p)
+    X = rng.standard_normal((n, p)) * scales
+    logits = X @ (rng.standard_normal(p) / scales)
+    y = (rng.random(n) < 1.0 / (1.0 + np.exp(-logits))).astype(float)
+    return {"X": X.tolist(), "y": y.tolist()}
+
+
 # Single-mode cases whose paths run past RECOVER_CHUNK steps, so a spare core
 # forks a scorer: several chunks of a row-stable target, and logistic rows.
 LONG_MVN = ("mvn", ill_conditioned_mvn(10))
-LONG = [LONG_MVN, ("logistic_regression", {"n": 200, "p": 10, "data_seed": 3})]
+LONG = [LONG_MVN, ("logistic_regression", ill_conditioned_logistic())]
 
 
 def single_with(cores, count, name, params, seed=21, path_index=3):
@@ -155,7 +167,8 @@ class TestShardCount:
 
     def test_single_mode_forks_one_scorer_for_a_long_path(self, cores):
         forked = cores(4)
-        short = run_single(make_target("neal_funnel", dim=10), OPTS.single, 5, path_index=3)
+        capped = PathfinderOptions(num_draws=40, lbfgs=LbfgsOptions(max_iters=RECOVER_CHUNK - 1))
+        short = run_single(make_target("neal_funnel", dim=10), capped, 5, path_index=3)
         assert short.num_iters < RECOVER_CHUNK and forked == []
         long = run_single(make_target("eight_schools_centered"), OPTS.single, 5, path_index=3)
         assert long.num_iters >= RECOVER_CHUNK and len(forked) == 1
@@ -224,6 +237,47 @@ class TestSingleModeScorer:
             thread.join()
         assert forked == [] and run.num_iters >= RECOVER_CHUNK
         assert_same_run(run, alone)
+
+
+class TestCounterView:
+    @pytest.mark.parametrize("count", [1, 2])
+    def test_forked_evaluations_reach_the_view_and_its_base(self, cores, count):
+        # A child counts its evaluations through the view; the caller adds
+        # them to the view, which passes them on to its base.
+        name = "eight_schools_centered"
+        bare_multi = run_with(cores, count, name, {})
+        bare_single = single_with(cores, count, name, {})
+        assert bare_single.num_iters >= RECOVER_CHUNK  # a forked scorer at 2 cores
+        base = make_target(name)
+        view = CounterView(base)
+        result = run_multi(view, OPTS, 21)
+        assert_same_result(result, bare_multi)
+        for target in (view, base):
+            assert (target.eval_count_grad, target.eval_count_logp) == (result.n_grad, result.n_logp)
+        base = make_target(name)
+        view = CounterView(base)
+        run = run_single(view, PathfinderOptions(), 21, 3)
+        assert_same_run(run, bare_single)
+        for target in (view, base):
+            assert (target.eval_count_grad, target.eval_count_logp) == (run.n_grad, run.n_logp)
+
+
+class TestRankZero:
+    @pytest.mark.parametrize("count", [1, 2])
+    def test_one_dimension_gives_diagonal_candidates(self, cores, count):
+        # N // 2 = 0 pairs fit, so every candidate is a diagonal normal: its
+        # draws' log densities depend on mu and alpha alone.
+        cores(count)
+        runs = [run_single(make_target("std_normal", dim=1), OPTS.single, 5, path_index=3)]
+        runs += run_multi(make_target("std_normal", dim=1), OPTS, 5).runs
+        for run in runs:
+            approx = run.approx
+            assert approx.rank == 0
+            diagonal = -0.5 * np.sum(np.log(2.0 * np.pi * approx.alpha)
+                                     + (run.draws - approx.mu) ** 2 / approx.alpha, axis=1)
+            np.testing.assert_allclose(run.logq, diagonal, rtol=0.0, atol=1e-12)
+            np.testing.assert_allclose([eval_logq(approx, x) for x in run.draws], diagonal,
+                                       rtol=0.0, atol=1e-12)
 
 
 class TestOneShard:
