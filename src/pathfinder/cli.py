@@ -222,22 +222,22 @@ def main(argv=None) -> int:
         return 2
 
     if cfg.mode == "single":
-        runs = [run_single(target, cfg.options, cfg.seed, path_index=0)]
-        draws, k_hat, pool_size, pool_n_logp = runs[0].draws, None, None, 0
+        result = run_single(target, cfg.options, cfg.seed, path_index=0)
+        runs, k_hat, pool_size, pool_n_logp = [result], None, None, 0
     else:
         try:
             result = run_multi(target, cfg.options, cfg.seed)
         except AllPathsFailedError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 1
-        runs, draws, pool_n_logp = result.runs, result.draws, result.pool_n_logp
+        runs, pool_n_logp = result.runs, result.pool_n_logp
         k_hat, pool_size = float(result.k_hat), int(result.pooled.draws.shape[0])
+    draws = result.draws
     payload = {
         "config": cfg.echo(), "target_dim": target.dim,
         "paths": [_path_record(i, run) for i, run in enumerate(runs)],
         "k_hat": k_hat, "pool_size": pool_size, "num_output_draws": int(draws.shape[0]),
-        "counters": {"n_logp": sum(run.n_logp for run in runs) + pool_n_logp,
-                     "n_grad": sum(run.n_grad for run in runs), "pool_n_logp": pool_n_logp},
+        "counters": {"n_logp": result.n_logp, "n_grad": result.n_grad, "pool_n_logp": pool_n_logp},
         "termination_counts": dict(Counter(run.termination.value for run in runs)),
     }
 

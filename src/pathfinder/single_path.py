@@ -25,6 +25,7 @@ weight downstream.
 from __future__ import annotations
 
 import contextlib
+import math
 import os
 import pickle
 import sys
@@ -283,6 +284,13 @@ def usable_cores() -> int:
     return len(os.sched_getaffinity(0)) if sys.platform.startswith("linux") else 1
 
 
+def _check_key(name, value, end=math.inf):
+    """``value``, unless it is not an integer in [0, ``end``): then a ValueError naming it."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or not 0 <= value < end:
+        raise ValueError(f"{name} must be an integer in [0, {end}), got {value!r}")
+    return value
+
+
 def run_paths(target, opts: PathfinderOptions, seed: int, indices) -> list:
     """Runs of the paths ``indices`` (one in single mode), in k contiguous shards.
 
@@ -291,9 +299,11 @@ def run_paths(target, opts: PathfinderOptions, seed: int, indices) -> list:
     others in forked children.  A lone path with a spare core instead has its
     candidates scored by a forked child while it optimizes (``_Feed``).  Run
     i equals the run of path i alone wherever the target's batched rows do
-    not depend on the batch.
+    not depend on the batch.  A seed that is not a non-negative integer, or
+    an index outside [0, 2**32), raises ValueError before any evaluation.
     """
-    indices = list(indices)
+    _check_key("seed", seed)
+    indices = [_check_key("path_index", i, 2**32) for i in indices]
     cores = usable_cores() if threading.active_count() == 1 else 1
     k = max(1, min(len(indices), cores))
     cuts = [len(indices) * j // k for j in range(k + 1)]

@@ -1,7 +1,8 @@
 """Differentiable log-density targets with evaluation counters.
 
-Every target is an unnormalized (or normalized) log density on R^N exposing
-batched fused (``logp_grad_many``) and log-density-only (``logp_many``)
+Every target is an unnormalized (or normalized) log density on R^N, written
+as one batched hook, ``LogDensityTarget._density``, and exposing batched
+fused (``logp_grad_many``) and log-density-only (``logp_many``)
 evaluations, which flag a row as refused where its input or output is not
 finite.  A point is a batch of one: ``logp_grad`` and ``logp`` are the
 batched forms on one row and raise NonFiniteError where it is refused.  The
@@ -20,6 +21,7 @@ attribute's ``+=``; the package itself evaluates a target from one thread.
 
 from __future__ import annotations
 
+import abc
 import math
 import threading
 
@@ -48,17 +50,16 @@ def _count(target: str, name: str, value, least: int = 1) -> int:
     return int(value)
 
 
-class LogDensityTarget:
+class LogDensityTarget(abc.ABC):
     """Base class: a differentiable log density on R^N.
 
-    Subclasses implement the fused density for a point (``_logp_grad_impl``)
-    or for a batch (``_density``), each defaulting to the other; one that
-    implements neither is a TypeError at construction.  Evaluations reach
-    them as a batch, each row whose input is not finite zeroed.  A batched
-    ``_density`` may skip the gradient (return None) when ``need_grad`` is
-    false, but its log density must not depend on the flag: the line search
-    decides on logp-only evaluations and keeps the fused one at the accepted
-    point.  A ``_density`` may keep scratch space across calls, one per
+    A subclass implements one hook, ``_density(points, need_grad)``, the
+    density of an (M, N) batch; one that does not is a TypeError at
+    construction.  Every evaluation reaches it as a batch, each row whose
+    input is not finite zeroed.  It may skip the gradient (return None) when
+    ``need_grad`` is false, but its log density must not depend on the flag:
+    the line search decides on logp-only evaluations and keeps the fused one
+    at the accepted point.  It may keep scratch space across calls, one per
     thread, but no array it returns may be a view of it.
     Counters tick once per point of the right shape handed in, whether or not
     it is refused for being non-finite: fused evaluations increment both
@@ -68,12 +69,9 @@ class LogDensityTarget:
     """
 
     def __init__(self, dim: int, name: str = ""):
-        cls = type(self)
-        if (cls._density is LogDensityTarget._density
-                and cls._logp_grad_impl is LogDensityTarget._logp_grad_impl):
-            raise TypeError(f"{cls.__name__} must override _density or _logp_grad_impl")
-        self.dim = _count(cls.__name__, "dim", dim)
-        self.name = name or cls.__name__
+        cls = type(self).__name__
+        self.dim = _count(cls, "dim", dim)
+        self.name = name or cls
         self._shape = (self.dim,)
         self._n_fused = 0
         self._n_logp_only = 0
@@ -179,80 +177,33 @@ class LogDensityTarget:
         ok = finite_in & np.isfinite(logp) & np.isfinite(grad).all(axis=1)
         return logp, grad, ok
 
-    # -- implementation hooks ------------------------------------------------
-
-    def _logp_grad_impl(self, theta):
-        logp, grad = self._density(theta[None], True)
-        return logp[0], grad[0]
-
+    @abc.abstractmethod
     def _density(self, points, need_grad):
         """Log density of each row and, when ``need_grad``, its gradient (else None)."""
-        logp = np.empty(points.shape[0])
-        grad = np.empty_like(points)
-        for i, row in enumerate(points):
-            logp[i], grad[i] = self._logp_grad_impl(row)
-        return logp, grad
 
 
-class CounterView:
-    """A private tally of the evaluations made through it over a shared target.
+class CounterView(LogDensityTarget):
+    """A target that keeps its own tally of the evaluations made through it.
 
-    Delegates all math to the base target (whose global counters keep
-    ticking) while keeping a private count of the evaluations routed through
-    this view.  The package itself uses none: optimizer paths read their
-    counts from ``lbfgs.lockstep``, and pooling counts its rows.  It is kept
-    for callers that share a target.  It counts what the base counts,
-    refused points included.
+    Each batch goes on to the base target, whose own counters keep ticking,
+    so view and base count the same points, refused ones included.  Counts
+    added to the view are passed on to its base.  The package itself uses
+    none: optimizer paths read their counts from ``lbfgs.lockstep``, and
+    pooling counts its rows.  It is kept for callers that share a target.
     """
 
     def __init__(self, base: LogDensityTarget):
+        super().__init__(base.dim, base.name)
         self._base = base
-        self.n_grad = 0
-        self.n_logp_only = 0
-
-    @property
-    def dim(self) -> int:
-        return self._base.dim
-
-    @property
-    def name(self) -> str:
-        return self._base.name
-
-    @property
-    def n_logp(self) -> int:
-        return self.n_grad + self.n_logp_only
-
-    @property
-    def eval_count_logp(self) -> int:
-        return self.n_logp
-
-    @property
-    def eval_count_grad(self) -> int:
-        return self.n_grad
 
     def add_counts(self, n_grad: int, n_logp: int) -> None:
-        self.n_grad += n_grad
-        self.n_logp_only += n_logp - n_grad
+        super().add_counts(n_grad, n_logp)
         self._base.add_counts(n_grad, n_logp)
 
-    def _check_point(self, theta):
-        return self._base._check_point(theta)
-
-    # A point is a batch of one here too.  Each batched method checks the
-    # shape first, so it counts exactly the points the base counts: the right
-    # shape, refused for being non-finite or not.
-    logp_grad = LogDensityTarget.logp_grad
-    logp = LogDensityTarget.logp
-
-    def logp_grad_many(self, points):
-        points = self._base._check_batch(points)
-        self.n_grad += points.shape[0]
-        return self._base.logp_grad_many(points)
-
-    def logp_many(self, points):
-        points = self._base._check_batch(points)
-        self.n_logp_only += points.shape[0]
-        return self._base.logp_many(points)
+    def _density(self, points, need_grad):
+        if need_grad:
+            return self._base.logp_grad_many(points)[:2]
+        return self._base.logp_many(points), None
 
 
 # ---------------------------------------------------------------------------

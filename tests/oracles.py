@@ -7,6 +7,20 @@ with on small instances.
 
 import numpy as np
 
+from pathfinder.targets import LogDensityTarget
+
+
+class PointTarget(LogDensityTarget):
+    """A target written one point at a time: ``_density`` loops over the batch's
+    rows, taking each row's ``(logp, grad)`` from ``_logp_grad_point(theta)``."""
+
+    def _density(self, points, need_grad):
+        logp = np.empty(points.shape[0])
+        grad = np.empty_like(points)
+        for i, row in enumerate(points):
+            logp[i], grad[i] = self._logp_grad_point(row)
+        return logp, grad
+
 
 def fd_gradient(target, theta, step_scale=1e-6):
     """Central finite differences with per-coordinate steps 1e-6 * (1 + |x_n|)."""

@@ -35,7 +35,7 @@ from pathfinder.multipath import (
 )
 from pathfinder.normal_approx import build, sample
 
-from oracles import dense_mvn_logpdf, dense_sigma, gpd_sample, random_curvature_pairs
+from oracles import PointTarget, dense_mvn_logpdf, dense_sigma, gpd_sample, random_curvature_pairs
 
 # Fixed seed set for the eight-schools balance check; pinned because the
 # per-seed tau fraction has Monte Carlo spread of roughly +/- 0.12 around 0.6
@@ -194,13 +194,11 @@ def test_criterion_05_funnel_interior_selection():
 
 def test_criterion_06_failure_sentinel():
     """Failed runs return one +inf-logq draw that can never be resampled."""
-    from pathfinder.targets import LogDensityTarget
-
-    class PlateauTarget(LogDensityTarget):
+    class PlateauTarget(PointTarget):
         def __init__(self):
             super().__init__(2, "plateau")
 
-        def _logp_grad_impl(self, theta):
+        def _logp_grad_point(self, theta):
             return -1.0, np.zeros(2)
 
     failed = run_single(PlateauTarget(), PathfinderOptions(), seed=0)

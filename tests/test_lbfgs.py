@@ -26,42 +26,42 @@ from pathfinder.lbfgs import (
 from pathfinder.single_path import initial_point
 from pathfinder.targets import LogDensityTarget
 
-from oracles import dense_sigma, random_curvature_pairs
+from oracles import PointTarget, dense_sigma, random_curvature_pairs
 
 
-class Quadratic1D(LogDensityTarget):
+class Quadratic1D(PointTarget):
     """log p = -theta^2 / 2."""
 
     def __init__(self):
         super().__init__(1, "quad1d")
 
-    def _logp_grad_impl(self, theta):
+    def _logp_grad_point(self, theta):
         return -0.5 * float(theta @ theta), -theta
 
 
-class Linear1D(LogDensityTarget):
+class Linear1D(PointTarget):
     """log p = 2 theta; constant gradient."""
 
     def __init__(self):
         super().__init__(1, "lin1d")
 
-    def _logp_grad_impl(self, theta):
+    def _logp_grad_point(self, theta):
         return 2.0 * float(theta[0]), np.array([2.0])
 
 
-class HalfLine(LogDensityTarget):
+class HalfLine(PointTarget):
     """Quadratic that is undefined past theta = 1.5 (non-finite region)."""
 
     def __init__(self):
         super().__init__(1, "halfline")
 
-    def _logp_grad_impl(self, theta):
+    def _logp_grad_point(self, theta):
         if theta[0] > 1.5:
             return -np.inf, np.array([np.nan])
         return -0.5 * float(theta @ theta) + theta[0], 1.0 - theta
 
 
-class GradientCliff(LogDensityTarget):
+class GradientCliff(PointTarget):
     """A normal centered at (2, -1) whose log density is finite everywhere but
     whose gradient is non-finite past theta_0 = 1, so fused evaluations there
     are refused while logp-only ones are not."""
@@ -69,7 +69,7 @@ class GradientCliff(LogDensityTarget):
     def __init__(self):
         super().__init__(2, "gradient_cliff")
 
-    def _logp_grad_impl(self, theta):
+    def _logp_grad_point(self, theta):
         diff = theta - np.array([2.0, -1.0])
         grad = -diff if theta[0] <= 1.0 else np.full(2, np.nan)
         return -0.5 * float(diff @ diff), grad

@@ -22,17 +22,16 @@ from pathfinder.multipath import (
     KHAT_SENTINEL, fit_generalized_pareto, pool_runs, psis_smooth, resample, tail_length,
 )
 from pathfinder.single_path import PathfinderRun, initial_point
-from pathfinder.targets import LogDensityTarget
 
-from oracles import gpd_sample
+from oracles import PointTarget, gpd_sample
 from test_shards import assert_same_run
 
 
-class Plateau(LogDensityTarget):
+class Plateau(PointTarget):
     def __init__(self, dim=2):
         super().__init__(dim, "plateau")
 
-    def _logp_grad_impl(self, theta):
+    def _logp_grad_point(self, theta):
         return -1.0, np.zeros(self.dim)
 
 
@@ -414,11 +413,11 @@ class TestLockstep:
         # that start there fail at their first round, and trial points that
         # overshoot into it are halved, while the batch carries on for the
         # other paths.
-        class Walled(LogDensityTarget):
+        class Walled(PointTarget):
             def __init__(self):
                 super().__init__(2, "walled")
 
-            def _logp_grad_impl(self, theta):
+            def _logp_grad_point(self, theta):
                 if theta[0] > 1.5:
                     return -np.inf, np.full(2, np.nan)
                 return -50.0 * float(theta @ theta), -100.0 * theta

@@ -30,7 +30,9 @@ from pathfinder import (
 )
 from pathfinder.inv_hessian import RECOVER_CHUNK
 from pathfinder.single_path import initial_point, usable_cores
-from pathfinder.targets import CounterView, LogDensityTarget
+from pathfinder.targets import CounterView
+
+from oracles import PointTarget
 
 pytestmark = pytest.mark.skipif(not sys.platform.startswith("linux"), reason="forks on Linux only")
 
@@ -315,14 +317,14 @@ class Unpicklable(Exception):
         super().__init__(f"code {code}: {detail}")
 
 
-class Raising(LogDensityTarget):
+class Raising(PointTarget):
     """A standard normal that raises ``make_error()`` when evaluated in ``where``."""
 
     def __init__(self, make_error, where="child"):
         super().__init__(3, "raising")
         self.make_error, self.where = make_error, where
 
-    def _logp_grad_impl(self, theta):
+    def _logp_grad_point(self, theta):
         if (os.getpid() == PARENT) == (self.where == "parent"):
             raise self.make_error()
         return -0.5 * float(theta @ theta), -theta
@@ -340,7 +342,7 @@ class TestErrors:
     ], ids=["cannot_pickle", "cannot_unpickle"])
     def test_unpicklable_child_error_comes_back_as_runtime_error(self, cores, make_error):
         cores(3)
-        with pytest.raises(RuntimeError, match="(?s)path shard error:.*_logp_grad_impl"):
+        with pytest.raises(RuntimeError, match="(?s)path shard error:.*_logp_grad_point"):
             run_multi(Raising(make_error), OPTS, 1)
 
     def test_child_that_dies_without_a_reply_is_an_error(self, cores):
@@ -384,11 +386,11 @@ class TestErrors:
                 assert_same_run(run, clean.runs[i])
 
     def test_refused_initial_point_in_a_child_is_a_failed_run(self, cores):
-        class Walled(LogDensityTarget):
+        class Walled(PointTarget):
             def __init__(self):
                 super().__init__(2, "walled")
 
-            def _logp_grad_impl(self, theta):
+            def _logp_grad_point(self, theta):
                 if theta[0] > 1.5:
                     return -np.inf, np.full(2, np.nan)
                 return -50.0 * float(theta @ theta), -100.0 * theta
@@ -406,13 +408,13 @@ class TestErrors:
             np.testing.assert_array_equal(run.draws, starts[i][None, :])
 
 
-class Walled(LogDensityTarget):
+class Walled(PointTarget):
     """A narrow normal whose density is refused past theta_0 = 1.5."""
 
     def __init__(self):
         super().__init__(2, "walled")
 
-    def _logp_grad_impl(self, theta):
+    def _logp_grad_point(self, theta):
         if theta[0] > 1.5:
             return -np.inf, np.full(2, np.nan)
         return -50.0 * float(theta @ theta), -100.0 * theta
@@ -440,13 +442,13 @@ class TestRefusedStart:
                 assert run.logq.tolist() == [np.inf]
 
 
-class Ledge(LogDensityTarget):
+class Ledge(PointTarget):
     """A narrow normal, flat (zero gradient) past theta_0 = 1 and refused below theta_0 = -1."""
 
     def __init__(self):
         super().__init__(2, "ledge")
 
-    def _logp_grad_impl(self, theta):
+    def _logp_grad_point(self, theta):
         if theta[0] < -1.0:
             return -np.inf, np.full(2, np.nan)
         if theta[0] > 1.0:

@@ -5,23 +5,24 @@ import pytest
 
 from pathfinder import (
     LbfgsOptions,
+    MultipathOptions,
     PathfinderOptions,
     Termination,
     make_target,
+    run_multi,
     run_single,
 )
-from pathfinder.targets import LogDensityTarget
 
-from oracles import select_argmax
+from oracles import PointTarget, select_argmax
 
 
-class Plateau(LogDensityTarget):
+class Plateau(PointTarget):
     """Constant log density: zero gradient everywhere."""
 
     def __init__(self, dim=3):
         super().__init__(dim, "plateau")
 
-    def _logp_grad_impl(self, theta):
+    def _logp_grad_point(self, theta):
         return -1.0, np.zeros(self.dim)
 
 
@@ -161,6 +162,32 @@ class TestReproducibility:
         r0 = run_single(target, PathfinderOptions(), seed=1, path_index=0)
         r1 = run_single(target, PathfinderOptions(), seed=1, path_index=1)
         assert not np.array_equal(r0.draws, r1.draws)
+
+    @pytest.mark.parametrize("seed", [1.5, True, -1, np.float64(2.0)])
+    def test_a_bad_seed_is_refused_before_any_evaluation(self, seed):
+        target = make_target("eight_schools_noncentered")
+        with pytest.raises(ValueError, match="^seed must be an integer"):
+            run_single(target, PathfinderOptions(), seed=seed)
+        with pytest.raises(ValueError, match="^seed must be an integer"):
+            run_multi(target, MultipathOptions(), seed=seed)
+        assert (target.eval_count_grad, target.eval_count_logp) == (0, 0)
+
+    @pytest.mark.parametrize("path_index", [1.5, True, -1, 2**32])
+    def test_a_bad_path_index_is_refused_before_any_evaluation(self, path_index):
+        target = make_target("eight_schools_noncentered")
+        with pytest.raises(ValueError, match="^path_index must be an integer"):
+            run_single(target, PathfinderOptions(), seed=1, path_index=path_index)
+        assert (target.eval_count_grad, target.eval_count_logp) == (0, 0)
+
+    def test_integer_keys_of_any_size_and_type_are_taken(self):
+        # A numpy integer is the same key as the Python one, and a seed takes
+        # any number of words.
+        target = make_target("std_normal", dim=2)
+        want = run_single(target, PathfinderOptions(), seed=7, path_index=3)
+        got = run_single(target, PathfinderOptions(), seed=np.int64(7), path_index=np.uint32(3))
+        np.testing.assert_array_equal(got.draws, want.draws)
+        big = run_single(target, PathfinderOptions(), seed=2**70, path_index=2**32 - 1)
+        assert not big.failed and not np.array_equal(big.draws, want.draws)
 
 
 def test_output_draw_count_matches_options():

@@ -29,15 +29,15 @@ from pathfinder.targets import (
     _row_dot,
 )
 
-from oracles import fd_gradient
+from oracles import PointTarget, fd_gradient
 
 LOG_2PI = math.log(2 * math.pi)
 
 
-class PointNormal(LogDensityTarget):
-    """An unnormalized standard normal written through the per-point hook."""
+class PointNormal(PointTarget):
+    """An unnormalized standard normal written one point at a time."""
 
-    def _logp_grad_impl(self, theta):
+    def _logp_grad_point(self, theta):
         return -0.5 * float(theta @ theta), -theta
 
 
@@ -282,10 +282,10 @@ class TestLogisticRegression:
         assert np.all(np.abs(logp_only - want_logp) <= 1e-12 * np.abs(want_logp))
 
     def test_a_point_is_a_batch_of_one(self):
-        # For each hook style, a batched _density and a per-point
-        # _logp_grad_impl: each per-point form equals its batched form on the
-        # batch of one, and a refused point, by its input or by an
-        # overflowing output, ticks its counters once.
+        # For a vectorized _density and one that loops over its rows: each
+        # per-point form equals its batched form on the batch of one, and a
+        # refused point, by its input or by an overflowing output, ticks its
+        # counters once.
         for target in (make_target("logistic_regression", n=200, p=6, data_seed=2),
                        PointNormal(6)):
             for beta in np.random.default_rng(4).normal(0.0, 2.0, (10, 6)):
@@ -552,6 +552,38 @@ class TestGradients:
         assert np.array_equal(_row_dot(a[:1], b[:1]), expected[:1])
 
 
+class TestCounterViewResults:
+    """A view returns its base's batched results bit for bit, and so does a view
+    over a view, while every level counts each row once."""
+
+    @pytest.mark.parametrize("depth", [1, 2], ids=["view", "view_of_view"])
+    def test_a_view_returns_its_base_results(self, depth):
+        def logistic():
+            return make_target("logistic_regression", n=200, p=6, data_seed=3)
+
+        base, bare = logistic(), logistic()
+        levels = [base]
+        for _ in range(depth):
+            levels.append(CounterView(levels[-1]))
+        rng = np.random.default_rng(5)
+        rows = 0
+        for size in (1, 2, 160):
+            clean = rng.normal(0.0, 2.0, (size, 6))
+            # A NaN row and an overflowing one (its prior term is +inf).
+            refused = np.vstack([clean, np.full(6, np.nan), np.full(6, 1e200)])
+            refused[[0, -1]] = refused[[-1, 0]]
+            for batch, bad in ((clean, []), (refused, [0, size])):
+                want = bare.logp_grad_many(batch)
+                got = levels[-1].logp_grad_many(batch)
+                for w, g in zip(want, got):
+                    assert g.dtype == w.dtype and g.tobytes() == w.tobytes()
+                assert np.flatnonzero(~got[2]).tolist() == bad
+                assert levels[-1].logp_many(batch).tobytes() == bare.logp_many(batch).tobytes()
+                rows += batch.shape[0]
+        for target in levels:
+            assert (target.eval_count_grad, target.eval_count_logp) == (rows, 2 * rows)
+
+
 class TestCountersAndChecks:
     def test_counters_track_evaluations(self):
         t = make_target("std_normal", dim=2)
@@ -569,7 +601,7 @@ class TestCountersAndChecks:
         view = CounterView(t)
         view.logp_grad(np.zeros(2))
         view.logp_many(np.zeros((3, 2)))
-        assert (view.n_logp, view.n_grad) == (4, 1)
+        assert (view.eval_count_logp, view.eval_count_grad) == (4, 1)
         assert (t.eval_count_logp, t.eval_count_grad) == (4, 1)
 
     def test_concurrent_counting_is_exact(self):
@@ -595,18 +627,18 @@ class TestCountersAndChecks:
         view = CounterView(t)
         with pytest.raises(NonFiniteError):
             view.logp_grad([np.inf, 0.0])
-        assert view.n_grad == t.eval_count_grad == 1
+        assert view.eval_count_grad == t.eval_count_grad == 1
         with pytest.raises(NonFiniteError):
             view.logp([np.nan, 0.0])
-        assert view.n_logp == t.eval_count_logp == 2
+        assert view.eval_count_logp == t.eval_count_logp == 2
         view.logp_grad_many([[np.inf, 0.0], [1.0, 2.0]])
-        assert view.n_grad == t.eval_count_grad == 3
-        assert view.n_logp == t.eval_count_logp == 4
+        assert view.eval_count_grad == t.eval_count_grad == 3
+        assert view.eval_count_logp == t.eval_count_logp == 4
         with pytest.raises(DimensionMismatchError):
             view.logp_grad(np.zeros(3))
         with pytest.raises(DimensionMismatchError):
             view.logp_grad_many(np.zeros((2, 3)))
-        assert view.n_grad == t.eval_count_grad == 3
+        assert view.eval_count_grad == t.eval_count_grad == 3
 
     def test_non_finite_rows_are_flagged_alone(self):
         # Row 1 has a non-finite input and row 3 overflows (the funnel's
@@ -636,14 +668,13 @@ class TestCountersAndChecks:
         assert vals[0] == target.logp(pts[0]) and vals[2] == target.logp(pts[2])
 
     def test_a_target_without_a_density_hook_is_refused(self):
-        # Each hook defaults to the other, so a target with neither would
-        # recurse without end at its first evaluation.
+        # _density is the one hook: a target without it has nothing to evaluate.
         class Hookless(LogDensityTarget):
             pass
 
-        with pytest.raises(TypeError, match="Hookless must override _density or _logp_grad_impl"):
+        with pytest.raises(TypeError, match="Hookless.*_density"):
             Hookless(2)
-        assert PointNormal(2).logp(np.ones(2)) == -1.0  # one hook is enough
+        assert PointNormal(2).logp(np.ones(2)) == -1.0
 
     def test_dimension_mismatch(self):
         t = make_target("std_normal", dim=3)
