@@ -154,34 +154,57 @@ class StepperState:
         self.n_logp_only = self.n_fused = 0
 
 
+def _kind(request) -> int:
+    """0 for a direction request, 1 for a log-density-only trial, 2 for a fused point."""
+    return 0 if type(request) is DirectionRequest else 1 + request[1]
+
+
 def _evaluate(target, states) -> None:
     """Answer point requests of one kind with one batched call; a refused
-    trial gets -inf, as from ``logp_many``, and a refused fused point None."""
-    points = np.array([state.request[0] for state in states])
+    trial gets -inf, as from ``logp_many``, and a refused fused point None.
+
+    The call is the target's own ``_evaluate``, which ``lockstep``'s error
+    state covers; a lone request's point goes in as a view of one row.
+    """
+    if len(states) == 1:
+        points = np.asarray(states[0].request[0], dtype=float)[None]
+    else:
+        points = np.array([state.request[0] for state in states], dtype=float)
     if not states[0].request[1]:
-        for state, logp in zip(states, target.logp_many(points).tolist()):
+        for state, logp in zip(states, target._evaluate(points, False).tolist()):
             state.n_logp_only += 1
             state.reply = logp
         return
-    logps, grads, ok = target.logp_grad_many(points)
+    logps, grads, ok = target._evaluate(points, True)
+    # A stored gradient must own its memory: a row view would pin the batch,
+    # unless the batch is that one row.
+    if len(states) > 1:
+        grads = [grad.copy() for grad in grads]
     for state, logp, grad, good in zip(states, logps.tolist(), grads, ok.tolist()):
         state.n_fused += 1
-        # A stored gradient must own its memory: a row view would pin the batch.
-        state.reply = (logp, grad.copy()) if good else None
+        state.reply = (logp, grad) if good else None
 
 
 def _directions(states) -> None:
     """Answer every direction request, one ``stacked_directions`` call per pair count.
 
     A row without a valid E gets a NaN direction, which ends its path as
-    ``line_search_fail`` and no other.
+    ``line_search_fail`` and no other.  A lone request's fields go in as
+    views of one row.
     """
-    groups: dict = {}
-    for state in states:
-        groups.setdefault(state.request.S.shape[1], []).append(state)
-    for group in groups.values():
-        fields = zip(*(state.request for state in group))
-        deltas, ok = stacked_directions(*(np.array(field) for field in fields))
+    if len(states) == 1:
+        groups = [states]
+    else:
+        groups: dict = {}
+        for state in states:
+            groups.setdefault(state.request.S.shape[1], []).append(state)
+        groups = groups.values()
+    for group in groups:
+        if len(group) == 1:
+            fields = (np.asarray(field)[None] for field in group[0].request)
+        else:
+            fields = (np.array(field) for field in zip(*(state.request for state in group)))
+        deltas, ok = stacked_directions(*fields)
         for state, delta, good in zip(group, deltas, ok.tolist()):
             state.reply = delta if good else np.full_like(delta, np.nan)
 
@@ -192,37 +215,46 @@ def lockstep(target, steppers) -> list:
     Each round answers only the most common kind of pending request (a
     direction, a log-density-only trial or a fused point; a tie goes in that
     order), with one ``stacked_directions`` call per pair count or one
-    ``target.logp_many`` or ``target.logp_grad_many`` call.  The others wait,
-    which changes no stepper's replies where rows do not depend on the batch.
-    A direction without a valid E is answered with NaN, so the stepper ends
-    as ``line_search_fail`` instead of raising.  Returns a StepperState per
+    batched target evaluation, as ``target.logp_many`` or
+    ``target.logp_grad_many`` would make it.  The others wait, which changes
+    no stepper's replies where rows do not depend on the batch.  A direction
+    without a valid E is answered with NaN, so the stepper ends as
+    ``line_search_fail`` instead of raising.  Returns a StepperState per
     stepper, whose ``outcome`` is its return value; an error a stepper raises
-    propagates.  The loop ignores floating-point overflow, invalid values and
-    division by zero, once for all steppers and rounds: the steppers
-    themselves set no error state and run only under it.
+    propagates.  The loop ignores every floating-point error, once for all
+    steppers, rounds and target evaluations: the steppers set no error state
+    and run only under it, and a request pays for no error-state switch or
+    re-check of its own.  A round's bookkeeping grows with the steppers it
+    answers: a lone active stepper is answered without sorting.
     """
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+    with np.errstate(all="ignore"):
         states = active = [StepperState(steps) for steps in steppers]
         while active:
-            kinds = ([], [], [])  # directions, trials, fused points: max() picks the first
-            for state in active:
-                request = state.request
-                kinds[0 if type(request) is DirectionRequest else 1 + request[1]].append(state)
-            answered = max(kinds, key=len)
-            if answered is kinds[0]:
+            if len(active) == 1:
+                answered, kind = active, _kind(active[0].request)
+            else:
+                kinds = ([], [], [])  # by _kind: max() picks the first of the largest
+                for state in active:
+                    kinds[_kind(state.request)].append(state)
+                kind = max(range(3), key=lambda i: len(kinds[i]))
+                answered = kinds[kind]
+            if kind == 0:
                 _directions(answered)
             else:
                 _evaluate(target, answered)
+            stopped = False
             for state in answered:
                 try:
                     state.request = state.steps.send(state.reply)
                 except StopIteration as stop:
                     state.request, state.outcome = None, stop.value
-            active = [state for state in active if state.request is not None]
+                    stopped = True
+            if stopped:
+                active = [state for state in active if state.request is not None]
     return states
 
 
-def line_search_steps(theta, logp, grad, delta, c1, step=1.0):
+def line_search_steps(theta, logp, grad, delta, c1, step=1.0, slope=None):
     """Stepper of ``wolfe_line_search``, started at ``step`` (a power of 2 <= 1).
 
     Yields each trial point for its log density alone, then the accepted one
@@ -230,9 +262,11 @@ def line_search_steps(theta, logp, grad, delta, c1, step=1.0):
     passes and the step stays <= 1, and the largest passing step is
     accepted; a failing trial halves.  A refused gradient rejects the
     accepted step, and halving goes on below it without growing again.
-    Returns None when no step >= 2^-MAX_HALVINGS passes.
+    Returns None when no step >= 2^-MAX_HALVINGS passes.  ``slope`` is
+    float(grad @ delta), computed here unless the caller passes it.
     """
-    slope = float(grad @ delta)
+    if slope is None:
+        slope = float(grad @ delta)
     grow = step < 1.0
     passed = None  # (step, point) of the largest trial known to pass
     while step >= MIN_STEP:
@@ -336,11 +370,12 @@ def optimize_steps(theta_init, opts: LbfgsOptions, record=None):
                            else Termination.ZERO_GRADIENT_AT_INIT)
             break
         delta = yield DirectionRequest(S, Z, alpha, grads[-1])
-        if not (np.isfinite(delta).all() and grads[-1] @ delta > 0.0):
+        slope = float(grads[-1] @ delta)
+        if not (slope > 0.0 and np.isfinite(delta).all()):
             termination = Termination.LINE_SEARCH_FAIL
             break
         ls = yield from line_search_steps(
-            thetas[-1], logps[-1], grads[-1], delta, opts.c1, min(1.0, 2.0 * step))
+            thetas[-1], logps[-1], grads[-1], delta, opts.c1, min(1.0, 2.0 * step), slope)
         if ls is None:
             termination = Termination.LINE_SEARCH_FAIL
             break

@@ -25,6 +25,7 @@ weight downstream.
 from __future__ import annotations
 
 import contextlib
+import functools
 import math
 import os
 import pickle
@@ -284,6 +285,39 @@ def usable_cores() -> int:
     return len(os.sched_getaffinity(0)) if sys.platform.startswith("linux") else 1
 
 
+@functools.cache
+def _openblas_threads():
+    """(get, set) of the thread count of the OpenBLAS bundled with numpy, found once per
+    process by its exported symbols in the library numpy loaded, or None without one."""
+    import ctypes
+
+    try:
+        with open("/proc/self/maps") as maps:
+            path = next(line.split(maxsplit=5)[-1].rstrip("\n") for line in maps
+                        if "libscipy_openblas64_" in line)
+        lib = ctypes.CDLL(path)
+        return lib.scipy_openblas_get_num_threads64_, lib.scipy_openblas_set_num_threads64_
+    except (OSError, StopIteration, AttributeError):
+        return None
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Run the body with numpy's bundled OpenBLAS on one thread, which children forked
+    inside inherit, and restore the caller's count after; without one, change nothing."""
+    threads = _openblas_threads()
+    if threads is None:
+        yield
+        return
+    get, set_threads = threads
+    saved = get()
+    set_threads(1)
+    try:
+        yield
+    finally:
+        set_threads(saved)
+
+
 def _check_key(name, value, end=math.inf):
     """``value``, unless it is not an integer in [0, ``end``): then a ValueError naming it."""
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or not 0 <= value < end:
@@ -301,6 +335,9 @@ def run_paths(target, opts: PathfinderOptions, seed: int, indices) -> list:
     i equals the run of path i alone wherever the target's batched rows do
     not depend on the batch.  A seed that is not a non-negative integer, or
     an index outside [0, 2**32), raises ValueError before any evaluation.
+    While the run may fork, numpy's bundled OpenBLAS runs one thread here
+    and in each child (``_one_blas_thread``), so the processes do not
+    oversubscribe the cores.
     """
     _check_key("seed", seed)
     indices = [_check_key("path_index", i, 2**32) for i in indices]
@@ -310,20 +347,21 @@ def run_paths(target, opts: PathfinderOptions, seed: int, indices) -> list:
     children, replies = [], []
     feed = (_Feed(target, opts, seed, indices[0], children)
             if len(indices) == 1 and cores > 1 else None)
-    try:
-        for lo, hi in zip(cuts[1:-1], cuts[2:]):
-            children.append(_fork(target, lambda shard=indices[lo:hi]: _run_shard(
-                target, opts, seed, shard)))
-        runs = _run_shard(target, opts, seed, indices[:cuts[1]], feed)
-        replies = [pipe.read() for _, pipe in children]
-    finally:
-        if feed and feed.fd is not None:
-            os.close(feed.fd)
-        for pid, pipe in children:
-            if not replies:  # this shard or a read raised: leave no child running
-                os.kill(pid, 9)  # SIGKILL
-            pipe.close()
-            os.waitpid(pid, 0)
+    with _one_blas_thread() if k > 1 or feed else contextlib.nullcontext():
+        try:
+            for lo, hi in zip(cuts[1:-1], cuts[2:]):
+                children.append(_fork(target, lambda shard=indices[lo:hi]: _run_shard(
+                    target, opts, seed, shard)))
+            runs = _run_shard(target, opts, seed, indices[:cuts[1]], feed)
+            replies = [pipe.read() for _, pipe in children]
+        finally:
+            if feed and feed.fd is not None:
+                os.close(feed.fd)
+            for pid, pipe in children:
+                if not replies:  # this shard or a read raised: leave no child running
+                    os.kill(pid, 9)  # SIGKILL
+                pipe.close()
+                os.waitpid(pid, 0)
     for reply in replies:
         reply = pickle.loads(reply) if reply else RuntimeError("a path shard died unanswered")
         if isinstance(reply, BaseException):

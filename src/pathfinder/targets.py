@@ -60,7 +60,9 @@ class LogDensityTarget(abc.ABC):
     ``need_grad`` is false, but its log density must not depend on the flag:
     the line search decides on logp-only evaluations and keeps the fused one
     at the accepted point.  It may keep scratch space across calls, one per
-    thread, but no array it returns may be a view of it.
+    thread, but no array it returns may be a view of it.  Both batched forms
+    run through one routine, ``_evaluate``, which ``lbfgs.lockstep`` calls
+    directly.
     Counters tick once per point of the right shape handed in, whether or not
     it is refused for being non-finite: fused evaluations increment both
     counters, log-density-only evaluations only the log-density counter.  The
@@ -101,25 +103,6 @@ class LogDensityTarget(abc.ABC):
             )
         return theta
 
-    def _check_batch(self, points) -> np.ndarray:
-        points = np.asarray(points, dtype=float)
-        if points.ndim != 2 or points.shape[1] != self.dim:
-            raise DimensionMismatchError(
-                f"{self.name}: expected batch of shape (M, {self.dim}), got {points.shape}"
-            )
-        return points
-
-    @staticmethod
-    def _finite_rows(points):
-        """The batch with non-finite rows zeroed, and the mask of finite rows
-        (True when every row is finite, the common case, which one reduction
-        settles)."""
-        finite_in = np.isfinite(points)
-        if finite_in.all():
-            return points, True
-        finite_in = finite_in.all(axis=1)
-        return np.where(finite_in[:, None], points, 0.0), finite_in
-
     def logp_grad(self, theta):
         """Return ``(log p(theta), grad log p(theta))``, counting one fused evaluation.
 
@@ -149,15 +132,9 @@ class LogDensityTarget(abc.ABC):
         back as -inf.  Each row equals the fused log density of
         ``logp_grad_many`` on the same batch bit for bit.
         """
-        points = self._check_batch(points)
-        self._n_logp_only += points.shape[0]
-        points, finite_in = self._finite_rows(points)
+        points = np.asarray(points, dtype=float)
         with np.errstate(all="ignore"):
-            vals = self._density(points, False)[0]
-        finite = np.isfinite(vals)
-        if finite_in is True and finite.all():
-            return vals
-        return np.where(finite_in & finite, vals, -np.inf)
+            return self._evaluate(points, False)
 
     def logp_grad_many(self, points):
         """Fused evaluation of an (M, N) batch, counting M fused evaluations.
@@ -169,13 +146,39 @@ class LogDensityTarget(abc.ABC):
         batch it is in.  Logistic regression does not: its rows are BLAS
         matrix products, whose rounding depends on the batch.
         """
-        points = self._check_batch(points)
-        self._n_fused += points.shape[0]
-        points, finite_in = self._finite_rows(points)
+        points = np.asarray(points, dtype=float)
         with np.errstate(all="ignore"):
-            logp, grad = self._density(points, True)
-        ok = finite_in & np.isfinite(logp) & np.isfinite(grad).all(axis=1)
-        return logp, grad, ok
+            return self._evaluate(points, True)
+
+    def _evaluate(self, points, need_grad):
+        """``logp_grad_many`` (``need_grad``) or ``logp_many`` of a float (M, N) array,
+        under the caller's floating-point error state.
+
+        The wrappers ignore every floating-point error around it, and so does
+        ``lbfgs.lockstep``, which calls it directly.  A batch whose rows are
+        all finite, the common case, costs one reduction beyond ``_density``.
+        """
+        if points.shape[1:] != self._shape:
+            raise DimensionMismatchError(
+                f"{self.name}: expected batch of shape (M, {self.dim}), got {points.shape}"
+            )
+        if need_grad:
+            self._n_fused += len(points)
+        else:
+            self._n_logp_only += len(points)
+        finite_in = np.isfinite(points)
+        if finite_in.all():
+            finite_in = True
+        else:
+            finite_in = finite_in.all(axis=1)
+            points = np.where(finite_in[:, None], points, 0.0)
+        logp, grad = self._density(points, need_grad)
+        if need_grad:
+            return logp, grad, finite_in & np.isfinite(logp) & np.isfinite(grad).all(axis=1)
+        finite = np.isfinite(logp)
+        if finite_in is True and finite.all():
+            return logp
+        return np.where(finite_in & finite, logp, -np.inf)
 
     @abc.abstractmethod
     def _density(self, points, need_grad):

@@ -1,5 +1,6 @@
 """Tests for the trajectory-recording L-BFGS optimizer."""
 
+import copy
 from collections import deque
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from pathfinder import (
+    DimensionMismatchError,
     LbfgsOptions,
     LineSearchFailError,
     MultipathOptions,
@@ -27,6 +29,7 @@ from pathfinder.single_path import initial_point
 from pathfinder.targets import LogDensityTarget
 
 from oracles import PointTarget, dense_sigma, random_curvature_pairs
+from test_targets import all_targets, random_points
 
 
 class Quadratic1D(PointTarget):
@@ -593,12 +596,12 @@ def test_one_batched_call_per_round_for_one_path(monkeypatch, name, params):
     # batched call of one row: as many calls as point evaluations.
     target = make_target(name, **params)
     calls = []
-    for method in ("logp_many", "logp_grad_many"):
-        def counting(points, batched=getattr(target, method)):
-            calls.append(len(points))
-            return batched(points)
 
-        monkeypatch.setattr(target, method, counting)
+    def counting(points, need_grad, batched=target._evaluate):
+        calls.append(len(points))
+        return batched(points, need_grad)
+
+    monkeypatch.setattr(target, "_evaluate", counting)
     theta0 = np.random.default_rng(4).uniform(-2.0, 2.0, target.dim)
     traj = optimize(target, theta0, LbfgsOptions(max_iters=100))
     assert traj.num_iters > 0
@@ -617,9 +620,9 @@ class Ramp(LogDensityTarget):
 
 
 class TestLoopErrorState:
-    # lockstep sets the floating-point error state once around its loop;
-    # the steppers set none of their own.
-    LOOP_STATE = {"over": "ignore", "invalid": "ignore", "divide": "ignore"}
+    # lockstep ignores every floating-point error once around its loop, the
+    # target evaluations included; the steppers set no state of their own.
+    LOOP_STATE = {"over": "ignore", "invalid": "ignore", "divide": "ignore", "under": "ignore"}
 
     def test_steppers_run_under_the_loop_state(self):
         seen = []
@@ -630,13 +633,13 @@ class TestLoopErrorState:
             seen.append(np.geterr())
             return "done"
 
-        before = np.geterr()
-        lockstep(Quadratic1D(), [stepper(), stepper()])
-        assert np.geterr() == before
+        with np.errstate(all="raise"):
+            before = np.geterr()
+            lockstep(Quadratic1D(), [stepper(), stepper()])
+            assert np.geterr() == before
         assert len(seen) == 4
         for state in seen:
-            assert {key: state[key] for key in self.LOOP_STATE} == self.LOOP_STATE
-            assert state["under"] == before["under"]
+            assert state == self.LOOP_STATE
 
     def test_state_restored_when_a_stepper_raises(self):
         def stepper():
@@ -672,6 +675,95 @@ class TestLoopErrorState:
         assert (states[0].n_logp_only, states[0].n_fused) == (2, 1)
 
 
+class Steep(LogDensityTarget):
+    """log p = -theta^2 / 2 with a gradient scaled by 1e300: finite log
+    densities whose gradients overflow."""
+
+    def __init__(self):
+        super().__init__(2, "steep")
+
+    def _density(self, points, need_grad):
+        return -0.5 * np.einsum("ij,ij->i", points, points), -1e300 * points if need_grad else None
+
+
+def asking(point):
+    """A stepper that asks for ``point``'s log density, then its fused evaluation."""
+    trial = yield point, False
+    fused = yield point, True
+    return trial, fused
+
+
+class TestDirectEvaluation:
+    # lockstep calls the target's own batch routine under its loop's error
+    # state, without logp_many or logp_grad_many; its replies and counts
+    # must be theirs.
+
+    @staticmethod
+    def hard_rows(target):
+        """Two ordinary rows, a non-finite input, and rows whose log density or
+        gradient overflows."""
+        rows = random_points(target, 6, np.random.default_rng(5))
+        rows[2, 0] = np.nan
+        rows[3] = 1e200
+        rows[4, -1] = -1e200
+        rows[5] = 1e10
+        return rows
+
+    @pytest.mark.parametrize("target", all_targets() + [Steep()], ids=lambda t: t.name)
+    def test_replies_and_counts_equal_the_public_calls(self, target):
+        twin = copy.deepcopy(target)
+        rows = self.hard_rows(target)
+        # A stack of every row, and each row alone, which goes in as a view.
+        for batch in [rows] + [rows[i:i + 1] for i in range(len(rows))]:
+            states = lockstep(target, [asking(row) for row in batch])
+            logp_only = twin.logp_many(batch)
+            logp, grad, ok = twin.logp_grad_many(batch)
+            for state, want, *fused in zip(states, logp_only.tolist(), logp.tolist(), grad,
+                                           ok.tolist()):
+                trial, reply = state.outcome
+                assert trial == want
+                if fused[2]:
+                    assert reply[0] == fused[0] and reply[1].tobytes() == fused[1].tobytes()
+                else:
+                    assert reply is None
+        assert (target.eval_count_grad, target.eval_count_logp) == (
+            twin.eval_count_grad, twin.eval_count_logp) == (2 * len(rows), 4 * len(rows))
+        _, _, ok = twin.logp_grad_many(rows)
+        refused_logp = ~np.isfinite(twin.logp_many(rows))
+        assert ok[:2].all() and not ok[2] and refused_logp[2]
+        assert (~ok[3:]).any()  # each target refuses some overflowing row
+        if isinstance(target, Steep):
+            assert not ok[5] and not refused_logp[5]  # a refused gradient alone
+
+    @pytest.mark.parametrize("target", all_targets(), ids=lambda t: t.name)
+    def test_a_wrong_shaped_point_is_refused(self, target):
+        def ask(point, need_grad):
+            yield point, need_grad
+
+        for point in (np.zeros(target.dim + 1), np.zeros((1, target.dim)), np.float64(0.0)):
+            for need_grad in (False, True):
+                for count in (1, 2):
+                    with pytest.raises(DimensionMismatchError):
+                        lockstep(target, [ask(point, need_grad) for _ in range(count)])
+        with pytest.raises(DimensionMismatchError):
+            optimize(target, np.zeros(target.dim + 1), LbfgsOptions())
+        assert target.eval_count_logp == 0
+
+    @pytest.mark.parametrize("name, params", [
+        ("eight_schools_centered", {}), ("neal_funnel", {"dim": 10}),
+        ("logistic_regression", {"n": 30, "p": 3}),
+    ])
+    def test_trajectories_ignore_the_callers_error_state(self, name, params):
+        theta0 = np.random.default_rng(6).uniform(-2.0, 2.0, make_target(name, **params).dim)
+        runs = []
+        for state in ({}, {"all": "raise"}):
+            with np.errstate(**state):
+                trajectory = optimize(make_target(name, **params), theta0, LbfgsOptions())
+            runs.append((trajectory.thetas.tobytes(), trajectory.grads.tobytes(),
+                         trajectory.logps.tobytes(), trajectory.termination))
+        assert runs[0] == runs[1]
+
+
 class TestLockstepSchedule:
     # Each round answers one kind of request, the one most pending steppers
     # wait on; a tie goes to directions, then trials, then fused points.
@@ -694,17 +786,18 @@ class TestLockstepSchedule:
         pending, rounds = {}, []
         target = Quadratic1D()
 
-        def recording(kind, answer):
+        def recording(answer, describe):  # describe(*args) gives the round's (kind, rows)
             def answered(*args):
                 tally = {k: list(pending.values()).count(k) for k in self.KINDS}
-                rounds.append((kind, len(args[-1]), tally))
+                rounds.append((*describe(*args), tally))
                 return answer(*args)
             return answered
 
-        monkeypatch.setattr(lbfgs, "stacked_directions",
-                            recording("direction", lbfgs.stacked_directions))
-        monkeypatch.setattr(target, "logp_many", recording("trial", target.logp_many))
-        monkeypatch.setattr(target, "logp_grad_many", recording("fused", target.logp_grad_many))
+        monkeypatch.setattr(lbfgs, "stacked_directions", recording(
+            lbfgs.stacked_directions, lambda *fields: ("direction", len(fields[-1]))))
+        monkeypatch.setattr(target, "_evaluate", recording(
+            target._evaluate, lambda points, need_grad: ("fused" if need_grad else "trial",
+                                                         len(points))))
         states = lockstep(target, [self.scripted(i, kinds, pending)
                                    for i, kinds in enumerate(scripts)])
         assert [state.outcome for state in states] == list(range(len(scripts)))

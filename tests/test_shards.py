@@ -30,7 +30,7 @@ from pathfinder import (
 )
 from pathfinder.inv_hessian import RECOVER_CHUNK
 from pathfinder.single_path import initial_point, usable_cores
-from pathfinder.targets import CounterView
+from pathfinder.targets import CounterView, LogDensityTarget
 
 from oracles import PointTarget
 
@@ -223,15 +223,15 @@ class TestSingleModeScorer:
         alone = single_with(cores, 1, *LONG_MVN)
         forked = cores(2)
         target = make_target(LONG_MVN[0], **LONG_MVN[1])
-        fused, stop = target.logp_grad_many, threading.Event()
+        evaluate, stop = target._evaluate, threading.Event()
         thread = threading.Thread(target=stop.wait)
 
-        def starting_a_thread(points):
-            if target.eval_count_grad == 10:
+        def starting_a_thread(points, need_grad):
+            if need_grad and target.eval_count_grad == 10:
                 thread.start()
-            return fused(points)
+            return evaluate(points, need_grad)
 
-        monkeypatch.setattr(target, "logp_grad_many", starting_a_thread)
+        monkeypatch.setattr(target, "_evaluate", starting_a_thread)
         try:
             run = run_single(target, PathfinderOptions(), 21, 3)
         finally:
@@ -538,18 +538,19 @@ class TestScorerErrors:
             run_single(target, PathfinderOptions(), 21, 3)
 
     def test_optimizer_error_after_the_fork_kills_the_scorer(self, cores, monkeypatch):
-        def failing_late(logp_grad_many):
+        def failing_late(evaluate):
             calls = []
 
-            def call(points):
-                calls.append(len(points))
+            def call(points, need_grad):
+                if need_grad:
+                    calls.append(len(points))
                 if len(calls) > 2 * RECOVER_CHUNK:
                     raise ShardError("optimizer failed in the caller")
-                return logp_grad_many(points)
+                return evaluate(points, need_grad)
             return call
 
         forked = cores(2)
-        target = self.patched_target(monkeypatch, "logp_grad_many", failing_late)
+        target = self.patched_target(monkeypatch, "_evaluate", failing_late)
         with pytest.raises(ShardError, match="optimizer failed in the caller"):
             run_single(target, PathfinderOptions(), 21, 3)
         assert len(forked) == 1  # and reaped: the fixture finds no child left
@@ -558,14 +559,15 @@ class TestScorerErrors:
         # A caller that dies without raising kills no scorer, so the scorer
         # must see its feed close and leave.  Both hold ``holders``' write end,
         # so its read end reaches EOF once both have gone.
-        def dying_late(logp_grad_many):
+        def dying_late(evaluate):
             calls = []
 
-            def call(points):
-                calls.append(len(points))
+            def call(points, need_grad):
+                if need_grad:
+                    calls.append(len(points))
                 if len(calls) > 2 * RECOVER_CHUNK:
                     os._exit(0)
-                return logp_grad_many(points)
+                return evaluate(points, need_grad)
             return call
 
         holders, holding = os.pipe()
@@ -574,7 +576,7 @@ class TestScorerErrors:
             try:
                 os.close(holders)
                 cores(2)
-                run_single(self.patched_target(monkeypatch, "logp_grad_many", dying_late),
+                run_single(self.patched_target(monkeypatch, "_evaluate", dying_late),
                            PathfinderOptions(), 21, 3)
             finally:
                 os._exit(1)
@@ -584,6 +586,85 @@ class TestScorerErrors:
         finally:
             os.close(holders)
             assert os.waitpid(caller, 0)[1] == 0  # it died in its target, mid-run
+
+
+BLAS = single_path._openblas_threads()
+
+
+class ThreadLogging(LogDensityTarget):
+    """A standard normal whose every evaluation appends its process id and
+    numpy's OpenBLAS thread count to the file ``log``."""
+
+    def __init__(self, dim, log):
+        super().__init__(dim, "thread_logging")
+        self.log = log
+
+    def _density(self, points, need_grad):
+        with open(self.log, "a") as fh:
+            fh.write(f"{os.getpid()} {BLAS[0]()}\n")
+        return -0.5 * np.einsum("ij,ij->i", points, points), -points
+
+
+@pytest.mark.skipif(BLAS is None, reason="numpy has no bundled OpenBLAS here")
+class TestOneBlasThread:
+    """While a run may fork, numpy's OpenBLAS runs one thread in every process."""
+
+    @pytest.fixture
+    def threads(self):
+        """Two BLAS threads for the test, the count it found restored after."""
+        get, set_threads = BLAS
+        saved = get()
+        set_threads(2)
+        if get() != 2:
+            set_threads(saved)
+            pytest.skip("OpenBLAS cannot run two threads here")
+        yield get
+        set_threads(saved)
+
+    def test_caller_and_shard_run_one_thread(self, cores, threads, tmp_path):
+        forked = cores(2)
+        log = tmp_path / "threads"
+        # Every evaluation of run_paths; pooling in run_multi comes after it.
+        single_path.run_paths(ThreadLogging(3, log), OPTS.single, 1, range(4))
+        assert threads() == 2
+        seen = [line.split() for line in log.read_text().splitlines()]
+        assert {pid for pid, _ in seen} == {str(os.getpid()), str(forked[0])}
+        assert {count for _, count in seen} == {"1"}
+
+    def test_count_restored_after_a_run_that_raises(self, cores, threads, monkeypatch):
+        cores(2)
+        target = make_target("std_normal", dim=3)
+
+        def failing(points, need_grad):
+            raise ShardError("evaluation failed")
+
+        monkeypatch.setattr(target, "_evaluate", failing)
+        for run in (lambda: run_multi(target, OPTS, 1), lambda: run_single(target, OPTS.single, 1)):
+            with pytest.raises(ShardError):
+                run()
+            assert threads() == 2
+
+    def test_nothing_set_when_nothing_forks(self, cores, monkeypatch):
+        get, set_threads = BLAS
+        counts = []
+
+        def recording(count):
+            counts.append(count)
+            set_threads(count)
+
+        monkeypatch.setattr(single_path, "_openblas_threads", lambda: (get, recording))
+        target = make_target("std_normal", dim=3)
+        cores(1)
+        alone = run_multi(target, OPTS, 1)
+        run_single(target, OPTS.single, 1)
+        assert counts == []
+        forked = cores(2)
+        run_single(target, OPTS.single, 1)  # a lone path's scorer may fork
+        assert counts == [1, get()]
+        # Without the symbols a run still forks, and sets nothing.
+        monkeypatch.setattr(single_path, "_openblas_threads", lambda: None)
+        assert_same_result(run_multi(target, OPTS, 1), alone)
+        assert len(forked) == 1 and counts == [1, get()]
 
 
 def test_sharded_run_loads_no_process_pool_module():

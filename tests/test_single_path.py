@@ -29,14 +29,16 @@ class Plateau(PointTarget):
 def record_fused_logps(target):
     """Log, on the target instance, each fused evaluation's log density (None if refused)."""
     logps = []
-    fused = target.logp_grad_many
+    evaluate = target._evaluate
 
-    def recording(points):
-        logp, grad, ok = fused(points)
-        logps.extend(value if good else None for value, good in zip(logp.tolist(), ok.tolist()))
-        return logp, grad, ok
+    def recording(points, need_grad):
+        answer = evaluate(points, need_grad)
+        if need_grad:
+            logp, _, ok = answer
+            logps.extend(value if good else None for value, good in zip(logp.tolist(), ok.tolist()))
+        return answer
 
-    target.logp_grad_many = recording
+    target._evaluate = recording
     return logps
 
 
