@@ -164,10 +164,12 @@ def _evaluate(target, states) -> None:
     trial gets -inf, as from ``logp_many``, and a refused fused point None.
 
     The call is the target's own ``_evaluate``, which ``lockstep``'s error
-    state covers; a lone request's point goes in as a view of one row.
+    state covers; a lone request's point goes in as a read-only view of one
+    row, which the target may not write to or return a view of.
     """
     if len(states) == 1:
         points = np.asarray(states[0].request[0], dtype=float)[None]
+        points.flags.writeable = False
     else:
         points = np.array([state.request[0] for state in states], dtype=float)
     if not states[0].request[1]:
@@ -192,14 +194,10 @@ def _directions(states) -> None:
     ``line_search_fail`` and no other.  A lone request's fields go in as
     views of one row.
     """
-    if len(states) == 1:
-        groups = [states]
-    else:
-        groups: dict = {}
-        for state in states:
-            groups.setdefault(state.request.S.shape[1], []).append(state)
-        groups = groups.values()
-    for group in groups:
+    groups: dict = {}
+    for state in states:
+        groups.setdefault(state.request.S.shape[1], []).append(state)
+    for group in groups.values():
         if len(group) == 1:
             fields = (np.asarray(field)[None] for field in group[0].request)
         else:
@@ -231,14 +229,13 @@ def lockstep(target, steppers) -> list:
         states = active = [StepperState(steps) for steps in steppers]
         while active:
             if len(active) == 1:
-                answered, kind = active, _kind(active[0].request)
+                answered = active
             else:
                 kinds = ([], [], [])  # by _kind: max() picks the first of the largest
                 for state in active:
                     kinds[_kind(state.request)].append(state)
-                kind = max(range(3), key=lambda i: len(kinds[i]))
-                answered = kinds[kind]
-            if kind == 0:
+                answered = max(kinds, key=len)
+            if _kind(answered[0].request) == 0:
                 _directions(answered)
             else:
                 _evaluate(target, answered)

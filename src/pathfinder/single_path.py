@@ -335,9 +335,10 @@ def run_paths(target, opts: PathfinderOptions, seed: int, indices) -> list:
     i equals the run of path i alone wherever the target's batched rows do
     not depend on the batch.  A seed that is not a non-negative integer, or
     an index outside [0, 2**32), raises ValueError before any evaluation.
-    While the run may fork, numpy's bundled OpenBLAS runs one thread here
-    and in each child (``_one_blas_thread``), so the processes do not
-    oversubscribe the cores.
+    From its first fork to its end, numpy's bundled OpenBLAS runs one thread
+    here and in each child (``_one_blas_thread``), so the processes do not
+    oversubscribe the cores; a run that forks nothing keeps the caller's
+    thread count.
     """
     _check_key("seed", seed)
     indices = [_check_key("path_index", i, 2**32) for i in indices]
@@ -345,9 +346,11 @@ def run_paths(target, opts: PathfinderOptions, seed: int, indices) -> list:
     k = max(1, min(len(indices), cores))
     cuts = [len(indices) * j // k for j in range(k + 1)]
     children, replies = [], []
-    feed = (_Feed(target, opts, seed, indices[0], children)
-            if len(indices) == 1 and cores > 1 else None)
-    with _one_blas_thread() if k > 1 or feed else contextlib.nullcontext():
+    with contextlib.ExitStack() as pinned:  # entered with _one_blas_thread() before a fork
+        if k > 1:
+            pinned.enter_context(_one_blas_thread())
+        feed = (_Feed(target, opts, seed, indices[0], children, pinned)
+                if len(indices) == 1 and cores > 1 else None)
         try:
             for lo, hi in zip(cuts[1:-1], cuts[2:]):
                 children.append(_fork(target, lambda shard=indices[lo:hi]: _run_shard(
@@ -411,13 +414,14 @@ class _Feed:
     """The caller's end of a lone path's forked scorer, called with each trajectory point.
 
     At RECOVER_CHUNK steps it forks the scorer into ``children``, unless a
-    thread runs then, and pipes it each RECOVER_CHUNK steps' rows as they
+    thread runs then, first entering ``_one_blas_thread`` on the run's
+    ``pinned`` stack, and pipes it each RECOVER_CHUNK steps' rows as they
     come; ``send`` pipes the finished path last.
     """
 
-    def __init__(self, target, opts, seed, index, children):
+    def __init__(self, target, opts, seed, index, children, pinned):
         self.work = target, opts, seed, index, np.geterr()  # the caller's, not the loop's
-        self.children, self.rows, self.fd = children, [], None
+        self.children, self.pinned, self.rows, self.fd = children, pinned, [], None
 
     def __call__(self, *point):
         self.rows.append(point)
@@ -426,6 +430,7 @@ class _Feed:
         if self.fd is None:
             if threading.active_count() > 1:
                 return  # and never will: the caller scores the path
+            self.pinned.enter_context(_one_blas_thread())
             read_fd, self.fd = os.pipe()
             try:
                 self.children.append(_fork(self.work[0], lambda: self._serve(read_fd)))

@@ -60,7 +60,9 @@ class LogDensityTarget(abc.ABC):
     ``need_grad`` is false, but its log density must not depend on the flag:
     the line search decides on logp-only evaluations and keeps the fused one
     at the accepted point.  It may keep scratch space across calls, one per
-    thread, but no array it returns may be a view of it.  Both batched forms
+    thread, but no array it returns may be a view of it.  It must not write
+    to ``points``, and no array it returns may be a view of them: a lone
+    row can be a read-only view of a caller's point.  Both batched forms
     run through one routine, ``_evaluate``, which ``lbfgs.lockstep`` calls
     directly.
     Counters tick once per point of the right shape handed in, whether or not

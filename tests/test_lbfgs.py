@@ -735,6 +735,22 @@ class TestDirectEvaluation:
         if isinstance(target, Steep):
             assert not ok[5] and not refused_logp[5]  # a refused gradient alone
 
+    def test_a_lone_point_is_lent_read_only(self):
+        # A lone request's point reaches _density as a view of the stepper's
+        # own array, which the target may not write to.
+        writeable = []
+
+        class Recording(Steep):
+            def _density(self, points, need_grad):
+                writeable.append(points.flags.writeable)
+                return super()._density(points, need_grad)
+
+        point = np.array([1.0, 2.0])
+        lockstep(Recording(), [asking(point)])
+        lockstep(Recording(), [asking(point), asking(point)])
+        assert writeable == [False, False, True, True]
+        assert point.flags.writeable and point.tolist() == [1.0, 2.0]
+
     @pytest.mark.parametrize("target", all_targets(), ids=lambda t: t.name)
     def test_a_wrong_shaped_point_is_refused(self, target):
         def ask(point, need_grad):

@@ -30,7 +30,7 @@ from pathfinder import (
 )
 from pathfinder.inv_hessian import RECOVER_CHUNK
 from pathfinder.single_path import initial_point, usable_cores
-from pathfinder.targets import CounterView, LogDensityTarget
+from pathfinder.targets import CounterView
 
 from oracles import PointTarget
 
@@ -591,23 +591,28 @@ class TestScorerErrors:
 BLAS = single_path._openblas_threads()
 
 
-class ThreadLogging(LogDensityTarget):
-    """A standard normal whose every evaluation appends its process id and
-    numpy's OpenBLAS thread count to the file ``log``."""
+class ThreadLogging(CounterView):
+    """``base``, each evaluation of which appends its process id and numpy's
+    OpenBLAS thread count to the file ``log``."""
 
-    def __init__(self, dim, log):
-        super().__init__(dim, "thread_logging")
+    def __init__(self, base, log):
+        super().__init__(base)
         self.log = log
 
     def _density(self, points, need_grad):
         with open(self.log, "a") as fh:
             fh.write(f"{os.getpid()} {BLAS[0]()}\n")
-        return -0.5 * np.einsum("ij,ij->i", points, points), -points
+        return super()._density(points, need_grad)
+
+
+def logged(log):
+    """The (process id, OpenBLAS thread count) of each evaluation ``log`` holds, in order."""
+    return [tuple(line.split()) for line in log.read_text().splitlines()]
 
 
 @pytest.mark.skipif(BLAS is None, reason="numpy has no bundled OpenBLAS here")
 class TestOneBlasThread:
-    """While a run may fork, numpy's OpenBLAS runs one thread in every process."""
+    """From a run's first fork, numpy's OpenBLAS runs one thread in every process."""
 
     @pytest.fixture
     def threads(self):
@@ -625,11 +630,24 @@ class TestOneBlasThread:
         forked = cores(2)
         log = tmp_path / "threads"
         # Every evaluation of run_paths; pooling in run_multi comes after it.
-        single_path.run_paths(ThreadLogging(3, log), OPTS.single, 1, range(4))
+        target = ThreadLogging(make_target("std_normal", dim=3), log)
+        single_path.run_paths(target, OPTS.single, 1, range(4))
         assert threads() == 2
-        seen = [line.split() for line in log.read_text().splitlines()]
+        seen = logged(log)
         assert {pid for pid, _ in seen} == {str(os.getpid()), str(forked[0])}
         assert {count for _, count in seen} == {"1"}
+
+    def test_a_lone_path_runs_one_thread_once_its_scorer_forks(self, cores, threads, tmp_path):
+        forked = cores(2)
+        log = tmp_path / "threads"
+        target = ThreadLogging(make_target("eight_schools_centered"), log)
+        run = run_single(target, OPTS.single, 5, path_index=3)
+        assert run.num_iters >= RECOVER_CHUNK and len(forked) == 1 and threads() == 2
+        seen = logged(log)
+        here = [count for pid, count in seen if pid == str(os.getpid())]
+        first = here.index("1")  # the caller's first evaluation after the fork
+        assert set(here[:first]) == {"2"} and set(here[first:]) == {"1"}
+        assert {count for pid, count in seen if pid == str(forked[0])} == {"1"}
 
     def test_count_restored_after_a_run_that_raises(self, cores, threads, monkeypatch):
         cores(2)
@@ -659,12 +677,14 @@ class TestOneBlasThread:
         run_single(target, OPTS.single, 1)
         assert counts == []
         forked = cores(2)
-        run_single(target, OPTS.single, 1)  # a lone path's scorer may fork
-        assert counts == [1, get()]
+        short = run_single(target, OPTS.single, 1)  # a spare core, but no fork
+        assert short.num_iters < RECOVER_CHUNK and forked == [] and counts == []
+        run_single(make_target("eight_schools_centered"), OPTS.single, 5, path_index=3)
+        assert len(forked) == 1 and counts == [1, get()]
         # Without the symbols a run still forks, and sets nothing.
         monkeypatch.setattr(single_path, "_openblas_threads", lambda: None)
         assert_same_result(run_multi(target, OPTS, 1), alone)
-        assert len(forked) == 1 and counts == [1, get()]
+        assert len(forked) == 2 and counts == [1, get()]
 
 
 def test_sharded_run_loads_no_process_pool_module():
