@@ -162,21 +162,61 @@ def pair_counts(recovery: AlphaRecovery, history_size: int) -> np.ndarray:
     return np.minimum(np.cumsum(recovery.xis), min(history_size, N // 2))
 
 
-def window(recovery: AlphaRecovery, iters, num_pairs: int):
-    """Stacked pair matrices and seeds for iterations ``iters`` (1-based).
+@dataclass
+class Windows:
+    """What the windows of a set of candidates read, gathered once for all of them.
 
-    Every iteration must have ``num_pairs`` windowed pairs (see
-    ``pair_counts``): the most recent accepted pairs up to it, oldest first.
-    Returns S and Z of shape (B, N, J') and alpha of shape (B, N).
+    Candidate c's own trajectory row is ``rows[c]`` of ``thetas`` and
+    ``grads``, which stack the rows its path's windows reach, path after
+    path; ``alphas[c]`` is its diagonal seed, and the last J' columns of
+    ``steps[c]`` are the first rows of its J' windowed pairs, oldest first.
+    Columns left of those are placeholders.
     """
-    iters = np.asarray(iters, dtype=int)
-    accepted = np.flatnonzero(recovery.xis == 1)
-    seen = np.cumsum(recovery.xis)[iters - 1]
-    keep = accepted[seen[:, None] - num_pairs + np.arange(num_pairs)]    # (B, J')
-    thetas, grads = recovery.thetas, recovery.grads
-    S = (thetas[keep + 1] - thetas[keep]).transpose(0, 2, 1)
-    Z = (grads[keep] - grads[keep + 1]).transpose(0, 2, 1)
-    return S, Z, recovery.alphas[iters - 1]
+
+    thetas: np.ndarray   # (R, N)
+    grads: np.ndarray    # (R, N)
+    alphas: np.ndarray   # (C, N)
+    rows: np.ndarray     # (C,)
+    steps: np.ndarray    # (C, K), K the largest pair count
+
+    def pairs(self, cand, num_pairs: int):
+        """Pair matrices S and Z, (B, N, J'), and seeds alpha, (B, N), of the candidates
+        ``cand``, which all have ``num_pairs`` windowed pairs."""
+        steps = self.steps[cand, self.steps.shape[1] - num_pairs:]
+        thetas, grads = self.thetas, self.grads
+        S = (thetas[steps + 1] - thetas[steps]).transpose(0, 2, 1)
+        Z = (grads[steps] - grads[steps + 1]).transpose(0, 2, 1)
+        return S, Z, self.alphas[cand]
+
+
+def window(recoveries, owners, iters, num_pairs) -> Windows:
+    """Gather the windows of candidates, iteration ``iters[c]`` (1-based) of path
+    ``owners[c]`` with ``num_pairs[c]`` pairs (see ``pair_counts``), in one pass over
+    the paths.  Candidates come sorted by path and then iteration.
+
+    A window holds the most recent ``num_pairs[c]`` accepted pairs up to its
+    iteration; only the rows from a path's oldest window on are copied.
+    """
+    owners, iters, num_pairs = map(np.asarray, (owners, iters, num_pairs))
+    K = int(np.max(num_pairs, initial=0))
+    bounds = np.searchsorted(owners, np.arange(len(recoveries) + 1))
+    thetas, grads, alphas, rows, steps = [], [], [], [], []
+    offset = 0
+    for rec, a, b in zip(recoveries, bounds[:-1].tolist(), bounds[1:].tolist()):
+        if a == b:
+            continue
+        l = iters[a:b]
+        # The accepted steps, and a placeholder past them for windows of no pair.
+        accepted = np.append(np.flatnonzero(rec.xis), l[-1])
+        seen = np.cumsum(rec.xis)[l - 1]
+        lo, hi = min(l[0], accepted[seen - num_pairs[a:b]].min()), l[-1] + 1
+        thetas.append(rec.thetas[lo:hi])
+        grads.append(rec.grads[lo:hi])
+        alphas.append(rec.alphas[l - 1])
+        rows.append(l - lo + offset)
+        steps.append(accepted[np.maximum(seen[:, None] - K + np.arange(K), 0)] - lo + offset)
+        offset += hi - lo
+    return Windows(*map(np.concatenate, (thetas, grads, alphas, rows, steps)))
 
 
 @functools.cache
@@ -251,5 +291,5 @@ def assemble_factors(recovery: AlphaRecovery, l: int, history_size: int) -> Comp
     if not 1 <= l <= recovery.num_iters:
         raise IndexError(f"iteration {l} outside 1..{recovery.num_iters}")
     num_pairs = int(pair_counts(recovery, history_size)[l - 1])
-    S, Z, alpha = window(recovery, [l], num_pairs)
+    S, Z, alpha = window([recovery], [0], [l], [num_pairs]).pairs([0], num_pairs)
     return factors_from_pairs(S[0], Z[0], alpha[0])

@@ -7,10 +7,11 @@ run paths through ``run_paths``, one contiguous shard per usable core, each
 shard but the first in a forked process (Linux only).  A shard is one
 ``lbfgs.lockstep`` on the target itself, each path's counts read from its
 stepper state, then ``_Scorer.finish``, which recovers the diagonal
-seeds one chunk of RECOVER_CHUNK steps at a time and scores each chunk's
-candidates in stacked blocks sharing a pair count, with one factorization,
-seeding and target call per block, keeping each path's best approximation
-as its block built it; the output draws come from that one.  ``run_single``
+seeds one chunk of RECOVER_CHUNK steps at a time, gathers each chunk's
+candidate windows and makes their substreams at once, and scores the
+candidates in stacked blocks sharing a pair count, with one factorization
+and one target call per block, keeping each path's best approximation as
+its block built it; the output draws come from that one.  ``run_single``
 is one shard of one path, one row per batched call; given a spare core, a
 forked ``_Scorer`` scores each chunk of its steps while the path optimizes.
 
@@ -56,16 +57,20 @@ from .options import POSITIVE, POSITIVE_INT, check_settings, setting
 from .seeding import STREAM_CANDIDATE, STREAM_FINAL, STREAM_INIT, substream, substreams
 
 # Floats in one stacked (B, N, 2J') array of a scoring block, which holds
-# the candidates of a shard's paths that share a pair count.  Blocks bound
-# memory; they change no result where logp_many rows do not depend on the
-# batch, which holds for every target but logistic regression, whose rows
-# are BLAS matrix products: the fixed block size keeps its results
-# reproducible.  The same holds for the lockstep batches, for blocks that
-# mix paths and for the cut into shards, so a logistic path run by
-# ``run_multi`` is not bit-identical to ``run_single`` with its path index,
-# and ``run_multi`` output depends on the shard count: on one machine it is
+# up to max(1, BLOCK_FLOATS // (N max(2J', 1))) candidates of a shard's paths
+# that share a pair count J'.  A pair count's blocks are cut only when full,
+# or once no path can add to it, so its n candidates take ceil(n / size)
+# blocks, whatever the chunk edges.  A block's arrays take about five times
+# BLOCK_FLOATS floats; 2**16 was no faster than 2**15 on a 1000 x 50
+# logistic shard and added about 3 MB to an eight-schools run's peak RSS.
+# Blocks change no result where logp_many rows do not depend on the batch:
+# the log densities of every built-in target, logistic regression's BLAS
+# products included in every batch of two or more rows tried.  Logistic
+# gradients do depend on the batch, so a logistic path run by ``run_multi``
+# is not bit-identical to ``run_single`` with its path index, and
+# ``run_multi`` output depends on the shard count: on one machine it is
 # still a function of (target, options, seed).
-BLOCK_FLOATS = 2**14
+BLOCK_FLOATS = 2**15
 
 # Why a candidate approximation was disqualified, in the order checked:
 # E with a non-positive diagonal, a non-positive-definite inner matrix, a
@@ -123,130 +128,120 @@ class PathfinderRun:
     approx: Optional[normal_approx.FactoredNormal] = None
 
 
-def _blocks(counts, dim):
-    """Blocks of candidates sharing a pair count, across paths, cut to BLOCK_FLOATS.
-
-    ``counts`` holds each path's pair counts for its candidates 1..L.
-    Yields (num_pairs, owners, iters): each candidate's position in
-    ``counts`` and its 1-based iteration, ordered by path and then
-    iteration.  Pair counts never decrease along a trajectory, so with one
-    path each count is one run of consecutive candidates.
-    """
-    flat = np.concatenate(counts)
-    owners = np.repeat(np.arange(len(counts)), [len(c) for c in counts])
-    iters = np.concatenate([np.arange(1, len(c) + 1) for c in counts])
-    order = np.argsort(flat, kind="stable")
-    flat, owners, iters = flat[order], owners[order], iters[order]
-    starts = np.flatnonzero(np.diff(flat, prepend=-1))
-    stops = np.append(starts[1:], len(flat))
-    for first, stop in zip(starts.tolist(), stops.tolist()):
-        num_pairs = int(flat[first])
-        size = max(1, BLOCK_FLOATS // (dim * max(2 * num_pairs, 1)))
-        for lo in range(first, stop, size):
-            hi = min(lo + size, stop)
-            yield num_pairs, owners[lo:hi], iters[lo:hi]
-
-
-def _windows(recoveries, owners, iters, num_pairs):
-    """``window`` of each path's candidates in a block, joined along the stack axis.
-
-    Each path's S and Z keep the memory layout ``window`` gives them, so a
-    candidate's factors do not depend on the paths it is scored with.
-    """
-    S, Z, alpha = zip(*(window(recoveries[k], iters[owners == k], num_pairs)
-                        for k in np.unique(owners)))
-    return (np.concatenate([m.swapaxes(1, 2) for m in S]).swapaxes(1, 2),
-            np.concatenate([m.swapaxes(1, 2) for m in Z]).swapaxes(1, 2),
-            np.concatenate(alpha))
-
-
-def _rows(arrays, owners, iters):
-    """Row ``iters[i]`` of ``arrays[owners[i]]`` for each i; owners ascend, as in a block."""
-    return np.concatenate([arrays[k][iters[owners == k]] for k in np.unique(owners)])
-
-
-def _score_candidates(target, indices, recoveries, new, tallies, winners, opts, seed):
-    """Score the candidates of each path's ``new`` latest recovered steps in cross-path blocks.
-
-    Returns each path's ELBOs of them (-inf where disqualified), adds its
-    counts to ``tallies`` (columns TALLIES) and keeps its best scored
-    candidate so far in ``winners``, as (ELBO, iteration, approximation as a
-    stack of one that owns its memory).  A path's candidates come in
-    iteration order, so replacing the kept one only on a strictly greater
-    finite ELBO breaks ties toward the earliest.
-    Each block makes one ``target.logp_many`` call.  Each candidate draws
-    from its own (path, candidate) substream, all of a block's made in one
-    call, so the scores do not depend on how the blocks are cut.
-    """
-    dim = target.dim
-    first = np.array([rec.num_iters - n for rec, n in zip(recoveries, new)])
-    traces = [np.full(n, -np.inf) for n in new]
-
-    def tally(column, owners):
-        tallies[:, TALLIES.index(column)] += np.bincount(owners, minlength=len(tallies))
-
-    counts = [pair_counts(rec, opts.lbfgs.history_size)[lo:] for rec, lo in zip(recoveries, first)]
-    for num_pairs, owners, iters in _blocks(counts, dim):
-        iters = iters + first[owners]
-        factors, ok_e = stacked_factors(*_windows(recoveries, owners, iters, num_pairs))
-        tally("singular_e", owners[~ok_e])
-        if not ok_e.all():
-            factors, owners, iters = select_rows(factors, ok_e), owners[ok_e], iters[ok_e]
-            if iters.size == 0:
-                continue
-        approx, ok_chol = normal_approx.build_many(
-            factors, _rows([rec.thetas for rec in recoveries], owners, iters),
-            _rows([rec.grads for rec in recoveries], owners, iters))
-        finite = np.isfinite(approx.logdet) & np.isfinite(approx.mu).all(axis=1)
-        tally("cholesky", owners[~ok_chol])
-        tally("nonfinite_approx", owners[ok_chol & ~finite])
-        alive = ok_chol & finite
-        if not alive.all():
-            approx, owners, iters = select_rows(approx, alive), owners[alive], iters[alive]
-            if iters.size == 0:
-                continue
-        tally("scored", owners)
-        u = np.stack([
-            rng.standard_normal((opts.elbo_draws, dim))
-            for rng in substreams(seed, indices[owners], STREAM_CANDIDATE, iters)
-        ])
-        batch = normal_approx.transform(approx, u)
-        logp_vals = target.logp_many(batch.draws.reshape(-1, dim)).reshape(batch.logq.shape)
-        values = elbo.elbo_estimate(logp_vals, batch.logq)
-        tally("nonfinite_elbo", owners[~np.isfinite(values)])
-        for k in np.unique(owners):
-            mine = np.flatnonzero(owners == k)
-            traces[k][iters[mine] - first[k] - 1] = values[mine]
-            top = mine[np.argmax(values[mine])]
-            if values[top] > winners[k][0]:  # kept as a copy: a row view would pin the block
-                winners[k] = values[top], int(iters[top]), select_rows(approx, [top])
-    return traces
-
-
 class _Scorer:
     """Recovers and scores paths' candidates one chunk of RECOVER_CHUNK steps at a time.
 
-    A candidate's window holds no pair past its own step, so the trajectories
-    may grow between ``advance`` calls; ``finish`` then draws from each winner.
-    A path's run equals its run scored alone wherever the target's batched
-    rows do not depend on the batch.
+    Each chunk gathers its candidates' windows and makes their substreams at
+    once, so a block (see BLOCK_FLOATS) costs its linear algebra, one
+    ``target.logp_many`` call and its ELBOs; a partial block waits for the
+    next chunk while a path has steps left that may join it.  A candidate's
+    window holds no pair past its own step, so the trajectories may grow
+    between ``advance`` calls; ``finish`` then draws from each path's best
+    scored candidate.  Each candidate draws from its own (path, candidate)
+    substream, so a path's run equals its run scored alone wherever the
+    target's batched rows do not depend on the batch.
     """
 
     def __init__(self, target, indices, opts, seed):
         self.target, self.indices, self.opts, self.seed = target, np.array(indices), opts, seed
         self.recoveries = [AlphaRecovery(np.empty((0, target.dim)), np.zeros(0, dtype=int), None, None)
                            for _ in indices]
-        self.traces, self.tallies = [], np.zeros((len(indices), len(TALLIES)), dtype=int)
-        self.winners = [(-np.inf, None, None)] * len(indices)
+        # The waiting candidates' paths, iterations, pair counts and
+        # substreams, sorted by path and then iteration.
+        self.pending = (np.zeros(0, dtype=int),) * 3 + (np.empty(0, dtype=object),)
+        self.scored = []  # per block: paths, iterations, ELBOs and TALLIES columns
+        # Each path's best scored candidate: its ELBO, iteration and
+        # (stack, row) in a copy of its block's approximations.
+        self.best = np.full(len(indices), -np.inf)
+        self.best_iter = np.full(len(indices), np.iinfo(np.int64).max)
+        self.winners = [None] * len(indices)
 
     def advance(self, trajectories) -> bool:
-        """Score each path's next chunk of ``trajectories`` as they stand; False if none had one."""
+        """Score each path's next chunk of ``trajectories`` as they stand; False if none had one.
+
+        A partial block waits only for steps already in ``trajectories``, so a
+        scorer fed a chunk at a time scores all it has, off the caller's path.
+        """
         for rec, trajectory in zip(self.recoveries, trajectories):
             rec.thetas, rec.grads = trajectory.thetas, trajectory.grads
         new = recover_chunk(self.recoveries)
-        self.traces.append(_score_candidates(self.target, self.indices, self.recoveries, new,
-                                             self.tallies, self.winners, self.opts, self.seed))
+        counts = [pair_counts(rec, self.opts.lbfgs.history_size) for rec in self.recoveries]
+        owners = np.repeat(np.arange(len(new)), new)
+        iters = np.concatenate([np.arange(rec.num_iters - n, rec.num_iters) + 1
+                                for rec, n in zip(self.recoveries, new)])
+        rngs = np.empty(len(iters), dtype=object)
+        rngs[:] = substreams(self.seed, self.indices[owners], STREAM_CANDIDATE, iters)
+        fresh = owners, iters, np.concatenate([c[len(c) - n:] for c, n in zip(counts, new)]), rngs
+        cands = [np.concatenate(parts) for parts in zip(self.pending, fresh)]
+        order = np.lexsort(cands[1::-1])
+        owners, iters, pairs, rngs = (c[order] for c in cands)
+        # Pair counts never decrease along a path, so a path with steps left
+        # adds candidates only at its last pair count and above.
+        lowest_open = min((int(c[-1]) if len(c) else 0 for rec, c in zip(self.recoveries, counts)
+                           if rec.num_iters < len(rec.thetas) - 1), default=math.inf)
+        blocks, waiting = [], [np.zeros(0, dtype=int)]
+        for num_pairs in np.unique(pairs).tolist():
+            group = np.flatnonzero(pairs == num_pairs)
+            size = max(1, BLOCK_FLOATS // (self.target.dim * max(2 * num_pairs, 1)))
+            cut = len(group) - (len(group) % size if num_pairs >= lowest_open else 0)
+            blocks += [(num_pairs, group[lo:min(lo + size, cut)]) for lo in range(0, cut, size)]
+            waiting.append(group[cut:])
+        if blocks:
+            windows = window(self.recoveries, owners, iters, pairs)
+            for num_pairs, cand in blocks:
+                self._score_block(windows, num_pairs, cand, owners[cand], iters[cand], rngs[cand])
+        waiting = np.sort(np.concatenate(waiting))
+        self.pending = owners[waiting], iters[waiting], pairs[waiting], rngs[waiting]
         return any(new)
+
+    def _score_block(self, windows, num_pairs, cand, owners, iters, rngs):
+        """Score the candidates ``cand`` of ``windows``, of paths ``owners`` at iterations
+        ``iters``: record their ELBOs (-inf where disqualified) and TALLIES columns, and
+        keep each path's best."""
+        values = np.full(len(cand), -np.inf)
+        columns = np.zeros(len(cand), dtype=int)  # "scored" unless disqualified
+        factors, ok_e = stacked_factors(*windows.pairs(cand, num_pairs))
+        columns[~ok_e] = 1
+        live = np.flatnonzero(ok_e)
+        if live.size < len(cand):
+            factors = select_rows(factors, live)
+        if live.size:
+            rows = windows.rows[cand[live]]
+            approx, ok_chol = normal_approx.build_many(factors, windows.thetas[rows],
+                                                       windows.grads[rows])
+            finite = np.isfinite(approx.logdet) & np.isfinite(approx.mu).all(axis=1)
+            columns[live[~ok_chol]] = 2
+            columns[live[ok_chol & ~finite]] = 3
+            alive = ok_chol & finite
+            if not alive.all():
+                approx, live = select_rows(approx, alive), live[alive]
+        if live.size:
+            dim = self.target.dim
+            u = np.empty((live.size, self.opts.elbo_draws, dim))
+            for out, rng in zip(u, rngs[live]):
+                rng.standard_normal(out=out)
+            batch = normal_approx.transform(approx, u)
+            logp_vals = self.target.logp_many(batch.draws.reshape(-1, dim)).reshape(batch.logq.shape)
+            values[live] = elbo.elbo_estimate(logp_vals, batch.logq)
+            columns[live[~np.isfinite(values[live])]] = 4
+            self._keep_winners(owners[live], iters[live], values[live], approx)
+        self.scored.append((owners, iters, values, columns))
+
+    def _keep_winners(self, owners, iters, values, approx):
+        """Keep each path's best candidate of a block, stacked in ``approx`` with ascending
+        ``owners``, where its ELBO is finite and greater than the kept one's, or equal at an
+        earlier iteration: ties go to the earliest, as in ``select_argmax``."""
+        top = np.lexsort((-values, owners))[np.flatnonzero(np.diff(owners, prepend=-1))]
+        paths, values, iters = owners[top], values[top], iters[top]
+        best = self.best[paths]
+        better = np.isfinite(values) & (
+            (values > best) | ((values == best) & (iters < self.best_iter[paths])))
+        if better.any():
+            paths = paths[better]
+            self.best[paths], self.best_iter[paths] = values[better], iters[better]
+            kept = select_rows(approx, top[better])  # a copy: a row view would pin the block
+            for row, path in enumerate(paths.tolist()):
+                self.winners[path] = kept, row
 
     def finish(self, paths) -> list:
         """The runs of the stopped OptimizedPaths ``paths``, in order, once every step is scored.
@@ -255,8 +250,16 @@ class _Scorer:
         """
         while paths and self.advance([path.trajectory for path in paths]):
             pass
-        return [_draw_from_winner(path, winner, np.concatenate([t[k] for t in self.traces]),
-                                  self.tallies[k], self.opts, self.seed)
+        owners, iters, values, columns = (map(np.concatenate, zip(*self.scored)) if self.scored
+                                          else np.zeros((4, 0), dtype=int))
+        starts = np.cumsum([0] + [rec.num_iters for rec in self.recoveries])
+        traces = np.full(starts[-1], -np.inf)
+        traces[starts[owners] + iters - 1] = values
+        tallies = np.bincount(owners * len(TALLIES) + columns,
+                              minlength=len(paths) * len(TALLIES)).reshape(-1, len(TALLIES))
+        tallies[:, 0] += tallies[:, -1]  # a non-finite ELBO was still scored
+        return [_draw_from_winner(path, winner and (int(self.best_iter[k]), select_rows(*winner)),
+                                  traces[starts[k]:starts[k + 1]], tallies[k], self.opts, self.seed)
                 for k, (path, winner) in enumerate(zip(paths, self.winners))]
 
 
@@ -486,14 +489,13 @@ def run_single(target, opts: PathfinderOptions, seed: int, path_index: int = 0) 
 
 
 def _draw_from_winner(path, winner, elbo_trace, tally, opts, seed):
-    """The run of a scored path: draws from its ELBO-best candidate, or, with none, a failed
+    """The run of a scored path: draws from its ELBO-best candidate, ``winner`` =
+    (iteration, approximation as its scoring block built it), or, with none, a failed
     run, whose one draw is the path's last point, flagged by logq = +inf."""
-    _, l_star, approx = winner
+    l_star, approx = winner or (None, None)
     if approx is None:
         draws, logq = path.trajectory.thetas[-1:], np.array([np.inf])
     else:
-        # The winner as its scoring block built it, and a fresh batch of output draws.
-        approx = select_rows(approx, 0)
         batch = normal_approx.sample(approx, opts.num_draws,
                                      substream(seed, path.index, STREAM_FINAL))
         draws, logq = batch.draws, batch.logq

@@ -407,23 +407,28 @@ class LogisticRegression(LogDensityTarget):
     the log likelihood is ``-sum softplus(u)`` and its gradient
     ``-sigma(u) Xs``, both from one ``e = exp(-|u|)``: the stable softplus
     ``max(u, 0) + log1p(e)`` and ``sigma(u) = where(u >= 0, 1, e) / (1 + e)``.
-    The rounding of the (M, n) margin product depends on the batch.
+    The rounding of the gradient's (M, n) product depends on the batch.
 
-    A batch's three (M, n) arrays (margins, ``e`` and one temporary) live in
-    a work buffer that each thread keeps across calls.  Allocated per call,
-    arrays this large are mapped from the OS and returned to it each time,
-    and their pages are faulted in again on every call.  The buffer grows to
-    the largest batch its thread has seen while each array holds at most
-    SCRATCH_FLOATS floats (2 MB); a larger batch allocates its arrays per
+    A batch runs in slabs of SLAB_ROWS rows, the last of which takes up to
+    SLAB_ROWS + 1 rows so that no slab of a larger batch is a single row.  A
+    slab's three (rows, n) arrays (margins, ``e`` and one temporary) live in
+    a work buffer that each thread allocates once and keeps across calls, so
+    no batch allocates arrays of its own size: any batch takes at most
+    3 (SLAB_ROWS + 1) n floats of work memory (1.6 MB at n = 1000).
+    Allocated per call, arrays this large are mapped from the OS and
+    returned to it each time, and their pages are faulted in again on every
     call.  No result is a view of the buffer, and a pickled or copied target
-    drops it.  A batch of two or more rows takes its margins from a
-    C-contiguous copy of ``Xs.T``, made once, which BLAS reads faster than
-    the transposed view, with the same rounding.  A batch of one keeps the
-    view: numpy sends a one-row product through GEMV, whose rounding does
-    change with the layout.
+    drops it.  The log densities of a batch have had the bits of the batch
+    run as one slab in every case tried, and a batch of at most SLAB_ROWS + 1
+    rows is one slab; the gradients of a larger batch round as its slabs do.
+    A slab of two or more rows takes its margins from a C-contiguous copy of
+    ``Xs.T``, made once, which BLAS reads faster than the transposed view,
+    with the same rounding.  A batch of one keeps the view: numpy sends a
+    one-row product through GEMV, whose rounding does change with the
+    layout.
     """
 
-    SCRATCH_FLOATS = 2**18
+    SLAB_ROWS = 64
 
     def __init__(self, X, y, prior_scale: float = 1.0):
         X = _finite_array("logistic_regression", "X", X)
@@ -458,19 +463,26 @@ class LogisticRegression(LogDensityTarget):
         self.__dict__.update(state)
         self._scratch = threading.local()
 
-    def _work(self, m):
-        """Three (m, n) work arrays: this thread's buffer, or a new one past the cap."""
-        n = self._Xs.shape[0]
-        if m * n > self.SCRATCH_FLOATS:
-            return np.empty((3, m, n))
-        buf = getattr(self._scratch, "buf", None)
-        if buf is None or buf.size < 3 * m * n:
-            buf = self._scratch.buf = np.empty(3 * m * n)
-        return buf[:3 * m * n].reshape(3, m, n)
-
     def _density(self, points, need_grad):
-        U, e, tmp = self._work(points.shape[0])
-        np.matmul(points, self._XsT if points.shape[0] > 1 else self._Xs.T, out=U)
+        m = points.shape[0]
+        starts = range(0, max(m - 1, 1), self.SLAB_ROWS)
+        if len(starts) == 1:
+            return self._slab(points, need_grad)
+        logp, grad = np.empty(m), np.empty_like(points) if need_grad else None
+        for lo, hi in zip(starts, [*starts[1:], m]):
+            logp[lo:hi], slab_grad = self._slab(points[lo:hi], need_grad)
+            if need_grad:
+                grad[lo:hi] = slab_grad
+        return logp, grad
+
+    def _slab(self, points, need_grad):
+        """``_density`` of at most SLAB_ROWS + 1 rows, in this thread's work buffer."""
+        m, n = points.shape[0], self._Xs.shape[0]
+        buf = getattr(self._scratch, "buf", None)
+        if buf is None:
+            buf = self._scratch.buf = np.empty(3 * (self.SLAB_ROWS + 1) * n)
+        U, e, tmp = buf[:3 * m * n].reshape(3, m, n)
+        np.matmul(points, self._XsT if m > 1 else self._Xs.T, out=U)
         np.abs(U, out=e)
         np.exp(np.negative(e, out=e), out=e)
         prior = 0.5 * np.einsum("ij,ij->i", points, points) / self._sc2 + self._log_norm

@@ -1,8 +1,9 @@
-"""Independent reference implementations used as test oracles.
+"""Independent reference implementations used as test oracles, and test helpers.
 
-Everything here is deliberately brute force: dense matrices, explicit
+The oracles are deliberately brute force: dense matrices, explicit
 recursions, and quadratic-cost formulas that the production code must agree
-with on small instances.
+with on small instances.  The helpers at the end call or watch the
+production code.
 """
 
 import numpy as np
@@ -148,3 +149,29 @@ def select_argmax(elbo_trace):
     if not finite.any():
         raise ValueError("no candidate produced a finite ELBO")
     return int(np.argmax(np.where(finite, trace, -np.inf))) + 1
+
+
+def window_of(recovery, iters, num_pairs):
+    """``inv_hessian.window`` of iterations ``iters`` of one path, all with ``num_pairs``
+    pairs: their (B, N, J') pair matrices S and Z and (B, N) seeds."""
+    from pathfinder.inv_hessian import window
+
+    iters = np.asarray(iters)
+    return window([recovery], np.zeros_like(iters), iters,
+                  np.full(len(iters), num_pairs)).pairs(np.arange(len(iters)), num_pairs)
+
+
+def record_blocks(monkeypatch):
+    """Record each scoring block as it is scored, in this process: a list of the
+    blocks' (path indices, iterations), oldest first."""
+    from pathfinder import single_path
+
+    blocks = []
+    score = single_path._Scorer._score_block
+
+    def recording(self, windows, num_pairs, cand, owners, iters, rngs):
+        blocks.append((self.indices[owners], iters))
+        return score(self, windows, num_pairs, cand, owners, iters, rngs)
+
+    monkeypatch.setattr(single_path._Scorer, "_score_block", recording)
+    return blocks

@@ -13,12 +13,12 @@ import pathfinder
 from pathfinder import LbfgsOptions, SingularEError, make_target
 from pathfinder.inv_hessian import (
     ALPHA_PAIR_EPS, RECOVER_CHUNK, AlphaRecovery, alpha_recover, assemble_factors,
-    factors_from_pairs, low_rank_product, recover_chunk, stacked_factors, window,
+    factors_from_pairs, low_rank_product, recover_chunk, stacked_factors,
 )
 from pathfinder.lbfgs import Termination, Trajectory, optimize, search_direction
 
 from oracles import (
-    alpha_recover_loop, bfgs_recursive_sigma, dense_sigma, random_curvature_pairs,
+    alpha_recover_loop, bfgs_recursive_sigma, dense_sigma, random_curvature_pairs, window_of,
 )
 
 
@@ -259,7 +259,7 @@ class TestAssembleFactors:
         fac = assemble_factors(rec, 10, 6)
         assert fac.num_pairs == 6
         s_list = np.diff(rec.thetas, axis=0)
-        S, _, _ = window(rec, [10], 6)
+        S, _, _ = window_of(rec, [10], 6)
         np.testing.assert_array_equal(S[0][:, -1], s_list[9])
         np.testing.assert_array_equal(S[0][:, 0], s_list[4])
         np.testing.assert_array_equal(fac.beta[:, 6:], s_list[4:10].T)
@@ -268,7 +268,7 @@ class TestAssembleFactors:
         rec = self.run_recovery(n=6, steps=8)
         fac = assemble_factors(rec, 8, 6)
         assert 2 * fac.num_pairs <= 6
-        S, _, _ = window(rec, [8], fac.num_pairs)
+        S, _, _ = window_of(rec, [8], fac.num_pairs)
         np.testing.assert_array_equal(S[0][:, -1], np.diff(rec.thetas, axis=0)[7])
         np.testing.assert_array_equal(fac.beta[:, fac.num_pairs:],
                                       self.expected_pairs(rec, 8, fac.num_pairs)[0])
@@ -277,7 +277,7 @@ class TestAssembleFactors:
         rec = self.run_recovery(steps=8)
         rec.xis[3] = 0
         fac = assemble_factors(rec, 8, 3)
-        S, _, _ = window(rec, [8], fac.num_pairs)
+        S, _, _ = window_of(rec, [8], fac.num_pairs)
         for pairs in (S[0], fac.beta[:, fac.num_pairs:]):
             for col in range(fac.num_pairs):
                 assert not np.array_equal(pairs[:, col], rec.thetas[4] - rec.thetas[3])

@@ -23,7 +23,7 @@ from pathfinder.multipath import (
 )
 from pathfinder.single_path import PathfinderRun, initial_point
 
-from oracles import PointTarget, gpd_sample
+from oracles import PointTarget, gpd_sample, record_blocks
 from test_shards import assert_same_run
 
 
@@ -320,38 +320,30 @@ class TestLockstep:
         name = "eight_schools_noncentered"
         opts = MultipathOptions(num_paths=5, num_resample=50, single=PathfinderOptions(
             num_draws=40, lbfgs=LbfgsOptions(max_iters=150)))
-        window, stacked_factors = single_path.window, single_path.stacked_factors
-        segments, hit = [], []
-
-        def remember_segment(recovery, iters, num_pairs):
-            segments.append((recovery.thetas[0], len(iters)))
-            return window(recovery, iters, num_pairs)
+        stacked_factors = single_path.stacked_factors
+        hit = []
 
         def break_one_row(S, Z, alpha):
             factors, ok = stacked_factors(S, Z, alpha)
-            block = list(segments)
-            segments.clear()
-            row = block[0][1]  # the first candidate of the block's second path
-            if not hit and len(block) >= 2 and factors.num_pairs > 0 and ok[row]:
+            paths = blocks[-1][0]
+            row = np.argmax(paths != paths[0])  # the first candidate of the block's second path
+            if not hit and row and factors.num_pairs > 0 and ok[row]:
                 factors.gamma[row] = -50.0 * np.eye(factors.rank)
-                hit.append(block[1][0])
+                hit.append(int(paths[row]))
             return factors, ok
 
         # One shard: the patches record what they saw, and a forked child's
         # records would stay in the child.
         monkeypatch.setattr(single_path, "usable_cores", lambda: 1)
-        monkeypatch.setattr(single_path, "window", remember_segment)
+        blocks = record_blocks(monkeypatch)
         monkeypatch.setattr(single_path, "stacked_factors", break_one_row)
         res = run_multi(make_target(name), opts, seed=21)
         monkeypatch.undo()
 
         assert hit
-        starts = [initial_point(10, opts.single, 21, i) for i in range(5)]
-        victim = [i for i, start in enumerate(starts) if np.array_equal(start, hit[0])]
-        assert len(victim) == 1
         for i, run in enumerate(res.runs):
             alone = run_single(make_target(name), opts.single, 21, path_index=i)
-            if i == victim[0]:
+            if i == hit[0]:
                 assert run.disqualified["cholesky"] == alone.disqualified["cholesky"] + 1
                 assert run.scored_candidates == alone.scored_candidates - 1
                 assert run.n_logp == alone.n_logp - opts.single.elbo_draws
@@ -462,14 +454,13 @@ def test_lockstep_batches_linear_algebra_across_paths(monkeypatch):
     # calls (one per request) and 102 scoring target calls (blocks cut per
     # path); batched, a direction round makes one direction call per pair
     # count among its requests, and the scoring pass one target call per
-    # cross-path block of each chunk of RECOVER_CHUNK steps.  Each lockstep
-    # round answers one kind of request, so rounds are counted where the
-    # lockstep answers them.
+    # cross-path block.  Each lockstep round answers one kind of request, so
+    # rounds are counted where the lockstep answers them.
     target = make_target("eight_schools_centered")
     calls, blocks, rounds, in_scoring, scoring_calls = [], [], [], [False], [0]
-    stacked_directions, cut = lbfgs.stacked_directions, single_path._blocks
+    stacked_directions = lbfgs.stacked_directions
     directions, evaluate = lbfgs._directions, lbfgs._evaluate
-    score = single_path._score_candidates
+    score = single_path._Scorer._score_block
     logp_many = target.logp_many
 
     def counting_directions(S, Z, alpha, grad):
@@ -484,15 +475,11 @@ def test_lockstep_batches_linear_algebra_across_paths(monkeypatch):
         rounds.append(("fused" if states[0].request[1] else "trial", len(states)))
         return evaluate(target, states)
 
-    def counting_blocks(*args):
-        for block in cut(*args):
-            blocks.append(block)
-            yield block
-
-    def scoring(*args):
+    def scoring(scorer, windows, num_pairs, cand, *rest):
+        blocks.append((num_pairs, len(cand)))
         in_scoring[0] = True
         try:
-            return score(*args)
+            return score(scorer, windows, num_pairs, cand, *rest)
         finally:
             in_scoring[0] = False
 
@@ -505,10 +492,9 @@ def test_lockstep_batches_linear_algebra_across_paths(monkeypatch):
     monkeypatch.setattr(lbfgs, "stacked_directions", counting_directions)
     monkeypatch.setattr(lbfgs, "_directions", direction_round)
     monkeypatch.setattr(lbfgs, "_evaluate", point_round)
-    monkeypatch.setattr(single_path, "_blocks", counting_blocks)
-    monkeypatch.setattr(single_path, "_score_candidates", scoring)
+    monkeypatch.setattr(single_path._Scorer, "_score_block", scoring)
     monkeypatch.setattr(target, "logp_many", counting_logp_many)
-    run_multi(target, MultipathOptions(), seed=1)
+    runs = run_multi(target, MultipathOptions(), seed=1).runs
 
     assert sum(rows for _, _, rows in calls) == 2714  # one row per direction request
     assert len(calls) == 281
@@ -518,4 +504,15 @@ def test_lockstep_batches_linear_algebra_across_paths(monkeypatch):
     assert per_kind == {"direction": 261, "trial": 829, "fused": 261}
     assert {round_ for round_, _, _ in calls} == {
         i + 1 for i, (kind, _) in enumerate(rounds) if kind == "direction"}
-    assert scoring_calls[0] == len(blocks) == 22
+    # Scoring: the shard's candidates with J' pairs fill ceil(n_J' / size_J')
+    # blocks of size_J' = BLOCK_FLOATS // (10 * 2J') (10 for J' = 0), and only
+    # a pair count's last block is partial, chunk edges or not.  The 2,694
+    # candidates have pair counts 1-5: n = 20, 20, 20, 20 and 2,614 in blocks
+    # of 1,638, 819, 546, 409 and 327, so 1 + 1 + 1 + 1 + 8 = 12 blocks (22
+    # when each chunk of RECOVER_CHUNK steps was cut on its own at 2^14).
+    assert sum(run.num_iters for run in runs) == sum(size for _, size in blocks) == 2694
+    for num_pairs in {pairs for pairs, _ in blocks}:
+        sizes = [size for pairs, size in blocks if pairs == num_pairs]
+        full = single_path.BLOCK_FLOATS // (10 * max(2 * num_pairs, 1))
+        assert sizes[:-1] == [full] * (len(sizes) - 1) and 0 < sizes[-1] <= full
+    assert scoring_calls[0] == len(blocks) == 12

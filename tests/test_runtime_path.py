@@ -103,7 +103,9 @@ ROW_STABLE = [
 ]
 
 
-@pytest.mark.parametrize("block_floats", [single_path.BLOCK_FLOATS, 1])
+# The default block size, a smaller one that cuts the blocks elsewhere, and
+# one candidate per block.
+@pytest.mark.parametrize("block_floats", [single_path.BLOCK_FLOATS, 2**14, 1])
 @pytest.mark.parametrize("name, params", ROW_STABLE)
 def test_each_winner_equals_its_rebuild(monkeypatch, name, params, block_floats):
     # Oracle: the stack-of-one functions, from the path's own start.

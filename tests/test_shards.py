@@ -8,6 +8,7 @@ output on any target; errors raised in a child must reach the caller, and
 no child may outlive the call.
 """
 
+import json
 import os
 import select
 import signal
@@ -685,6 +686,53 @@ class TestOneBlasThread:
         monkeypatch.setattr(single_path, "_openblas_threads", lambda: None)
         assert_same_result(run_multi(target, OPTS, 1), alone)
         assert len(forked) == 2 and counts == [1, get()]
+
+
+BLAS_RUN = """
+import hashlib, json
+import numpy as np
+from pathfinder import MultipathOptions, make_target, run_multi, single_path
+single_path.usable_cores = lambda: 2
+rng = np.random.default_rng(0)
+X = rng.standard_normal((1000, 50))
+y = (rng.random(1000) < 1.0 / (1.0 + np.exp(-X @ rng.standard_normal(50) / 50**0.5))).astype(float)
+threads = single_path._openblas_threads()[0]()
+result = run_multi(make_target("logistic_regression", X=X, y=y), MultipathOptions(num_paths=60), 3)
+digest = hashlib.sha256()
+for array in (result.draws, result.indices, result.pooled.log_w_raw, result.pooled.log_w_smoothed,
+              [result.n_logp, result.n_grad, result.pool_n_logp],
+              [(run.n_logp, run.n_grad, run.scored_candidates) for run in result.runs]):
+    digest.update(np.ascontiguousarray(array).tobytes())
+print(json.dumps([threads, digest.hexdigest()]))
+"""
+
+
+@pytest.mark.skipif(BLAS is None, reason="numpy has no bundled OpenBLAS here")
+@pytest.mark.skipif(usable_cores() < 2, reason="needs two usable cores")
+def test_default_blas_threads_give_the_one_thread_run():
+    # A logistic run_multi on 2 usable cores, each side in a fresh
+    # interpreter: at numpy's default OpenBLAS thread count, and with
+    # OPENBLAS_NUM_THREADS=1.  Its 30 paths per shard make fused batches of
+    # up to 30 rows, whose gradients round differently on two BLAS threads,
+    # so without the one-thread pin from the first fork the runs differ.
+    import subprocess
+
+    from test_imports import SRC, TESTS
+
+    env = {key: value for key, value in os.environ.items()
+           if key not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "GOTO_NUM_THREADS")}
+    env["PYTHONPATH"] = os.pathsep.join([str(SRC), str(TESTS)])
+
+    def run(**extra):
+        done = subprocess.run([sys.executable, "-c", BLAS_RUN], env={**env, **extra},
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        return json.loads(done.stdout.splitlines()[-1])
+
+    default_threads, default_run = run()
+    if default_threads < 2:
+        pytest.skip("numpy's OpenBLAS runs one thread by default here")
+    assert run(OPENBLAS_NUM_THREADS="1") == [1, default_run]
 
 
 def test_sharded_run_loads_no_process_pool_module():

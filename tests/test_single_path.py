@@ -8,10 +8,13 @@ from pathfinder import (
     MultipathOptions,
     PathfinderOptions,
     Termination,
+    elbo,
     make_target,
     run_multi,
     run_single,
+    single_path,
 )
+from pathfinder.inv_hessian import RECOVER_CHUNK
 
 from oracles import PointTarget, select_argmax
 
@@ -57,6 +60,30 @@ class TestSelectArgmax:
 
     def test_non_finite_entries_skipped(self):
         assert select_argmax([-np.inf, -2.0, np.nan, -1.0]) == 4
+
+
+@pytest.mark.parametrize("block_floats", [single_path.BLOCK_FLOATS, 1])
+def test_equal_elbos_go_to_each_paths_first_scored_candidate(monkeypatch, block_floats):
+    # With every ELBO equal, each path's winner must be its first scored
+    # candidate, whatever blocks, chunks and shards its candidates are scored
+    # in, and in the forked single-mode scorer too: ties break toward the
+    # earliest, as in select_argmax.  The patch reaches forked children.
+    # With one pair of history nearly every candidate has one pair, so a
+    # path's first candidates share their block with its later ones.
+    monkeypatch.setattr(single_path, "BLOCK_FLOATS", block_floats)
+    monkeypatch.setattr(elbo, "elbo_estimate", lambda logp, logq: np.zeros(np.shape(logp)[:-1]))
+    target = make_target("eight_schools_centered")
+    runs = []
+    for history in (6, 1):
+        opts = MultipathOptions(num_paths=6, num_resample=30, single=PathfinderOptions(
+            lbfgs=LbfgsOptions(history_size=history)))
+        runs.append(run_single(target, opts.single, 10))
+        assert runs[-1].num_iters > 2 * RECOVER_CHUNK
+        runs += run_multi(target, opts, seed=10).runs
+    for run in runs:
+        scored = np.flatnonzero(run.elbo_trace == 0.0)
+        assert scored.size == run.scored_candidates > 0
+        assert run.l_star == scored[0] + 1 == select_argmax(run.elbo_trace)
 
 
 class TestStdNormalRecovery:

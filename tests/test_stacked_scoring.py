@@ -1,24 +1,33 @@
 """Tests for scoring candidates in stacked blocks.
 
 The stacked factorization is checked against dense oracles; the scoring pass
-is checked for independence from how candidates are blocked, and for
-disqualifying exactly the failing candidate of a block.
+is checked for independence from how candidates are blocked, for cutting
+blocks only when full, for disqualifying exactly the failing candidate of a
+block, and for a memory peak its blocks and the target's slabs bound.
 """
 
+import copy
+import math
 import os
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from pathfinder import PathfinderOptions, make_target, normal_approx, run_single, single_path
-from pathfinder.inv_hessian import (
-    RECOVER_CHUNK, alpha_recover, pair_counts, stacked_factors, window,
+from pathfinder import (
+    MultipathOptions, PathfinderOptions, inv_hessian, make_target, normal_approx, run_single,
+    single_path,
 )
-from pathfinder.lbfgs import Termination, Trajectory
+from pathfinder.inv_hessian import RECOVER_CHUNK, alpha_recover, pair_counts, stacked_factors
+from pathfinder.lbfgs import Termination, Trajectory, lockstep, optimize, optimize_steps
+from pathfinder.single_path import OptimizedPath, initial_point
+from pathfinder.targets import LogisticRegression
 from pathfinder.normal_approx import build_many, transform
 
-from oracles import dense_mvn_logpdf, dense_sigma, random_curvature_pairs
+from oracles import (
+    dense_mvn_logpdf, dense_sigma, random_curvature_pairs, record_blocks, window_of,
+)
 
 
 def short_trajectory(n, steps, seed):
@@ -50,7 +59,7 @@ def test_every_candidate_matches_dense_oracle(history_size):
     checked = 0
     for num_pairs in np.unique(counts):
         iters = np.flatnonzero(counts == num_pairs) + 1
-        factors, ok_e = stacked_factors(*window(rec, iters, num_pairs))
+        factors, ok_e = stacked_factors(*window_of(rec, iters, num_pairs))
         approx, ok_chol = build_many(factors, traj.thetas[iters], traj.grads[iters])
         assert ok_e.all() and ok_chol.all()
         batch = transform(approx, rng.standard_normal((len(iters), draws, n)))
@@ -84,12 +93,93 @@ def test_block_size_does_not_change_output(monkeypatch, name, params):
     assert (blocked.n_logp, blocked.n_grad) == (one_by_one.n_logp, one_by_one.n_grad)
 
 
-def corrupting(monkeypatch, module, name, edit):
-    """Patch ``module.name`` so ``edit`` can alter its result in place per block.
+def recording_block_sizes(monkeypatch):
+    """Record each scoring block's (pair count, number of candidates), in this process."""
+    sizes = []
+    score = single_path._Scorer._score_block
+
+    def recording(scorer, windows, num_pairs, cand, *rest):
+        sizes.append((num_pairs, len(cand)))
+        return score(scorer, windows, num_pairs, cand, *rest)
+
+    monkeypatch.setattr(single_path._Scorer, "_score_block", recording)
+    return sizes
+
+
+@pytest.mark.parametrize("block_floats", [single_path.BLOCK_FLOATS, 2**10])
+def test_a_long_path_fills_its_blocks_across_chunks(monkeypatch, block_floats):
+    # A 213-step path, more than three chunks of RECOVER_CHUNK steps, scored
+    # after it stops (here, with no spare core) takes sum over J' of
+    # ceil(n_J' / size_J') blocks, where n_J' candidates have J' pairs and a
+    # block holds size_J' of them: blocks are cut only when full, not at
+    # chunk edges.  The single-mode scorer, fed a chunk at a time while the
+    # path runs, scores each chunk whole instead, so that nothing waits for
+    # the path's end, and gives the same run.
+    monkeypatch.setattr(single_path, "BLOCK_FLOATS", block_floats)
+    monkeypatch.setattr(single_path, "usable_cores", lambda: 1)
+    target, opts = make_target("eight_schools_centered"), PathfinderOptions()
+    trajectory = optimize(target, initial_point(target.dim, opts, 10, 0), opts.lbfgs)
+    counts = pair_counts(alpha_recover(trajectory), opts.lbfgs.history_size)
+
+    def blocks(counts):
+        return sum(math.ceil(n / max(1, block_floats // (target.dim * max(2 * j, 1))))
+                   for j, n in enumerate(np.bincount(counts)))
+
+    per_chunk = sum(blocks(counts[lo:lo + RECOVER_CHUNK])
+                    for lo in range(0, len(counts), RECOVER_CHUNK))
+    assert trajectory.num_iters == 213
+    assert (blocks(counts), per_chunk) == ((5, 8) if block_floats == 2**15 else (25, 27))
+
+    sizes = recording_block_sizes(monkeypatch)
+    run = run_single(target, opts, 10)
+    assert run.num_iters == sum(n for _, n in sizes) and len(sizes) == blocks(counts)
+
+    sizes.clear()
+    scorer = single_path._Scorer(target, [0], opts, 10)
+    for end in range(RECOVER_CHUNK + 1, len(trajectory.thetas), RECOVER_CHUNK):
+        scorer.advance([Trajectory(trajectory.thetas[:end], trajectory.grads[:end], None, None)])
+    fed, = scorer.finish([OptimizedPath(0, trajectory, run.lbfgs_n_logp, run.lbfgs_n_grad)])
+    assert len(sizes) == per_chunk
+    assert fed.elbo_trace.tobytes() == run.elbo_trace.tobytes() and fed.l_star == run.l_star
+    assert fed.draws.tobytes() == run.draws.tobytes()
+
+
+def test_scoring_memory_is_bounded_by_its_blocks_and_slabs():
+    # Scoring a 10-path shard of a 1000 x 50 logistic target holds, beside
+    # the paths' recovered seeds (steps x 50 floats) and one chunk's gathered
+    # windows, one block's stacks and the target's slab buffer.  About six
+    # stacks of at most 2**15 floats live at once (the pairs, beta and the
+    # copy QR factors, Q, and the draws); the buffer holds three (SLAB_ROWS +
+    # 1) x 1000 arrays.  The peak reads 4.8 MB against a 5.5 MB bound, and
+    # 6.0 MB with 2**16-float blocks.  Before the slabs, when a batch past
+    # 2**18 margins was allocated per call, it read 6.0 MB with 2**14-float
+    # blocks and 13.4 MB with 2**15.
+    target = make_target("logistic_regression", n=1000, p=50, data_seed=5)
+    opts, indices = MultipathOptions().single, range(10)
+    states = lockstep(target, [optimize_steps(initial_point(50, opts, 1, i), opts.lbfgs)
+                               for i in indices])
+    paths = [OptimizedPath(i, s.outcome, s.n_fused + s.n_logp_only, s.n_fused)
+             for i, s in zip(indices, states)]
+    steps = sum(path.trajectory.num_iters for path in paths)
+    fresh = copy.deepcopy(target)  # no slab buffer yet
+    tracemalloc.start()
+    try:
+        single_path._Scorer(fresh, list(indices), opts, 1).finish(paths)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    seeds, chunk = 8 * steps * 50, 2 * 2**20
+    stacks, slabs = 6 * 8 * 2**15, 3 * 8 * (LogisticRegression.SLAB_ROWS + 1) * 1000
+    assert steps > 10 * RECOVER_CHUNK
+    assert peak <= seeds + chunk + stacks + slabs, (peak, steps)
+
+
+def corrupting(monkeypatch, owner, name, edit):
+    """Patch ``owner.name`` so ``edit`` can alter its result in place per block.
 
     Returns the list of 1-based candidates that ``edit`` reported corrupting.
     """
-    original = getattr(module, name)
+    original = getattr(owner, name)
     hit = []
 
     def patched(*args):
@@ -97,44 +187,48 @@ def corrupting(monkeypatch, module, name, edit):
         hit.extend(edit(args, result))
         return result
 
-    monkeypatch.setattr(module, name, patched)
+    monkeypatch.setattr(owner, name, patched)
     return hit
 
 
 def break_cholesky(monkeypatch):
-    """Make the second candidate of every block of 3+ with pairs fail its Cholesky."""
-    starts = []
+    """Make every candidate with pairs at an iteration of 5 mod 10 fail its Cholesky.
 
-    def remember_block(args, result):
-        starts.append(int(args[1][0]))
-        return []
+    Such a candidate shares its block with others, whichever way the blocks
+    are cut, so only the stacked factorization's row-by-row retry keeps the
+    rest of its block scored.
+    """
+    blocks = record_blocks(monkeypatch)
 
-    def break_second_row(args, result):
+    def break_rows(args, result):
         factors, _ = result
-        if len(factors.alpha) < 3 or factors.num_pairs == 0:
+        rows = np.flatnonzero(blocks[-1][1] % 10 == 5)
+        if factors.num_pairs == 0:
             return []
         # Late candidates' pairs are tiny, so a modest -I * c would leave
         # I + R gamma R' positive definite.
-        factors.gamma[1] = -1e100 * np.eye(factors.rank)
-        return [starts[-1] + 1]
+        factors.gamma[rows] = -1e100 * np.eye(factors.rank)
+        return blocks[-1][1][rows].tolist()
 
-    corrupting(monkeypatch, single_path, "window", remember_block)
-    return corrupting(monkeypatch, single_path, "stacked_factors", break_second_row)
+    return corrupting(monkeypatch, single_path, "stacked_factors", break_rows)
 
 
 def overflow_pair_products(monkeypatch):
-    """Make s_1'z_2 overflow for the second candidate of every block of 3+ with 2+ pairs."""
-    def overflow_second_row(args, result):
+    """Make s_1'z_2 overflow for every candidate with 2+ pairs at an iteration of 5 mod 10."""
+    blocks = record_blocks(monkeypatch)
+
+    def overflow_rows(args, result):
         S, Z, _ = result
-        if S.shape[0] < 3 or S.shape[2] < 2:
+        rows = np.flatnonzero(blocks[-1][1] % 10 == 5)
+        if S.shape[2] < 2:
             return []
         # E keeps a positive finite diagonal while s_1'z_2 overflows, so
         # only the finiteness check on E can catch it.
-        S[1, :, 0] *= 1e200
-        Z[1, :, 1] *= 1e200
-        return [int(args[1][1])]
+        S[rows, :, 0] *= 1e200
+        Z[rows, :, 1] *= 1e200
+        return blocks[-1][1][rows].tolist()
 
-    return corrupting(monkeypatch, single_path, "window", overflow_second_row)
+    return corrupting(monkeypatch, inv_hessian.Windows, "pairs", overflow_rows)
 
 
 def test_failing_cholesky_disqualifies_only_that_candidate(monkeypatch):
@@ -215,7 +309,7 @@ def test_disqualification_counts_add_up(monkeypatch):
         approx.mu[-1, 0] = np.nan     # nonfinite_approx
         return []
 
-    corrupting(monkeypatch, single_path, "window", zero_a_pair)
+    corrupting(monkeypatch, inv_hessian.Windows, "pairs", zero_a_pair)
     corrupting(monkeypatch, normal_approx, "build_many", spoil_a_mean)
     run = run_single(make_target("neal_funnel", dim=3), PathfinderOptions(), seed=4)
     reasons = run.disqualified

@@ -322,14 +322,16 @@ class TestLogisticWorkBuffers:
             for a, b in zip((*fused, logp), (*fused_w, logp_w)):
                 assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
-    def test_batches_match_a_logaddexp_oracle(self):
-        # Sizes on both sides of the buffer cap: 300 x 1000 margins exceed
-        # SCRATCH_FLOATS and are allocated per call.
+    def test_batches_match_a_logaddexp_oracle(self, monkeypatch):
+        # Sizes below, at and just above one slab of SLAB_ROWS = 64 rows: 65
+        # rows are one slab, as a one-row slab is never cut off, and 66 are
+        # 64 + 2.  150 rows leave a short tail: 64 + 64 + 22.
         target = self.target()
+        rows = LogisticRegression.SLAB_ROWS
+        assert rows == 64
         Xs = (1.0 - 2.0 * target.y)[:, None] * target.X
-        assert 300 * Xs.shape[0] > LogisticRegression.SCRATCH_FLOATS >= 160 * Xs.shape[0]
         rng = np.random.default_rng(17)
-        for m in (2, 3, 17, 160, 300, 5):
+        for m in (2, 63, 64, 65, 66, 150):
             betas = rng.normal(0.0, 0.3, (m, 50))
             u = betas @ Xs.T
             want_logp = (-np.logaddexp(0.0, u).sum(axis=1)
@@ -340,7 +342,18 @@ class TestLogisticWorkBuffers:
             assert np.all(np.abs(logp - want_logp) <= 1e-12 * np.abs(want_logp))
             for g, want in zip(grad, want_grad):
                 assert np.abs(g - want).max() <= 1e-12 * np.abs(want).max()
-            assert np.array_equal(target.logp_many(betas), logp)
+            assert target.logp_many(betas).tobytes() == logp.tobytes()
+            # The gradients round as the slabs do: each slab's rows equal the
+            # slab evaluated alone.
+            starts = [*range(0, m - 1, rows), m]
+            for lo, hi in zip(starts[:-1], starts[1:]):
+                slab_logp, slab_grad, _ = target.logp_grad_many(betas[lo:hi])
+                assert slab_logp.tobytes() == logp[lo:hi].tobytes()
+                assert slab_grad.tobytes() == grad[lo:hi].tobytes()
+            # The log densities have the bits of the batch run as one slab.
+            with monkeypatch.context() as patch:
+                patch.setattr(LogisticRegression, "SLAB_ROWS", m)
+                assert self.target().logp_many(betas).tobytes() == logp.tobytes()
 
     def test_a_batch_of_one_keeps_its_bits(self):
         # A point equals its batch of one, and neither depends on the
@@ -405,19 +418,23 @@ class TestLogisticWorkBuffers:
     def test_repeated_batches_fault_no_pages_in(self):
         # A 160 x 1000 margin array is 1.3 MB; allocated per call, its pages
         # are faulted in again on every call (about 800 faults for logp_many
-        # and 1,100 for logp_grad_many before the buffers).
+        # and 1,100 for logp_grad_many before the buffers).  A 545-row batch,
+        # the size of a scoring block's draws, once had its 4.4 MB arrays
+        # allocated per call; it now runs in slabs through the same buffer.
         import resource
 
         target = self.target()
-        batch = np.random.default_rng(37).normal(0.0, 0.3, (160, 50))
-        for evaluate in (target.logp_many, target.logp_grad_many):
+        rng = np.random.default_rng(37)
+        for evaluate, m in ((target.logp_many, 160), (target.logp_grad_many, 160),
+                            (target.logp_many, 545)):
+            batch = rng.normal(0.0, 0.3, (m, 50))
             evaluate(batch)
             faults = []
             for _ in range(5):
                 before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
                 evaluate(batch)
                 faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
-            assert max(faults) < 50, (evaluate.__name__, faults)
+            assert max(faults) < 50, (evaluate.__name__, m, faults)
 
 
 class TestRegistry:
