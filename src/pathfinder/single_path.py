@@ -58,9 +58,9 @@ from .seeding import STREAM_CANDIDATE, STREAM_FINAL, STREAM_INIT, substream, sub
 
 # Floats in one stacked (B, N, 2J') array of a scoring block, which holds
 # up to max(1, BLOCK_FLOATS // (N max(2J', 1))) candidates of a shard's paths
-# that share a pair count J'.  A pair count's blocks are cut only when full,
-# or once no path can add to it, so its n candidates take ceil(n / size)
-# blocks, whatever the chunk edges.  A block's arrays take about five times
+# that share a pair count J'.  Each chunk of RECOVER_CHUNK steps is cut into
+# blocks of its own, so a chunk's n candidates with J' pairs take
+# ceil(n / size) blocks.  A block's arrays take about five times
 # BLOCK_FLOATS floats; 2**16 was no faster than 2**15 on a 1000 x 50
 # logistic shard and added about 3 MB to an eight-schools run's peak RSS.
 # Blocks change no result where logp_many rows do not depend on the batch:
@@ -133,66 +133,51 @@ class _Scorer:
 
     Each chunk gathers its candidates' windows and makes their substreams at
     once, so a block (see BLOCK_FLOATS) costs its linear algebra, one
-    ``target.logp_many`` call and its ELBOs; a partial block waits for the
-    next chunk while a path has steps left that may join it.  A candidate's
-    window holds no pair past its own step, so the trajectories may grow
-    between ``advance`` calls; ``finish`` then draws from each path's best
-    scored candidate.  Each candidate draws from its own (path, candidate)
-    substream, so a path's run equals its run scored alone wherever the
-    target's batched rows do not depend on the batch.
+    ``target.logp_many`` call and its ELBOs.  A candidate's window holds no
+    pair past its own step, so the trajectories may grow between ``advance``
+    calls; ``finish`` then draws from each path's best scored candidate.
+    Each candidate draws from its own (path, candidate) substream, so a
+    path's run equals its run scored alone wherever the target's batched
+    rows do not depend on the batch.
     """
 
     def __init__(self, target, indices, opts, seed):
         self.target, self.indices, self.opts, self.seed = target, np.array(indices), opts, seed
         self.recoveries = [AlphaRecovery(np.empty((0, target.dim)), np.zeros(0, dtype=int), None, None)
                            for _ in indices]
-        # The waiting candidates' paths, iterations, pair counts and
-        # substreams, sorted by path and then iteration.
-        self.pending = (np.zeros(0, dtype=int),) * 3 + (np.empty(0, dtype=object),)
         self.scored = []  # per block: paths, iterations, ELBOs and TALLIES columns
-        # Each path's best scored candidate: its ELBO, iteration and
+        # Each path's best scored candidate: its ELBO, and its iteration and
         # (stack, row) in a copy of its block's approximations.
         self.best = np.full(len(indices), -np.inf)
-        self.best_iter = np.full(len(indices), np.iinfo(np.int64).max)
         self.winners = [None] * len(indices)
 
     def advance(self, trajectories) -> bool:
         """Score each path's next chunk of ``trajectories`` as they stand; False if none had one.
 
-        A partial block waits only for steps already in ``trajectories``, so a
-        scorer fed a chunk at a time scores all it has, off the caller's path.
+        Blocks follow the chunk's pair counts upward, and pair counts never
+        decrease along a path, so each path's candidates are scored in
+        iteration order.
         """
         for rec, trajectory in zip(self.recoveries, trajectories):
             rec.thetas, rec.grads = trajectory.thetas, trajectory.grads
         new = recover_chunk(self.recoveries)
-        counts = [pair_counts(rec, self.opts.lbfgs.history_size) for rec in self.recoveries]
+        if not any(new):
+            return False
         owners = np.repeat(np.arange(len(new)), new)
         iters = np.concatenate([np.arange(rec.num_iters - n, rec.num_iters) + 1
                                 for rec, n in zip(self.recoveries, new)])
-        rngs = np.empty(len(iters), dtype=object)
-        rngs[:] = substreams(self.seed, self.indices[owners], STREAM_CANDIDATE, iters)
-        fresh = owners, iters, np.concatenate([c[len(c) - n:] for c, n in zip(counts, new)]), rngs
-        cands = [np.concatenate(parts) for parts in zip(self.pending, fresh)]
-        order = np.lexsort(cands[1::-1])
-        owners, iters, pairs, rngs = (c[order] for c in cands)
-        # Pair counts never decrease along a path, so a path with steps left
-        # adds candidates only at its last pair count and above.
-        lowest_open = min((int(c[-1]) if len(c) else 0 for rec, c in zip(self.recoveries, counts)
-                           if rec.num_iters < len(rec.thetas) - 1), default=math.inf)
-        blocks, waiting = [], [np.zeros(0, dtype=int)]
+        pairs = np.concatenate([pair_counts(rec, self.opts.lbfgs.history_size)[rec.num_iters - n:]
+                                for rec, n in zip(self.recoveries, new)])
+        rngs = substreams(self.seed, self.indices[owners], STREAM_CANDIDATE, iters)
+        windows = window(self.recoveries, owners, iters, pairs)
         for num_pairs in np.unique(pairs).tolist():
             group = np.flatnonzero(pairs == num_pairs)
             size = max(1, BLOCK_FLOATS // (self.target.dim * max(2 * num_pairs, 1)))
-            cut = len(group) - (len(group) % size if num_pairs >= lowest_open else 0)
-            blocks += [(num_pairs, group[lo:min(lo + size, cut)]) for lo in range(0, cut, size)]
-            waiting.append(group[cut:])
-        if blocks:
-            windows = window(self.recoveries, owners, iters, pairs)
-            for num_pairs, cand in blocks:
-                self._score_block(windows, num_pairs, cand, owners[cand], iters[cand], rngs[cand])
-        waiting = np.sort(np.concatenate(waiting))
-        self.pending = owners[waiting], iters[waiting], pairs[waiting], rngs[waiting]
-        return any(new)
+            for lo in range(0, len(group), size):
+                cand = group[lo:lo + size]
+                self._score_block(windows, num_pairs, cand, owners[cand], iters[cand],
+                                  [rngs[c] for c in cand.tolist()])
+        return True
 
     def _score_block(self, windows, num_pairs, cand, owners, iters, rngs):
         """Score the candidates ``cand`` of ``windows``, of paths ``owners`` at iterations
@@ -218,8 +203,8 @@ class _Scorer:
         if live.size:
             dim = self.target.dim
             u = np.empty((live.size, self.opts.elbo_draws, dim))
-            for out, rng in zip(u, rngs[live]):
-                rng.standard_normal(out=out)
+            for out, k in zip(u, live.tolist()):
+                rngs[k].standard_normal(out=out)
             batch = normal_approx.transform(approx, u)
             logp_vals = self.target.logp_many(batch.draws.reshape(-1, dim)).reshape(batch.logq.shape)
             values[live] = elbo.elbo_estimate(logp_vals, batch.logq)
@@ -229,19 +214,16 @@ class _Scorer:
 
     def _keep_winners(self, owners, iters, values, approx):
         """Keep each path's best candidate of a block, stacked in ``approx`` with ascending
-        ``owners``, where its ELBO is finite and greater than the kept one's, or equal at an
-        earlier iteration: ties go to the earliest, as in ``select_argmax``."""
+        ``owners``, where its ELBO is greater than the kept one's.  A path's candidates
+        come in iteration order, so ties go to the earliest, as in ``select_argmax``."""
         top = np.lexsort((-values, owners))[np.flatnonzero(np.diff(owners, prepend=-1))]
-        paths, values, iters = owners[top], values[top], iters[top]
-        best = self.best[paths]
-        better = np.isfinite(values) & (
-            (values > best) | ((values == best) & (iters < self.best_iter[paths])))
-        if better.any():
-            paths = paths[better]
-            self.best[paths], self.best_iter[paths] = values[better], iters[better]
-            kept = select_rows(approx, top[better])  # a copy: a row view would pin the block
-            for row, path in enumerate(paths.tolist()):
-                self.winners[path] = kept, row
+        top = top[values[top] > self.best[owners[top]]]  # -inf never wins
+        if top.size:
+            paths = owners[top]
+            self.best[paths] = values[top]
+            kept = select_rows(approx, top)  # a copy: a row view would pin the block
+            for row, (path, l) in enumerate(zip(paths.tolist(), iters[top].tolist())):
+                self.winners[path] = l, kept, row
 
     def finish(self, paths) -> list:
         """The runs of the stopped OptimizedPaths ``paths``, in order, once every step is scored.
@@ -258,7 +240,7 @@ class _Scorer:
         tallies = np.bincount(owners * len(TALLIES) + columns,
                               minlength=len(paths) * len(TALLIES)).reshape(-1, len(TALLIES))
         tallies[:, 0] += tallies[:, -1]  # a non-finite ELBO was still scored
-        return [_draw_from_winner(path, winner and (int(self.best_iter[k]), select_rows(*winner)),
+        return [_draw_from_winner(path, winner and (winner[0], select_rows(*winner[1:])),
                                   traces[starts[k]:starts[k + 1]], tallies[k], self.opts, self.seed)
                 for k, (path, winner) in enumerate(zip(paths, self.winners))]
 

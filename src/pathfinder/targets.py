@@ -412,9 +412,10 @@ class LogisticRegression(LogDensityTarget):
     A batch runs in slabs of SLAB_ROWS rows, the last of which takes up to
     SLAB_ROWS + 1 rows so that no slab of a larger batch is a single row.  A
     slab's three (rows, n) arrays (margins, ``e`` and one temporary) live in
-    a work buffer that each thread allocates once and keeps across calls, so
-    no batch allocates arrays of its own size: any batch takes at most
-    3 (SLAB_ROWS + 1) n floats of work memory (1.6 MB at n = 1000).
+    a work buffer that each thread keeps across calls and grows to the
+    largest slab it has seen, so no batch allocates arrays of its own size:
+    any batch takes at most 3 (SLAB_ROWS + 1) n floats of work memory
+    (1.6 MB at n = 1000), and a one-row batch 3 n.
     Allocated per call, arrays this large are mapped from the OS and
     returned to it each time, and their pages are faulted in again on every
     call.  No result is a view of the buffer, and a pickled or copied target
@@ -479,8 +480,8 @@ class LogisticRegression(LogDensityTarget):
         """``_density`` of at most SLAB_ROWS + 1 rows, in this thread's work buffer."""
         m, n = points.shape[0], self._Xs.shape[0]
         buf = getattr(self._scratch, "buf", None)
-        if buf is None:
-            buf = self._scratch.buf = np.empty(3 * (self.SLAB_ROWS + 1) * n)
+        if buf is None or buf.size < 3 * m * n:
+            buf = self._scratch.buf = np.empty(3 * m * n)
         U, e, tmp = buf[:3 * m * n].reshape(3, m, n)
         np.matmul(points, self._XsT if m > 1 else self._Xs.T, out=U)
         np.abs(U, out=e)

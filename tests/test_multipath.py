@@ -504,15 +504,14 @@ def test_lockstep_batches_linear_algebra_across_paths(monkeypatch):
     assert per_kind == {"direction": 261, "trial": 829, "fused": 261}
     assert {round_ for round_, _, _ in calls} == {
         i + 1 for i, (kind, _) in enumerate(rounds) if kind == "direction"}
-    # Scoring: the shard's candidates with J' pairs fill ceil(n_J' / size_J')
-    # blocks of size_J' = BLOCK_FLOATS // (10 * 2J') (10 for J' = 0), and only
-    # a pair count's last block is partial, chunk edges or not.  The 2,694
-    # candidates have pair counts 1-5: n = 20, 20, 20, 20 and 2,614 in blocks
-    # of 1,638, 819, 546, 409 and 327, so 1 + 1 + 1 + 1 + 8 = 12 blocks (22
-    # when each chunk of RECOVER_CHUNK steps was cut on its own at 2^14).
+    # Scoring: each chunk of RECOVER_CHUNK steps is cut on its own, its n
+    # candidates with J' pairs into ceil(n / size_J') blocks of size_J' =
+    # BLOCK_FLOATS // (10 * 2J') (10 for J' = 0).  The 2,694 candidates have
+    # pair counts 1-5.  The first chunk holds 20 of each of 1-4 (one block
+    # each) and 1,200 with 5 pairs, in blocks of 327 (4 blocks); the second
+    # holds 1,183 with 5 pairs (4 blocks) and the third 231 (1 block): 13
+    # blocks, 22 at 2^14.
     assert sum(run.num_iters for run in runs) == sum(size for _, size in blocks) == 2694
-    for num_pairs in {pairs for pairs, _ in blocks}:
-        sizes = [size for pairs, size in blocks if pairs == num_pairs]
-        full = single_path.BLOCK_FLOATS // (10 * max(2 * num_pairs, 1))
-        assert sizes[:-1] == [full] * (len(sizes) - 1) and 0 < sizes[-1] <= full
-    assert scoring_calls[0] == len(blocks) == 12
+    assert blocks == ([(1, 20), (2, 20), (3, 20), (4, 20)] + [(5, 327)] * 3 + [(5, 219)]
+                      + [(5, 327)] * 3 + [(5, 202), (5, 231)])
+    assert scoring_calls[0] == len(blocks) == 13

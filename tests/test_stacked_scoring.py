@@ -2,12 +2,12 @@
 
 The stacked factorization is checked against dense oracles; the scoring pass
 is checked for independence from how candidates are blocked, for cutting
-blocks only when full, for disqualifying exactly the failing candidate of a
-block, and for a memory peak its blocks and the target's slabs bound.
+each chunk's blocks only when full but for the last of a pair count, for
+disqualifying exactly the failing candidate of a block, and for a memory
+peak its blocks and the target's slabs bound.
 """
 
 import copy
-import math
 import os
 import sys
 import tracemalloc
@@ -107,39 +107,36 @@ def recording_block_sizes(monkeypatch):
 
 
 @pytest.mark.parametrize("block_floats", [single_path.BLOCK_FLOATS, 2**10])
-def test_a_long_path_fills_its_blocks_across_chunks(monkeypatch, block_floats):
+def test_a_long_path_is_scored_chunk_by_chunk(monkeypatch, block_floats):
     # A 213-step path, more than three chunks of RECOVER_CHUNK steps, scored
-    # after it stops (here, with no spare core) takes sum over J' of
-    # ceil(n_J' / size_J') blocks, where n_J' candidates have J' pairs and a
-    # block holds size_J' of them: blocks are cut only when full, not at
-    # chunk edges.  The single-mode scorer, fed a chunk at a time while the
-    # path runs, scores each chunk whole instead, so that nothing waits for
-    # the path's end, and gives the same run.
+    # after it stops (here, with no spare core) takes, summed over its
+    # chunks, ceil(n_J' / size_J') blocks for the chunk's n_J' candidates
+    # with J' pairs, where a block holds size_J' of them: each chunk is cut
+    # on its own.  The single-mode scorer, fed a chunk at a time while the
+    # path runs, cuts the same blocks and gives the same run.
     monkeypatch.setattr(single_path, "BLOCK_FLOATS", block_floats)
     monkeypatch.setattr(single_path, "usable_cores", lambda: 1)
     target, opts = make_target("eight_schools_centered"), PathfinderOptions()
     trajectory = optimize(target, initial_point(target.dim, opts, 10, 0), opts.lbfgs)
     counts = pair_counts(alpha_recover(trajectory), opts.lbfgs.history_size)
-
-    def blocks(counts):
-        return sum(math.ceil(n / max(1, block_floats // (target.dim * max(2 * j, 1))))
-                   for j, n in enumerate(np.bincount(counts)))
-
-    per_chunk = sum(blocks(counts[lo:lo + RECOVER_CHUNK])
-                    for lo in range(0, len(counts), RECOVER_CHUNK))
+    sizes = [max(1, block_floats // (target.dim * max(2 * j, 1))) for j in range(counts.max() + 1)]
+    expected = [(j, min(size, n - lo))
+                for chunk in range(0, len(counts), RECOVER_CHUNK)
+                for j, n in enumerate(np.bincount(counts[chunk:chunk + RECOVER_CHUNK]))
+                for size in [sizes[j]] for lo in range(0, n, size)]
     assert trajectory.num_iters == 213
-    assert (blocks(counts), per_chunk) == ((5, 8) if block_floats == 2**15 else (25, 27))
+    assert len(expected) == (8 if block_floats == 2**15 else 27)
 
-    sizes = recording_block_sizes(monkeypatch)
+    blocks = recording_block_sizes(monkeypatch)
     run = run_single(target, opts, 10)
-    assert run.num_iters == sum(n for _, n in sizes) and len(sizes) == blocks(counts)
+    assert blocks == expected
 
-    sizes.clear()
+    blocks.clear()
     scorer = single_path._Scorer(target, [0], opts, 10)
     for end in range(RECOVER_CHUNK + 1, len(trajectory.thetas), RECOVER_CHUNK):
         scorer.advance([Trajectory(trajectory.thetas[:end], trajectory.grads[:end], None, None)])
     fed, = scorer.finish([OptimizedPath(0, trajectory, run.lbfgs_n_logp, run.lbfgs_n_grad)])
-    assert len(sizes) == per_chunk
+    assert blocks == expected
     assert fed.elbo_trace.tobytes() == run.elbo_trace.tobytes() and fed.l_star == run.l_star
     assert fed.draws.tobytes() == run.draws.tobytes()
 
@@ -150,10 +147,10 @@ def test_scoring_memory_is_bounded_by_its_blocks_and_slabs():
     # windows, one block's stacks and the target's slab buffer.  About six
     # stacks of at most 2**15 floats live at once (the pairs, beta and the
     # copy QR factors, Q, and the draws); the buffer holds three (SLAB_ROWS +
-    # 1) x 1000 arrays.  The peak reads 4.8 MB against a 5.5 MB bound, and
-    # 6.0 MB with 2**16-float blocks.  Before the slabs, when a batch past
-    # 2**18 margins was allocated per call, it read 6.0 MB with 2**14-float
-    # blocks and 13.4 MB with 2**15.
+    # 1) x 1000 arrays.  The peak reads 5.0 MiB against a 5.5 MiB bound, and
+    # 5.9 MiB with 2**16-float blocks.  Before the slabs, when a batch past
+    # 2**18 margins was allocated per call, it read 6.0 MiB with 2**14-float
+    # blocks and 13.4 MiB with 2**15.
     target = make_target("logistic_regression", n=1000, p=50, data_seed=5)
     opts, indices = MultipathOptions().single, range(10)
     states = lockstep(target, [optimize_steps(initial_point(50, opts, 1, i), opts.lbfgs)

@@ -370,6 +370,19 @@ class TestLogisticWorkBuffers:
             fresh_logp, fresh_grad = fresh.logp_grad(beta)
             assert logp == fresh_logp and np.array_equal(grad, fresh_grad)
 
+    def test_the_buffer_grows_only_to_the_largest_slab(self):
+        # A lone point holds three (1, n) work arrays, not a full slab's, and
+        # no batch grows the buffer past three (SLAB_ROWS + 1, n) arrays.
+        target, n = self.target(), 1000
+        rng = np.random.default_rng(41)
+        target.logp_grad(rng.normal(0.0, 0.3, 50))
+        assert target._scratch.buf.size == 3 * n
+        target.logp_many(rng.normal(0.0, 0.3, (30, 50)))
+        assert target._scratch.buf.size == 3 * 30 * n
+        for m, slab in ((545, 64), (129, 65), (2, 65), (1, 65)):  # 129 rows: 64 + 65
+            target.logp_grad_many(rng.normal(0.0, 0.3, (m, 50)))
+            assert target._scratch.buf.size == 3 * slab * n
+
     def test_threads_get_the_serial_bits(self):
         # Threads sharing one target each write into their own buffers.
         # Batches stay small enough that BLAS runs each product on one
