@@ -67,7 +67,7 @@ class MultipathOptions:
             )
 
 
-@dataclass
+@dataclass(frozen=True)
 class WeightedSample:
     """Pooled draws with raw and smoothed log importance weights.
 
@@ -84,7 +84,7 @@ class WeightedSample:
     log_p: np.ndarray           # (S,) target log densities
 
 
-@dataclass
+@dataclass(frozen=True)
 class MultipathResult:
     draws: np.ndarray               # (R, N)
     indices: np.ndarray             # (R,) into the pooled sample
@@ -208,46 +208,38 @@ def resample(draws, log_w_smoothed, num_draws: int, rng: np.random.Generator) ->
 
 
 def pool_runs(runs: list, target) -> WeightedSample:
-    """Pool draws from runs, evaluate target log densities, form raw weights.
+    """Pool the runs' draws and weight them: raw, then Pareto-smoothed, log weights.
 
     Spends one target log-density evaluation per pooled row, refused rows
-    included, as ``target.logp_many`` counts them.  Each run's ``logp`` is
-    filled in place.
+    included, as ``target.logp_many`` counts them, in one call per run, and
+    writes nothing into the runs.  Raises NoFiniteWeightsError when no raw
+    weight is finite.
     """
-    all_draws, all_logq, all_logp, comp = [], [], [], []
-    for i, run in enumerate(runs):
-        logp_vals = target.logp_many(run.draws)
-        run.logp = logp_vals
-        all_draws.append(run.draws)
-        all_logq.append(run.logq)
-        all_logp.append(logp_vals)
-        comp.append(np.full(len(run.logq), i, dtype=int))
-
-    draws = np.concatenate(all_draws, axis=0)
-    log_q = np.concatenate(all_logq)
-    log_p = np.concatenate(all_logp)
+    log_p = np.concatenate([target.logp_many(run.draws) for run in runs])
+    log_q = np.concatenate([run.logq for run in runs])
     with np.errstate(invalid="ignore"):
         log_w_raw = log_p - log_q
     # +inf sentinel log q, or a -inf log p, must yield weight zero
     log_w_raw = np.where(np.isnan(log_w_raw), -np.inf, log_w_raw)
-
+    log_w_smoothed, k_hat = psis_smooth(log_w_raw)
     return WeightedSample(
-        draws=draws,
+        draws=np.concatenate([run.draws for run in runs], axis=0),
         log_w_raw=log_w_raw,
-        log_w_smoothed=log_w_raw.copy(),
-        k_hat=KHAT_SENTINEL,
-        component_ids=np.concatenate(comp),
+        log_w_smoothed=log_w_smoothed,
+        k_hat=k_hat,
+        component_ids=np.repeat(np.arange(len(runs)), [len(run.logq) for run in runs]),
         log_q=log_q,
         log_p=log_p,
     )
 
 
 def run_multi(target, opts: MultipathOptions, seed: int) -> MultipathResult:
-    """Run ``opts.num_paths`` paths in a lockstep shard per core, pool, smooth, and resample.
+    """Run ``opts.num_paths`` paths in a lockstep shard per core, pool them, and resample.
 
-    Each path derives its own substreams from the master seed, so the output
-    is a function of (target, opts, seed) and, where BLOCK_FLOATS says, of
-    the shard count.  Raises AllPathsFailedError when no path succeeds.
+    ``pool_runs`` builds the smoothed pool.  Each path derives its own
+    substreams from the master seed, so the output is a function of (target,
+    opts, seed) and, where BLOCK_FLOATS says, of the shard count.  Raises
+    AllPathsFailedError when no path succeeds.
     """
     runs = run_paths(target, opts.single, seed, range(opts.num_paths))
 
@@ -255,11 +247,6 @@ def run_multi(target, opts: MultipathOptions, seed: int) -> MultipathResult:
         raise AllPathsFailedError(f"all {opts.num_paths} paths failed")
 
     pooled = pool_runs(runs, target)
-    pool_n_logp = len(pooled.draws)
-    log_w_smoothed, k_hat = psis_smooth(pooled.log_w_raw)
-    pooled.log_w_smoothed = log_w_smoothed
-    pooled.k_hat = k_hat
-
     rng = substream(seed, 0, STREAM_RESAMPLE)
     picks = resample(pooled.draws, pooled.log_w_smoothed, opts.num_resample, rng)
 
@@ -268,7 +255,7 @@ def run_multi(target, opts: MultipathOptions, seed: int) -> MultipathResult:
         indices=picks,
         pooled=pooled,
         runs=runs,
-        n_logp=sum(r.n_logp for r in runs) + pool_n_logp,
+        n_logp=sum(r.n_logp for r in runs) + len(pooled.draws),
         n_grad=sum(r.n_grad for r in runs),
-        pool_n_logp=pool_n_logp,
+        pool_n_logp=len(pooled.draws),
     )

@@ -97,7 +97,7 @@ class PathfinderOptions:
         check_settings(self)
 
 
-@dataclass
+@dataclass(frozen=True)
 class PathfinderRun:
     """Output of one path.
 
@@ -107,8 +107,8 @@ class PathfinderRun:
     optimizer stopped, ``NONFINITE_AT_INIT`` for a refused start, whose one
     draw is that start.  ``disqualified`` counts the candidates dropped for
     each of DISQUALIFY_REASONS; all but ``nonfinite_elbo`` were never
-    sampled.  ``logp`` stays None until a pooling step evaluates target log
-    densities for the draws.
+    sampled.  The draws' target log densities are not part of a run: pooling
+    evaluates them, into ``WeightedSample.log_p``.
     """
 
     draws: np.ndarray
@@ -124,7 +124,6 @@ class PathfinderRun:
     lbfgs_n_logp: int
     lbfgs_n_grad: int
     disqualified: dict = field(default_factory=lambda: dict.fromkeys(DISQUALIFY_REASONS, 0))
-    logp: Optional[np.ndarray] = None
     approx: Optional[normal_approx.FactoredNormal] = None
 
 
@@ -182,7 +181,8 @@ class _Scorer:
     def _score_block(self, windows, num_pairs, cand, owners, iters, rngs):
         """Score the candidates ``cand`` of ``windows``, of paths ``owners`` at iterations
         ``iters``: record their ELBOs (-inf where disqualified) and TALLIES columns, and
-        keep each path's best."""
+        keep each path's best.  A block of disqualified candidates runs on empty (0, N, 2J')
+        stacks, which numpy's linalg accepts (verified on 2.4.6, not on the 1.24 floor)."""
         values = np.full(len(cand), -np.inf)
         columns = np.zeros(len(cand), dtype=int)  # "scored" unless disqualified
         factors, ok_e = stacked_factors(*windows.pairs(cand, num_pairs))
@@ -190,32 +190,30 @@ class _Scorer:
         live = np.flatnonzero(ok_e)
         if live.size < len(cand):
             factors = select_rows(factors, live)
-        if live.size:
-            rows = windows.rows[cand[live]]
-            approx, ok_chol = normal_approx.build_many(factors, windows.thetas[rows],
-                                                       windows.grads[rows])
-            finite = np.isfinite(approx.logdet) & np.isfinite(approx.mu).all(axis=1)
-            columns[live[~ok_chol]] = 2
-            columns[live[ok_chol & ~finite]] = 3
-            alive = ok_chol & finite
-            if not alive.all():
-                approx, live = select_rows(approx, alive), live[alive]
-        if live.size:
-            dim = self.target.dim
-            u = np.empty((live.size, self.opts.elbo_draws, dim))
-            for out, k in zip(u, live.tolist()):
-                rngs[k].standard_normal(out=out)
-            batch = normal_approx.transform(approx, u)
-            logp_vals = self.target.logp_many(batch.draws.reshape(-1, dim)).reshape(batch.logq.shape)
-            values[live] = elbo.elbo_estimate(logp_vals, batch.logq)
-            columns[live[~np.isfinite(values[live])]] = 4
-            self._keep_winners(owners[live], iters[live], values[live], approx)
+        rows = windows.rows[cand[live]]
+        approx, ok_chol = normal_approx.build_many(factors, windows.thetas[rows],
+                                                   windows.grads[rows])
+        finite = np.isfinite(approx.logdet) & np.isfinite(approx.mu).all(axis=1)
+        columns[live[~ok_chol]] = 2
+        columns[live[ok_chol & ~finite]] = 3
+        alive = ok_chol & finite
+        if not alive.all():
+            approx, live = select_rows(approx, alive), live[alive]
+        dim = self.target.dim
+        u = np.empty((live.size, self.opts.elbo_draws, dim))
+        for out, k in zip(u, live.tolist()):
+            rngs[k].standard_normal(out=out)
+        batch = normal_approx.transform(approx, u)
+        logp_vals = self.target.logp_many(batch.draws.reshape(-1, dim)).reshape(batch.logq.shape)
+        values[live] = elbo.elbo_estimate(logp_vals, batch.logq)
+        columns[live[~np.isfinite(values[live])]] = 4
+        self._keep_winners(owners[live], iters[live], values[live], approx)
         self.scored.append((owners, iters, values, columns))
 
     def _keep_winners(self, owners, iters, values, approx):
         """Keep each path's best candidate of a block, stacked in ``approx`` with ascending
         ``owners``, where its ELBO is greater than the kept one's.  A path's candidates
-        come in iteration order, so ties go to the earliest, as in ``select_argmax``."""
+        come in iteration order, so ties go to the earliest, as ``np.argmax`` picks."""
         top = np.lexsort((-values, owners))[np.flatnonzero(np.diff(owners, prepend=-1))]
         top = top[values[top] > self.best[owners[top]]]  # -inf never wins
         if top.size:
@@ -331,7 +329,7 @@ def run_paths(target, opts: PathfinderOptions, seed: int, indices) -> list:
     k = max(1, min(len(indices), cores))
     cuts = [len(indices) * j // k for j in range(k + 1)]
     children, replies = [], []
-    with contextlib.ExitStack() as pinned:  # entered with _one_blas_thread() before a fork
+    with contextlib.ExitStack() as pinned:  # from the first fork: one BLAS thread, the feed's pipe
         if k > 1:
             pinned.enter_context(_one_blas_thread())
         feed = (_Feed(target, opts, seed, indices[0], children, pinned)
@@ -343,8 +341,6 @@ def run_paths(target, opts: PathfinderOptions, seed: int, indices) -> list:
             runs = _run_shard(target, opts, seed, indices[:cuts[1]], feed)
             replies = [pipe.read() for _, pipe in children]
         finally:
-            if feed and feed.fd is not None:
-                os.close(feed.fd)
             for pid, pipe in children:
                 if not replies:  # this shard or a read raised: leave no child running
                     os.kill(pid, 9)  # SIGKILL
@@ -398,10 +394,12 @@ def _fork(target, work):
 class _Feed:
     """The caller's end of a lone path's forked scorer, called with each trajectory point.
 
-    At RECOVER_CHUNK steps it forks the scorer into ``children``, unless a
-    thread runs then, first entering ``_one_blas_thread`` on the run's
-    ``pinned`` stack, and pipes it each RECOVER_CHUNK steps' rows as they
-    come; ``send`` pipes the finished path last.
+    At RECOVER_CHUNK steps it forks the scorer into ``children`` under
+    ``_one_blas_thread``, which it leaves on the run's ``pinned`` stack with
+    the closing of its pipe, and pipes it each RECOVER_CHUNK steps' rows as
+    they come; ``send`` pipes the finished path last.  While another thread
+    runs, or where no pipe or process is to be had, it forks nothing and the
+    caller scores the path.
     """
 
     def __init__(self, target, opts, seed, index, children, pinned):
@@ -415,12 +413,19 @@ class _Feed:
         if self.fd is None:
             if threading.active_count() > 1:
                 return  # and never will: the caller scores the path
-            self.pinned.enter_context(_one_blas_thread())
-            read_fd, self.fd = os.pipe()
-            try:
-                self.children.append(_fork(self.work[0], lambda: self._serve(read_fd)))
-            finally:
-                os.close(read_fd)
+            with contextlib.ExitStack() as opened:  # handed to ``pinned`` once the scorer runs
+                opened.enter_context(_one_blas_thread())
+                try:
+                    read_fd, self.fd = os.pipe()
+                    opened.callback(os.close, self.fd)
+                    try:
+                        self.children.append(_fork(self.work[0], lambda: self._serve(read_fd)))
+                    finally:
+                        os.close(read_fd)
+                except OSError:  # such as EAGAIN under a process limit: stop trying, and
+                    self.fd = None  # the caller scores the path
+                    return
+                self.pinned.enter_context(opened.pop_all())
         self.send(tuple(np.array(rows) for rows in zip(*self.rows)))
         self.rows = []
 

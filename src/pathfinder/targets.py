@@ -54,7 +54,7 @@ class LogDensityTarget(abc.ABC):
     """Base class: a differentiable log density on R^N.
 
     A subclass implements one hook, ``_density(points, need_grad)``, the
-    density of an (M, N) batch; one that does not is a TypeError at
+    density of an (M, N) batch, M >= 0; one that does not is a TypeError at
     construction.  Every evaluation reaches it as a batch, each row whose
     input is not finite zeroed.  It may skip the gradient (return None) when
     ``need_grad`` is false, but its log density must not depend on the flag:
@@ -67,9 +67,7 @@ class LogDensityTarget(abc.ABC):
     directly.
     Counters tick once per point of the right shape handed in, whether or not
     it is refused for being non-finite: fused evaluations increment both
-    counters, log-density-only evaluations only the log-density counter.  The
-    two are kept as fused and log-density-only tallies, so each call makes one
-    update.
+    counters, log-density-only evaluations only the log-density counter.
     """
 
     def __init__(self, dim: int, name: str = ""):
@@ -77,23 +75,13 @@ class LogDensityTarget(abc.ABC):
         self.dim = _count(cls, "dim", dim)
         self.name = name or cls
         self._shape = (self.dim,)
-        self._n_fused = 0
-        self._n_logp_only = 0
-
-    # -- counters ----------------------------------------------------------
-
-    @property
-    def eval_count_logp(self) -> int:
-        return self._n_fused + self._n_logp_only
-
-    @property
-    def eval_count_grad(self) -> int:
-        return self._n_fused
+        self.eval_count_grad = 0
+        self.eval_count_logp = 0
 
     def add_counts(self, n_grad: int, n_logp: int) -> None:
         """Count evaluations made elsewhere, as ``eval_count_grad`` and ``eval_count_logp``."""
-        self._n_fused += n_grad
-        self._n_logp_only += n_logp - n_grad
+        self.eval_count_grad += n_grad
+        self.eval_count_logp += n_logp
 
     # -- evaluation --------------------------------------------------------
 
@@ -164,10 +152,9 @@ class LogDensityTarget(abc.ABC):
             raise DimensionMismatchError(
                 f"{self.name}: expected batch of shape (M, {self.dim}), got {points.shape}"
             )
+        self.eval_count_logp += len(points)
         if need_grad:
-            self._n_fused += len(points)
-        else:
-            self._n_logp_only += len(points)
+            self.eval_count_grad += len(points)
         finite_in = np.isfinite(points)
         if finite_in.all():
             finite_in = True

@@ -1,5 +1,8 @@
 """Tests for pooling, Pareto smoothing, and importance resampling."""
 
+import copy
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -204,21 +207,33 @@ class TestPooling:
 
     def test_pool_counts_logp_once_per_draw(self):
         # Refused rows, a non-finite input or a density that overflows, count
-        # as evaluations too, as the target counts them.
+        # as evaluations too, as the target counts them.  Pooling writes
+        # nothing into the runs, and each run's rows of log_p are its own
+        # draws' log densities, bit for bit.
         target = make_target("std_normal", dim=2)
         good = [run_single(target, PathfinderOptions(num_draws=30), seed=0, path_index=i)
                 for i in range(3)]
         for refused in ([], [[np.nan, 0.0], [1e200, 0.0]]):
             runs = good + [failed_run(point) for point in refused]
             rows = 90 + len(refused)
+            saved = copy.deepcopy(runs)
             before = (target.eval_count_logp, target.eval_count_grad)
             pooled = pool_runs(runs, target)
             assert (target.eval_count_logp, target.eval_count_grad) == (before[0] + rows, before[1])
             assert pooled.draws.shape == (rows, 2)
             assert np.all(pooled.log_p[90:] == -np.inf)
             assert np.all(pooled.log_w_raw[90:] == -np.inf)
-            for run in runs:
-                assert run.logp is not None and len(run.logp) == len(run.draws)
+            for i, (run, kept) in enumerate(zip(runs, saved, strict=True)):
+                assert_same_run(run, kept)
+                own = pooled.log_p[pooled.component_ids == i]
+                assert own.tobytes() == target.logp_many(run.draws).tobytes()
+
+    def test_no_finite_raw_weight_raises(self):
+        target = make_target("std_normal", dim=2)
+        before = target.eval_count_logp
+        with pytest.raises(NoFiniteWeightsError):
+            pool_runs([failed_run([0.0, 1.0]), failed_run([1.0, 0.0])], target)
+        assert target.eval_count_logp == before + 2
 
 
 class TestRunMulti:
@@ -276,6 +291,21 @@ class TestRunMulti:
         np.testing.assert_array_equal(outs[0].indices, outs[1].indices)
         np.testing.assert_array_equal(outs[0].pooled.log_w_smoothed,
                                       outs[1].pooled.log_w_smoothed)
+
+    def test_smoothed_weights_are_the_pooled_raw_weights_smoothed(self):
+        target = make_target("eight_schools_noncentered")
+        res = run_multi(target, MultipathOptions(num_paths=6, num_resample=50), seed=2)
+        smoothed, k_hat = psis_smooth(res.pooled.log_w_raw)
+        assert res.pooled.log_w_smoothed.tobytes() == smoothed.tobytes()
+        assert res.k_hat == res.pooled.k_hat == k_hat and np.isfinite(k_hat)
+
+    def test_result_records_are_frozen(self):
+        res = run_multi(make_target("std_normal", dim=2),
+                        MultipathOptions(num_paths=2, num_resample=10), seed=1)
+        for record in (res, res.pooled, res.runs[0]):
+            for name in (f.name for f in dataclasses.fields(record)):
+                with pytest.raises(dataclasses.FrozenInstanceError):
+                    setattr(record, name, None)
 
     def test_resample_budget_validated(self):
         with pytest.raises(ValueError):

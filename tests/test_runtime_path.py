@@ -142,3 +142,25 @@ def test_a_path_with_no_scored_candidate_is_the_sentinel_run(monkeypatch):
     assert run.logq.tolist() == [np.inf]
     assert run.scored_candidates == 0 and run.disqualified["singular_e"] == run.num_iters
     assert np.all(run.elbo_trace == -np.inf) and run.n_logp == run.lbfgs_n_logp
+
+
+@pytest.mark.parametrize("reason", ["cholesky", "nonfinite_approx"])
+def test_a_path_whose_every_approximation_fails_is_the_sentinel_run(monkeypatch, reason):
+    # Each scoring block then runs on through empty stacks and hands the
+    # target batches of no rows, which count nothing.
+    build_many = normal_approx.build_many
+
+    def failing(factors, thetas, grads):
+        approx, ok = build_many(factors, thetas, grads)
+        if reason == "cholesky":
+            return approx, np.zeros_like(ok)
+        approx.logdet[:] = np.nan
+        return approx, ok
+
+    monkeypatch.setattr(normal_approx, "build_many", failing)
+    target = make_target("std_normal", dim=4)
+    run = run_single(target, PathfinderOptions(), seed=2)
+    assert run.failed and run.l_star is None and run.approx is None and run.num_iters > 0
+    assert run.scored_candidates == 0 and run.disqualified[reason] == run.num_iters
+    assert np.all(run.elbo_trace == -np.inf) and run.n_logp == run.lbfgs_n_logp
+    assert (target.eval_count_grad, target.eval_count_logp) == (run.n_grad, run.n_logp)

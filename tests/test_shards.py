@@ -8,6 +8,7 @@ output on any target; errors raised in a child must reach the caller, and
 no child may outlive the call.
 """
 
+import errno
 import json
 import os
 import select
@@ -240,6 +241,34 @@ class TestSingleModeScorer:
             thread.join()
         assert forked == [] and run.num_iters >= RECOVER_CHUNK
         assert_same_run(run, alone)
+
+
+def refusing(*args):
+    raise BlockingIOError(errno.EAGAIN, "Resource temporarily unavailable")
+
+
+class TestScorerThatCannotFork:
+    """The single-mode scorer is optional: where no pipe or process is to be had
+    (such as EAGAIN under a process limit), the caller scores the path."""
+
+    @pytest.mark.parametrize("call", ["fork", "pipe"])
+    def test_the_caller_scores_the_path(self, cores, monkeypatch, call):
+        alone = single_with(cores, 1, "eight_schools_centered", {}, 1, 0)
+        forked = cores(2)
+        monkeypatch.setattr(os, call, refusing)
+        fds = sorted(os.listdir("/proc/self/fd"))
+        target = make_target("eight_schools_centered")
+        run = run_single(target, PathfinderOptions(), 1)
+        assert sorted(os.listdir("/proc/self/fd")) == fds  # what it opened, it closed
+        assert forked == [] and run.num_iters >= RECOVER_CHUNK
+        assert (target.eval_count_grad, target.eval_count_logp) == (run.n_grad, run.n_logp)
+        assert_same_run(run, alone)
+
+    def test_a_shard_that_cannot_fork_still_raises(self, cores, monkeypatch):
+        cores(2)
+        monkeypatch.setattr(os, "fork", refusing)
+        with pytest.raises(BlockingIOError):
+            run_multi(make_target("std_normal", dim=3), OPTS, 1)
 
 
 class TestCounterView:
@@ -649,6 +678,15 @@ class TestOneBlasThread:
         first = here.index("1")  # the caller's first evaluation after the fork
         assert set(here[:first]) == {"2"} and set(here[first:]) == {"1"}
         assert {count for pid, count in seen if pid == str(forked[0])} == {"1"}
+
+    def test_a_scorer_that_cannot_fork_leaves_the_count_alone(self, cores, threads, tmp_path,
+                                                              monkeypatch):
+        cores(2)
+        monkeypatch.setattr(os, "fork", refusing)
+        log = tmp_path / "threads"
+        target = ThreadLogging(make_target("eight_schools_centered"), log)
+        assert run_single(target, OPTS.single, 5, path_index=3).num_iters >= RECOVER_CHUNK
+        assert threads() == 2 and set(logged(log)) == {(str(os.getpid()), "2")}
 
     def test_count_restored_after_a_run_that_raises(self, cores, threads, monkeypatch):
         cores(2)
