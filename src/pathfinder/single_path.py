@@ -4,7 +4,8 @@ One run optimizes the log density from a random initialization, rebuilds a
 normal approximation at every trajectory point, scores each by Monte Carlo
 ELBO, and returns draws from the ELBO-maximizing approximation.  Both modes
 run paths through ``run_paths``, one contiguous shard per usable core, each
-shard but the first in a forked process (Linux only).  A shard is one
+shard but the first in a forked process (Linux only), or in the caller where
+no process can be had.  A shard is one
 ``lbfgs.lockstep`` on the target itself, each path's counts read from its
 stepper state, then ``_Scorer.finish``, which recovers the diagonal
 seeds one chunk of RECOVER_CHUNK steps at a time, gathers each chunk's
@@ -284,23 +285,6 @@ def _openblas_threads():
         return None
 
 
-@contextlib.contextmanager
-def _one_blas_thread():
-    """Run the body with numpy's bundled OpenBLAS on one thread, which children forked
-    inside inherit, and restore the caller's count after; without one, change nothing."""
-    threads = _openblas_threads()
-    if threads is None:
-        yield
-        return
-    get, set_threads = threads
-    saved = get()
-    set_threads(1)
-    try:
-        yield
-    finally:
-        set_threads(saved)
-
-
 def _check_key(name, value, end=math.inf):
     """``value``, unless it is not an integer in [0, ``end``): then a ValueError naming it."""
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or not 0 <= value < end:
@@ -313,54 +297,44 @@ def run_paths(target, opts: PathfinderOptions, seed: int, indices) -> list:
 
     k = min(len(indices), usable_cores()), or 1 while another Python thread
     runs, whose locks a child could block on.  The first shard runs here, the
-    others in forked children.  A lone path with a spare core instead has its
-    candidates scored by a forked child while it optimizes (``_Feed``).  Run
-    i equals the run of path i alone wherever the target's batched rows do
-    not depend on the batch.  A seed that is not a non-negative integer, or
-    an index outside [0, 2**32), raises ValueError before any evaluation.
-    From its first fork to its end, numpy's bundled OpenBLAS runs one thread
-    here and in each child (``_one_blas_thread``), so the processes do not
-    oversubscribe the cores; a run that forks nothing keeps the caller's
-    thread count.
+    others in children forked by ``_fork``; a shard that cannot fork runs
+    here after the first, with the same bits.  A lone path with a spare core
+    instead has its candidates scored by a forked child while it optimizes
+    (``_Feed``).  Run i equals the run of path i alone wherever the target's
+    batched rows do not depend on the batch.  A seed that is not a
+    non-negative integer, or an index outside [0, 2**32), raises ValueError
+    before any evaluation.  The run's ExitStack holds what the forks set and
+    opened, and undoes it when the run ends, also when it raises.
     """
     _check_key("seed", seed)
     indices = [_check_key("path_index", i, 2**32) for i in indices]
     cores = usable_cores() if threading.active_count() == 1 else 1
     k = max(1, min(len(indices), cores))
-    cuts = [len(indices) * j // k for j in range(k + 1)]
-    children, replies = [], []
-    with contextlib.ExitStack() as pinned:  # from the first fork: one BLAS thread, the feed's pipe
-        if k > 1:
-            pinned.enter_context(_one_blas_thread())
-        feed = (_Feed(target, opts, seed, indices[0], children, pinned)
-                if len(indices) == 1 and cores > 1 else None)
-        try:
-            for lo, hi in zip(cuts[1:-1], cuts[2:]):
-                children.append(_fork(target, lambda shard=indices[lo:hi]: _run_shard(
-                    target, opts, seed, shard)))
-            runs = _run_shard(target, opts, seed, indices[:cuts[1]], feed)
-            replies = [pipe.read() for _, pipe in children]
-        finally:
-            for pid, pipe in children:
-                if not replies:  # this shard or a read raised: leave no child running
-                    os.kill(pid, 9)  # SIGKILL
-                pipe.close()
-                os.waitpid(pid, 0)
-    for reply in replies:
-        reply = pickle.loads(reply) if reply else RuntimeError("a path shard died unanswered")
-        if isinstance(reply, BaseException):
-            raise reply
-        runs += reply[0]
-        target.add_counts(*reply[1:])
+    shards = [indices[len(indices) * j // k:len(indices) * (j + 1) // k] for j in range(k)]
+    with contextlib.ExitStack() as run:
+        feed = _Feed(target, opts, seed, indices[0], run) if len(indices) == 1 and cores > 1 else None
+        pipes = [_fork(target, functools.partial(_run_shard, target, opts, seed, shard), run)
+                 for shard in shards[1:]]
+        runs = _run_shard(target, opts, seed, shards[0], feed)
+        for shard, pipe in zip(shards[1:], pipes):
+            runs += _reply(target, pipe) if pipe else _run_shard(target, opts, seed, shard)
     return runs
 
 
-def _fork(target, work):
-    """(pid, pipe) of a child piping back the pickled (runs ``work()`` returns, and the
-    gradient and log-density evaluations it added to ``target``'s counts), or its
-    error, which the caller re-raises."""
-    read_fd, write_fd = os.pipe()
+def _fork(target, work, run):
+    """The read end of a pipe on which a forked child sends the pickled runs ``work()``
+    returns and the evaluations it added to ``target``'s counts, or its error, for
+    ``_reply``; None where no pipe or process is to be had (under a process limit, say).
+    Each call first sets numpy's OpenBLAS to one thread, which the child inherits: no
+    process oversubscribes the cores, and work the caller does after a refused fork keeps
+    a child's bits.  When the run ends, its ExitStack ``run`` restores the count, closes
+    the pipe, and kills and reaps the child."""
+    if threads := _openblas_threads():
+        run.callback(threads[1], threads[0]())
+        threads[1](1)
     try:
+        read_fd, write_fd = os.pipe()
+        pipe, out = run.enter_context(open(read_fd, "rb")), run.enter_context(open(write_fd, "wb"))
         with warnings.catch_warnings():
             # Python >= 3.12 warns on a fork with several OS threads, and
             # OpenBLAS always runs its own: its atfork handlers make the fork
@@ -368,12 +342,15 @@ def _fork(target, work):
             warnings.filterwarnings("ignore", "This process .* multi-threaded", DeprecationWarning)
             pid = os.fork()
     except OSError:
-        os.close(read_fd)
-        os.close(write_fd)
-        raise
+        return None
     if pid:
-        os.close(write_fd)
-        return pid, open(read_fd, "rb")
+        out.close()
+        run.callback(os.waitpid, pid, 0)
+        # Killed also after its reply is read: such a child is already exiting,
+        # and under the default SIGCHLD handling it stays a zombie until the
+        # waitpid above, so the kill cannot reach another process.
+        run.callback(os.kill, pid, 9)  # SIGKILL
+        return pipe
     try:
         n_grad, n_logp = target.eval_count_grad, target.eval_count_logp
         try:
@@ -385,47 +362,55 @@ def _fork(target, work):
                 pickle.loads(reply)
             except Exception:  # send a RuntimeError whose traceback shows both errors
                 reply = pickle.dumps(RuntimeError(f"path shard error:\n{traceback.format_exc()}"))
-        with open(write_fd, "wb") as pipe:
-            pipe.write(reply)
+        out.write(reply)
+        out.close()
     finally:
         os._exit(0)
+
+
+def _reply(target, pipe):
+    """The runs a forked child piped back on ``pipe``, whose evaluations it adds to
+    ``target``'s counts through ``add_counts``; the child's error, raised with its type
+    and message, or a RuntimeError for a child that died without a reply."""
+    reply = pipe.read()
+    reply = pickle.loads(reply) if reply else RuntimeError("a path shard died unanswered")
+    if isinstance(reply, BaseException):
+        raise reply
+    target.add_counts(*reply[1:])
+    return reply[0]
 
 
 class _Feed:
     """The caller's end of a lone path's forked scorer, called with each trajectory point.
 
-    At RECOVER_CHUNK steps it forks the scorer into ``children`` under
-    ``_one_blas_thread``, which it leaves on the run's ``pinned`` stack with
-    the closing of its pipe, and pipes it each RECOVER_CHUNK steps' rows as
-    they come; ``send`` pipes the finished path last.  While another thread
-    runs, or where no pipe or process is to be had, it forks nothing and the
-    caller scores the path.
+    At RECOVER_CHUNK steps it forks the scorer through ``_fork`` on the run's
+    ExitStack ``run``, which also closes the feed's pipe, and pipes it each
+    RECOVER_CHUNK steps' rows as they come; ``send`` pipes the finished path
+    last, and ``reply`` is the pipe the scorer answers on.  While another
+    thread runs, or where no pipe or process is to be had, it forks nothing
+    and the caller scores the path.
     """
 
-    def __init__(self, target, opts, seed, index, children, pinned):
+    def __init__(self, target, opts, seed, index, run):
         self.work = target, opts, seed, index, np.geterr()  # the caller's, not the loop's
-        self.children, self.pinned, self.rows, self.fd = children, pinned, [], None
+        self.run, self.rows, self.reply = run, [], None
 
     def __call__(self, *point):
         self.rows.append(point)
-        if len(self.rows) != RECOVER_CHUNK + (self.fd is None):  # the first chunk has row 0 too
+        if len(self.rows) != RECOVER_CHUNK + (self.reply is None):  # the first chunk has row 0 too
             return
-        if self.fd is None:
+        if self.reply is None:  # tried once: the row count only grows after
             if threading.active_count() > 1:
-                return  # and never will: the caller scores the path
-            with contextlib.ExitStack() as opened:  # handed to ``pinned`` once the scorer runs
-                opened.enter_context(_one_blas_thread())
-                try:
-                    read_fd, self.fd = os.pipe()
-                    opened.callback(os.close, self.fd)
-                    try:
-                        self.children.append(_fork(self.work[0], lambda: self._serve(read_fd)))
-                    finally:
-                        os.close(read_fd)
-                except OSError:  # such as EAGAIN under a process limit: stop trying, and
-                    self.fd = None  # the caller scores the path
-                    return
-                self.pinned.enter_context(opened.pop_all())
+                return  # the caller scores the path
+            try:
+                read_fd, self.fd = os.pipe()
+            except OSError:
+                return
+            self.run.callback(os.close, self.fd)
+            self.reply = _fork(self.work[0], lambda: self._serve(read_fd), self.run)
+            os.close(read_fd)
+            if self.reply is None:
+                return
         self.send(tuple(np.array(rows) for rows in zip(*self.rows)))
         self.rows = []
 
@@ -451,14 +436,14 @@ class _Feed:
 
 def _run_shard(target, opts: PathfinderOptions, seed: int, indices, feed=None) -> list:
     """Runs of the paths ``indices``: one ``lbfgs.lockstep``, then ``_Scorer.finish``,
-    or none for a lone path whose ``feed`` forked a scorer, which replies with it."""
+    or, for a lone path whose ``feed`` forked a scorer, the scorer's ``_reply``."""
     states = lockstep(target, [optimize_steps(initial_point(target.dim, opts, seed, i),
                                               opts.lbfgs, feed) for i in indices])
     paths = [OptimizedPath(i, s.outcome, s.n_fused + s.n_logp_only, s.n_fused)
              for i, s in zip(indices, states)]
-    if feed and feed.fd is not None:
+    if feed and feed.reply:
         feed.send(paths[0])
-        return []
+        return _reply(target, feed.reply)
     return _Scorer(target, indices, opts, seed).finish(paths)
 
 

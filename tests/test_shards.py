@@ -48,9 +48,14 @@ def assert_no_children():
         os.waitpid(-1, os.WNOHANG)
 
 
+def open_fds():
+    return sorted(os.listdir("/proc/self/fd"))
+
+
 @pytest.fixture
 def cores(monkeypatch):
-    """Set the usable core count; returns the list of forked pids (parent side)."""
+    """Set the usable core count; returns the list of forked pids (parent side).  After
+    the test, no child is left and the descriptors open are those open before it."""
     forked = []
     fork = os.fork
 
@@ -66,8 +71,10 @@ def cores(monkeypatch):
         monkeypatch.setattr(single_path, "usable_cores", lambda: count)
         return forked
 
+    fds = open_fds()
     yield set_cores
     assert_no_children()
+    assert open_fds() == fds  # every pipe a run opened, it closed, on error paths too
 
 
 def run_with(cores, count, name, params, opts=OPTS, seed=21):
@@ -248,27 +255,34 @@ def refusing(*args):
 
 
 class TestScorerThatCannotFork:
-    """The single-mode scorer is optional: where no pipe or process is to be had
-    (such as EAGAIN under a process limit), the caller scores the path."""
+    """Every child is optional: where no pipe or process is to be had (such as
+    EAGAIN under a process limit), the caller scores the lone path, or runs
+    the shard itself after its own."""
 
     @pytest.mark.parametrize("call", ["fork", "pipe"])
     def test_the_caller_scores_the_path(self, cores, monkeypatch, call):
         alone = single_with(cores, 1, "eight_schools_centered", {}, 1, 0)
         forked = cores(2)
         monkeypatch.setattr(os, call, refusing)
-        fds = sorted(os.listdir("/proc/self/fd"))
         target = make_target("eight_schools_centered")
         run = run_single(target, PathfinderOptions(), 1)
-        assert sorted(os.listdir("/proc/self/fd")) == fds  # what it opened, it closed
         assert forked == [] and run.num_iters >= RECOVER_CHUNK
         assert (target.eval_count_grad, target.eval_count_logp) == (run.n_grad, run.n_logp)
         assert_same_run(run, alone)
 
-    def test_a_shard_that_cannot_fork_still_raises(self, cores, monkeypatch):
-        cores(2)
-        monkeypatch.setattr(os, "fork", refusing)
-        with pytest.raises(BlockingIOError):
-            run_multi(make_target("std_normal", dim=3), OPTS, 1)
+    @pytest.mark.parametrize("call", ["fork", "pipe"])
+    @pytest.mark.parametrize("count", [2, 3])
+    def test_a_shard_that_cannot_fork_runs_in_the_caller(self, cores, monkeypatch, call, count):
+        name, params = "neal_funnel", {"dim": 10}
+        sharded = run_with(cores, count, name, params)
+        forked = cores(count)
+        forked.clear()
+        monkeypatch.setattr(os, call, refusing)
+        target = make_target(name, **params)
+        result = run_multi(target, OPTS, 21)
+        assert forked == []
+        assert (target.eval_count_grad, target.eval_count_logp) == (result.n_grad, result.n_logp)
+        assert_same_result(result, sharded)
 
 
 class TestCounterView:
@@ -679,14 +693,22 @@ class TestOneBlasThread:
         assert set(here[:first]) == {"2"} and set(here[first:]) == {"1"}
         assert {count for pid, count in seen if pid == str(forked[0])} == {"1"}
 
-    def test_a_scorer_that_cannot_fork_leaves_the_count_alone(self, cores, threads, tmp_path,
-                                                              monkeypatch):
+    def test_a_scorer_that_cannot_fork_runs_one_thread_from_the_attempt(
+            self, cores, threads, tmp_path, monkeypatch):
+        cores(1)
+        alone = run_single(make_target("eight_schools_centered"), OPTS.single, 5, path_index=3)
         cores(2)
         monkeypatch.setattr(os, "fork", refusing)
         log = tmp_path / "threads"
         target = ThreadLogging(make_target("eight_schools_centered"), log)
-        assert run_single(target, OPTS.single, 5, path_index=3).num_iters >= RECOVER_CHUNK
-        assert threads() == 2 and set(logged(log)) == {(str(os.getpid()), "2")}
+        run = run_single(target, OPTS.single, 5, path_index=3)
+        assert run.num_iters >= RECOVER_CHUNK and threads() == 2
+        seen = logged(log)
+        assert {pid for pid, _ in seen} == {str(os.getpid())}
+        counts = [count for _, count in seen]
+        first = counts.index("1")  # the first evaluation after the refused fork
+        assert first > 0 and set(counts[:first]) == {"2"} and set(counts[first:]) == {"1"}
+        assert_same_run(run, alone)
 
     def test_count_restored_after_a_run_that_raises(self, cores, threads, monkeypatch):
         cores(2)
@@ -727,10 +749,14 @@ class TestOneBlasThread:
 
 
 BLAS_RUN = """
-import hashlib, json
+import errno, hashlib, json, os, sys
 import numpy as np
 from pathfinder import MultipathOptions, make_target, run_multi, single_path
 single_path.usable_cores = lambda: 2
+if sys.argv[1:] == ["refuse-fork"]:
+    def refusing():
+        raise BlockingIOError(errno.EAGAIN, "Resource temporarily unavailable")
+    os.fork = refusing
 rng = np.random.default_rng(0)
 X = rng.standard_normal((1000, 50))
 y = (rng.random(1000) < 1.0 / (1.0 + np.exp(-X @ rng.standard_normal(50) / 50**0.5))).astype(float)
@@ -745,6 +771,30 @@ print(json.dumps([threads, digest.hexdigest()]))
 """
 
 
+def blas_run(*args, **env):
+    """[numpy's OpenBLAS thread count, digest] of BLAS_RUN in a fresh interpreter, whose
+    environment sets no BLAS thread count unless ``env`` does."""
+    import subprocess
+
+    from test_imports import SRC, TESTS
+
+    base = {key: value for key, value in os.environ.items()
+            if key not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "GOTO_NUM_THREADS")}
+    base["PYTHONPATH"] = os.pathsep.join([str(SRC), str(TESTS)])
+    done = subprocess.run([sys.executable, "-c", BLAS_RUN, *args], env={**base, **env},
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    return json.loads(done.stdout.splitlines()[-1])
+
+
+def default_blas_run():
+    """BLAS_RUN at numpy's default thread count, skipping the test where that is one."""
+    default = blas_run()
+    if default[0] < 2:
+        pytest.skip("numpy's OpenBLAS runs one thread by default here")
+    return default
+
+
 @pytest.mark.skipif(BLAS is None, reason="numpy has no bundled OpenBLAS here")
 @pytest.mark.skipif(usable_cores() < 2, reason="needs two usable cores")
 def test_default_blas_threads_give_the_one_thread_run():
@@ -753,24 +803,19 @@ def test_default_blas_threads_give_the_one_thread_run():
     # OPENBLAS_NUM_THREADS=1.  Its 30 paths per shard make fused batches of
     # up to 30 rows, whose gradients round differently on two BLAS threads,
     # so without the one-thread pin from the first fork the runs differ.
-    import subprocess
+    _, digest = default_blas_run()
+    assert blas_run(OPENBLAS_NUM_THREADS="1") == [1, digest]
 
-    from test_imports import SRC, TESTS
 
-    env = {key: value for key, value in os.environ.items()
-           if key not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "GOTO_NUM_THREADS")}
-    env["PYTHONPATH"] = os.pathsep.join([str(SRC), str(TESTS)])
-
-    def run(**extra):
-        done = subprocess.run([sys.executable, "-c", BLAS_RUN], env={**env, **extra},
-                              capture_output=True, text=True, timeout=120)
-        assert done.returncode == 0, done.stderr
-        return json.loads(done.stdout.splitlines()[-1])
-
-    default_threads, default_run = run()
-    if default_threads < 2:
-        pytest.skip("numpy's OpenBLAS runs one thread by default here")
-    assert run(OPENBLAS_NUM_THREADS="1") == [1, default_run]
+@pytest.mark.skipif(BLAS is None, reason="numpy has no bundled OpenBLAS here")
+@pytest.mark.skipif(usable_cores() < 2, reason="needs two usable cores")
+def test_default_blas_threads_and_a_refused_fork_give_the_forked_run():
+    # The same run at numpy's default thread count with os.fork refused: the
+    # second shard runs in the caller after the first, and it keeps the bits
+    # of a forked one only if the one-thread pin starts at the attempt to
+    # fork, not at a fork that succeeds.
+    threads, forked = default_blas_run()
+    assert blas_run("refuse-fork") == [threads, forked]
 
 
 def test_sharded_run_loads_no_process_pool_module():
