@@ -29,7 +29,7 @@ import numpy as np
 from .errors import AllPathsFailedError, BadParamsError, ConfigError, UnknownTargetError
 from .multipath import MultipathOptions, run_multi
 from .options import POSITIVE_INT, from_flat, kind_problem, settings, to_flat
-from .single_path import PathfinderOptions, run_single
+from .single_path import PathfinderOptions, check_key, run_single
 from .targets import make_target
 
 
@@ -76,8 +76,10 @@ def validate_config(raw: dict) -> RunConfig:
         problems.append("target_params: must be a JSON object")
     if cfg.mode not in ("single", "multi"):
         problems.append(f"mode: must be 'single' or 'multi', got {cfg.mode!r}")
-    if not isinstance(cfg.seed, int) or isinstance(cfg.seed, bool) or not 0 <= cfg.seed < 2**64:
-        problems.append(f"seed: must be an integer in [0, 2^64), got {cfg.seed!r}")
+    try:
+        check_key("seed", cfg.seed)
+    except ValueError as exc:  # the rule run_single and run_multi apply
+        problems.append(str(exc))
     if cfg.dim is not None:
         problems.append(kind_problem("dim", POSITIVE_INT, cfg.dim))
         given = cfg.target_params.get("dim") if isinstance(cfg.target_params, dict) else None
@@ -119,7 +121,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="JSON object of target parameters")
     parser.add_argument("--dim", type=int, help="target dimension, for dimension-parametric targets")
     parser.add_argument("--mode", choices=("single", "multi"), help="single path or pooled multi-path")
-    parser.add_argument("--seed", type=int, help="master seed (64-bit, non-negative)")
+    parser.add_argument("--seed", type=int, help="master seed, a non-negative integer")
     parser.add_argument("--out", help="output CSV path for draws")
     parser.add_argument("--diagnostics", help="output JSON path for diagnostics")
     for s in settings(MultipathOptions):
@@ -163,13 +165,9 @@ def _build_target(cfg: RunConfig):
 
 
 def _write_csv(path: str, draws: np.ndarray) -> None:
-    n = draws.shape[1]
-    header = ",".join(f"param.{j + 1}" for j in range(n))
-    lines = [header]
-    for row in draws.tolist():
-        lines.append(",".join(f"{v:.17g}" for v in row))
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    header = ",".join(f"param.{j + 1}" for j in range(draws.shape[1]))
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:  # numpy's open: os.linesep
+        np.savetxt(fh, draws, fmt="%.17g", delimiter=",", header=header, comments="")
 
 
 def _json_safe(value):
@@ -183,21 +181,14 @@ def _json_safe(value):
     return value
 
 
+# The PathfinderRun fields a path record copies as they are.
+_RECORD_FIELDS = ("failed", "num_iters", "l_star", "scored_candidates", "disqualified",
+                  "n_logp", "n_grad", "lbfgs_n_logp", "lbfgs_n_grad")
+
+
 def _path_record(index: int, run) -> dict:
-    return {
-        "path": index,
-        "failed": run.failed,
-        "termination": run.termination.value,
-        "num_iters": run.num_iters,
-        "l_star": run.l_star,
-        "elbo_trace": [float(v) for v in run.elbo_trace],
-        "scored_candidates": run.scored_candidates,
-        "disqualified": dict(run.disqualified),
-        "n_logp": run.n_logp,
-        "n_grad": run.n_grad,
-        "lbfgs_n_logp": run.lbfgs_n_logp,
-        "lbfgs_n_grad": run.lbfgs_n_grad,
-    }
+    return {"path": index, "termination": run.termination.value,
+            "elbo_trace": run.elbo_trace.tolist(), **{k: getattr(run, k) for k in _RECORD_FIELDS}}
 
 
 def _write_diagnostics(path: str, payload: dict) -> None:

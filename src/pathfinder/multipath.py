@@ -159,7 +159,7 @@ def psis_smooth(log_w) -> tuple[np.ndarray, float]:
         raise NoFiniteWeightsError("no finite log weight to smooth")
 
     m_tail = tail_length(n_finite)
-    if m_tail < MIN_TAIL or n_finite - m_tail < 1:
+    if n_finite - m_tail < 1:
         return log_w, KHAT_SENTINEL
 
     finite_idx = np.flatnonzero(finite)
@@ -171,7 +171,7 @@ def psis_smooth(log_w) -> tuple[np.ndarray, float]:
     cutoff = w[order[n_finite - m_tail - 1]]
     tail = w[tail_order]
     exceedances = tail - cutoff
-    if np.unique(tail).size < 2 or exceedances[-1] <= 0:
+    if np.unique(tail).size < 2:
         return log_w, KHAT_SENTINEL
     try:
         k_hat, sigma = fit_generalized_pareto(exceedances)

@@ -285,7 +285,7 @@ def _openblas_threads():
         return None
 
 
-def _check_key(name, value, end=math.inf):
+def check_key(name, value, end=math.inf):
     """``value``, unless it is not an integer in [0, ``end``): then a ValueError naming it."""
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or not 0 <= value < end:
         raise ValueError(f"{name} must be an integer in [0, {end}), got {value!r}")
@@ -296,18 +296,19 @@ def run_paths(target, opts: PathfinderOptions, seed: int, indices) -> list:
     """Runs of the paths ``indices`` (one in single mode), in k contiguous shards.
 
     k = min(len(indices), usable_cores()), or 1 while another Python thread
-    runs, whose locks a child could block on.  The first shard runs here, the
-    others in children forked by ``_fork``; a shard that cannot fork runs
-    here after the first, with the same bits.  A lone path with a spare core
-    instead has its candidates scored by a forked child while it optimizes
-    (``_Feed``).  Run i equals the run of path i alone wherever the target's
-    batched rows do not depend on the batch.  A seed that is not a
-    non-negative integer, or an index outside [0, 2**32), raises ValueError
-    before any evaluation.  The run's ExitStack holds what the forks set and
-    opened, and undoes it when the run ends, also when it raises.
+    runs.  The first shard runs here, the others in children forked by
+    ``_fork``; a shard that cannot fork runs here after the first, with the
+    same bits.  A lone path with a spare core instead has its candidates
+    scored by a forked child while it optimizes (``_Feed``).  Run i equals
+    the run of path i alone wherever the target's batched rows do not depend
+    on the batch.  A seed that is not a non-negative integer, or an index
+    outside [0, 2**32), raises ValueError before any evaluation.  The run's
+    ExitStack holds what the forks set and opened, and undoes it when the
+    run ends, also when it raises.
     """
-    _check_key("seed", seed)
-    indices = [_check_key("path_index", i, 2**32) for i in indices]
+    check_key("seed", seed)
+    indices = [check_key("path_index", i, 2**32) for i in indices]
+    # _fork forks nothing while a thread runs; one lockstep then beats shards run in turn.
     cores = usable_cores() if threading.active_count() == 1 else 1
     k = max(1, min(len(indices), cores))
     shards = [indices[len(indices) * j // k:len(indices) * (j + 1) // k] for j in range(k)]
@@ -324,11 +325,13 @@ def run_paths(target, opts: PathfinderOptions, seed: int, indices) -> list:
 def _fork(target, work, run):
     """The read end of a pipe on which a forked child sends the pickled runs ``work()``
     returns and the evaluations it added to ``target``'s counts, or its error, for
-    ``_reply``; None where no pipe or process is to be had (under a process limit, say).
-    Each call first sets numpy's OpenBLAS to one thread, which the child inherits: no
-    process oversubscribes the cores, and work the caller does after a refused fork keeps
-    a child's bits.  When the run ends, its ExitStack ``run`` restores the count, closes
-    the pipe, and kills and reaps the child."""
+    ``_reply``; None while another Python thread runs or where no pipe or process is to be
+    had (under a process limit, say).  Past the thread check, each call sets numpy's
+    OpenBLAS to one thread, which the child inherits: no process oversubscribes the cores,
+    and work the caller does after a refused fork keeps a child's bits.  When the run ends,
+    its ExitStack ``run`` restores the count, closes the pipe, and kills and reaps the child."""
+    if threading.active_count() > 1:  # a child could block on a lock another thread holds
+        return None
     if threads := _openblas_threads():
         run.callback(threads[1], threads[0]())
         threads[1](1)
@@ -386,9 +389,8 @@ class _Feed:
     At RECOVER_CHUNK steps it forks the scorer through ``_fork`` on the run's
     ExitStack ``run``, which also closes the feed's pipe, and pipes it each
     RECOVER_CHUNK steps' rows as they come; ``send`` pipes the finished path
-    last, and ``reply`` is the pipe the scorer answers on.  While another
-    thread runs, or where no pipe or process is to be had, it forks nothing
-    and the caller scores the path.
+    last, and ``reply`` is the pipe the scorer answers on.  Where ``_fork``
+    forks nothing, the caller scores the path.
     """
 
     def __init__(self, target, opts, seed, index, run):
@@ -400,8 +402,6 @@ class _Feed:
         if len(self.rows) != RECOVER_CHUNK + (self.reply is None):  # the first chunk has row 0 too
             return
         if self.reply is None:  # tried once: the row count only grows after
-            if threading.active_count() > 1:
-                return  # the caller scores the path
             try:
                 read_fd, self.fd = os.pipe()
             except OSError:

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import pathfinder
-from pathfinder import ConfigError
+from pathfinder import ConfigError, PathfinderOptions, make_target, run_single
 from pathfinder.cli import main, validate_config
 
 from test_options import NON_DEFAULT
@@ -54,6 +54,13 @@ class TestValidateConfig:
     def test_negative_seed(self):
         with pytest.raises(ConfigError, match="seed"):
             validate_config({"target": "std_normal", "seed": -1})
+
+    def test_seed_rule_is_the_apis(self):
+        for seed in (-1, True, 1.5, "3"):
+            with pytest.raises(ConfigError, match="mode: must be .*; seed must be an integer"):
+                validate_config({"target": "std_normal", "seed": seed, "mode": "both"})
+        for seed in (2**64 - 1, 2**64, 2**70):
+            assert validate_config({"target": "std_normal", "seed": seed}).seed == seed
 
     def test_bad_wolfe_bounds(self):
         with pytest.raises(ConfigError, match="wolfe_c1"):
@@ -302,6 +309,12 @@ class TestMain:
         out1, diag1 = run_cli(tmp_path, "--config", str(first))
         payload = json.loads(diag1.read_text())
         assert {k: payload["config"][k] for k in NON_DEFAULT} == NON_DEFAULT
+        for record in payload["paths"]:
+            assert set(record) == {
+                "path", "failed", "termination", "num_iters", "l_star", "elbo_trace",
+                "scored_candidates", "disqualified", "n_logp", "n_grad", "lbfgs_n_logp",
+                "lbfgs_n_grad",
+            }
         cfg_file = tmp_path / "echo.json"
         cfg_file.write_text(json.dumps(payload["config"]))
         out2 = tmp_path / "second.csv"
@@ -311,6 +324,22 @@ class TestMain:
         assert code == 0
         assert out2.read_bytes() == out1.read_bytes()
         assert diag2.read_bytes() == diag1.read_bytes()
+
+    def test_seed_past_64_bits_runs_and_replays(self, tmp_path):
+        seed = 2**70
+        out1, diag1 = run_cli(tmp_path, "--target", "std_normal", "--dim", "2",
+                              "--mode", "single", "--seed", str(seed), "--num-draws", "10")
+        expected = run_single(make_target("std_normal", dim=2), PathfinderOptions(num_draws=10),
+                              seed=seed).draws
+        np.testing.assert_array_equal(np.loadtxt(out1, delimiter=",", skiprows=1), expected)
+        payload = json.loads(diag1.read_text())
+        assert payload["config"]["seed"] == seed
+        cfg_file = tmp_path / "echo.json"
+        cfg_file.write_text(json.dumps(payload["config"]))
+        out2, diag2 = tmp_path / "second.csv", tmp_path / "second.json"
+        assert main(["--config", str(cfg_file), "--out", str(out2),
+                     "--diagnostics", str(diag2)]) == 0
+        assert (out2.read_bytes(), diag2.read_bytes()) == (out1.read_bytes(), diag1.read_bytes())
 
     def test_repeat_run_gives_identical_bytes(self, tmp_path):
         outputs = []

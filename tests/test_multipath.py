@@ -22,7 +22,7 @@ from pathfinder import (
 )
 from pathfinder.lbfgs import optimize
 from pathfinder.multipath import (
-    KHAT_SENTINEL, fit_generalized_pareto, pool_runs, psis_smooth, resample, tail_length,
+    KHAT_SENTINEL, MIN_TAIL, fit_generalized_pareto, pool_runs, psis_smooth, resample, tail_length,
 )
 from pathfinder.single_path import PathfinderRun, initial_point
 
@@ -118,10 +118,16 @@ class TestPsisSmooth:
         np.testing.assert_array_equal(smoothed[body], log_w[body])
 
     def test_small_samples_returned_raw(self):
-        log_w = np.array([-1.0, -2.0, -0.5])
-        smoothed, k_hat = psis_smooth(log_w)
-        np.testing.assert_array_equal(smoothed, log_w)
-        assert k_hat == KHAT_SENTINEL
+        # Every pool whose tail is shorter than MIN_TAIL, with and without -inf entries.
+        assert tail_length(20) < MIN_TAIL == tail_length(21)
+        rng = np.random.default_rng(2)
+        for n in range(1, 21):
+            for n_inf in (0, 1, 3):
+                distinct = -0.37 * np.arange(n)
+                log_w = rng.permutation(np.concatenate([distinct, np.full(n_inf, -np.inf)]))
+                smoothed, k_hat = psis_smooth(log_w)
+                np.testing.assert_array_equal(smoothed, log_w)
+                assert k_hat == KHAT_SENTINEL
 
     def test_no_finite_weights(self):
         with pytest.raises(NoFiniteWeightsError):
